@@ -9,7 +9,7 @@ from warpforce.model import (
     Field,
     GenerationError,
     GridSpec,
-    MetricField,
+    RadialMetric,
     ScalarField,
     SpatialMetric,
     WarpforceError,
@@ -23,13 +23,11 @@ from warpforce.model import (
     metric_deviation,
     polynomial_scalar,
     profile_scalar,
-    radial_split_metric,
     validate_metric,
 )
 
 from warpforce.warpcore import (
     BumpFunction,
-    RadialMetric,
     ShiftedProfile,
     WarpFunction,
     apply_warp,
@@ -37,7 +35,6 @@ from warpforce.warpcore import (
     make_bump,
     radial_slice,
     sinh_warped_cut,
-    spherical_cut,
     unwarped_cut,
     warp_force,
     warped_extension,

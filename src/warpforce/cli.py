@@ -32,8 +32,6 @@ from warpforce.verify import (
 )
 from warpforce.warpcore import BumpFunction, warp_force
 
-_DEFAULT_REMARK_T0S = (2.2, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0)
-
 
 def _load_config(parser: argparse.ArgumentParser, path: Optional[str]) -> dict:
     if path is None:
@@ -50,17 +48,17 @@ def _load_config(parser: argparse.ArgumentParser, path: Optional[str]) -> dict:
     return doc
 
 
-def _grid_from(args, cfg: dict) -> Optional[GridSpec]:
+def _grid_from(parser, args, cfg: dict) -> Optional[GridSpec]:
     base = cfg.get("grid")
     spec = None
-    if base is not None:
-        try:
+    try:
+        if base is not None:
             spec = GridSpec(**base)
-        except (TypeError, ValueError) as exc:
-            raise SystemExit(f"warpforce: error: bad grid config: {exc}")
-    if getattr(args, "grid", None) is not None:
-        spec = dataclasses.replace(spec or GridSpec(),
-                                   points_per_axis=args.grid)
+        if args.grid is not None:
+            spec = dataclasses.replace(spec or GridSpec(),
+                                       points_per_axis=args.grid)
+    except (TypeError, ValueError) as exc:
+        parser.error(f"bad grid: {exc}")
     return spec
 
 
@@ -118,14 +116,16 @@ def cmd_verify(parser, args) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     instances = (args.instances if args.instances is not None
                  else cfg.get("instances", 100))
+    if not instances >= 0:
+        parser.error(f"instances must be >= 0 (got {instances})")
     xi_values = tuple(cfg.get("xi_values", (1.0, 1.5)))
-    grid = _grid_from(args, cfg)
+    grid = _grid_from(parser, args, cfg)
 
     if args.t0 is not None:
         if args.check != "lemma2.1":
             parser.error("--t0 only applies to the lemma2.1 check")
-        if args.t0 <= 2.0:
-            parser.error(f"--t0 must exceed 2 (got {args.t0:g})")
+        if not 2.0 < args.t0 < np.inf:
+            parser.error(f"--t0 must exceed 2 and be finite (got {args.t0:g})")
         reports = [check_lemma_2_1(args.t0)]
     else:
         section = cfg if args.check == "all" else cfg.get(args.check)
@@ -160,7 +160,7 @@ def cmd_theorem(parser, args) -> int:
     section = dict(section)
     if args.seed is not None:
         section["seed"] = args.seed
-    grid = _grid_from(args, doc)
+    grid = _grid_from(parser, args, doc)
     if grid is not None:
         section["grid"] = dataclasses.asdict(grid)
     try:
@@ -210,15 +210,17 @@ _REMARK_COLUMNS = ["t0", "eps", "ratio_to_prev", "derivative_source"]
 
 def cmd_demo_remark(parser, args) -> int:
     cfg = _load_config(parser, args.config)
+    if not 0 < args.step < np.inf:
+        parser.error(f"--step must be positive and finite (got {args.step:g})")
     if args.t0_min is not None or args.t0_max is not None:
         lo = args.t0_min if args.t0_min is not None else 2.2
         hi = args.t0_max if args.t0_max is not None else 9.0
-        if not 0 < lo < hi:
+        if not 0 < lo < hi < np.inf:
             parser.error(f"need 0 < t0-min < t0-max (got {lo:g}, {hi:g})")
         t0s = [float(t) for t in np.arange(lo, hi + 1e-9, args.step)]
     else:
-        t0s = [float(t) for t in cfg.get("t0_values", _DEFAULT_REMARK_T0S)]
-    grid = _grid_from(args, cfg)
+        t0s = cfg.get("t0_values")
+    grid = _grid_from(parser, args, cfg)
     try:
         rows = remark_decay(t0s, grid=grid)
     except (ValueError, WarpforceError) as exc:
@@ -257,14 +259,13 @@ def cmd_dump_grid(parser, args) -> int:
         metric = m.metric
         if args.r0 is not None:
             metric = warp_force(metric, args.r0, BumpFunction())
-        field = metric.as_field()
     except (ValueError, WarpforceError) as exc:
         parser.error(str(exc))
-    grid = _grid_from(args, cfg)
+    grid = _grid_from(parser, args, cfg)
     out = Path(args.out) if args.out is not None else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "grid.csv"
-    rows = dump_grid_csv(field, path, grid=grid)
+    rows = dump_grid_csv(metric, path, grid=grid)
     print(f"wrote {rows} rows to {path}")
     return 0
 

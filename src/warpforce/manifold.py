@@ -1,7 +1,8 @@
 """Synthetic centered manifolds, radial charts, and pullbacks.
 
 A centered manifold is given in polar form around its center: a RadialMetric
-spatial(y, r) + dr^2 over sphere coordinates y.  Two families are built here:
+spatial(y, r) + dr^2 over sphere coordinates y, on a radial window inside
+r >= 0.  Two families are built here:
 
 * punctured_hyperbolic: sinh^2(r) sigma_S + dr^2 for n = 2 (circle coordinate
   theta) and n = 3 (colatitude/longitude, sigma_S = diag(1, sin^2 phi));
@@ -30,13 +31,11 @@ from warpforce.model import (
     DomainError,
     GenerationError,
     GridSpec,
-    MetricField,
+    RadialMetric,
     hyperbolic_model,
     metric_deviation,
-    radial_split_metric,
     scalar_times_jet,
 )
-from warpforce.warpcore import RadialMetric
 
 __all__ = [
     "CenteredManifold",
@@ -63,11 +62,11 @@ class CenteredManifold:
 
     @property
     def n(self) -> int:
-        return self.metric.n
+        return self.metric.domain.dim
 
     @property
     def r_range(self):
-        return self.metric.r_range
+        return self.metric.domain.bounds[-1]
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "n": self.n,
@@ -76,6 +75,8 @@ class CenteredManifold:
 
 def _sphere_domain(n: int, r_range) -> Domain:
     lo, hi = float(r_range[0]), float(r_range[1])
+    if lo < 0.0:
+        raise ValueError("radial window must stay in r >= 0")
     if n == 2:
         return Domain(bounds=((-np.pi, np.pi), (lo, hi)),
                       axis_names=("theta", "r"))
@@ -271,7 +272,7 @@ def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
     g = manifold.metric
     chart = ChartModel(n=n, xi=xi, grid=grid or g.grid)
     c = 2.0 * np.exp(-t0)
-    r_lo, r_hi = g.r_range
+    r_lo, r_hi = manifold.r_range
     _check_window("radial", t0 - (1.0 + xi), t0 + (1.0 + xi), r_lo, r_hi)
 
     if n == 2:
@@ -353,7 +354,7 @@ def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
 
 
 def pullback(rc: RadialChart, g: RadialMetric,
-             name: Optional[str] = None) -> MetricField:
+             name: Optional[str] = None) -> RadialMetric:
     """Chart pullback (Dphi1^T spatial Dphi1)(phi1(x), t+t0) + dt^2.
 
     Carries analytic jets when the sphere map is affine and g has a jet;
@@ -392,8 +393,8 @@ def pullback(rc: RadialChart, g: RadialMetric,
             sand = lambda X: np.einsum("ab,m...ac,cd->m...bd", J0, X, J0)
             return sand(sv), sand(d1), sand(d2)
 
-    return radial_split_metric(rc.chart, spatial, spatial_jet,
-                               name=name or f"pull[{g.name};t0={rc.t0:g}]")
+    return RadialMetric.on_chart(rc.chart, spatial, spatial_jet,
+                                 name=name or f"pull[{g.name};t0={rc.t0:g}]")
 
 
 def radial_closeness(rc: RadialChart, g: RadialMetric,

@@ -2,9 +2,13 @@
 
 A chart carries coordinates (x_1, ..., x_{n-1}, t): spatial coordinates in the
 unit ball of R^{n-1} and a radial coordinate t in (-(1+xi), 1+xi), where xi > 0
-is the chart excess.  Fields evaluate on (m, d) batches of points and may carry
-analytic jets (value, gradient, hessian); norms fall back to second-order
-central differences when no jet is available.
+is the chart excess.  Fields evaluate on (m, d) batches of points, sample on
+their own GridSpec, and may carry analytic jets (value, gradient, hessian);
+norms fall back to second-order central differences when no jet is available.
+
+Every metric in the package is a RadialMetric: a spatial block over the
+leading axes plus d(last axis)^2, on a chart (last axis t) or in polar form
+around a center (last axis r).
 
 The C2 norm used throughout is the Taylor-weighted max
 
@@ -238,13 +242,16 @@ def _as_points(pts, d: int) -> np.ndarray:
 
 
 class Field:
-    """A map from domain points to arrays of a fixed trailing shape."""
+    """A map from domain points to arrays of a fixed trailing shape, sampled
+    on `grid` by default."""
 
     def __init__(self, domain: Domain, fn: Callable, jet: Optional[Callable] = None,
-                 shape: tuple = (), name: str = "field"):
+                 shape: tuple = (), name: str = "field",
+                 grid: Optional[GridSpec] = None):
         self.domain = domain
         self.shape = tuple(shape)
         self.name = name
+        self.grid = grid or GridSpec()
         self._fn = fn
         self._jet = jet
 
@@ -260,9 +267,6 @@ class Field:
             raise WarpforceError(f"field {self.name!r} has no analytic jet")
         return self._jet(_as_points(pts, self.domain.dim))
 
-    def default_grid(self) -> GridSpec:
-        return GridSpec()
-
 
 class ScalarField(Field):
     def __init__(self, domain, fn, jet=None, name="scalar"):
@@ -277,76 +281,71 @@ class SpatialMetric(Field):
         super().__init__(domain, fn, jet=jet, shape=(k, k), name=name)
 
 
-class MetricField(Field):
-    """n x n metric on a chart; radially split metrics keep their spatial
-    block accessible for warp operations."""
+class RadialMetric(Field):
+    """Split metric spatial(p) + d(last axis)^2, the one metric type.
 
-    def __init__(self, chart: ChartModel, fn, jet=None, radial_split=False,
-                 spatial=None, spatial_jet=None, name="metric"):
-        super().__init__(chart.domain, fn, jet=jet,
-                         shape=(chart.n, chart.n), name=name)
+    The leading k = d - 1 domain axes carry the spatial block and the last
+    axis is radial: t on a chart, r in polar form around a center.  spatial
+    maps (m, d) points to (m, k, k) matrices; spatial_jet, when given,
+    differentiates it in all d coordinates.  The full d x d value and jet
+    embed the block with a unit last-axis entry.  Metrics built on a
+    ChartModel keep it as `chart` (its excess xi and hyperbolic model feed
+    the lemma checks); polar metrics have chart None.
+    """
+
+    def __init__(self, domain: Domain, spatial: Callable,
+                 spatial_jet: Optional[Callable] = None,
+                 grid: Optional[GridSpec] = None, name: str = "metric",
+                 chart: Optional[ChartModel] = None):
+        d = domain.dim
+        k = d - 1
+
+        def fn(pts):
+            # the block first: its temporaries are freed before `out` exists
+            S = np.asarray(spatial(pts))
+            out = np.zeros((len(pts), d, d))
+            out[:, :k, :k] = S
+            out[:, k, k] = 1.0
+            return out
+
+        jet = None
+        if spatial_jet is not None:
+            def jet(pts):
+                sv, s1, s2 = spatial_jet(pts)
+                m = len(pts)
+                v = np.zeros((m, d, d))
+                v[:, :k, :k] = sv
+                v[:, k, k] = 1.0
+                d1 = np.zeros((m, d, d, d))
+                d1[:, :, :k, :k] = s1
+                d2 = np.zeros((m, d, d, d, d))
+                d2[:, :, :, :k, :k] = s2
+                return v, d1, d2
+
+        super().__init__(domain, fn, jet=jet, shape=(d, d), name=name,
+                         grid=grid)
         self.chart = chart
-        self.radial_split = radial_split
         self._spatial = spatial
         self._spatial_jet = spatial_jet
 
+    @classmethod
+    def on_chart(cls, chart: ChartModel, spatial: Callable,
+                 spatial_jet: Optional[Callable] = None,
+                 name: str = "metric") -> "RadialMetric":
+        return cls(chart.domain, spatial, spatial_jet, grid=chart.grid,
+                   name=name, chart=chart)
+
     def spatial(self, pts) -> np.ndarray:
-        """(m, k, k) spatial block; cheap path for split metrics."""
-        pts = _as_points(pts, self.domain.dim)
-        if self._spatial is not None:
-            return np.asarray(self._spatial(pts))
-        k = self.chart.k
-        return self(pts)[:, :k, :k]
+        """(m, k, k) spatial block."""
+        return np.asarray(self._spatial(_as_points(pts, self.domain.dim)))
 
     def spatial_jet(self, pts):
-        pts = _as_points(pts, self.domain.dim)
-        if self._spatial_jet is not None:
-            return self._spatial_jet(pts)
-        if self._jet is None:
+        if self._spatial_jet is None:
             raise WarpforceError(f"metric {self.name!r} has no analytic jet")
-        k = self.chart.k
-        v, d1, d2 = self._jet(pts)
-        return v[:, :k, :k], d1[:, :, :k, :k], d2[:, :, :, :k, :k]
-
-    def default_grid(self) -> GridSpec:
-        return self.chart.grid
+        return self._spatial_jet(_as_points(pts, self.domain.dim))
 
 
-def radial_split_metric(chart: ChartModel, spatial, spatial_jet=None,
-                        name: str = "metric") -> MetricField:
-    """Assemble spatial(x,t) (+) dt^2 into a full chart metric.
-
-    spatial maps (m, n) chart points to (m, k, k); its jet differentiates in
-    all n chart coordinates.
-    """
-    n, k = chart.n, chart.k
-
-    def fn(pts):
-        S = np.asarray(spatial(pts))
-        out = np.zeros((len(pts), n, n))
-        out[:, :k, :k] = S
-        out[:, k, k] = 1.0
-        return out
-
-    jet = None
-    if spatial_jet is not None:
-        def jet(pts):
-            sv, s1, s2 = spatial_jet(pts)
-            m = len(pts)
-            v = np.zeros((m, n, n))
-            v[:, :k, :k] = sv
-            v[:, k, k] = 1.0
-            d1 = np.zeros((m, n, n, n))
-            d1[:, :, :k, :k] = s1
-            d2 = np.zeros((m, n, n, n, n))
-            d2[:, :, :, :k, :k] = s2
-            return v, d1, d2
-
-    return MetricField(chart, fn, jet=jet, radial_split=True,
-                       spatial=spatial, spatial_jet=spatial_jet, name=name)
-
-
-def hyperbolic_model(chart: ChartModel) -> MetricField:
+def hyperbolic_model(chart: ChartModel) -> RadialMetric:
     """sigma = e^{2t} (dx_1^2 + ... + dx_{n-1}^2) + dt^2."""
     k = chart.k
     eye = np.eye(k)
@@ -364,7 +363,7 @@ def hyperbolic_model(chart: ChartModel) -> MetricField:
         d2[:, -1, -1] = 4.0 * v
         return v, d1, d2
 
-    return radial_split_metric(chart, spatial, spatial_jet, name="hyperbolic")
+    return RadialMetric.on_chart(chart, spatial, spatial_jet, name="hyperbolic")
 
 
 def difference(f: Field, g: Field, name: Optional[str] = None) -> Field:
@@ -375,10 +374,8 @@ def difference(f: Field, g: Field, name: Optional[str] = None) -> Field:
     if f.has_jet and g.has_jet:
         def jet(pts):
             return jet_add(f.jet(pts), g.jet(pts), sign=-1.0)
-    out = Field(f.domain, lambda pts: f(pts) - g(pts), jet=jet,
-                shape=f.shape, name=name or f"{f.name}-{g.name}")
-    out.default_grid = f.default_grid
-    return out
+    return Field(f.domain, lambda pts: f(pts) - g(pts), jet=jet,
+                 shape=f.shape, name=name or f"{f.name}-{g.name}", grid=f.grid)
 
 
 def profile_scalar(domain: Domain, profile, shift: float = 0.0,
@@ -555,8 +552,8 @@ def _norm_keys(names: Sequence[str]):
 
 
 def c2_norm(f: Field, grid: Optional[GridSpec] = None) -> C2Norm:
-    """Taylor-weighted C2 norm of a field over its default (or given) grid."""
-    spec = grid or f.default_grid()
+    """Taylor-weighted C2 norm of a field over its own (or the given) grid."""
+    spec = grid or f.grid
     dom = f.domain
     names = dom.axis_names
     d = dom.dim
@@ -593,7 +590,7 @@ def metric_deviation(g: Field, h: Field,
     return c2_norm(difference(g, h), grid=grid)
 
 
-def is_eps_close(g: MetricField, eps: float,
+def is_eps_close(g: RadialMetric, eps: float,
                  grid: Optional[GridSpec] = None):
     """Whether |g - sigma|_C2 < eps against the chart's hyperbolic model."""
     dev = metric_deviation(g, hyperbolic_model(g.chart), grid=grid)
@@ -604,44 +601,34 @@ def is_eps_close(g: MetricField, eps: float,
 # diagnostics and dumps
 
 
-def validate_metric(g: MetricField, grid: Optional[GridSpec] = None,
+def validate_metric(g: Field, grid: Optional[GridSpec] = None,
                     spd_tol: float = 1e-10) -> dict:
-    """Symmetry / positivity / split-structure audit; raises GenerationError.
+    """Symmetry / positivity audit; raises GenerationError.
 
-    Returns {'min_eigenvalue', 'symmetry_defect', 'split_defect'}.
+    Returns {'min_eigenvalue', 'symmetry_defect'}.
     """
-    spec = grid or dataclasses.replace(g.default_grid(), points_per_axis=16)
+    spec = grid or dataclasses.replace(g.grid, points_per_axis=16)
     pts = g.domain.grid(spec)
     min_eig = np.inf
     sym = 0.0
-    split = 0.0
-    k = g.chart.k
     for sl in _chunks(len(pts)):
         G = g(pts[sl])
         sym = max(sym, float(np.max(np.abs(G - np.swapaxes(G, 1, 2)))))
         w = np.linalg.eigvalsh(0.5 * (G + np.swapaxes(G, 1, 2)))
         min_eig = min(min_eig, float(w.min()))
-        if g.radial_split:
-            off = np.abs(G[:, k, :k]).max() if k else 0.0
-            corner = np.abs(G[:, k, k] - 1.0).max()
-            split = max(split, float(max(off, corner)))
     if sym > 1e-12:
         raise GenerationError(f"metric {g.name!r} is not symmetric "
                               f"(defect {sym:.3e})")
     if min_eig <= spd_tol:
         raise GenerationError(f"metric {g.name!r} is not positive definite "
                               f"(min eigenvalue {min_eig:.3e})")
-    if g.radial_split and split > 1e-12:
-        raise GenerationError(f"metric {g.name!r} claims a radial split but "
-                              f"its dt block deviates by {split:.3e}")
-    return {"min_eigenvalue": min_eig, "symmetry_defect": sym,
-            "split_defect": split}
+    return {"min_eigenvalue": min_eig, "symmetry_defect": sym}
 
 
 def dump_grid_csv(f: Field, path, grid: Optional[GridSpec] = None) -> int:
     """Write the sampled field to CSV (one row per grid point), returning the
     row count.  Matrix fields emit row-major component columns g11, g12, ..."""
-    spec = grid or f.default_grid()
+    spec = grid or f.grid
     pts = f.domain.grid(spec)
     vals = np.concatenate([f(pts[sl]) for sl in _chunks(len(pts))])
 

@@ -36,7 +36,7 @@ from warpforce.model import (
     DomainError,
     Field,
     GridSpec,
-    MetricField,
+    RadialMetric,
     ScalarField,
     SpatialMetric,
     WarpforceError,
@@ -45,7 +45,7 @@ from warpforce.model import (
     difference,
     hyperbolic_model,
     interval_domain,
-    radial_split_metric,
+    profile_scalar,
     scalar_times_jet,
 )
 from warpforce.manifold import (
@@ -177,7 +177,7 @@ def reports_to_csv_rows(reports: Sequence[BoundReport]) -> list:
 
 def measured_with_error(f: Field, grid: Optional[GridSpec] = None):
     """C2 norm plus a refinement-probe error estimate."""
-    spec = grid or f.default_grid()
+    spec = grid or f.grid
     full = c2_norm(f, spec)
     half = c2_norm(f, spec.halved())
     err = abs(full.value - half.value) / 3.0
@@ -193,17 +193,9 @@ def measured_with_error(f: Field, grid: Optional[GridSpec] = None):
 def check_lemma_2_1(t0: float, points: int = 4001,
                     window_pad: float = 14.0) -> BoundReport:
     """Decay profile bound on the closed ray window [0, window_pad + 2 t0]."""
-    nu = WarpFunction(t0)
     window = interval_domain(0.0, window_pad + 2.0 * t0)
-
-    def fn(p):
-        return nu(p[:, 0]) - 1.0
-
-    def jet(p):
-        v, d1, d2 = nu.jet(p[:, 0])
-        return v - 1.0, d1[:, None], d2[:, None, None]
-
-    f = ScalarField(window, fn, jet=jet, name=f"decay[t0={t0:g}]")
+    f = difference(profile_scalar(window, WarpFunction(t0)),
+                   _constant_scalar(window, 1.0), name=f"decay[t0={t0:g}]")
     grid = GridSpec(points_per_axis=points)
     full, err = measured_with_error(f, grid)
     rhs = 5.2 * np.exp(-2.0 * t0)
@@ -212,36 +204,17 @@ def check_lemma_2_1(t0: float, points: int = 4001,
                        full.value, rhs, err, grid, full.derivative_source)
 
 
-def _profile_deviation_field(chart: ChartModel, prof) -> ScalarField:
-    """1 - prof(t) lifted to the chart (same sup set as the metric norms)."""
-
-    def fn(p):
-        return 1.0 - np.asarray(prof(p[:, -1]))
-
-    jet = None
-    if hasattr(prof, "jet"):
-        def jet(p):
-            m = len(p)
-            v, p1, p2 = prof.jet(p[:, -1])
-            d1 = np.zeros((m, chart.n))
-            d1[:, -1] = -p1
-            d2 = np.zeros((m, chart.n, chart.n))
-            d2[:, -1, -1] = -p2
-            return 1.0 - v, d1, d2
-
-    return ScalarField(chart.domain, fn, jet=jet, name="1-nu")
-
-
-def check_lemma_2_2(g: MetricField, nu, s: float = 0.0,
+def check_lemma_2_2(g: RadialMetric, nu, s: float = 0.0,
                     grid: Optional[GridSpec] = None,
                     params: Optional[dict] = None) -> BoundReport:
     """|g - g_nu| < 4 |1 - nu| |g| for a positive warp profile nu."""
-    spec = grid or g.default_grid()
+    spec = grid or g.grid
     h = apply_warp(g, nu, s=s)
     full, err = measured_with_error(difference(g, h), spec)
     prof = nu.shifted(s) if s != 0.0 and hasattr(nu, "shifted") else nu
     nu_dev, nu_err = measured_with_error(
-        _profile_deviation_field(g.chart, prof), spec)
+        difference(_constant_scalar(g.domain, 1.0),
+                   profile_scalar(g.domain, prof)), spec)
     g_norm, g_err = measured_with_error(g, spec)
     rhs = 4.0 * nu_dev.value * g_norm.value
     # margin uncertainty: lhs probe plus rhs sensitivity to its factors
@@ -253,11 +226,11 @@ def check_lemma_2_2(g: MetricField, nu, s: float = 0.0,
                        full.derivative_source)
 
 
-def check_lemma_2_3(g: MetricField, t0: float, s: float = 0.0,
+def check_lemma_2_3(g: RadialMetric, t0: float, s: float = 0.0,
                     grid: Optional[GridSpec] = None,
                     params: Optional[dict] = None):
     """Both sinh-rewarping bounds; returns [part-1 report, part-2 report]."""
-    spec = grid or g.default_grid()
+    spec = grid or g.grid
     xi = g.chart.xi
     nu = WarpFunction(t0)
     h = apply_warp(g, nu, s=s)
@@ -299,14 +272,11 @@ def check_lemma_3_1(a: SpatialMetric, b: SpatialMetric, s: float,
                        full.derivative_source)
 
 
-def check_lemma_3_2(g: MetricField, s: float,
+def check_lemma_3_2(g: RadialMetric, s: float,
                     grid: Optional[GridSpec] = None,
                     params: Optional[dict] = None) -> BoundReport:
     """|ext(g_s, s) - sigma| < 4 e^{4(1+xi)} eps with measured eps."""
-    spec = grid or g.default_grid()
-    lo, hi = g.domain.bounds[-1]
-    if not lo < s < hi:
-        raise DomainError(f"slice level s={s:g} outside radial window")
+    spec = grid or g.grid
     ext = warped_extension(radial_slice(g, s), s, g.chart)
     sigma = hyperbolic_model(g.chart)
     eps, eps_err = measured_with_error(difference(g, sigma), spec)
@@ -320,11 +290,11 @@ def check_lemma_3_2(g: MetricField, s: float,
                        full.derivative_source)
 
 
-def check_lemma_1_1(g1: MetricField, g2: MetricField, lam: ScalarField,
+def check_lemma_1_1(g1: RadialMetric, g2: RadialMetric, lam: ScalarField,
                     grid: Optional[GridSpec] = None,
                     params: Optional[dict] = None) -> BoundReport:
     """|lam g1 + (1-lam) g2 - sigma| < 4 (1 + |lam|) (eps1 + eps2)."""
-    spec = grid or g1.default_grid()
+    spec = grid or g1.grid
     sigma = hyperbolic_model(g1.chart)
     eps1, e1 = measured_with_error(difference(g1, sigma), spec)
     eps2, e2 = measured_with_error(difference(g2, sigma), spec)
@@ -383,8 +353,12 @@ class _ConstantProfile:
         return self
 
 
+def _constant_scalar(domain, c: float) -> ScalarField:
+    return profile_scalar(domain, _ConstantProfile(c), name=f"{c:g}")
+
+
 def random_close_metric(chart: ChartModel, rng,
-                        amplitude: float = 0.3) -> MetricField:
+                        amplitude: float = 0.3) -> RadialMetric:
     """e^{2t} (1 + a sin(al x + be) sin(ga t + de)) dx^2 + dt^2, a < amplitude."""
     a = rng.uniform(0.02, amplitude)
     al, ga = rng.uniform(0.5, 2.0, size=2)
@@ -416,7 +390,7 @@ def random_close_metric(chart: ChartModel, rng,
         v, d1, d2 = scalar_times_jet(E_jet, (G, G1, G2))
         return v[:, None, None], d1[:, :, None, None], d2[:, :, :, None, None]
 
-    return radial_split_metric(chart, spatial, spatial_jet, name="synthetic")
+    return RadialMetric.on_chart(chart, spatial, spatial_jet, name="synthetic")
 
 
 def random_lambda(chart: ChartModel, rng) -> ScalarField:
@@ -499,10 +473,7 @@ def _run_lemma_suite(name: str, seed: int, instances: int,
     if name == "lemma1.1":
         ch = _chart(1.0, grid)
         sigma = hyperbolic_model(ch)
-        one = ScalarField(ch.domain, lambda p: np.ones(len(p)),
-                          jet=lambda p: (np.ones(len(p)),
-                                         np.zeros((len(p), 2)),
-                                         np.zeros((len(p), 2, 2))))
+        one = _constant_scalar(ch.domain, 1.0)
         reports.append(check_lemma_1_1(sigma, sigma, one,
                                        grid=trivial_grid,
                                        params={"instance": "trivial"}))
@@ -695,7 +666,7 @@ def check_main_theorem(manifold: CenteredManifold, r0: float, xi: float,
     max eta/(e^{-2 r0} + eps) is recorded and compared against the
     regression guard.
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     if not xi > 1.0:
         raise ValueError("warp forcing audit needs excess xi > 1")
     if r0 - (1.0 + xi) <= 0.0:
@@ -703,11 +674,11 @@ def check_main_theorem(manifold: CenteredManifold, r0: float, xi: float,
     g = manifold.metric
     spec = grid or g.grid
     rng = np.random.default_rng((seed, int(r0 * 8)))
-    centers = theorem_centers(r0, xi, g.r_range, centers_per_zone, rng)
+    centers = theorem_centers(r0, xi, manifold.r_range, centers_per_zone, rng)
     bump = BumpFunction(delta=bump_delta)
     W = warp_force(g, r0, bump)
     xi_m = xi - 1.0
-    r_lo = g.r_range[0]
+    r_lo = manifold.r_range[0]
 
     # hypothesis-side closeness: full-excess charts wherever they fit
     eps = 0.0
@@ -758,7 +729,7 @@ def check_main_theorem(manifold: CenteredManifold, r0: float, xi: float,
         bound=float(bound), decay_constant=float(decay_c),
         guard_constant=float(guard_constant), passed=bool(passed),
         reports=tuple(reports), case_counts=case_counts,
-        runtime_s=time.time() - t_start, notes=notes,
+        runtime_s=time.perf_counter() - t_start, notes=notes,
     )
 
 
@@ -787,10 +758,14 @@ def remark_decay(t0_values: Optional[Sequence[float]] = None, xi: float = 1.0,
 
     Returns rows {"t0", "eps", "ratio_to_prev", "derivative_source"}; the
     closeness degrades like e^{-2 t0} going inward, which is the reason the
-    model family needs the puncture cut out.
+    model family needs the puncture cut out.  t0_values defaults to 2.2, 3,
+    ..., 9 when None; an empty sequence is a ValueError.
     """
     from warpforce.manifold import punctured_hyperbolic
-    t0s = tuple(t0_values or (2.2, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0))
+    t0s = tuple((2.2, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0)
+                if t0_values is None else t0_values)
+    if not t0s:
+        raise ValueError("remark_decay needs at least one t0 value")
     r_hi = max(t0s) + (1.0 + xi) + 0.5
     m = punctured_hyperbolic(2, r_range=(0.05, r_hi))
     rows = []
@@ -816,7 +791,7 @@ def fd_oracle_check(f: Field, grid: Optional[GridSpec] = None,
     """
     if not f.has_jet:
         raise WarpforceError("fd_oracle_check needs an analytic jet")
-    spec = grid or f.default_grid()
+    spec = grid or f.grid
     pts = f.domain.grid(spec)
     v, d1, d2 = f.jet(pts)
     scale = max(float(np.abs(d2).max()), 1.0)

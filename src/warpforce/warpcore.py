@@ -9,10 +9,17 @@ Two 1-D profiles drive everything:
   in the cancelled form ((1 - e^{-2(t+t0)}) / (1 - e^{-2t0}))^2 which is stable
   for large t and satisfies nu(0) = 1 exactly.
 
-Chart-level operators: radial_slice, warped_extension (e^{2(t-s)} a + dt^2),
-apply_warp (nu g_t + dt^2), blend (lambda g1 + (1-lambda) g2).  Manifold-level
-operators act on RadialMetric (polar form g = spatial(y, r) + dr^2):
-spherical_cut, unwarped_cut, sinh_warped_cut and warp_force, the deformation
+The operators act on RadialMetric (g = spatial + d(last axis)^2), on charts
+and in polar form alike, and compose on the spatial block:
+
+* radial_slice(g, s): the spatial block frozen at last-axis value s;
+* apply_warp(g, nu): nu(last axis) g_spatial + d(last axis)^2;
+* blend(g1, g2, lam): lam g1 + (1 - lam) g2;
+* warped_extension(a, s, chart): e^{2(t-s)} a + dt^2, and
+  sinh_warped_cut(g, r0): (sinh^2 r / sinh^2 r0) g_{r0} + dr^2, both a frozen
+  slice times a profile of the last axis;
+* unwarped_cut(g, r): g_r / sinh^2(r);
+* warp_force(g, r0, rho), the deformation
 
     W_{r0} g = rho_{r0} bar_g_{r0} + (1 - rho_{r0}) g
 
@@ -33,16 +40,12 @@ from warpforce.model import (
     ChartModel,
     Domain,
     DomainError,
-    Field,
     GridSpec,
-    MetricField,
+    RadialMetric,
     ScalarField,
     SpatialMetric,
-    WarpforceError,
-    _as_points,
-    constant_jet,
     jet_add,
-    radial_split_metric,
+    profile_scalar,
     scalar_times_jet,
 )
 
@@ -56,7 +59,6 @@ __all__ = [
     "apply_warp",
     "blend",
     "RadialMetric",
-    "spherical_cut",
     "unwarped_cut",
     "sinh_warped_cut",
     "warp_force",
@@ -220,37 +222,19 @@ class WarpFunction:
         return {"t0": self.t0}
 
 
-class _ConstantProfile:
-    def __init__(self, c: float):
-        self.c = float(c)
+class _Profile:
+    """1-D profile from a value function and a (value, d1, d2) jet."""
+
+    def __init__(self, fn, jet):
+        self._fn = fn
+        self.jet = jet
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.full(t.shape, self.c)
-
-    def jet(self, t):
-        t = np.asarray(t, dtype=float)
-        z = np.zeros(t.shape)
-        return np.full(t.shape, self.c), z, z.copy()
-
-
-def _lift_profile_jet(profile, d: int, axis: int):
-    """Jet of p(t_axis) as a function of all d coordinates."""
-
-    def jet(pts):
-        m = len(pts)
-        v, p1, p2 = profile.jet(pts[:, axis])
-        d1 = np.zeros((m, d))
-        d1[:, axis] = p1
-        d2 = np.zeros((m, d, d))
-        d2[:, axis, axis] = p2
-        return v, d1, d2
-
-    return jet
+        return self._fn(t)
 
 
 # ---------------------------------------------------------------------------
-# chart-level operators
+# operators on split metrics
 
 
 def _sphere_part(domain: Domain) -> Domain:
@@ -258,99 +242,98 @@ def _sphere_part(domain: Domain) -> Domain:
                   ball_axes=domain.ball_axes, closed=domain.closed)
 
 
-def radial_slice(g: MetricField, s: float) -> SpatialMetric:
-    """g_s: the spatial block frozen at t = s, as a metric on the ball."""
+def radial_slice(g: RadialMetric, s: float) -> SpatialMetric:
+    """g_s: the spatial block frozen at last-axis value s (open window)."""
     lo, hi = g.domain.bounds[-1]
+    axis = g.domain.axis_names[-1]
     if not lo < s < hi:
-        raise DomainError(f"slice level t={s:g} outside radial window "
+        raise DomainError(f"slice level {axis}={s:g} outside radial window "
                           f"({lo:g}, {hi:g})")
     dom = _sphere_part(g.domain)
     k = dom.dim
 
-    def with_t(y):
+    def at_s(y):
         return np.concatenate([y, np.full((len(y), 1), s)], axis=1)
 
     def fn(y):
-        return g.spatial(with_t(y))
+        return g.spatial(at_s(y))
 
     jet = None
-    if g.has_jet or g._spatial_jet is not None:
+    if g.has_jet:
         def jet(y):
-            v, d1, d2 = g.spatial_jet(with_t(y))
+            v, d1, d2 = g.spatial_jet(at_s(y))
             return v, d1[:, :k], d2[:, :k, :k]
 
-    return SpatialMetric(dom, fn, jet=jet, name=f"{g.name}|t={s:g}")
+    return SpatialMetric(dom, fn, jet=jet, name=f"{g.name}|{axis}={s:g}")
 
 
-def warped_extension(a: SpatialMetric, s: float, chart: ChartModel,
-                     name: Optional[str] = None) -> MetricField:
-    """The warped metric e^{2(t-s)} a + dt^2 on the chart."""
-    k = chart.k
+def apply_warp(g: RadialMetric, nu, s: float = 0.0,
+               name: Optional[str] = None) -> RadialMetric:
+    """g_nu = nu_s(t) g_t + dt^2 for a 1-D warp profile nu."""
+    prof = nu.shifted(s) if s != 0.0 else nu
+    w = profile_scalar(g.domain, prof)
+
+    def spatial(pts):
+        return w(pts)[:, None, None] * g.spatial(pts)
+
+    spatial_jet = None
+    if g.has_jet and w.has_jet:
+        def spatial_jet(pts):
+            return scalar_times_jet(w.jet(pts), g.spatial_jet(pts))
+
+    return RadialMetric(g.domain, spatial, spatial_jet, grid=g.grid,
+                        name=name or f"warp[{g.name}]", chart=g.chart)
+
+
+def _rewarp(a: SpatialMetric, w: _Profile, domain: Domain, grid: GridSpec,
+            chart: Optional[ChartModel], name: str) -> RadialMetric:
+    """w(last axis) a + d(last axis)^2: the frozen slice a, extended
+    constantly along the last axis, then warped by w."""
+    k = domain.dim - 1
     if a.domain.dim != k:
         raise ValueError("spatial metric dimension does not match chart")
 
     def spatial(pts):
-        w = np.exp(2.0 * (pts[:, -1] - s))
-        return w[:, None, None] * a(pts[:, :k])
+        return a(pts[:, :k])
 
     spatial_jet = None
     if a.has_jet:
         def spatial_jet(pts):
-            n = chart.n
-            w = np.exp(2.0 * (pts[:, -1] - s))
             m = len(pts)
-            w1 = np.zeros((m, n))
-            w1[:, -1] = 2.0 * w
-            w2 = np.zeros((m, n, n))
-            w2[:, -1, -1] = 4.0 * w
             av, a1, a2 = a.jet(pts[:, :k])
-            Av = av
-            A1 = np.zeros((m, n, k, k))
+            A1 = np.zeros((m, k + 1, k, k))
             A1[:, :k] = a1
-            A2 = np.zeros((m, n, n, k, k))
+            A2 = np.zeros((m, k + 1, k + 1, k, k))
             A2[:, :k, :k] = a2
-            return scalar_times_jet((w, w1, w2), (Av, A1, A2))
+            return av, A1, A2
 
-    return radial_split_metric(chart, spatial, spatial_jet,
-                               name=name or f"ext[{a.name};s={s:g}]")
-
-
-def apply_warp(g: MetricField, nu, s: float = 0.0,
-               name: Optional[str] = None) -> MetricField:
-    """g_nu = nu_s(t) g_t + dt^2 for a 1-D warp profile nu."""
-    if not g.radial_split:
-        raise WarpforceError("apply_warp needs a radially split metric")
-    prof = nu.shifted(s) if s != 0.0 else nu
-    n = g.chart.n
-
-    def spatial(pts):
-        w = np.asarray(prof(pts[:, -1]))
-        return w[:, None, None] * g.spatial(pts)
-
-    spatial_jet = None
-    if (g.has_jet or g._spatial_jet is not None) and hasattr(prof, "jet"):
-        lifted = _lift_profile_jet(prof, n, n - 1)
-
-        def spatial_jet(pts):
-            return scalar_times_jet(lifted(pts), g.spatial_jet(pts))
-
-    return radial_split_metric(g.chart, spatial, spatial_jet,
-                               name=name or f"warp[{g.name}]")
+    frozen = RadialMetric(domain, spatial, spatial_jet, grid=grid,
+                          name=a.name, chart=chart)
+    return apply_warp(frozen, w, name=name)
 
 
-def blend(g1: MetricField, g2: MetricField, lam: ScalarField,
-          name: Optional[str] = None) -> MetricField:
-    """lambda g1 + (1 - lambda) g2 for a scalar field lambda on the chart.
+def warped_extension(a: SpatialMetric, s: float, chart: ChartModel,
+                     name: Optional[str] = None) -> RadialMetric:
+    """The warped metric e^{2(t-s)} a + dt^2 on the chart."""
 
-    Both metrics must be radially split; the dt^2 block stays exactly 1.
-    Where lambda is exactly 1.0 (resp. 0.0) the blend reproduces g1 (resp.
-    g2) bitwise.
+    def jet(t):
+        w = np.exp(2.0 * (t - s))
+        return w, 2.0 * w, 4.0 * w
+
+    return _rewarp(a, _Profile(lambda t: np.exp(2.0 * (t - s)), jet),
+                   chart.domain, chart.grid, chart,
+                   name or f"ext[{a.name};s={s:g}]")
+
+
+def blend(g1: RadialMetric, g2: RadialMetric, lam: ScalarField,
+          name: Optional[str] = None) -> RadialMetric:
+    """lambda g1 + (1 - lambda) g2 for a scalar field lambda on the domain.
+
+    The last-axis block stays exactly 1.  Where lambda is exactly 1.0 (resp.
+    0.0) the blend reproduces g1 (resp. g2) bitwise.
     """
-    if not (g1.radial_split and g2.radial_split):
-        raise WarpforceError("blend needs radially split metrics")
-    if g1.chart.n != g2.chart.n:
+    if g1.domain.dim != g2.domain.dim:
         raise ValueError("metric dimensions differ")
-    chart = g1.chart
 
     def spatial(pts):
         l = np.asarray(lam(pts))
@@ -358,122 +341,21 @@ def blend(g1: MetricField, g2: MetricField, lam: ScalarField,
                 + (1.0 - l)[:, None, None] * g2.spatial(pts))
 
     spatial_jet = None
-    has1 = g1.has_jet or g1._spatial_jet is not None
-    has2 = g2.has_jet or g2._spatial_jet is not None
-    if has1 and has2 and lam.has_jet:
+    if g1.has_jet and g2.has_jet and lam.has_jet:
         def spatial_jet(pts):
             lv, l1, l2 = lam.jet(pts)
             a = scalar_times_jet((lv, l1, l2), g1.spatial_jet(pts))
             b = scalar_times_jet((1.0 - lv, -l1, -l2), g2.spatial_jet(pts))
             return jet_add(a, b)
 
-    return radial_split_metric(chart, spatial, spatial_jet,
-                               name=name or f"blend[{g1.name},{g2.name}]")
-
-
-# ---------------------------------------------------------------------------
-# manifold-level (polar coordinates) operators
-
-
-class RadialMetric:
-    """Metric in polar form spatial(y, r) + dr^2 around a center.
-
-    The domain's last axis is the radius r; the leading k axes are sphere
-    coordinates.  The spatial callable maps (m, k+1) points to (m, k, k)
-    matrices; its jet differentiates in all k+1 coordinates.
-    """
-
-    def __init__(self, domain: Domain, spatial, spatial_jet=None,
-                 grid: Optional[GridSpec] = None, name: str = "radial"):
-        lo, _ = domain.bounds[-1]
-        if lo < 0.0:
-            raise ValueError("radial window must stay in r >= 0")
-        self.domain = domain
-        self.k = domain.dim - 1
-        self.grid = grid or GridSpec()
-        self.name = name
-        self._spatial = spatial
-        self._spatial_jet = spatial_jet
-
-    @property
-    def n(self) -> int:
-        return self.k + 1
-
-    @property
-    def r_range(self):
-        return self.domain.bounds[-1]
-
-    @property
-    def has_jet(self) -> bool:
-        return self._spatial_jet is not None
-
-    def sphere_domain(self) -> Domain:
-        return _sphere_part(self.domain)
-
-    def spatial(self, pts) -> np.ndarray:
-        return np.asarray(self._spatial(_as_points(pts, self.domain.dim)))
-
-    def spatial_jet(self, pts):
-        if self._spatial_jet is None:
-            raise WarpforceError(f"radial metric {self.name!r} has no jet")
-        return self._spatial_jet(_as_points(pts, self.domain.dim))
-
-    def __call__(self, pts) -> np.ndarray:
-        pts = _as_points(pts, self.domain.dim)
-        S = self.spatial(pts)
-        out = np.zeros((len(pts), self.n, self.n))
-        out[:, : self.k, : self.k] = S
-        out[:, self.k, self.k] = 1.0
-        return out
-
-    def as_field(self) -> Field:
-        jet = None
-        if self.has_jet:
-            def jet(pts):
-                sv, s1, s2 = self.spatial_jet(pts)
-                m, d = len(pts), self.domain.dim
-                k, n = self.k, self.n
-                v = np.zeros((m, n, n))
-                v[:, :k, :k] = sv
-                v[:, k, k] = 1.0
-                d1 = np.zeros((m, d, n, n))
-                d1[:, :, :k, :k] = s1
-                d2 = np.zeros((m, d, d, n, n))
-                d2[:, :, :, :k, :k] = s2
-                return v, d1, d2
-
-        f = Field(self.domain, self.__call__, jet=jet,
-                  shape=(self.n, self.n), name=self.name)
-        f.default_grid = lambda: self.grid
-        return f
-
-
-def spherical_cut(g: RadialMetric, r: float) -> SpatialMetric:
-    """g_r: the spatial block on the sphere of radius r."""
-    lo, hi = g.r_range
-    if not lo <= r <= hi:
-        raise DomainError(f"cut radius r={r:g} outside window ({lo:g}, {hi:g})")
-    dom = g.sphere_domain()
-    k = g.k
-
-    def with_r(y):
-        return np.concatenate([y, np.full((len(y), 1), r)], axis=1)
-
-    def fn(y):
-        return g.spatial(with_r(y))
-
-    jet = None
-    if g.has_jet:
-        def jet(y):
-            v, d1, d2 = g.spatial_jet(with_r(y))
-            return v, d1[:, :k], d2[:, :k, :k]
-
-    return SpatialMetric(dom, fn, jet=jet, name=f"{g.name}|r={r:g}")
+    return RadialMetric(g1.domain, spatial, spatial_jet, grid=g1.grid,
+                        name=name or f"blend[{g1.name},{g2.name}]",
+                        chart=g1.chart)
 
 
 def unwarped_cut(g: RadialMetric, r: float) -> SpatialMetric:
     """ghat_r = g_r / sinh^2(r): the cut with the sinh warp divided out."""
-    cut = spherical_cut(g, r)
+    cut = radial_slice(g, r)
     c = 1.0 / np.sinh(r) ** 2
 
     jet = None
@@ -488,34 +370,16 @@ def unwarped_cut(g: RadialMetric, r: float) -> SpatialMetric:
 def sinh_warped_cut(g: RadialMetric, r0: float,
                     name: Optional[str] = None) -> RadialMetric:
     """bar_g_{r0} = sinh^2(r) ghat_{r0} + dr^2 = (sinh^2 r / sinh^2 r0) g_{r0} + dr^2."""
-    cut = spherical_cut(g, r0)
     s2 = np.sinh(r0) ** 2
-    k = g.k
-    d = g.domain.dim
 
-    def spatial(pts):
-        w = np.sinh(pts[:, -1]) ** 2 / s2
-        return w[:, None, None] * cut(pts[:, :k])
+    def jet(r):
+        return (np.sinh(r) ** 2 / s2, np.sinh(2.0 * r) / s2,
+                2.0 * np.cosh(2.0 * r) / s2)
 
-    spatial_jet = None
-    if cut.has_jet:
-        def spatial_jet(pts):
-            r = pts[:, -1]
-            m = len(pts)
-            w = np.sinh(r) ** 2 / s2
-            w1 = np.zeros((m, d))
-            w1[:, -1] = np.sinh(2.0 * r) / s2
-            w2 = np.zeros((m, d, d))
-            w2[:, -1, -1] = 2.0 * np.cosh(2.0 * r) / s2
-            av, a1, a2 = cut.jet(pts[:, :k])
-            A1 = np.zeros((m, d, k, k))
-            A1[:, :k] = a1
-            A2 = np.zeros((m, d, d, k, k))
-            A2[:, :k, :k] = a2
-            return scalar_times_jet((w, w1, w2), (av, A1, A2))
-
-    return RadialMetric(g.domain, spatial, spatial_jet, grid=g.grid,
-                        name=name or f"bar[{g.name};r0={r0:g}]")
+    return _rewarp(radial_slice(g, r0),
+                   _Profile(lambda r: np.sinh(r) ** 2 / s2, jet),
+                   g.domain, g.grid, g.chart,
+                   name or f"bar[{g.name};r0={r0:g}]")
 
 
 def warp_force(g: RadialMetric, r0: float, rho: BumpFunction,
@@ -525,24 +389,6 @@ def warp_force(g: RadialMetric, r0: float, rho: BumpFunction,
     Equals bar_g_{r0} bitwise where rho_{r0} = 1 (r <= r0 + delta) and g
     bitwise where rho_{r0} = 0 (r >= r0 + 1/2 - delta).
     """
-    bar = sinh_warped_cut(g, r0)
-    prof = rho.shifted(r0)
-    d = g.domain.dim
-
-    def spatial(pts):
-        lam = np.asarray(prof(pts[:, -1]))
-        return (lam[:, None, None] * bar.spatial(pts)
-                + (1.0 - lam)[:, None, None] * g.spatial(pts))
-
-    spatial_jet = None
-    if g.has_jet:
-        lifted = _lift_profile_jet(prof, d, d - 1)
-
-        def spatial_jet(pts):
-            lv, l1, l2 = lifted(pts)
-            a = scalar_times_jet((lv, l1, l2), bar.spatial_jet(pts))
-            b = scalar_times_jet((1.0 - lv, -l1, -l2), g.spatial_jet(pts))
-            return jet_add(a, b)
-
-    return RadialMetric(g.domain, spatial, spatial_jet, grid=g.grid,
-                        name=name or f"force[{g.name};r0={r0:g}]")
+    return blend(sinh_warped_cut(g, r0), g,
+                 profile_scalar(g.domain, rho.shifted(r0)),
+                 name=name or f"force[{g.name};r0={r0:g}]")

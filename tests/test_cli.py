@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from warpforce.cli import main
-from warpforce.verify import CSV_COLUMNS
+from warpforce.verify import CSV_COLUMNS, remark_decay
 
 
 def run_cli(args):
@@ -43,10 +44,31 @@ def test_verify_single_point_passes(capsys):
 
 
 def test_verify_rejects_small_t0(capsys):
+    for t0 in ("1", "nan", "inf"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "lemma2.1", "--t0", t0])
+        assert exc.value.code == 2
+        assert "must exceed 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,cfg", [
+    (["verify", "lemma2.1", "--grid", "2"], None),
+    (["verify", "lemma3.1", "--grid", "3"], None),
+    (["theorem", "--grid", "2"], SMALL_THEOREM),
+    (["demo-remark", "--grid", "2"], None),
+    (["dump-grid", "--grid", "2"], None),
+    (["verify", "lemma3.1", "--instances", "-1"], None),
+    (["verify", "all", "--instances", "-1"], None),
+    (["verify", "lemma3.2"], {"instances": -1}),
+])
+def test_bad_numeric_flags_are_usage_errors(tmp_path, monkeypatch, argv, cfg):
+    monkeypatch.chdir(tmp_path)
+    if cfg is not None:
+        argv = argv + ["--config", write_cfg(tmp_path, cfg)]
     with pytest.raises(SystemExit) as exc:
-        run_cli(["verify", "lemma2.1", "--t0", "1"])
+        run_cli(argv)
     assert exc.value.code == 2
-    assert "must exceed 2" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
 
 
 def test_verify_rejects_unknown_check():
@@ -219,6 +241,20 @@ def test_demo_remark_rejects_bad_range():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("step", ["0", "-1"])
+def test_demo_remark_rejects_non_positive_step(capsys, step):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["demo-remark", "--t0-min", "3", "--t0-max", "4",
+                 "--step", step])
+    assert exc.value.code == 2
+    assert "--step" in capsys.readouterr().err
+
+
+def test_remark_decay_rejects_empty_t0_values():
+    with pytest.raises(ValueError):
+        remark_decay([])
+
+
 # ---------------------------------------------------------------------------
 # dump-grid
 
@@ -261,6 +297,9 @@ def test_console_script_entry_point():
     assert "PASS" in proc.stdout
 
 
+@pytest.mark.skipif(shutil.which("warpforce") is None,
+                    reason="warpforce console script not on PATH "
+                           "(package not installed)")
 def test_installed_script_if_present():
     proc = subprocess.run(["warpforce", "demo-remark", "--t0-min", "5",
                            "--t0-max", "6"], capture_output=True, text=True)

@@ -42,7 +42,7 @@ class TestPuncturedModel:
     @pytest.mark.parametrize("n", [2, 3])
     def test_jets_match_fd(self, n):
         m = punctured_hyperbolic(n, r_range=(0.5, 6.0))
-        f = m.metric.as_field()
+        f = m.metric
         bare = Field(f.domain, lambda p: f(p), shape=f.shape)
         pts = m.metric.domain.grid(GridSpec(points_per_axis=5))
         v, d1, d2 = f.jet(pts)
@@ -76,7 +76,7 @@ class TestPerturbedModel:
     def test_jets_match_fd(self, n):
         m = perturbed_hyperbolic(n, amplitude=0.2, r_range=(0.5, 6.0),
                                  radial_center=3.0)
-        f = m.metric.as_field()
+        f = m.metric
         bare = Field(f.domain, lambda p: f(p), shape=f.shape)
         pts = m.metric.domain.grid(GridSpec(points_per_axis=5))
         v, d1, d2 = f.jet(pts)

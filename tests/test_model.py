@@ -23,8 +23,8 @@ from warpforce.model import (
     is_eps_close,
     metric_deviation,
     polynomial_scalar,
+    RadialMetric,
     profile_scalar,
-    radial_split_metric,
     scalar_times_jet,
     validate_metric,
 )
@@ -116,8 +116,8 @@ class TestC2Norm:
 
     def test_fd_matches_jet(self):
         sig = hyperbolic_model(chart2())
-        fd = Field(sig.domain, lambda p: sig(p), shape=sig.shape, name="fd")
-        fd.default_grid = sig.default_grid
+        fd = Field(sig.domain, lambda p: sig(p), shape=sig.shape, name="fd",
+                   grid=sig.grid)
         n_fd = c2_norm(fd)
         n_jet = c2_norm(sig)
         assert n_fd.derivative_source == "finite-difference"
@@ -127,7 +127,7 @@ class TestC2Norm:
         for xi in (1.0, 0.5):
             ch = chart2(xi=xi)
             sig = hyperbolic_model(ch)
-            pert = radial_split_metric(
+            pert = RadialMetric.on_chart(
                 ch,
                 lambda p: 1.01 * np.exp(2 * p[:, -1])[:, None, None] * np.eye(1),
                 name="pert",
@@ -139,7 +139,7 @@ class TestC2Norm:
     def test_is_eps_close_threshold(self):
         ch = chart2(xi=0.5)
         sig = hyperbolic_model(ch)
-        pert = radial_split_metric(
+        pert = RadialMetric.on_chart(
             ch,
             lambda p: 1.01 * np.exp(2 * p[:, -1])[:, None, None] * np.eye(1),
         )
@@ -267,7 +267,7 @@ class TestValidateMetric:
 
     def test_rejects_indefinite(self):
         ch = chart2()
-        bad = radial_split_metric(
+        bad = RadialMetric.on_chart(
             ch, lambda p: -np.ones((len(p), 1, 1)), name="bad")
         with pytest.raises(GenerationError):
             validate_metric(bad)
@@ -280,8 +280,7 @@ class TestValidateMetric:
             out[:, 0, 1] = 0.5
             return out
 
-        from warpforce.model import MetricField
-        bad = MetricField(ch, fn, name="asym")
+        bad = Field(ch.domain, fn, shape=(3, 3), name="asym", grid=ch.grid)
         with pytest.raises(GenerationError):
             validate_metric(bad)
 

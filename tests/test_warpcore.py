@@ -15,8 +15,8 @@ from warpforce.model import (
     hyperbolic_model,
     interval_domain,
     profile_scalar,
-    radial_split_metric,
 )
+from warpforce.manifold import punctured_hyperbolic
 from warpforce.warpcore import (
     BumpFunction,
     RadialMetric,
@@ -27,7 +27,6 @@ from warpforce.warpcore import (
     make_bump,
     radial_slice,
     sinh_warped_cut,
-    spherical_cut,
     unwarped_cut,
     warp_force,
     warped_extension,
@@ -225,15 +224,17 @@ class TestChartOperators:
 
     def test_apply_warp_requires_split(self):
         ch = self.chart()
-        from warpforce.model import MetricField
-        g = MetricField(ch, lambda p: np.tile(np.eye(2), (len(p), 1, 1)))
+        from warpforce.model import Field
+        # a plain metric field has no spatial block to warp
+        g = Field(ch.domain, lambda p: np.tile(np.eye(2), (len(p), 1, 1)),
+                  shape=(2, 2))
         with pytest.raises(Exception):
             apply_warp(g, WarpFunction(3.0))
 
     def test_blend_plateaus_bitwise(self):
         ch = self.chart()
         sig = hyperbolic_model(ch)
-        other = radial_split_metric(
+        other = RadialMetric.on_chart(
             ch, lambda p: 2.0 * np.exp(2 * p[:, -1])[:, None, None] * np.eye(1))
         pts = ch.grid_points(GridSpec(points_per_axis=10))
         one = ScalarField(ch.domain, lambda p: np.ones(len(p)))
@@ -244,7 +245,7 @@ class TestChartOperators:
     def test_blend_midpoint(self):
         ch = self.chart()
         sig = hyperbolic_model(ch)
-        other = radial_split_metric(
+        other = RadialMetric.on_chart(
             ch, lambda p: 3.0 * np.exp(2 * p[:, -1])[:, None, None] * np.eye(1))
         half = ScalarField(ch.domain, lambda p: np.full(len(p), 0.5))
         pts = ch.grid_points(GridSpec(points_per_axis=6))
@@ -256,8 +257,8 @@ class TestRadialOperators:
     def test_cut_values(self):
         H = np.array([[1.3, 0.2], [0.2, 0.9]])
         g = sinh_squared_radial(H)
-        y = g.sphere_domain().grid(GridSpec(points_per_axis=5))
-        cut = spherical_cut(g, 2.5)
+        cut = radial_slice(g, 2.5)
+        y = cut.domain.grid(GridSpec(points_per_axis=5))
         assert np.allclose(cut(y), np.sinh(2.5) ** 2 * H, rtol=1e-15)
         un = unwarped_cut(g, 2.5)
         assert np.allclose(un(y), H, rtol=1e-13)
@@ -265,15 +266,11 @@ class TestRadialOperators:
     def test_cut_radius_guard(self):
         g = sinh_squared_radial(np.eye(2))
         with pytest.raises(DomainError):
-            spherical_cut(g, 9.0)
+            radial_slice(g, 9.0)
 
     def test_radial_metric_rejects_negative_window(self):
         with pytest.raises(ValueError):
-            RadialMetric(
-                Domain(bounds=((-1.0, 1.0), (-1.0, 2.0)),
-                       axis_names=("y1", "r")),
-                lambda p: np.ones((len(p), 1, 1)),
-            )
+            punctured_hyperbolic(2, r_range=(-1.0, 2.0))
 
     def test_sinh_warped_cut_fixed_point(self):
         H = np.array([[1.3, 0.2], [0.2, 0.9]])
@@ -300,14 +297,14 @@ class TestRadialOperators:
         inner = pts[pts[:, -1] <= r0 + b.plateau_end]
         outer = pts[pts[:, -1] >= r0 + b.support_end]
         assert len(inner) and len(outer)
-        assert np.array_equal(W(inner), bar.as_field()(inner))
+        assert np.array_equal(W(inner), bar(inner))
         assert np.array_equal(W(outer), g(outer))
 
     def test_warp_force_propagates_jets(self):
         g = sinh_squared_radial(np.eye(2))
         W = warp_force(g, 2.5, BumpFunction())
         assert W.has_jet
-        d = difference(W.as_field(), g.as_field())
+        d = difference(W, g)
         assert c2_norm(d, GridSpec(points_per_axis=10)).value < 1e-11
 
     def test_warp_force_jet_matches_fd(self):
@@ -332,7 +329,7 @@ class TestRadialOperators:
 
         g = RadialMetric(dom, spatial, sjet, grid=GridSpec(points_per_axis=16))
         W = warp_force(g, 2.2, BumpFunction())
-        f = W.as_field()
+        f = W
         from warpforce.model import Field, _fd_jet
         bare = Field(f.domain, lambda p: f(p), shape=f.shape)
         pts = dom.grid(GridSpec(points_per_axis=7))
