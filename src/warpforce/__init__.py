@@ -9,6 +9,7 @@ from warpforce.model import (
     Field,
     GenerationError,
     GridSpec,
+    Jet,
     RadialMetric,
     ScalarField,
     SpatialMetric,

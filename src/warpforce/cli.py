@@ -62,6 +62,17 @@ def _grid_from(parser, args, cfg: dict) -> Optional[GridSpec]:
     return spec
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _cell(x) -> str:
+    """CSV text of one value: booleans lower-case, numbers to 12 digits."""
+    if isinstance(x, bool):
+        return str(x).lower()
+    return x if isinstance(x, str) else f"{x:.12g}"
+
+
 def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]):
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=list(columns), lineterminator="\n")
@@ -116,9 +127,11 @@ def cmd_verify(parser, args) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     instances = (args.instances if args.instances is not None
                  else cfg.get("instances", 100))
-    if not instances >= 0:
-        parser.error(f"instances must be >= 0 (got {instances})")
-    xi_values = tuple(cfg.get("xi_values", (1.0, 1.5)))
+    if not (_is_int(instances) and instances >= 0):
+        parser.error(f"instances must be an integer >= 0 (got {instances!r})")
+    if not _is_int(seed):
+        parser.error(f"seed must be an integer (got {seed!r})")
+    xi_values = cfg.get("xi_values", (1.0, 1.5))
     grid = _grid_from(parser, args, cfg)
 
     if args.t0 is not None:
@@ -178,16 +191,7 @@ def cmd_theorem(parser, args) -> int:
         _write_csv(out / "theorem_centers.csv", CSV_COLUMNS,
                    reports_to_csv_rows(reports))
         _write_csv(out / "theorem_sweep.csv", _SWEEP_COLUMNS, [
-            {
-                "r0": f"{inst.r0:.12g}",
-                "xi": f"{inst.xi:.12g}",
-                "eps": f"{inst.eps:.12g}",
-                "eta_max": f"{inst.eta_max:.12g}",
-                "bound": f"{inst.bound:.12g}",
-                "decay_constant": f"{inst.decay_constant:.12g}",
-                "guard_constant": f"{inst.guard_constant:.12g}",
-                "passed": str(inst.passed).lower(),
-            }
+            {c: _cell(getattr(inst, c)) for c in _SWEEP_COLUMNS}
             for inst in instances
         ])
         (out / "theorem.json").write_text(
@@ -228,15 +232,8 @@ def cmd_demo_remark(parser, args) -> int:
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "remark.csv", _REMARK_COLUMNS, [
-            {
-                "t0": f"{r['t0']:.12g}",
-                "eps": f"{r['eps']:.12g}",
-                "ratio_to_prev": f"{r['ratio_to_prev']:.12g}",
-                "derivative_source": r["derivative_source"],
-            }
-            for r in rows
-        ])
+        _write_csv(out / "remark.csv", _REMARK_COLUMNS,
+                   [{c: _cell(r[c]) for c in _REMARK_COLUMNS} for r in rows])
         (out / "remark.json").write_text(json.dumps(rows, indent=2) + "\n")
     if args.json:
         print(json.dumps(rows, indent=2))

@@ -34,7 +34,6 @@ from warpforce.model import (
     RadialMetric,
     hyperbolic_model,
     metric_deviation,
-    scalar_times_jet,
 )
 
 __all__ = [
@@ -89,60 +88,26 @@ def _sphere_domain(n: int, r_range) -> Domain:
 
 
 def _sinh_spatial(n: int):
-    """spatial(y, r) = sinh^2(r) sigma_S with exact jets; returns (fn, jet)."""
+    """spatial(y, r) = sinh^2(r) sigma_S."""
     if n == 2:
-        def fn(p):
-            return (np.sinh(p[:, -1]) ** 2)[:, None, None]
-
-        def jet(p):
-            m = len(p)
-            r = p[:, -1]
-            v = (np.sinh(r) ** 2)[:, None, None]
-            d1 = np.zeros((m, 2, 1, 1))
-            d1[:, 1, 0, 0] = np.sinh(2.0 * r)
-            d2 = np.zeros((m, 2, 2, 1, 1))
-            d2[:, 1, 1, 0, 0] = 2.0 * np.cosh(2.0 * r)
-            return v, d1, d2
-
-        return fn, jet
+        return lambda p: (np.sinh(p[:, -1]) ** 2)[:, None, None]
 
     def fn(p):
-        m = len(p)
         s2 = np.sinh(p[:, -1]) ** 2
-        out = np.zeros((m, 2, 2))
-        out[:, 0, 0] = s2
-        out[:, 1, 1] = s2 * np.sin(p[:, 0]) ** 2
-        return out
+        f = s2 * np.sin(p[:, 0]) ** 2
+        # diag(s2, f) times the identity: the off-diagonal zeros are exact
+        return np.concatenate([s2[:, None], f[:, None]], axis=1)[:, :, None] \
+            * np.eye(2)
 
-    def jet(p):
-        m = len(p)
-        phi, r = p[:, 0], p[:, -1]
-        s2, s2r, s2rr = np.sinh(r) ** 2, np.sinh(2.0 * r), 2.0 * np.cosh(2.0 * r)
-        f, f1, f2 = np.sin(phi) ** 2, np.sin(2.0 * phi), 2.0 * np.cos(2.0 * phi)
-        v = np.zeros((m, 2, 2))
-        v[:, 0, 0] = s2
-        v[:, 1, 1] = s2 * f
-        d1 = np.zeros((m, 3, 2, 2))
-        d1[:, 0, 1, 1] = s2 * f1
-        d1[:, 2, 0, 0] = s2r
-        d1[:, 2, 1, 1] = s2r * f
-        d2 = np.zeros((m, 3, 3, 2, 2))
-        d2[:, 0, 0, 1, 1] = s2 * f2
-        d2[:, 0, 2, 1, 1] = s2r * f1
-        d2[:, 2, 0, 1, 1] = s2r * f1
-        d2[:, 2, 2, 0, 0] = s2rr
-        d2[:, 2, 2, 1, 1] = s2rr * f
-        return v, d1, d2
-
-    return fn, jet
+    return fn
 
 
 def punctured_hyperbolic(n: int = 2, r_range=(0.05, 16.0),
                          grid: Optional[GridSpec] = None) -> CenteredManifold:
     """Hyperbolic space minus its center: sinh^2(r) sigma_S + dr^2."""
     dom = _sphere_domain(n, r_range)
-    fn, jet = _sinh_spatial(n)
-    metric = RadialMetric(dom, fn, jet, grid=grid, name=f"punctured{n}d")
+    metric = RadialMetric(dom, _sinh_spatial(n), analytic=True, grid=grid,
+                          name=f"punctured{n}d")
     return CenteredManifold(metric=metric, kind="punctured",
                             params={"n": n, "r_range": list(map(float, r_range))})
 
@@ -165,39 +130,18 @@ def perturbed_hyperbolic(n: int = 2, amplitude: float = 1e-3,
     if radial_width <= 0.0:
         raise GenerationError("radial_width must be positive")
     dom = _sphere_domain(n, r_range)
-    base_fn, base_jet = _sinh_spatial(n)
+    base_fn = _sinh_spatial(n)
     ang_axis = 0 if n == 2 else 1
-    d = dom.dim
     A, mm, rc, rw = float(amplitude), int(sphere_mode), \
         float(radial_center), float(radial_width)
 
-    def factor_jet(p):
-        ang, r = p[:, ang_axis], p[:, -1]
-        u = (r - rc) / rw
-        w = np.exp(-u ** 2)
-        w1 = -2.0 * u / rw * w
-        w2 = (4.0 * u ** 2 - 2.0) / rw ** 2 * w
-        cs, sn = np.cos(mm * ang), np.sin(mm * ang)
-        m = len(p)
-        v = 1.0 + A * cs * w
-        d1 = np.zeros((m, d))
-        d1[:, ang_axis] = -A * mm * sn * w
-        d1[:, -1] = A * cs * w1
-        d2 = np.zeros((m, d, d))
-        d2[:, ang_axis, ang_axis] = -A * mm ** 2 * cs * w
-        d2[:, ang_axis, -1] = -A * mm * sn * w1
-        d2[:, -1, ang_axis] = d2[:, ang_axis, -1]
-        d2[:, -1, -1] = A * cs * w2
-        return v, d1, d2
-
     def fn(p):
-        v = factor_jet(p)[0]
-        return v[:, None, None] * base_fn(p)
+        u = (p[:, -1] - rc) / rw
+        factor = 1.0 + A * np.cos(mm * p[:, ang_axis]) * np.exp(-u ** 2)
+        return factor[:, None, None] * base_fn(p)
 
-    def jet(p):
-        return scalar_times_jet(factor_jet(p), base_jet(p))
-
-    metric = RadialMetric(dom, fn, jet, grid=grid, name=f"perturbed{n}d")
+    metric = RadialMetric(dom, fn, analytic=True, grid=grid,
+                          name=f"perturbed{n}d")
     params = {"n": n, "amplitude": A, "sphere_mode": mm,
               "radial_center": rc, "radial_width": rw,
               "r_range": list(map(float, r_range))}
@@ -205,6 +149,8 @@ def perturbed_hyperbolic(n: int = 2, amplitude: float = 1e-3,
 
 
 def manifold_from_config(cfg: dict) -> CenteredManifold:
+    if not isinstance(cfg, dict):
+        raise ValueError(f"manifold config must be an object, got {cfg!r}")
     kind = cfg.get("kind", "punctured")
     n = int(cfg.get("n", 2))
     r_range = cfg.get("r_range", (0.05, 16.0))
@@ -238,7 +184,6 @@ class RadialChart:
     phi1: Callable
     jac: Callable
     affine: bool
-    jac_const: Optional[np.ndarray]
     chart: ChartModel
 
     def map_points(self, pts: np.ndarray) -> np.ndarray:
@@ -289,7 +234,7 @@ def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
 
         return RadialChart(n=n, xi=xi, t0=float(t0), center=(theta0,),
                            scale=float(c), phi1=phi1, jac=jac, affine=True,
-                           jac_const=J0, chart=chart)
+                           chart=chart)
 
     if n != 3:
         raise ValueError("only n = 2 and n = 3 charts are implemented")
@@ -350,7 +295,7 @@ def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
 
     return RadialChart(n=n, xi=xi, t0=float(t0), center=(phi0, psi0),
                        scale=float(c), phi1=phi1, jac=jac, affine=False,
-                       jac_const=None, chart=chart)
+                       chart=chart)
 
 
 def pullback(rc: RadialChart, g: RadialMetric,
@@ -362,38 +307,21 @@ def pullback(rc: RadialChart, g: RadialMetric,
     """
     k = rc.chart.k
 
-    def mapped(pts):
+    def spatial(pts):
         q = rc.map_points(pts)
-        ok = g.domain.contains(q)
+        at = np.asarray(q)     # the points themselves, also when q is a Jet
+        ok = g.domain.contains(at)
         if not ok.all():
-            bad = q[~ok][0]
+            bad = at[~ok][0]
             raise DomainError(
                 f"pullback of {g.name!r} hit coordinates "
                 f"{tuple(round(float(v), 6) for v in bad)} outside its window")
-        return q
-
-    def spatial(pts):
-        q = mapped(pts)
         S = g.spatial(q)
         J = rc.jac(pts[:, :k])
         return np.einsum("mab,mac,mcd->mbd", J, S, J)
 
-    spatial_jet = None
-    if rc.affine and g.has_jet:
-        J0 = rc.jac_const
-        T = np.zeros((k + 1, k + 1))
-        T[:k, :k] = J0
-        T[k, k] = 1.0
-
-        def spatial_jet(pts):
-            q = mapped(pts)
-            sv, s1, s2 = g.spatial_jet(q)
-            d1 = np.einsum("bi,mbxy->mixy", T, s1)
-            d2 = np.einsum("bi,cj,mbcxy->mijxy", T, T, s2)
-            sand = lambda X: np.einsum("ab,m...ac,cd->m...bd", J0, X, J0)
-            return sand(sv), sand(d1), sand(d2)
-
-    return RadialMetric.on_chart(rc.chart, spatial, spatial_jet,
+    return RadialMetric.on_chart(rc.chart, spatial,
+                                 analytic=rc.affine and g.has_jet,
                                  name=name or f"pull[{g.name};t0={rc.t0:g}]")
 
 

@@ -2,9 +2,11 @@
 
 A chart carries coordinates (x_1, ..., x_{n-1}, t): spatial coordinates in the
 unit ball of R^{n-1} and a radial coordinate t in (-(1+xi), 1+xi), where xi > 0
-is the chart excess.  Fields evaluate on (m, d) batches of points, sample on
-their own GridSpec, and may carry analytic jets (value, gradient, hessian);
-norms fall back to second-order central differences when no jet is available.
+is the chart excess.  Fields evaluate on (m, d) batches of points and sample
+on their own GridSpec.  A field writes its value function once; when that
+function also evaluates on a Jet (a second-order Taylor value), the field has
+analytic jets (value, gradient, hessian) for free.  Norms of other fields fall
+back to second-order central differences.
 
 Every metric in the package is a RadialMetric: a spatial block over the
 leading axes plus d(last axis)^2, on a chart (last axis t) or in polar form
@@ -72,6 +74,10 @@ class GridSpec:
             raise ValueError("fd_step must be in (0, 0.1)")
 
     def halved(self) -> "GridSpec":
+        """The strictly coarser grid of the refinement probe."""
+        if self.points_per_axis == 4:
+            raise ValueError("points_per_axis 4 has no coarser grid for the "
+                             "refinement error estimate (need >= 5)")
         return dataclasses.replace(
             self, points_per_axis=max(4, self.points_per_axis // 2)
         )
@@ -185,55 +191,207 @@ class ChartModel:
 
 
 # ---------------------------------------------------------------------------
-# jets: (value, grad, hess) with shapes (m,*S), (m,d,*S), (m,d,d,*S)
+# jets: second-order forward-mode Taylor values
 
 
-def _expand(a: np.ndarray, s_ndim: int) -> np.ndarray:
-    return a.reshape(a.shape + (1,) * s_ndim)
+class Jet(np.lib.mixins.NDArrayOperatorsMixin):
+    """Second-order Taylor value of an array over a point batch
+    (Griewank & Walther, Evaluating Derivatives, 2008, ch. 13).
+
+    v has shape (m, *S); its derivatives in d chart coordinates are
+    d1[i] = dv/dx_i and d2[i, j] = d^2 v/dx_i dx_j, of shapes (d, m, *S) and
+    (d, d, m, *S).  The derivative axes lead, so a value broadcasts against
+    them as it stands and numpy's inner loops run over the batch, not over
+    the d derivatives.  A value function written with + - *, division by
+    constants, unary minus, integer powers, exp, sin, cos, sinh, cosh,
+    indexing, np.concatenate and np.einsum with one Jet operand evaluates on
+    a Jet unchanged; anything else raises TypeError.  The value part is
+    computed by the same numpy operation as on plain arrays, so it is
+    bitwise the array result.  Plain arrays mixed in are constants.
+    """
+
+    __slots__ = ("v", "d1", "d2")
+
+    def __init__(self, v, d1, d2):
+        self.v, self.d1, self.d2 = v, d1, d2
+
+    @classmethod
+    def seed(cls, pts: np.ndarray) -> "Jet":
+        """The chart coordinates themselves: (m, d) points, d1 = identity."""
+        m, d = pts.shape
+        return cls(pts, np.broadcast_to(np.eye(d)[:, None, :], (d, m, d)),
+                   np.broadcast_to(0.0, (d, d, m, d)))
+
+    @property
+    def shape(self) -> tuple:
+        return self.v.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.v.ndim
+
+    def __len__(self) -> int:
+        return len(self.v)
+
+    def __array__(self, dtype=None, copy=None):
+        # the value alone; the derivatives are dropped
+        return np.array(self.v, dtype=dtype, copy=copy)
+
+    def __getitem__(self, key):
+        key = key if isinstance(key, tuple) else (key,)
+        every = slice(None)
+        return Jet(self.v[key], self.d1[(every,) + key],
+                   self.d2[(every, every) + key])
+
+    def chain(self, f, f1, f2) -> "Jet":
+        """p(self) for a 1-D function p with p, p', p'' = f, f1, f2 at
+        self.v: the chain rule to second order."""
+        g = self.d1
+        return Jet(f, f1 * g, f2 * (g[:, None] * g[None, :]) + f1 * self.d2)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        if ufunc in _UNARY:
+            (x,) = inputs
+            return x.chain(*_UNARY[ufunc](x.v, ufunc(x.v)))
+        if ufunc is np.negative:
+            (x,) = inputs
+            return Jet(-x.v, -x.d1, -x.d2)
+        if ufunc is np.power:
+            x, n = inputs
+            if not isinstance(x, Jet) or isinstance(n, Jet) \
+                    or int(n) != n:
+                return NotImplemented
+            n = int(n)
+            zero = np.zeros_like(x.v)
+            return x.chain(x.v ** n,
+                           n * x.v ** (n - 1) if n else zero,
+                           n * (n - 1) * x.v ** (n - 2) if n not in (0, 1)
+                           else zero)
+        if ufunc in _BINARY:
+            a, b = inputs
+            v = ufunc(*(x.v if isinstance(x, Jet) else x for x in inputs))
+            if any(isinstance(x, Jet) and x.ndim < v.ndim for x in inputs):
+                # derivative axes lead, so they broadcast only when every
+                # Jet operand carries all of the result's axes
+                raise ValueError("a Jet operand has fewer axes than the "
+                                 "result of its operation")
+            return _BINARY[ufunc](a, b, v)
+        return NotImplemented
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.concatenate:
+            return _concatenate(*args, **kwargs)
+        if func is np.einsum:
+            return _einsum(*args, **kwargs)
+        return NotImplemented
 
 
-def jet_add(j1, j2, sign: float = 1.0):
-    return tuple(a + sign * b for a, b in zip(j1, j2))
+# p, p', p'' of the elementary functions, given x and p(x)
+_UNARY = {
+    np.exp: lambda x, e: (e, e, e),
+    np.sin: lambda x, s: (s, np.cos(x), -s),
+    np.cos: lambda x, c: (c, -np.sin(x), -c),
+    np.sinh: lambda x, s: (s, np.cosh(x), s),
+    np.cosh: lambda x, c: (c, np.sinh(x), c),
+}
 
 
-def jet_scale(j, c: float):
-    return tuple(c * a for a in j)
+def _jet_add(a, b, v, op=np.add) -> Jet:
+    if not isinstance(a, Jet):
+        d1, d2 = (b.d1, b.d2) if op is np.add else (-b.d1, -b.d2)
+    elif not isinstance(b, Jet):
+        d1, d2 = a.d1, a.d2
+    else:
+        d1, d2 = op(a.d1, b.d1), op(a.d2, b.d2)
+    if d1.shape[1:] != v.shape:   # broadcasting widened the value
+        d = len(d1)
+        d1 = np.broadcast_to(d1, (d,) + v.shape)
+        d2 = np.broadcast_to(d2, (d, d) + v.shape)
+    return Jet(v, d1, d2)
 
 
-def scalar_times_jet(sj, tj):
-    """Leibniz rule to second order: scalar jet times tensor jet."""
-    lv, l1, l2 = sj
-    tv, t1, t2 = tj
-    s = tv.ndim - 1
-    v = _expand(lv, s) * tv
-    d1 = _expand(l1, s) * tv[:, None] + _expand(lv, s)[:, None] * t1
-    cross = _expand(l1, s)[:, :, None] * t1[:, None]
-    d2 = (
-        _expand(l2, s) * tv[:, None, None]
-        + cross
-        + np.swapaxes(cross, 1, 2)
-        + _expand(lv, s)[:, None, None] * t2
-    )
-    return v, d1, d2
+def _jet_mul(a, b, v) -> Jet:
+    if not isinstance(a, Jet):
+        a, b = b, a
+    if not isinstance(b, Jet):
+        return Jet(v, a.d1 * b, a.d2 * b)
+    cross = a.d1[:, None] * b.d1[None, :]   # + its transpose: symmetric
+    return Jet(v, a.d1 * b.v + a.v * b.d1,
+               a.d2 * b.v + cross + np.swapaxes(cross, 0, 1) + a.v * b.d2)
 
 
-def constant_jet(values: np.ndarray, d: int):
-    """Jet of a point-independent tensor batch (m,*S)."""
-    m = values.shape[0]
-    s = values.shape[1:]
-    return (
-        values,
-        np.zeros((m, d) + s),
-        np.zeros((m, d, d) + s),
-    )
+def _jet_div(a, b, v) -> Jet:
+    if isinstance(b, Jet):
+        raise TypeError("a Jet divides only by constants")
+    return Jet(v, a.d1 / b, a.d2 / b)
+
+
+_BINARY = {
+    np.add: _jet_add,
+    np.subtract: lambda a, b, v: _jet_add(a, b, v, np.subtract),
+    np.multiply: _jet_mul,
+    np.true_divide: _jet_div,
+}
+
+
+def _part(a, order: int, d: int) -> np.ndarray:
+    """Part `order` (0 value, 1 first, 2 second derivatives) of a Jet or of
+    a constant array."""
+    if isinstance(a, Jet):
+        return (a.v, a.d1, a.d2)[order]
+    a = np.asarray(a)
+    return a if order == 0 else np.zeros((d,) * order + a.shape)
+
+
+def _concatenate(arrays, axis=0):
+    jet = next(a for a in arrays if isinstance(a, Jet))
+    d = len(jet.d1)
+    axis %= jet.ndim
+    return Jet(*(np.concatenate([_part(a, o, d) for a in arrays],
+                                axis=axis + o) for o in range(3)))
+
+
+def _einsum(subscripts: str, *operands, **kwargs):
+    """einsum with exactly one Jet operand and an explicit output: each part
+    carries its derivative axes through as extra free indices."""
+    jets = [i for i, op in enumerate(operands) if isinstance(op, Jet)]
+    if len(jets) != 1 or "->" not in subscripts:
+        raise TypeError("einsum on a Jet needs one Jet operand and '->'")
+    i = jets[0]
+    inputs, output = subscripts.split("->")
+    specs = inputs.split(",")
+    free = [c for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ" if c not in subscripts]
+    parts = []
+    for order in range(3):
+        lead = "".join(free[:order])
+        spec = specs[:i] + [lead + specs[i]] + specs[i + 1:]
+        ops = list(operands)
+        ops[i] = _part(operands[i], order, 0)
+        parts.append(np.einsum(",".join(spec) + "->" + lead + output, *ops,
+                               **kwargs))
+    return Jet(*parts)
+
+
+def _taylor(fn: Callable, pts: np.ndarray) -> tuple:
+    """(v, d1, d2) of fn at (m, d) points in the (m, d, *S) layout: fn
+    evaluated on the seeded Jet.  A plain-array result is a constant."""
+    out = fn(Jet.seed(pts))
+    if isinstance(out, Jet):
+        return out.v, np.moveaxis(out.d1, 0, 1), np.moveaxis(out.d2, 2, 0)
+    v = np.asarray(out)
+    m, d = pts.shape
+    S = v.shape[1:]
+    return v, np.zeros((m, d) + S), np.zeros((m, d, d) + S)
 
 
 # ---------------------------------------------------------------------------
 # fields
 
 
-def _as_points(pts, d: int) -> np.ndarray:
-    a = np.asarray(pts, dtype=float)
+def _as_points(pts, d: int):
+    a = pts if isinstance(pts, Jet) else np.asarray(pts, dtype=float)
     if a.ndim == 1:
         a = a[None, :]
     if a.ndim != 2 or a.shape[1] != d:
@@ -243,42 +401,69 @@ def _as_points(pts, d: int) -> np.ndarray:
 
 class Field:
     """A map from domain points to arrays of a fixed trailing shape, sampled
-    on `grid` by default."""
+    on `grid` by default.
 
-    def __init__(self, domain: Domain, fn: Callable, jet: Optional[Callable] = None,
+    `analytic` says that fn also evaluates on a Jet (see Jet), which gives
+    the field exact jets; without it, norms use finite differences.
+    """
+
+    def __init__(self, domain: Domain, fn: Callable, analytic: bool = False,
                  shape: tuple = (), name: str = "field",
                  grid: Optional[GridSpec] = None):
         self.domain = domain
         self.shape = tuple(shape)
         self.name = name
         self.grid = grid or GridSpec()
+        self.has_jet = bool(analytic)
         self._fn = fn
-        self._jet = jet
 
-    @property
-    def has_jet(self) -> bool:
-        return self._jet is not None
-
-    def __call__(self, pts) -> np.ndarray:
-        return np.asarray(self._fn(_as_points(pts, self.domain.dim)))
+    def __call__(self, pts):
+        """Values at (m, d) points; at a Jet, the Taylor value."""
+        x = _as_points(pts, self.domain.dim)
+        if isinstance(x, Jet):
+            self._need_jet()
+            return self._fn(x)
+        return np.asarray(self._fn(x))
 
     def jet(self, pts):
-        if self._jet is None:
+        """(value, gradient, hessian), shapes (m, *S), (m, d, *S),
+        (m, d, d, *S)."""
+        self._need_jet()
+        return _taylor(self._fn, _as_points(pts, self.domain.dim))
+
+    def _need_jet(self):
+        if not self.has_jet:
             raise WarpforceError(f"field {self.name!r} has no analytic jet")
-        return self._jet(_as_points(pts, self.domain.dim))
 
 
 class ScalarField(Field):
-    def __init__(self, domain, fn, jet=None, name="scalar"):
-        super().__init__(domain, fn, jet=jet, shape=(), name=name)
+    def __init__(self, domain, fn, analytic=False, name="scalar"):
+        super().__init__(domain, fn, analytic=analytic, shape=(), name=name)
 
 
 class SpatialMetric(Field):
     """k x k symmetric-matrix field over a spatial domain."""
 
-    def __init__(self, domain, fn, jet=None, name="spatial"):
+    def __init__(self, domain, fn, analytic=False, name="spatial"):
         k = domain.dim
-        super().__init__(domain, fn, jet=jet, shape=(k, k), name=name)
+        super().__init__(domain, fn, analytic=analytic, shape=(k, k),
+                         name=name)
+
+
+def _embed(S, m: int, d: int, unit: float = 1.0):
+    """The (m, k, k) block S (leading derivative axes allowed) at the top
+    left of a zero (m, d, d) array with `unit` in the last diagonal entry;
+    a Jet embeds each part, its derivatives with a zero entry."""
+    if isinstance(S, Jet):
+        return Jet(_embed(S.v, m, d), _embed(S.d1, m, d, 0.0),
+                   _embed(S.d2, m, d, 0.0))
+    S = np.asarray(S)
+    k = d - 1
+    out = np.zeros(S.shape[:-3] + (m, d, d))
+    out[..., :k, :k] = S
+    if unit:
+        out[..., k, k] = unit
+    return out
 
 
 class RadialMetric(Field):
@@ -286,126 +471,82 @@ class RadialMetric(Field):
 
     The leading k = d - 1 domain axes carry the spatial block and the last
     axis is radial: t on a chart, r in polar form around a center.  spatial
-    maps (m, d) points to (m, k, k) matrices; spatial_jet, when given,
-    differentiates it in all d coordinates.  The full d x d value and jet
-    embed the block with a unit last-axis entry.  Metrics built on a
-    ChartModel keep it as `chart` (its excess xi and hyperbolic model feed
-    the lemma checks); polar metrics have chart None.
+    maps (m, d) points to (m, k, k) matrices and, when `analytic`, also
+    evaluates on a Jet.  The full d x d value embeds the block with a unit
+    last-axis entry.  Metrics built on a ChartModel keep it as `chart` (its
+    excess xi and hyperbolic model feed the lemma checks); polar metrics
+    have chart None.
     """
 
     def __init__(self, domain: Domain, spatial: Callable,
-                 spatial_jet: Optional[Callable] = None,
-                 grid: Optional[GridSpec] = None, name: str = "metric",
-                 chart: Optional[ChartModel] = None):
+                 analytic: bool = False, grid: Optional[GridSpec] = None,
+                 name: str = "metric", chart: Optional[ChartModel] = None):
         d = domain.dim
-        k = d - 1
 
         def fn(pts):
             # the block first: its temporaries are freed before `out` exists
-            S = np.asarray(spatial(pts))
-            out = np.zeros((len(pts), d, d))
-            out[:, :k, :k] = S
-            out[:, k, k] = 1.0
-            return out
+            return _embed(spatial(pts), len(pts), d)
 
-        jet = None
-        if spatial_jet is not None:
-            def jet(pts):
-                sv, s1, s2 = spatial_jet(pts)
-                m = len(pts)
-                v = np.zeros((m, d, d))
-                v[:, :k, :k] = sv
-                v[:, k, k] = 1.0
-                d1 = np.zeros((m, d, d, d))
-                d1[:, :, :k, :k] = s1
-                d2 = np.zeros((m, d, d, d, d))
-                d2[:, :, :, :k, :k] = s2
-                return v, d1, d2
-
-        super().__init__(domain, fn, jet=jet, shape=(d, d), name=name,
-                         grid=grid)
+        super().__init__(domain, fn, analytic=analytic, shape=(d, d),
+                         name=name, grid=grid)
         self.chart = chart
         self._spatial = spatial
-        self._spatial_jet = spatial_jet
 
     @classmethod
     def on_chart(cls, chart: ChartModel, spatial: Callable,
-                 spatial_jet: Optional[Callable] = None,
+                 analytic: bool = False,
                  name: str = "metric") -> "RadialMetric":
-        return cls(chart.domain, spatial, spatial_jet, grid=chart.grid,
+        return cls(chart.domain, spatial, analytic, grid=chart.grid,
                    name=name, chart=chart)
 
-    def spatial(self, pts) -> np.ndarray:
-        """(m, k, k) spatial block."""
+    def spatial(self, pts):
+        """(m, k, k) spatial block; at a Jet, its Taylor value."""
+        if isinstance(pts, Jet):
+            return self.spatial_jet(pts)
         return np.asarray(self._spatial(_as_points(pts, self.domain.dim)))
 
     def spatial_jet(self, pts):
-        if self._spatial_jet is None:
-            raise WarpforceError(f"metric {self.name!r} has no analytic jet")
-        return self._spatial_jet(_as_points(pts, self.domain.dim))
+        """Taylor value of the spatial block: at (m, d) points the
+        (v, d1, d2) tuple in the (m, d, k, k) layout, at a Jet a Jet."""
+        self._need_jet()
+        x = _as_points(pts, self.domain.dim)
+        return self._spatial(x) if isinstance(x, Jet) \
+            else _taylor(self._spatial, x)
 
 
 def hyperbolic_model(chart: ChartModel) -> RadialMetric:
     """sigma = e^{2t} (dx_1^2 + ... + dx_{n-1}^2) + dt^2."""
-    k = chart.k
-    eye = np.eye(k)
+    eye = np.eye(chart.k)
 
     def spatial(pts):
         return np.exp(2.0 * pts[:, -1])[:, None, None] * eye
 
-    def spatial_jet(pts):
-        m = len(pts)
-        e2t = np.exp(2.0 * pts[:, -1])
-        v = e2t[:, None, None] * eye
-        d1 = np.zeros((m, chart.n, k, k))
-        d1[:, -1] = 2.0 * v
-        d2 = np.zeros((m, chart.n, chart.n, k, k))
-        d2[:, -1, -1] = 4.0 * v
-        return v, d1, d2
-
-    return RadialMetric.on_chart(chart, spatial, spatial_jet, name="hyperbolic")
+    return RadialMetric.on_chart(chart, spatial, analytic=True,
+                                 name="hyperbolic")
 
 
 def difference(f: Field, g: Field, name: Optional[str] = None) -> Field:
     """Pointwise f - g on f's domain (shapes must agree)."""
     if f.shape != g.shape:
         raise ValueError("field shapes differ")
-    jet = None
-    if f.has_jet and g.has_jet:
-        def jet(pts):
-            return jet_add(f.jet(pts), g.jet(pts), sign=-1.0)
-    return Field(f.domain, lambda pts: f(pts) - g(pts), jet=jet,
-                 shape=f.shape, name=name or f"{f.name}-{g.name}", grid=f.grid)
+    return Field(f.domain, lambda pts: f(pts) - g(pts),
+                 analytic=f.has_jet and g.has_jet, shape=f.shape,
+                 name=name or f"{f.name}-{g.name}", grid=f.grid)
 
 
-def profile_scalar(domain: Domain, profile, shift: float = 0.0,
-                   axis: int = -1, name: str = "profile") -> ScalarField:
-    """Lift a 1-D profile p to the chart: f(x, t) = p(t - shift).
+def profile_scalar(domain: Domain, profile,
+                   name: str = "profile") -> ScalarField:
+    """Lift a 1-D profile p to the domain: f(x, t) = p(last axis).
 
-    The profile must be callable on 1-D arrays; if it exposes .jet(t) the
-    lifted field carries an analytic jet along `axis`.
+    p must evaluate on 1-D arrays and on 1-D Jets: written in Jet
+    operations, or lifting its own (p, p', p'') with Jet.chain as
+    BumpFunction and WarpFunction do.  A constant may return a plain array.
     """
-    d = domain.dim
-    ax = axis % d
-
-    def fn(pts):
-        return np.asarray(profile(pts[:, ax] - shift))
-
-    jet = None
-    if hasattr(profile, "jet"):
-        def jet(pts):
-            m = len(pts)
-            v, p1, p2 = profile.jet(pts[:, ax] - shift)
-            d1 = np.zeros((m, d))
-            d1[:, ax] = p1
-            d2 = np.zeros((m, d, d))
-            d2[:, ax, ax] = p2
-            return v, d1, d2
-
-    return ScalarField(domain, fn, jet=jet, name=name)
+    return ScalarField(domain, lambda pts: profile(pts[:, -1]), analytic=True,
+                       name=name)
 
 
-def _poly_eval(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def _poly_eval(coeffs: np.ndarray, pts):
     out = np.zeros(len(pts))
     for powers in itertools.product(*(range(s) for s in coeffs.shape)):
         c = coeffs[powers]
@@ -415,22 +556,7 @@ def _poly_eval(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
         for i, p in enumerate(powers):
             if p:
                 term = term * pts[:, i] ** p
-        out += term
-    return out
-
-
-def _poly_diff(coeffs: np.ndarray, axis: int) -> np.ndarray:
-    s = coeffs.shape[axis]
-    if s <= 1:
-        return np.zeros_like(coeffs)
-    sl_hi = [slice(None)] * coeffs.ndim
-    sl_hi[axis] = slice(1, None)
-    mult = np.arange(1, s).reshape([-1 if i == axis else 1
-                                    for i in range(coeffs.ndim)])
-    out = np.zeros_like(coeffs)
-    sl_lo = [slice(None)] * coeffs.ndim
-    sl_lo[axis] = slice(0, s - 1)
-    out[tuple(sl_lo)] = coeffs[tuple(sl_hi)] * mult
+        out = out + term
     return out
 
 
@@ -441,26 +567,8 @@ def polynomial_scalar(domain: Domain, coeffs: np.ndarray,
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != domain.dim:
         raise ValueError("coefficient array rank must match domain dim")
-    d = domain.dim
-    grads = [_poly_diff(coeffs, i) for i in range(d)]
-    hess = [[_poly_diff(grads[i], j) for j in range(d)] for i in range(d)]
-
-    def fn(pts):
-        return _poly_eval(coeffs, pts)
-
-    def jet(pts):
-        m = len(pts)
-        v = _poly_eval(coeffs, pts)
-        d1 = np.stack([_poly_eval(grads[i], pts) for i in range(d)], axis=1)
-        d2 = np.zeros((m, d, d))
-        for i in range(d):
-            for j in range(i, d):
-                d2[:, i, j] = _poly_eval(hess[i][j], pts)
-                if j > i:
-                    d2[:, j, i] = d2[:, i, j]
-        return v, d1, d2
-
-    return ScalarField(domain, fn, jet=jet, name=name)
+    return ScalarField(domain, lambda pts: _poly_eval(coeffs, pts),
+                       analytic=True, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +643,7 @@ class C2Norm:
     derivative_source: str
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "per_order_sups": dict(self.per_order_sups),
-            "grid": self.grid.to_json(),
-            "derivative_source": self.derivative_source,
-        }
+        return dataclasses.asdict(self)
 
 
 def _norm_keys(names: Sequence[str]):

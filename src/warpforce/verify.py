@@ -46,12 +46,12 @@ from warpforce.model import (
     hyperbolic_model,
     interval_domain,
     profile_scalar,
-    scalar_times_jet,
 )
 from warpforce.manifold import (
     CenteredManifold,
     closeness_at,
     perturbed_hyperbolic,
+    pullback,
     radial_chart,
     radial_closeness,
 )
@@ -110,19 +110,7 @@ class BoundReport:
     notes: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "params": dict(self.params),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "passed": self.passed,
-            "margin": self.margin,
-            "error_estimate": self.error_estimate,
-            "marginal": self.marginal,
-            "grid": self.grid.to_json(),
-            "derivative_source": self.derivative_source,
-            "notes": self.notes,
-        }
+        return dataclasses.asdict(self)
 
 
 def make_report(name: str, params: dict, lhs: float, rhs: float,
@@ -315,46 +303,21 @@ def check_lemma_1_1(g1: RadialMetric, g2: RadialMetric, lam: ScalarField,
 
 
 class _SineProfile:
-    """c0 + c1 sin(om t + ph), with jet."""
+    """c0 + c1 sin(om t + ph); evaluates on arrays and on Jets."""
 
     def __init__(self, c0, c1, om, ph):
         self.c0, self.c1, self.om, self.ph = map(float, (c0, c1, om, ph))
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
         return self.c0 + self.c1 * np.sin(self.om * t + self.ph)
-
-    def jet(self, t):
-        t = np.asarray(t, dtype=float)
-        a = self.om * t + self.ph
-        return (self.c0 + self.c1 * np.sin(a),
-                self.c1 * self.om * np.cos(a),
-                -self.c1 * self.om ** 2 * np.sin(a))
 
     def shifted(self, s):
         return _SineProfile(self.c0, self.c1, self.om, self.ph - self.om * s)
 
-    def to_json(self):
-        return {"c0": self.c0, "c1": self.c1, "om": self.om, "ph": self.ph}
-
-
-class _ConstantProfile:
-    def __init__(self, c: float):
-        self.c = float(c)
-
-    def __call__(self, t):
-        return np.full(np.asarray(t, dtype=float).shape, self.c)
-
-    def jet(self, t):
-        z = np.zeros(np.asarray(t, dtype=float).shape)
-        return np.full(z.shape, self.c), z, z.copy()
-
-    def shifted(self, s):
-        return self
-
 
 def _constant_scalar(domain, c: float) -> ScalarField:
-    return profile_scalar(domain, _ConstantProfile(c), name=f"{c:g}")
+    return ScalarField(domain, lambda p: np.full(len(p), c), analytic=True,
+                       name=f"{c:g}")
 
 
 def random_close_metric(chart: ChartModel, rng,
@@ -364,33 +327,13 @@ def random_close_metric(chart: ChartModel, rng,
     al, ga = rng.uniform(0.5, 2.0, size=2)
     be, de = rng.uniform(-np.pi, np.pi, size=2)
 
-    def parts(p):
-        x, t = p[:, 0], p[:, 1]
-        sx, cx = np.sin(al * x + be), np.cos(al * x + be)
-        st, ct = np.sin(ga * t + de), np.cos(ga * t + de)
-        return x, t, sx, cx, st, ct
-
     def spatial(p):
-        _, t, sx, _, st, _ = parts(p)
-        return (np.exp(2.0 * t) * (1.0 + a * sx * st))[:, None, None]
+        x, t = p[:, 0], p[:, 1]
+        g = 1.0 + a * np.sin(al * x + be) * np.sin(ga * t + de)
+        return (np.exp(2.0 * t) * g)[:, None, None]
 
-    def spatial_jet(p):
-        _, t, sx, cx, st, ct = parts(p)
-        m = len(p)
-        E = np.exp(2.0 * t)
-        E_jet = (E, np.stack([np.zeros(m), 2.0 * E], axis=1),
-                 np.stack([np.zeros((m, 2)),
-                           np.stack([np.zeros(m), 4.0 * E], axis=1)], axis=1))
-        G = 1.0 + a * sx * st
-        G1 = np.stack([a * al * cx * st, a * ga * sx * ct], axis=1)
-        G2 = np.empty((m, 2, 2))
-        G2[:, 0, 0] = -a * al ** 2 * sx * st
-        G2[:, 0, 1] = G2[:, 1, 0] = a * al * ga * cx * ct
-        G2[:, 1, 1] = -a * ga ** 2 * sx * st
-        v, d1, d2 = scalar_times_jet(E_jet, (G, G1, G2))
-        return v[:, None, None], d1[:, :, None, None], d2[:, :, :, None, None]
-
-    return RadialMetric.on_chart(chart, spatial, spatial_jet, name="synthetic")
+    return RadialMetric.on_chart(chart, spatial, analytic=True,
+                                 name="synthetic")
 
 
 def random_lambda(chart: ChartModel, rng) -> ScalarField:
@@ -401,19 +344,7 @@ def random_lambda(chart: ChartModel, rng) -> ScalarField:
     def fn(p):
         return 0.5 + 0.5 * np.sin(c0 + c1 * p[:, 0] + c2 * p[:, 1])
 
-    def jet(p):
-        m = len(p)
-        a = c0 + c1 * p[:, 0] + c2 * p[:, 1]
-        s, c = np.sin(a), np.cos(a)
-        v = 0.5 + 0.5 * s
-        d1 = 0.5 * np.stack([c1 * c, c2 * c], axis=1)
-        d2 = np.empty((m, 2, 2))
-        d2[:, 0, 0] = -0.5 * c1 * c1 * s
-        d2[:, 0, 1] = d2[:, 1, 0] = -0.5 * c1 * c2 * s
-        d2[:, 1, 1] = -0.5 * c2 * c2 * s
-        return v, d1, d2
-
-    return ScalarField(chart.domain, fn, jet=jet, name="lambda")
+    return ScalarField(chart.domain, fn, analytic=True, name="lambda")
 
 
 def random_ball_metric(k: int, rng, base: float = 1.0) -> SpatialMetric:
@@ -421,22 +352,12 @@ def random_ball_metric(k: int, rng, base: float = 1.0) -> SpatialMetric:
     u = rng.uniform(0.0, 0.5 * base)
     pc = rng.uniform(0.5, 2.0)
     q = rng.uniform(-np.pi, np.pi)
-    dom = ball_domain(k)
 
     def fn(x):
         return (base + u * np.sin(pc * x[:, 0] + q))[:, None, None]
 
-    def jet(x):
-        m = len(x)
-        a = pc * x[:, 0] + q
-        v = (base + u * np.sin(a))[:, None, None]
-        d1 = np.zeros((m, k, 1, 1))
-        d1[:, 0, 0, 0] = u * pc * np.cos(a)
-        d2 = np.zeros((m, k, k, 1, 1))
-        d2[:, 0, 0, 0, 0] = -u * pc ** 2 * np.sin(a)
-        return v, d1, d2
-
-    return SpatialMetric(dom, fn, jet=jet, name="ball-metric")
+    return SpatialMetric(ball_domain(k), fn, analytic=True,
+                         name="ball-metric")
 
 
 def random_warp_profile(rng) -> _SineProfile:
@@ -458,6 +379,16 @@ def _chart(xi: float, grid: Optional[GridSpec]) -> ChartModel:
     return ChartModel(n=2, xi=xi, grid=grid or GridSpec())
 
 
+def _numbers(values, what: str) -> tuple:
+    """A non-empty list of numbers as a tuple; ValueError otherwise."""
+    if not (isinstance(values, (list, tuple)) and values and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in values)):
+        raise ValueError(f"{what} must be a non-empty list of numbers, "
+                         f"got {values!r}")
+    return tuple(values)
+
+
 def _split_counts(total: int, parts: int) -> list:
     base = total // parts
     rest = total - base * parts
@@ -469,38 +400,34 @@ def _run_lemma_suite(name: str, seed: int, instances: int,
     """Trivial instance(s) first, then seeded random instances."""
     reports = []
     trivial_grid = grid or GridSpec()
-
+    ch = _chart(1.0, grid)
     if name == "lemma1.1":
-        ch = _chart(1.0, grid)
         sigma = hyperbolic_model(ch)
         one = _constant_scalar(ch.domain, 1.0)
         reports.append(check_lemma_1_1(sigma, sigma, one,
                                        grid=trivial_grid,
                                        params={"instance": "trivial"}))
     elif name == "lemma2.2":
-        ch = _chart(1.0, grid)
         reports.append(check_lemma_2_2(hyperbolic_model(ch),
-                                       _ConstantProfile(1.0),
+                                       lambda t: np.ones(len(t)),
                                        grid=trivial_grid,
                                        params={"instance": "trivial"}))
     elif name == "lemma2.3":
-        ch = _chart(1.0, grid)
         reports.extend(check_lemma_2_3(hyperbolic_model(ch), 4.0,
                                        grid=trivial_grid,
                                        params={"instance": "trivial"}))
     elif name == "lemma3.1":
-        ch = _chart(1.0, grid)
         rng0 = np.random.default_rng(seed)
         a = random_ball_metric(ch.k, rng0)
         reports.append(check_lemma_3_1(a, a, 0.0, ch, grid=trivial_grid,
                                        params={"instance": "trivial"}))
     elif name == "lemma3.2":
-        ch = _chart(1.0, grid)
         reports.append(check_lemma_3_2(hyperbolic_model(ch), 0.0,
                                        grid=trivial_grid,
                                        params={"instance": "trivial"}))
 
-    counts = _split_counts(instances, len(tuple(xi_values)))
+    xi_values = _numbers(xi_values, "xi_values")
+    counts = _split_counts(instances, len(xi_values))
     idx = 0
     for xi, count in zip(xi_values, counts):
         ch = _chart(float(xi), grid)
@@ -564,8 +491,11 @@ class TheoremConfig:
     @classmethod
     def from_dict(cls, cfg: dict) -> "TheoremConfig":
         kw = dict(cfg)
-        if "grid" in kw and isinstance(kw["grid"], dict):
-            kw["grid"] = GridSpec(**kw["grid"])
+        grid = kw.get("grid", GridSpec())
+        if isinstance(grid, dict):
+            kw["grid"] = GridSpec(**grid)
+        elif not isinstance(grid, GridSpec):
+            raise ValueError(f"theorem grid must be an object, got {grid!r}")
         for key in ("r_range", "r0_values"):
             if key in kw:
                 kw[key] = tuple(kw[key])
@@ -596,20 +526,9 @@ class TheoremInstance:
     notes: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "r0": self.r0,
-            "xi": self.xi,
-            "eps": self.eps,
-            "eta_max": self.eta_max,
-            "bound": self.bound,
-            "decay_constant": self.decay_constant,
-            "guard_constant": self.guard_constant,
-            "passed": self.passed,
-            "case_counts": dict(self.case_counts),
-            "runtime_s": self.runtime_s,
-            "notes": self.notes,
-            "reports": [r.to_json() for r in self.reports],
-        }
+        d = dataclasses.asdict(self)
+        d["reports"] = list(d.pop("reports"))   # last, after the summary
+        return d
 
 
 def _classify_case(t0: float, r0: float, xi: float) -> int:
@@ -704,11 +623,8 @@ def check_main_theorem(manifold: CenteredManifold, r0: float, xi: float,
         try:
             rc = radial_chart(manifold, t0, xi=xi_m,
                               y0=_angular_center(manifold.n, th0), grid=spec)
-            eta = radial_closeness(rc, W, grid=spec)
-            eta_half = radial_closeness(rc, W, grid=spec.halved())
-            err = abs(eta.value - eta_half.value) / 3.0
-            if eta.derivative_source == "finite-difference":
-                err += _FD_PROXY * eta.value
+            eta, err = measured_with_error(
+                difference(pullback(rc, W), hyperbolic_model(rc.chart)), spec)
             eps_c = radial_closeness(rc, g, grid=spec)
             p["eps_center"] = eps_c.value
             p["ratio"] = eta.value / denom
@@ -717,7 +633,7 @@ def check_main_theorem(manifold: CenteredManifold, r0: float, xi: float,
                                        spec, eta.derivative_source, notes))
             eta_max = max(eta_max, eta.value)
             decay_c = max(decay_c, eta.value / denom)
-        except (DomainError, WarpforceError) as exc:
+        except WarpforceError as exc:
             reports.append(error_report("theorem", p, spec, str(exc)))
 
     passed = all(r.passed for r in reports) and eta_max < bound
@@ -830,6 +746,9 @@ def run_check(name: str, seed: int = 0, instances: int = 100,
               xi_values=(1.0, 1.5), grid: Optional[GridSpec] = None,
               config: Optional[dict] = None) -> list:
     """Run a registry check and return its BoundReports."""
+    if config is not None and not isinstance(config, dict):
+        raise ValueError(f"config of {name!r} must be an object, "
+                         f"got {config!r}")
     if name == "all":
         doc = config or {}
         out = []
@@ -841,7 +760,8 @@ def run_check(name: str, seed: int = 0, instances: int = 100,
                              config=doc.get("theorem")))
         return out
     if name == "lemma2.1":
-        t0s = tuple((config or {}).get("t0_values", _DEFAULT_T0S))
+        t0s = _numbers((config or {}).get("t0_values", _DEFAULT_T0S),
+                       "lemma2.1 t0_values")
         return [check_lemma_2_1(t0) for t0 in t0s]
     if name in _LEMMA_NAMES:
         return _run_lemma_suite(name, seed, instances, xi_values, grid)

@@ -41,12 +41,11 @@ from warpforce.model import (
     Domain,
     DomainError,
     GridSpec,
+    Jet,
     RadialMetric,
     ScalarField,
     SpatialMetric,
-    jet_add,
     profile_scalar,
-    scalar_times_jet,
 )
 
 __all__ = [
@@ -110,7 +109,8 @@ class ShiftedProfile:
         self.shift = float(shift)
 
     def __call__(self, t):
-        return self.base(np.asarray(t, dtype=float) - self.shift)
+        t = t if isinstance(t, Jet) else np.asarray(t, dtype=float)
+        return self.base(t - self.shift)
 
     def jet(self, t):
         return self.base.jet(np.asarray(t, dtype=float) - self.shift)
@@ -148,6 +148,8 @@ class BumpFunction:
             )
 
     def __call__(self, t):
+        if isinstance(t, Jet):
+            return t.chain(*self.jet(t.v))
         v = (np.asarray(t, dtype=float) - self.plateau_end) / self.width
         s, _, _ = _step_jet(v)
         return 1.0 - s
@@ -202,6 +204,8 @@ class WarpFunction:
         return 1.0 - np.exp(-2.0 * (t + self.t0))
 
     def __call__(self, t):
+        if isinstance(t, Jet):
+            return t.chain(*self.jet(t.v))
         return (self._q(t) / self._q0) ** 2
 
     def jet(self, t):
@@ -222,17 +226,6 @@ class WarpFunction:
         return {"t0": self.t0}
 
 
-class _Profile:
-    """1-D profile from a value function and a (value, d1, d2) jet."""
-
-    def __init__(self, fn, jet):
-        self._fn = fn
-        self.jet = jet
-
-    def __call__(self, t):
-        return self._fn(t)
-
-
 # ---------------------------------------------------------------------------
 # operators on split metrics
 
@@ -249,22 +242,12 @@ def radial_slice(g: RadialMetric, s: float) -> SpatialMetric:
     if not lo < s < hi:
         raise DomainError(f"slice level {axis}={s:g} outside radial window "
                           f"({lo:g}, {hi:g})")
-    dom = _sphere_part(g.domain)
-    k = dom.dim
-
-    def at_s(y):
-        return np.concatenate([y, np.full((len(y), 1), s)], axis=1)
 
     def fn(y):
-        return g.spatial(at_s(y))
+        return g.spatial(np.concatenate([y, np.full((len(y), 1), s)], axis=1))
 
-    jet = None
-    if g.has_jet:
-        def jet(y):
-            v, d1, d2 = g.spatial_jet(at_s(y))
-            return v, d1[:, :k], d2[:, :k, :k]
-
-    return SpatialMetric(dom, fn, jet=jet, name=f"{g.name}|{axis}={s:g}")
+    return SpatialMetric(_sphere_part(g.domain), fn, analytic=g.has_jet,
+                         name=f"{g.name}|{axis}={s:g}")
 
 
 def apply_warp(g: RadialMetric, nu, s: float = 0.0,
@@ -276,51 +259,28 @@ def apply_warp(g: RadialMetric, nu, s: float = 0.0,
     def spatial(pts):
         return w(pts)[:, None, None] * g.spatial(pts)
 
-    spatial_jet = None
-    if g.has_jet and w.has_jet:
-        def spatial_jet(pts):
-            return scalar_times_jet(w.jet(pts), g.spatial_jet(pts))
-
-    return RadialMetric(g.domain, spatial, spatial_jet, grid=g.grid,
-                        name=name or f"warp[{g.name}]", chart=g.chart)
+    return RadialMetric(g.domain, spatial, analytic=g.has_jet and w.has_jet,
+                        grid=g.grid, name=name or f"warp[{g.name}]",
+                        chart=g.chart)
 
 
-def _rewarp(a: SpatialMetric, w: _Profile, domain: Domain, grid: GridSpec,
+def _rewarp(a: SpatialMetric, w, domain: Domain, grid: GridSpec,
             chart: Optional[ChartModel], name: str) -> RadialMetric:
     """w(last axis) a + d(last axis)^2: the frozen slice a, extended
-    constantly along the last axis, then warped by w."""
+    constantly along the last axis, then warped by the 1-D profile w."""
     k = domain.dim - 1
     if a.domain.dim != k:
         raise ValueError("spatial metric dimension does not match chart")
-
-    def spatial(pts):
-        return a(pts[:, :k])
-
-    spatial_jet = None
-    if a.has_jet:
-        def spatial_jet(pts):
-            m = len(pts)
-            av, a1, a2 = a.jet(pts[:, :k])
-            A1 = np.zeros((m, k + 1, k, k))
-            A1[:, :k] = a1
-            A2 = np.zeros((m, k + 1, k + 1, k, k))
-            A2[:, :k, :k] = a2
-            return av, A1, A2
-
-    frozen = RadialMetric(domain, spatial, spatial_jet, grid=grid,
-                          name=a.name, chart=chart)
+    frozen = RadialMetric(domain, lambda pts: a(pts[:, :k]),
+                          analytic=a.has_jet, grid=grid, name=a.name,
+                          chart=chart)
     return apply_warp(frozen, w, name=name)
 
 
 def warped_extension(a: SpatialMetric, s: float, chart: ChartModel,
                      name: Optional[str] = None) -> RadialMetric:
     """The warped metric e^{2(t-s)} a + dt^2 on the chart."""
-
-    def jet(t):
-        w = np.exp(2.0 * (t - s))
-        return w, 2.0 * w, 4.0 * w
-
-    return _rewarp(a, _Profile(lambda t: np.exp(2.0 * (t - s)), jet),
+    return _rewarp(a, lambda t: np.exp(2.0 * (t - s)),
                    chart.domain, chart.grid, chart,
                    name or f"ext[{a.name};s={s:g}]")
 
@@ -336,19 +296,13 @@ def blend(g1: RadialMetric, g2: RadialMetric, lam: ScalarField,
         raise ValueError("metric dimensions differ")
 
     def spatial(pts):
-        l = np.asarray(lam(pts))
+        l = lam(pts)
         return (l[:, None, None] * g1.spatial(pts)
                 + (1.0 - l)[:, None, None] * g2.spatial(pts))
 
-    spatial_jet = None
-    if g1.has_jet and g2.has_jet and lam.has_jet:
-        def spatial_jet(pts):
-            lv, l1, l2 = lam.jet(pts)
-            a = scalar_times_jet((lv, l1, l2), g1.spatial_jet(pts))
-            b = scalar_times_jet((1.0 - lv, -l1, -l2), g2.spatial_jet(pts))
-            return jet_add(a, b)
-
-    return RadialMetric(g1.domain, spatial, spatial_jet, grid=g1.grid,
+    return RadialMetric(g1.domain, spatial,
+                        analytic=g1.has_jet and g2.has_jet and lam.has_jet,
+                        grid=g1.grid,
                         name=name or f"blend[{g1.name},{g2.name}]",
                         chart=g1.chart)
 
@@ -357,27 +311,15 @@ def unwarped_cut(g: RadialMetric, r: float) -> SpatialMetric:
     """ghat_r = g_r / sinh^2(r): the cut with the sinh warp divided out."""
     cut = radial_slice(g, r)
     c = 1.0 / np.sinh(r) ** 2
-
-    jet = None
-    if cut.has_jet:
-        def jet(y):
-            return tuple(c * a for a in cut.jet(y))
-
-    return SpatialMetric(cut.domain, lambda y: c * cut(y), jet=jet,
-                         name=f"{g.name}^|r={r:g}")
+    return SpatialMetric(cut.domain, lambda y: c * cut(y),
+                         analytic=cut.has_jet, name=f"{g.name}^|r={r:g}")
 
 
 def sinh_warped_cut(g: RadialMetric, r0: float,
                     name: Optional[str] = None) -> RadialMetric:
     """bar_g_{r0} = sinh^2(r) ghat_{r0} + dr^2 = (sinh^2 r / sinh^2 r0) g_{r0} + dr^2."""
     s2 = np.sinh(r0) ** 2
-
-    def jet(r):
-        return (np.sinh(r) ** 2 / s2, np.sinh(2.0 * r) / s2,
-                2.0 * np.cosh(2.0 * r) / s2)
-
-    return _rewarp(radial_slice(g, r0),
-                   _Profile(lambda r: np.sinh(r) ** 2 / s2, jet),
+    return _rewarp(radial_slice(g, r0), lambda r: np.sinh(r) ** 2 / s2,
                    g.domain, g.grid, g.chart,
                    name or f"bar[{g.name};r0={r0:g}]")
 

@@ -57,17 +57,7 @@ def constant_sinh_metric(H, r_lo=1.0, r_hi=4.0, points=24):
     def spatial(p):
         return np.sinh(p[:, -1])[:, None, None] ** 2 * H
 
-    def spatial_jet(p):
-        m = len(p)
-        r = p[:, -1]
-        v = np.sinh(r)[:, None, None] ** 2 * H
-        d1 = np.zeros((m, k + 1, k, k))
-        d1[:, -1] = np.sinh(2.0 * r)[:, None, None] * H
-        d2 = np.zeros((m, k + 1, k + 1, k, k))
-        d2[:, -1, -1] = 2.0 * np.cosh(2.0 * r)[:, None, None] * H
-        return v, d1, d2
-
-    return RadialMetric(dom, spatial, spatial_jet,
+    return RadialMetric(dom, spatial, analytic=True,
                         grid=GridSpec(points_per_axis=points),
                         name="sinh-warped")
 

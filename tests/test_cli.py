@@ -60,6 +60,15 @@ def test_verify_rejects_small_t0(capsys):
     (["verify", "lemma3.1", "--instances", "-1"], None),
     (["verify", "all", "--instances", "-1"], None),
     (["verify", "lemma3.2"], {"instances": -1}),
+    (["verify", "lemma3.2", "--grid", "4"], None),
+    (["theorem", "--grid", "4"], SMALL_THEOREM),
+    (["dump-grid"], {"manifold": 5}),
+    (["verify", "lemma1.1"], {"xi_values": 5}),
+    (["verify", "lemma1.1"], {"xi_values": []}),
+    (["verify", "lemma3.1"], {"instances": "3"}),
+    (["verify", "lemma3.1"], {"seed": 1.5}),
+    (["verify", "lemma2.1"], {"lemma2.1": {"t0_values": 3}}),
+    (["theorem"], {"theorem": dict(SMALL_THEOREM["theorem"], grid=5)}),
 ])
 def test_bad_numeric_flags_are_usage_errors(tmp_path, monkeypatch, argv, cfg):
     monkeypatch.chdir(tmp_path)

@@ -25,9 +25,9 @@ from warpforce.model import (
     polynomial_scalar,
     RadialMetric,
     profile_scalar,
-    scalar_times_jet,
     validate_metric,
 )
+from warpforce.warpcore import ShiftedProfile
 
 
 def chart2(xi=1.0, pts=64):
@@ -58,6 +58,9 @@ class TestGridSpec:
     def test_halved(self):
         assert GridSpec(points_per_axis=64).halved().points_per_axis == 32
         assert GridSpec(points_per_axis=5).halved().points_per_axis == 4
+        # no strictly coarser probe grid exists: the error estimate would be 0
+        with pytest.raises(ValueError):
+            GridSpec(points_per_axis=4).halved()
 
 
 class TestDomains:
@@ -209,11 +212,9 @@ class TestNormAxioms:
         dom = chart2().domain
         f = polynomial_scalar(dom, ca)
         g = polynomial_scalar(dom, cb)
-
-        def jet(p):
-            return scalar_times_jet(f.jet(p), g.jet(p))
-
-        prod = ScalarField(dom, lambda p: f(p) * g(p), jet=jet, name="fg")
+        # the product's jet comes from Jet arithmetic (the Leibniz rule)
+        prod = ScalarField(dom, lambda p: f(p) * g(p), analytic=True,
+                           name="fg")
         np_ = c2_norm(prod, self.GRID).value
         nf = c2_norm(f, self.GRID).value
         ng = c2_norm(g, self.GRID).value
@@ -243,7 +244,7 @@ class TestJets:
             def jet(self, t):
                 return t ** 2, 2 * t, 2 * np.ones_like(t)
 
-        f = profile_scalar(dom, Sq(), shift=0.5)
+        f = profile_scalar(dom, ShiftedProfile(Sq(), 0.5))
         pts = np.array([[0.3, 1.5], [0.0, -1.0]])
         assert f(pts) == pytest.approx((pts[:, 1] - 0.5) ** 2)
         v, d1, d2 = f.jet(pts)

@@ -45,10 +45,9 @@ CH = ChartModel(n=2, xi=1.0, grid=GridSpec())
 
 
 def unit_lambda(chart):
+    # a constant value function is its own jet, with zero derivatives
     return ScalarField(chart.domain, lambda p: np.ones(len(p)),
-                       jet=lambda p: (np.ones(len(p)),
-                                      np.zeros((len(p), 2)),
-                                      np.zeros((len(p), 2, 2))))
+                       analytic=True)
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +171,8 @@ def test_extension_bound_scales_linearly():
     def doubled(x):
         return a(x) + 2.0 * (b(x) - a(x))
 
-    def doubled_jet(x):
-        av, a1, a2 = a.jet(x)
-        bv, b1, b2 = b.jet(x)
-        return (av + 2.0 * (bv - av), a1 + 2.0 * (b1 - a1),
-                a2 + 2.0 * (b2 - a2))
-
     from warpforce.model import SpatialMetric, ball_domain
-    b2x = SpatialMetric(ball_domain(1), doubled, jet=doubled_jet)
+    b2x = SpatialMetric(ball_domain(1), doubled, analytic=True)
     r = check_lemma_3_1(a, b, 0.4, CH)
     r2 = check_lemma_3_1(a, b2x, 0.4, CH)
     assert r2.lhs == pytest.approx(2.0 * r.lhs, rel=1e-9)
@@ -218,9 +211,7 @@ def test_blend_constant_half():
     g1 = random_close_metric(CH, rng)
     g2 = random_close_metric(CH, rng)
     half = ScalarField(CH.domain, lambda p: np.full(len(p), 0.5),
-                       jet=lambda p: (np.full(len(p), 0.5),
-                                      np.zeros((len(p), 2)),
-                                      np.zeros((len(p), 2, 2))))
+                       analytic=True)
     r = check_lemma_1_1(g1, g2, half)
     assert r.passed
     assert r.params["lam_norm"] == pytest.approx(0.5)
@@ -231,18 +222,9 @@ def test_blend_bump_weight():
     rng = np.random.default_rng(22)
     g1 = random_close_metric(CH, rng, amplitude=0.1)
     g2 = apply_warp(g1, WarpFunction(4.0))
-    rho = BumpFunction().shifted(-1.2)
-
-    def jet(p):
-        v, d1, d2 = rho.jet(p[:, 1])
-        m = len(p)
-        out1 = np.zeros((m, 2))
-        out1[:, 1] = d1
-        out2 = np.zeros((m, 2, 2))
-        out2[:, 1, 1] = d2
-        return v, out1, out2
-
-    lam = ScalarField(CH.domain, lambda p: rho(p[:, 1]), jet=jet)
+    from warpforce.model import profile_scalar
+    # the lift of rho's own jet along t, which the hand-written jet spelled out
+    lam = profile_scalar(CH.domain, BumpFunction().shifted(-1.2))
     r = check_lemma_1_1(g1, g2, lam)
     assert r.passed and r.lhs > 0.0
 

@@ -42,17 +42,7 @@ def sinh_squared_radial(H, r_lo=1.0, r_hi=4.0, k=2, pts=16):
     def spatial(p):
         return (np.sinh(p[:, -1]) ** 2)[:, None, None] * H
 
-    def sjet(p):
-        m, d = len(p), k + 1
-        r = p[:, -1]
-        v = (np.sinh(r) ** 2)[:, None, None] * H
-        d1 = np.zeros((m, d, k, k))
-        d1[:, -1] = np.sinh(2.0 * r)[:, None, None] * H
-        d2 = np.zeros((m, d, d, k, k))
-        d2[:, -1, -1] = 2.0 * np.cosh(2.0 * r)[:, None, None] * H
-        return v, d1, d2
-
-    return RadialMetric(dom, spatial, sjet,
+    return RadialMetric(dom, spatial, analytic=True,
                         grid=GridSpec(points_per_axis=pts), name="sinh2H")
 
 
@@ -156,12 +146,9 @@ class TestWarpFunction:
     def test_deviation_decays_like_exp_minus_2t0(self, t0):
         nu = WarpFunction(t0)
         w = interval_domain(0.0, 14.0 + 2.0 * t0)
-
-        def jet(p):
-            v, d1, d2 = nu.jet(p[:, 0])
-            return v - 1.0, d1[:, None], d2[:, None, None]
-
-        f = ScalarField(w, lambda p: nu(p[:, 0]) - 1.0, jet=jet)
+        # nu - 1 with nu lifted through its own jet
+        one = ScalarField(w, lambda p: np.ones(len(p)), analytic=True)
+        f = difference(profile_scalar(w, nu), one)
         nrm = c2_norm(f, GridSpec(points_per_axis=2001))
         ratio = nrm.value / np.exp(-2.0 * t0)
         assert 3.8 < ratio < 5.2
