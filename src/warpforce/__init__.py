@@ -11,8 +11,6 @@ from warpforce.model import (
     GridSpec,
     Jet,
     RadialMetric,
-    ScalarField,
-    SpatialMetric,
     WarpforceError,
     ball_domain,
     c2_norm,
@@ -33,10 +31,8 @@ from warpforce.warpcore import (
     WarpFunction,
     apply_warp,
     blend,
-    make_bump,
     radial_slice,
     sinh_warped_cut,
-    unwarped_cut,
     warp_force,
     warped_extension,
 )

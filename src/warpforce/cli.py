@@ -80,17 +80,14 @@ def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]):
         w.writerows(rows)
 
 
-def _write_reports(outdir: Optional[str], reports, stem: str = "reports"):
+def _write_reports(outdir: Optional[str], reports):
     if outdir is None:
-        return []
+        return
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{stem}.csv"
-    _write_csv(csv_path, CSV_COLUMNS, reports_to_csv_rows(reports))
-    json_path = out / f"{stem}.json"
-    json_path.write_text(
+    _write_csv(out / "reports.csv", CSV_COLUMNS, reports_to_csv_rows(reports))
+    (out / "reports.json").write_text(
         json.dumps([r.to_json() for r in reports], indent=2) + "\n")
-    return [csv_path, json_path]
 
 
 def _exit_code(reports) -> int:
@@ -278,17 +275,20 @@ def build_parser() -> argparse.ArgumentParser:
                      "deformations of near-hyperbolic metrics."))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *extra):
+        """The flags every subcommand reads, plus the named `extra` ones."""
         p.add_argument("--config", metavar="PATH",
                        help="JSON configuration file")
         p.add_argument("--out", metavar="DIR",
                        help="directory for CSV/JSON reports")
-        p.add_argument("--seed", type=int, metavar="N",
-                       help="seed for randomized instances")
         p.add_argument("--grid", type=int, metavar="N",
                        help="grid points per axis")
-        p.add_argument("--json", action="store_true",
-                       help="print machine-readable JSON to stdout")
+        if "seed" in extra:
+            p.add_argument("--seed", type=int, metavar="N",
+                           help="seed for randomized instances")
+        if "json" in extra:
+            p.add_argument("--json", action="store_true",
+                           help="print machine-readable JSON to stdout")
 
     pv = sub.add_parser("verify", help="run a registered bound check")
     pv.add_argument("check", choices=available_checks())
@@ -297,12 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
                          "check (lemma2.1)")
     pv.add_argument("--instances", type=int, metavar="N",
                     help="random instances per lemma suite")
-    common(pv)
+    common(pv, "seed", "json")
     pv.set_defaults(fn=cmd_verify)
 
     pt = sub.add_parser("theorem",
                         help="audit the warp-forcing deformation bound")
-    common(pt)
+    common(pt, "seed", "json")
     pt.set_defaults(fn=cmd_theorem)
 
     pr = sub.add_parser("demo-remark",
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--t0-min", type=float, dest="t0_min")
     pr.add_argument("--t0-max", type=float, dest="t0_max")
     pr.add_argument("--step", type=float, default=1.0)
-    common(pr)
+    common(pr, "json")
     pr.set_defaults(fn=cmd_demo_remark)
 
     pd = sub.add_parser("dump-grid",

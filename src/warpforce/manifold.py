@@ -11,9 +11,10 @@ r >= 0.  Two families are built here:
 
 A radial chart at radius t0 maps the product model B^{n-1} x I_xi into polar
 coordinates by (x, t) |-> (phi1(x), t + t0) with scale c = 2 e^{-t0}, so that
-the hyperbolic pullback lands near sigma = e^{2t} dx^2 + dt^2.  For n = 2 the
-sphere map is affine (theta = theta0 + c x) and pullbacks carry analytic jets;
-for n = 3 it is the sphere exponential map and pullbacks fall back to finite
+the hyperbolic pullback lands near sigma = e^{2t} dx^2 + dt^2.  Its sphere
+map returns phi1(x) and the Jacobian Dphi1(x) from one evaluation.  For n = 2
+it is affine (theta = theta0 + c x) and pullbacks carry analytic jets; for
+n = 3 it is the sphere exponential map and pullbacks fall back to finite
 differences.
 """
 
@@ -174,28 +175,24 @@ def manifold_from_config(cfg: dict) -> CenteredManifold:
 
 @dataclass(frozen=True)
 class RadialChart:
-    """Product chart (x, t) |-> (phi1(x), t + t0) into polar coordinates."""
+    """Product chart (x, t) |-> (phi1(x), t + t0) into polar coordinates.
 
-    n: int
-    xi: float
+    sphere(x) returns (phi1(x), Dphi1(x)) for (m, k) points x: the sphere
+    coordinates (m, k) and the Jacobian (m, k, k), rows the outputs.
+    """
+
     t0: float
-    center: tuple
     scale: float
-    phi1: Callable
-    jac: Callable
+    sphere: Callable
     affine: bool
     chart: ChartModel
 
-    def map_points(self, pts: np.ndarray) -> np.ndarray:
-        k = self.chart.k
-        y = self.phi1(pts[:, :k])
+    def map_points(self, pts):
+        """(q, J): the polar points (m, n) of chart points (m, n) and the
+        sphere map's Jacobian at them."""
+        y, J = self.sphere(pts[:, :self.chart.k])
         r = pts[:, -1] + self.t0
-        return np.concatenate([y, r[:, None]], axis=1)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "xi": self.xi, "t0": self.t0,
-                "center": [float(c) for c in self.center],
-                "scale": self.scale, "affine": self.affine}
+        return np.concatenate([y, r[:, None]], axis=1), J
 
 
 def _check_window(name: str, lo: float, hi: float, wlo: float, whi: float):
@@ -226,15 +223,11 @@ def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
         _check_window("angular", theta0 - c, theta0 + c, tlo, thi)
         J0 = np.array([[c]])
 
-        def phi1(x):
-            return theta0 + c * x
+        def sphere(x):
+            return theta0 + c * x, np.tile(J0, (len(x), 1, 1))
 
-        def jac(x):
-            return np.tile(J0, (len(x), 1, 1))
-
-        return RadialChart(n=n, xi=xi, t0=float(t0), center=(theta0,),
-                           scale=float(c), phi1=phi1, jac=jac, affine=True,
-                           chart=chart)
+        return RadialChart(t0=float(t0), scale=float(c), sphere=sphere,
+                           affine=True, chart=chart)
 
     if n != 3:
         raise ValueError("only n = 2 and n = 3 charts are implemented")
@@ -256,7 +249,7 @@ def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
                    -np.sin(phi0)])
     e2 = np.array([-np.sin(psi0), np.cos(psi0), 0.0])
 
-    def _ambient(x):
+    def sphere(x):
         rho = np.linalg.norm(x, axis=1)
         th = c * rho
         # s = sin(c rho)/rho, series-switched near the origin
@@ -264,16 +257,10 @@ def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
         safe = np.where(small, 1.0, rho)
         s = np.where(small, c * (1.0 - th ** 2 / 6.0), np.sin(th) / safe)
         u = x[:, 0, None] * e1 + x[:, 1, None] * e2
-        return np.cos(th)[:, None] * p0 + s[:, None] * u, rho, th, s, u
-
-    def phi1(x):
-        P = _ambient(x)[0]
+        P = np.cos(th)[:, None] * p0 + s[:, None] * u
         phi = np.arccos(np.clip(P[:, 2], -1.0, 1.0))
         psi = np.arctan2(P[:, 1], P[:, 0])
-        return np.stack([phi, psi], axis=1)
 
-    def jac(x):
-        P, rho, th, s, u = _ambient(x)
         small = rho < 1e-4
         safe = np.where(small, 1.0, rho)
         # q = d(s)/d(rho) / rho, regular at the origin
@@ -291,11 +278,10 @@ def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
         dpsi = (P[:, 0, None] * dP[:, :, 1] - P[:, 1, None] * dP[:, :, 0]) \
             / sin_phi2[:, None]
         # rows: output coords (phi, psi); columns: inputs x1, x2
-        return np.stack([dphi, dpsi], axis=1)
+        return np.stack([phi, psi], axis=1), np.stack([dphi, dpsi], axis=1)
 
-    return RadialChart(n=n, xi=xi, t0=float(t0), center=(phi0, psi0),
-                       scale=float(c), phi1=phi1, jac=jac, affine=False,
-                       chart=chart)
+    return RadialChart(t0=float(t0), scale=float(c), sphere=sphere,
+                       affine=False, chart=chart)
 
 
 def pullback(rc: RadialChart, g: RadialMetric,
@@ -305,10 +291,8 @@ def pullback(rc: RadialChart, g: RadialMetric,
     Carries analytic jets when the sphere map is affine and g has a jet;
     otherwise derivatives come from finite differences at norm time.
     """
-    k = rc.chart.k
-
     def spatial(pts):
-        q = rc.map_points(pts)
+        q, J = rc.map_points(pts)
         at = np.asarray(q)     # the points themselves, also when q is a Jet
         ok = g.domain.contains(at)
         if not ok.all():
@@ -317,7 +301,6 @@ def pullback(rc: RadialChart, g: RadialMetric,
                 f"pullback of {g.name!r} hit coordinates "
                 f"{tuple(round(float(v), 6) for v in bad)} outside its window")
         S = g.spatial(q)
-        J = rc.jac(pts[:, :k])
         return np.einsum("mab,mac,mcd->mbd", J, S, J)
 
     return RadialMetric.on_chart(rc.chart, spatial,

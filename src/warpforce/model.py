@@ -2,15 +2,15 @@
 
 A chart carries coordinates (x_1, ..., x_{n-1}, t): spatial coordinates in the
 unit ball of R^{n-1} and a radial coordinate t in (-(1+xi), 1+xi), where xi > 0
-is the chart excess.  Fields evaluate on (m, d) batches of points and sample
-on their own GridSpec.  A field writes its value function once; when that
-function also evaluates on a Jet (a second-order Taylor value), the field has
-analytic jets (value, gradient, hessian) for free.  Norms of other fields fall
-back to second-order central differences.
+is the chart excess.  A Field maps (m, d) batches of points to values of one
+trailing shape (scalars, spatial blocks) and samples on its own GridSpec.  It
+writes its value function once; when that function also evaluates on a Jet (a
+second-order Taylor value), the field has analytic jets (value, gradient,
+hessian) for free; other fields fall back to central differences.
 
-Every metric in the package is a RadialMetric: a spatial block over the
-leading axes plus d(last axis)^2, on a chart (last axis t) or in polar form
-around a center (last axis r).
+Every metric in the package is a RadialMetric, the one Field subclass: a
+spatial block over the leading axes plus d(last axis)^2, on a chart (last
+axis t) or in polar form around a center (last axis r).
 
 The C2 norm used throughout is the Taylor-weighted max
 
@@ -82,9 +82,6 @@ class GridSpec:
             self, points_per_axis=max(4, self.points_per_axis // 2)
         )
 
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass(frozen=True)
 class Domain:
@@ -149,10 +146,9 @@ class Domain:
         return ok
 
 
-def interval_domain(lo: float, hi: float, name: str = "t",
-                    closed: bool = True) -> Domain:
-    """1-D window, closed by default: profile sups often live at endpoints."""
-    return Domain(bounds=((lo, hi),), axis_names=(name,), closed=closed)
+def interval_domain(lo: float, hi: float) -> Domain:
+    """Closed 1-D window in t: profile sups often live at endpoints."""
+    return Domain(bounds=((lo, hi),), axis_names=("t",), closed=True)
 
 
 def ball_domain(k: int) -> Domain:
@@ -374,16 +370,28 @@ def _einsum(subscripts: str, *operands, **kwargs):
     return Jet(*parts)
 
 
-def _taylor(fn: Callable, pts: np.ndarray) -> tuple:
+def _at_jet(fn: Callable, x: Jet, name: str):
+    """fn at a Jet.  A plain-array result must be constant over the batch:
+    one that varies came from a value function that converted its Jet
+    argument to an array and so dropped the derivatives."""
+    out = fn(x)
+    if not isinstance(out, Jet):
+        out = np.asarray(out)
+        if out.ndim and (out != out[:1]).any():
+            raise WarpforceError(f"analytic field {name!r} returned a varying "
+                                 f"plain array at a Jet: it drops derivatives")
+    return out
+
+
+def _taylor(fn: Callable, pts: np.ndarray, name: str) -> tuple:
     """(v, d1, d2) of fn at (m, d) points in the (m, d, *S) layout: fn
     evaluated on the seeded Jet.  A plain-array result is a constant."""
-    out = fn(Jet.seed(pts))
+    out = _at_jet(fn, Jet.seed(pts), name)
     if isinstance(out, Jet):
         return out.v, np.moveaxis(out.d1, 0, 1), np.moveaxis(out.d2, 2, 0)
-    v = np.asarray(out)
     m, d = pts.shape
-    S = v.shape[1:]
-    return v, np.zeros((m, d) + S), np.zeros((m, d, d) + S)
+    S = out.shape[1:]
+    return out, np.zeros((m, d) + S), np.zeros((m, d, d) + S)
 
 
 # ---------------------------------------------------------------------------
@@ -422,32 +430,18 @@ class Field:
         x = _as_points(pts, self.domain.dim)
         if isinstance(x, Jet):
             self._need_jet()
-            return self._fn(x)
+            return _at_jet(self._fn, x, self.name)
         return np.asarray(self._fn(x))
 
     def jet(self, pts):
         """(value, gradient, hessian), shapes (m, *S), (m, d, *S),
         (m, d, d, *S)."""
         self._need_jet()
-        return _taylor(self._fn, _as_points(pts, self.domain.dim))
+        return _taylor(self._fn, _as_points(pts, self.domain.dim), self.name)
 
     def _need_jet(self):
         if not self.has_jet:
             raise WarpforceError(f"field {self.name!r} has no analytic jet")
-
-
-class ScalarField(Field):
-    def __init__(self, domain, fn, analytic=False, name="scalar"):
-        super().__init__(domain, fn, analytic=analytic, shape=(), name=name)
-
-
-class SpatialMetric(Field):
-    """k x k symmetric-matrix field over a spatial domain."""
-
-    def __init__(self, domain, fn, analytic=False, name="spatial"):
-        k = domain.dim
-        super().__init__(domain, fn, analytic=analytic, shape=(k, k),
-                         name=name)
 
 
 def _embed(S, m: int, d: int, unit: float = 1.0):
@@ -510,8 +504,8 @@ class RadialMetric(Field):
         (v, d1, d2) tuple in the (m, d, k, k) layout, at a Jet a Jet."""
         self._need_jet()
         x = _as_points(pts, self.domain.dim)
-        return self._spatial(x) if isinstance(x, Jet) \
-            else _taylor(self._spatial, x)
+        return _at_jet(self._spatial, x, self.name) if isinstance(x, Jet) \
+            else _taylor(self._spatial, x, self.name)
 
 
 def hyperbolic_model(chart: ChartModel) -> RadialMetric:
@@ -535,15 +529,15 @@ def difference(f: Field, g: Field, name: Optional[str] = None) -> Field:
 
 
 def profile_scalar(domain: Domain, profile,
-                   name: str = "profile") -> ScalarField:
+                   name: str = "profile") -> Field:
     """Lift a 1-D profile p to the domain: f(x, t) = p(last axis).
 
     p must evaluate on 1-D arrays and on 1-D Jets: written in Jet
     operations, or lifting its own (p, p', p'') with Jet.chain as
     BumpFunction and WarpFunction do.  A constant may return a plain array.
     """
-    return ScalarField(domain, lambda pts: profile(pts[:, -1]), analytic=True,
-                       name=name)
+    return Field(domain, lambda pts: profile(pts[:, -1]), analytic=True,
+                 name=name)
 
 
 def _poly_eval(coeffs: np.ndarray, pts):
@@ -561,14 +555,14 @@ def _poly_eval(coeffs: np.ndarray, pts):
 
 
 def polynomial_scalar(domain: Domain, coeffs: np.ndarray,
-                      name: str = "poly") -> ScalarField:
+                      name: str = "poly") -> Field:
     """Multivariate polynomial with exact jets; coeffs[p1,...,pd] multiplies
     x1^p1 ... xd^pd."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != domain.dim:
         raise ValueError("coefficient array rank must match domain dim")
-    return ScalarField(domain, lambda pts: _poly_eval(coeffs, pts),
-                       analytic=True, name=name)
+    return Field(domain, lambda pts: _poly_eval(coeffs, pts), analytic=True,
+                 name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +698,7 @@ def is_eps_close(g: RadialMetric, eps: float,
 # diagnostics and dumps
 
 
-def validate_metric(g: Field, grid: Optional[GridSpec] = None,
-                    spd_tol: float = 1e-10) -> dict:
+def validate_metric(g: Field, grid: Optional[GridSpec] = None) -> dict:
     """Symmetry / positivity audit; raises GenerationError.
 
     Returns {'min_eigenvalue', 'symmetry_defect'}.
@@ -722,7 +715,7 @@ def validate_metric(g: Field, grid: Optional[GridSpec] = None,
     if sym > 1e-12:
         raise GenerationError(f"metric {g.name!r} is not symmetric "
                               f"(defect {sym:.3e})")
-    if min_eig <= spd_tol:
+    if min_eig <= 1e-10:
         raise GenerationError(f"metric {g.name!r} is not positive definite "
                               f"(min eigenvalue {min_eig:.3e})")
     return {"min_eigenvalue": min_eig, "symmetry_defect": sym}

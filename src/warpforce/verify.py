@@ -37,9 +37,8 @@ from warpforce.model import (
     Field,
     GridSpec,
     RadialMetric,
-    ScalarField,
-    SpatialMetric,
     WarpforceError,
+    _fd_jet,
     ball_domain,
     c2_norm,
     difference,
@@ -52,6 +51,7 @@ from warpforce.manifold import (
     closeness_at,
     perturbed_hyperbolic,
     pullback,
+    punctured_hyperbolic,
     radial_chart,
     radial_closeness,
 )
@@ -178,25 +178,24 @@ def measured_with_error(f: Field, grid: Optional[GridSpec] = None):
 # lemma checkers (instance level)
 
 
-def check_lemma_2_1(t0: float, points: int = 4001,
-                    window_pad: float = 14.0) -> BoundReport:
-    """Decay profile bound on the closed ray window [0, window_pad + 2 t0]."""
-    window = interval_domain(0.0, window_pad + 2.0 * t0)
+def check_lemma_2_1(t0: float) -> BoundReport:
+    """Decay profile bound on the closed ray window [0, 14 + 2 t0], sampled
+    at 4001 points."""
+    hi = 14.0 + 2.0 * t0
+    window = interval_domain(0.0, hi)
     f = difference(profile_scalar(window, WarpFunction(t0)),
                    _constant_scalar(window, 1.0), name=f"decay[t0={t0:g}]")
-    grid = GridSpec(points_per_axis=points)
+    grid = GridSpec(points_per_axis=4001)
     full, err = measured_with_error(f, grid)
     rhs = 5.2 * np.exp(-2.0 * t0)
-    return make_report("lemma2.1",
-                       {"t0": t0, "window": [0.0, window_pad + 2.0 * t0]},
+    return make_report("lemma2.1", {"t0": t0, "window": [0.0, hi]},
                        full.value, rhs, err, grid, full.derivative_source)
 
 
 def check_lemma_2_2(g: RadialMetric, nu, s: float = 0.0,
-                    grid: Optional[GridSpec] = None,
                     params: Optional[dict] = None) -> BoundReport:
     """|g - g_nu| < 4 |1 - nu| |g| for a positive warp profile nu."""
-    spec = grid or g.grid
+    spec = g.grid
     h = apply_warp(g, nu, s=s)
     full, err = measured_with_error(difference(g, h), spec)
     prof = nu.shifted(s) if s != 0.0 and hasattr(nu, "shifted") else nu
@@ -215,10 +214,9 @@ def check_lemma_2_2(g: RadialMetric, nu, s: float = 0.0,
 
 
 def check_lemma_2_3(g: RadialMetric, t0: float, s: float = 0.0,
-                    grid: Optional[GridSpec] = None,
                     params: Optional[dict] = None):
     """Both sinh-rewarping bounds; returns [part-1 report, part-2 report]."""
-    spec = grid or g.grid
+    spec = g.grid
     xi = g.chart.xi
     nu = WarpFunction(t0)
     h = apply_warp(g, nu, s=s)
@@ -242,11 +240,10 @@ def check_lemma_2_3(g: RadialMetric, t0: float, s: float = 0.0,
     return [r1, r2]
 
 
-def check_lemma_3_1(a: SpatialMetric, b: SpatialMetric, s: float,
-                    chart: ChartModel, grid: Optional[GridSpec] = None,
+def check_lemma_3_1(a: Field, b: Field, s: float, chart: ChartModel,
                     params: Optional[dict] = None) -> BoundReport:
     """|ext(a,s) - ext(b,s)| < 4 e^{4(1+xi)} |a - b|_{C2(ball)}."""
-    spec = grid or chart.grid
+    spec = chart.grid
     ea = warped_extension(a, s, chart)
     eb = warped_extension(b, s, chart)
     full, err = measured_with_error(difference(ea, eb), spec)
@@ -261,10 +258,9 @@ def check_lemma_3_1(a: SpatialMetric, b: SpatialMetric, s: float,
 
 
 def check_lemma_3_2(g: RadialMetric, s: float,
-                    grid: Optional[GridSpec] = None,
                     params: Optional[dict] = None) -> BoundReport:
     """|ext(g_s, s) - sigma| < 4 e^{4(1+xi)} eps with measured eps."""
-    spec = grid or g.grid
+    spec = g.grid
     ext = warped_extension(radial_slice(g, s), s, g.chart)
     sigma = hyperbolic_model(g.chart)
     eps, eps_err = measured_with_error(difference(g, sigma), spec)
@@ -278,11 +274,10 @@ def check_lemma_3_2(g: RadialMetric, s: float,
                        full.derivative_source)
 
 
-def check_lemma_1_1(g1: RadialMetric, g2: RadialMetric, lam: ScalarField,
-                    grid: Optional[GridSpec] = None,
+def check_lemma_1_1(g1: RadialMetric, g2: RadialMetric, lam: Field,
                     params: Optional[dict] = None) -> BoundReport:
     """|lam g1 + (1-lam) g2 - sigma| < 4 (1 + |lam|) (eps1 + eps2)."""
-    spec = grid or g1.grid
+    spec = g1.grid
     sigma = hyperbolic_model(g1.chart)
     eps1, e1 = measured_with_error(difference(g1, sigma), spec)
     eps2, e2 = measured_with_error(difference(g2, sigma), spec)
@@ -315,9 +310,9 @@ class _SineProfile:
         return _SineProfile(self.c0, self.c1, self.om, self.ph - self.om * s)
 
 
-def _constant_scalar(domain, c: float) -> ScalarField:
-    return ScalarField(domain, lambda p: np.full(len(p), c), analytic=True,
-                       name=f"{c:g}")
+def _constant_scalar(domain, c: float) -> Field:
+    return Field(domain, lambda p: np.full(len(p), c), analytic=True,
+                 name=f"{c:g}")
 
 
 def random_close_metric(chart: ChartModel, rng,
@@ -336,7 +331,7 @@ def random_close_metric(chart: ChartModel, rng,
                                  name="synthetic")
 
 
-def random_lambda(chart: ChartModel, rng) -> ScalarField:
+def random_lambda(chart: ChartModel, rng) -> Field:
     """Smooth [0,1]-valued field 0.5 + 0.5 sin(c0 + c1 x + c2 t)."""
     c0 = rng.uniform(-np.pi, np.pi)
     c1, c2 = rng.uniform(-1.5, 1.5, size=2)
@@ -344,10 +339,10 @@ def random_lambda(chart: ChartModel, rng) -> ScalarField:
     def fn(p):
         return 0.5 + 0.5 * np.sin(c0 + c1 * p[:, 0] + c2 * p[:, 1])
 
-    return ScalarField(chart.domain, fn, analytic=True, name="lambda")
+    return Field(chart.domain, fn, analytic=True, name="lambda")
 
 
-def random_ball_metric(k: int, rng, base: float = 1.0) -> SpatialMetric:
+def random_ball_metric(k: int, rng, base: float = 1.0) -> Field:
     """(base + u sin(p x + q)) dx^2 on the ball, u < base/2."""
     u = rng.uniform(0.0, 0.5 * base)
     pc = rng.uniform(0.5, 2.0)
@@ -356,8 +351,8 @@ def random_ball_metric(k: int, rng, base: float = 1.0) -> SpatialMetric:
     def fn(x):
         return (base + u * np.sin(pc * x[:, 0] + q))[:, None, None]
 
-    return SpatialMetric(ball_domain(k), fn, analytic=True,
-                         name="ball-metric")
+    return Field(ball_domain(k), fn, analytic=True, shape=(k, k),
+                 name="ball-metric")
 
 
 def random_warp_profile(rng) -> _SineProfile:
@@ -399,32 +394,26 @@ def _run_lemma_suite(name: str, seed: int, instances: int,
                      xi_values, grid: Optional[GridSpec]) -> list:
     """Trivial instance(s) first, then seeded random instances."""
     reports = []
-    trivial_grid = grid or GridSpec()
     ch = _chart(1.0, grid)
+    trivial = {"instance": "trivial"}
     if name == "lemma1.1":
         sigma = hyperbolic_model(ch)
         one = _constant_scalar(ch.domain, 1.0)
-        reports.append(check_lemma_1_1(sigma, sigma, one,
-                                       grid=trivial_grid,
-                                       params={"instance": "trivial"}))
+        reports.append(check_lemma_1_1(sigma, sigma, one, params=trivial))
     elif name == "lemma2.2":
         reports.append(check_lemma_2_2(hyperbolic_model(ch),
                                        lambda t: np.ones(len(t)),
-                                       grid=trivial_grid,
-                                       params={"instance": "trivial"}))
+                                       params=trivial))
     elif name == "lemma2.3":
         reports.extend(check_lemma_2_3(hyperbolic_model(ch), 4.0,
-                                       grid=trivial_grid,
-                                       params={"instance": "trivial"}))
+                                       params=trivial))
     elif name == "lemma3.1":
         rng0 = np.random.default_rng(seed)
         a = random_ball_metric(ch.k, rng0)
-        reports.append(check_lemma_3_1(a, a, 0.0, ch, grid=trivial_grid,
-                                       params={"instance": "trivial"}))
+        reports.append(check_lemma_3_1(a, a, 0.0, ch, params=trivial))
     elif name == "lemma3.2":
         reports.append(check_lemma_3_2(hyperbolic_model(ch), 0.0,
-                                       grid=trivial_grid,
-                                       params={"instance": "trivial"}))
+                                       params=trivial))
 
     xi_values = _numbers(xi_values, "xi_values")
     counts = _split_counts(instances, len(xi_values))
@@ -531,14 +520,6 @@ class TheoremInstance:
         return d
 
 
-def _classify_case(t0: float, r0: float, xi: float) -> int:
-    if t0 > r0 + 0.5 + (1.0 + xi):
-        return 1
-    if t0 > r0 + 0.5 + xi:
-        return 2
-    return 3
-
-
 def _angular_center(n: int, u: float) -> tuple:
     """Seeded draw u in [-1, 1] -> chart center on the model sphere."""
     if n == 2:
@@ -575,15 +556,15 @@ def theorem_centers(r0: float, xi: float, r_range, per_zone: int,
 
 def check_main_theorem(manifold: CenteredManifold, r0: float, xi: float,
                        centers_per_zone: int = 8, seed: int = 0,
-                       bump_delta: float = 0.05, guard_constant: float = 1e3,
-                       grid: Optional[GridSpec] = None) -> TheoremInstance:
+                       bump_delta: float = 0.05,
+                       guard_constant: float = 1e3) -> TheoremInstance:
     """Audit W_{r0} g on the annulus outside B_{r0-(1+xi)}.
 
     Measures eps (closeness of g, excess-xi charts where they fit), deforms,
     then at every center measures eta with the excess-(xi-1) chart and checks
     eta <= e^{16+6 xi} (e^{-2 r0} + eps).  A per-sweep decay constant
     max eta/(e^{-2 r0} + eps) is recorded and compared against the
-    regression guard.
+    regression guard.  Every norm samples on the manifold metric's grid.
     """
     t_start = time.perf_counter()
     if not xi > 1.0:
@@ -591,7 +572,7 @@ def check_main_theorem(manifold: CenteredManifold, r0: float, xi: float,
     if r0 - (1.0 + xi) <= 0.0:
         raise ValueError("r0 must exceed 1 + xi")
     g = manifold.metric
-    spec = grid or g.grid
+    spec = g.grid
     rng = np.random.default_rng((seed, int(r0 * 8)))
     centers = theorem_centers(r0, xi, manifold.r_range, centers_per_zone, rng)
     bump = BumpFunction(delta=bump_delta)
@@ -659,7 +640,7 @@ def run_theorem_sweep(cfg: Optional[TheoremConfig] = None) -> list:
         check_main_theorem(manifold, r0, cfg.xi,
                            centers_per_zone=cfg.centers_per_zone,
                            seed=cfg.seed, bump_delta=cfg.bump_delta,
-                           guard_constant=cfg.guard_constant, grid=cfg.grid)
+                           guard_constant=cfg.guard_constant)
         for r0 in cfg.r0_values
     ]
 
@@ -668,26 +649,26 @@ def run_theorem_sweep(cfg: Optional[TheoremConfig] = None) -> list:
 # decay demonstration and FD oracle
 
 
-def remark_decay(t0_values: Optional[Sequence[float]] = None, xi: float = 1.0,
+def remark_decay(t0_values: Optional[Sequence[float]] = None,
                  grid: Optional[GridSpec] = None) -> list:
-    """Radial closeness of the punctured model along a t0 sweep.
+    """Radial closeness of the punctured model along a t0 sweep, on charts
+    of excess 1.
 
     Returns rows {"t0", "eps", "ratio_to_prev", "derivative_source"}; the
     closeness degrades like e^{-2 t0} going inward, which is the reason the
     model family needs the puncture cut out.  t0_values defaults to 2.2, 3,
     ..., 9 when None; an empty sequence is a ValueError.
     """
-    from warpforce.manifold import punctured_hyperbolic
     t0s = tuple((2.2, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0)
                 if t0_values is None else t0_values)
     if not t0s:
         raise ValueError("remark_decay needs at least one t0 value")
-    r_hi = max(t0s) + (1.0 + xi) + 0.5
+    r_hi = max(t0s) + 2.0 + 0.5     # a chart of excess 1 reaches t0 + 2
     m = punctured_hyperbolic(2, r_range=(0.05, r_hi))
     rows = []
     prev = None
     for t0 in t0s:
-        eps = closeness_at(m, t0, xi=xi, grid=grid)
+        eps = closeness_at(m, t0, grid=grid)
         rows.append({
             "t0": float(t0),
             "eps": eps.value,
@@ -698,9 +679,8 @@ def remark_decay(t0_values: Optional[Sequence[float]] = None, xi: float = 1.0,
     return rows
 
 
-def fd_oracle_check(f: Field, grid: Optional[GridSpec] = None,
-                    steps=(4e-4, 2e-4, 1e-4)) -> dict:
-    """Finite differences vs analytic jets at shrinking steps.
+def fd_oracle_check(f: Field, grid: Optional[GridSpec] = None) -> dict:
+    """Finite differences vs analytic jets at the steps 4e-4, 2e-4, 1e-4.
 
     Fits err ~ C h^2 from the coarsest step and checks the finer steps stay
     within 1.5 C h^2 + a roundoff floor.  Returns measured errors and C.
@@ -712,7 +692,7 @@ def fd_oracle_check(f: Field, grid: Optional[GridSpec] = None,
     v, d1, d2 = f.jet(pts)
     scale = max(float(np.abs(d2).max()), 1.0)
     errors = {}
-    from warpforce.model import _fd_jet
+    steps = (4e-4, 2e-4, 1e-4)
     for h in steps:
         w, e1, e2 = _fd_jet(f, pts, dataclasses.replace(spec, fd_step=h))
         errors[h] = {

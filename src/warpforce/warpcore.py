@@ -4,7 +4,7 @@ Two 1-D profiles drive everything:
 
 * BumpFunction: a smooth cutoff rho with rho = 1 below delta and rho = 0 above
   1/2 - delta, built from the standard exp-quotient smoothstep.  Its weighted
-  C2 norm is measured at construction and certified below a bound (default 48).
+  C2 norm is measured at construction and certified below 48.
 * WarpFunction: nu(t) = e^{-2t} (sinh(t+t0) / sinh t0)^2 for t0 > 2, evaluated
   in the cancelled form ((1 - e^{-2(t+t0)}) / (1 - e^{-2t0}))^2 which is stable
   for large t and satisfies nu(0) = 1 exactly.
@@ -18,7 +18,6 @@ and in polar form alike, and compose on the spatial block:
 * warped_extension(a, s, chart): e^{2(t-s)} a + dt^2, and
   sinh_warped_cut(g, r0): (sinh^2 r / sinh^2 r0) g_{r0} + dr^2, both a frozen
   slice times a profile of the last axis;
-* unwarped_cut(g, r): g_r / sinh^2(r);
 * warp_force(g, r0, rho), the deformation
 
     W_{r0} g = rho_{r0} bar_g_{r0} + (1 - rho_{r0}) g
@@ -40,11 +39,10 @@ from warpforce.model import (
     ChartModel,
     Domain,
     DomainError,
+    Field,
     GridSpec,
     Jet,
     RadialMetric,
-    ScalarField,
-    SpatialMetric,
     profile_scalar,
 )
 
@@ -52,13 +50,11 @@ __all__ = [
     "BumpFunction",
     "WarpFunction",
     "ShiftedProfile",
-    "make_bump",
     "radial_slice",
     "warped_extension",
     "apply_warp",
     "blend",
     "RadialMetric",
-    "unwarped_cut",
     "sinh_warped_cut",
     "warp_force",
 ]
@@ -100,6 +96,8 @@ def _measure_step_sups(samples: int = 200001):
 # refinement error of these sups is ~1e-9)
 _STEP_SUP_D1, _STEP_SUP_D2 = _measure_step_sups()
 
+_BUMP_BOUND = 48.0    # the C2 norm every bump must certify below
+
 
 class ShiftedProfile:
     """p_s(t) = p(t - s) for any 1-D profile p with an optional jet."""
@@ -122,14 +120,13 @@ class BumpFunction:
     The transition runs over (delta, 1/2 - delta) via the exp-quotient
     smoothstep.  The weighted C2 norm (value 1, sup|rho'|, sup|rho''|/2) is
     measured at construction; a CertificationError is raised if it does not
-    stay below `bound`.
+    stay below 48.
     """
 
-    def __init__(self, delta: float = 0.05, bound: float = 48.0):
+    def __init__(self, delta: float = 0.05):
         if not 0.0 < delta < 0.25:
             raise ValueError("delta must lie in (0, 0.25)")
         self.delta = float(delta)
-        self.bound = float(bound)
         self.plateau_end = self.delta
         self.support_end = 0.5 - self.delta
         self.width = self.support_end - self.plateau_end
@@ -141,10 +138,10 @@ class BumpFunction:
             "dtdt": 0.5 * self.sup_abs_d2,
         }
         self.certified_c2 = max(self.per_order_sups.values())
-        if not self.certified_c2 < self.bound:
+        if not self.certified_c2 < _BUMP_BOUND:
             raise CertificationError(
                 f"bump with delta={self.delta:g} has C2 norm "
-                f"{self.certified_c2:.4f} >= required bound {self.bound:g}"
+                f"{self.certified_c2:.4f} >= required bound {_BUMP_BOUND:g}"
             )
 
     def __call__(self, t):
@@ -167,16 +164,12 @@ class BumpFunction:
         return {
             "delta": self.delta,
             "certified_c2": self.certified_c2,
-            "bound": self.bound,
+            "bound": _BUMP_BOUND,
             "plateau_end": self.plateau_end,
             "support_end": self.support_end,
             "sup_abs_d1": self.sup_abs_d1,
             "sup_abs_d2": self.sup_abs_d2,
         }
-
-
-def make_bump(delta: float = 0.05, bound: float = 48.0) -> BumpFunction:
-    return BumpFunction(delta=delta, bound=bound)
 
 
 class WarpFunction:
@@ -222,9 +215,6 @@ class WarpFunction:
         """nu_s(t) = nu(t - s)."""
         return ShiftedProfile(self, s)
 
-    def to_json(self) -> dict:
-        return {"t0": self.t0}
-
 
 # ---------------------------------------------------------------------------
 # operators on split metrics
@@ -235,7 +225,7 @@ def _sphere_part(domain: Domain) -> Domain:
                   ball_axes=domain.ball_axes, closed=domain.closed)
 
 
-def radial_slice(g: RadialMetric, s: float) -> SpatialMetric:
+def radial_slice(g: RadialMetric, s: float) -> Field:
     """g_s: the spatial block frozen at last-axis value s (open window)."""
     lo, hi = g.domain.bounds[-1]
     axis = g.domain.axis_names[-1]
@@ -246,8 +236,9 @@ def radial_slice(g: RadialMetric, s: float) -> SpatialMetric:
     def fn(y):
         return g.spatial(np.concatenate([y, np.full((len(y), 1), s)], axis=1))
 
-    return SpatialMetric(_sphere_part(g.domain), fn, analytic=g.has_jet,
-                         name=f"{g.name}|{axis}={s:g}")
+    k = g.domain.dim - 1
+    return Field(_sphere_part(g.domain), fn, analytic=g.has_jet, shape=(k, k),
+                 name=f"{g.name}|{axis}={s:g}")
 
 
 def apply_warp(g: RadialMetric, nu, s: float = 0.0,
@@ -264,7 +255,7 @@ def apply_warp(g: RadialMetric, nu, s: float = 0.0,
                         chart=g.chart)
 
 
-def _rewarp(a: SpatialMetric, w, domain: Domain, grid: GridSpec,
+def _rewarp(a: Field, w, domain: Domain, grid: GridSpec,
             chart: Optional[ChartModel], name: str) -> RadialMetric:
     """w(last axis) a + d(last axis)^2: the frozen slice a, extended
     constantly along the last axis, then warped by the 1-D profile w."""
@@ -277,7 +268,7 @@ def _rewarp(a: SpatialMetric, w, domain: Domain, grid: GridSpec,
     return apply_warp(frozen, w, name=name)
 
 
-def warped_extension(a: SpatialMetric, s: float, chart: ChartModel,
+def warped_extension(a: Field, s: float, chart: ChartModel,
                      name: Optional[str] = None) -> RadialMetric:
     """The warped metric e^{2(t-s)} a + dt^2 on the chart."""
     return _rewarp(a, lambda t: np.exp(2.0 * (t - s)),
@@ -285,7 +276,7 @@ def warped_extension(a: SpatialMetric, s: float, chart: ChartModel,
                    name or f"ext[{a.name};s={s:g}]")
 
 
-def blend(g1: RadialMetric, g2: RadialMetric, lam: ScalarField,
+def blend(g1: RadialMetric, g2: RadialMetric, lam: Field,
           name: Optional[str] = None) -> RadialMetric:
     """lambda g1 + (1 - lambda) g2 for a scalar field lambda on the domain.
 
@@ -305,14 +296,6 @@ def blend(g1: RadialMetric, g2: RadialMetric, lam: ScalarField,
                         grid=g1.grid,
                         name=name or f"blend[{g1.name},{g2.name}]",
                         chart=g1.chart)
-
-
-def unwarped_cut(g: RadialMetric, r: float) -> SpatialMetric:
-    """ghat_r = g_r / sinh^2(r): the cut with the sinh warp divided out."""
-    cut = radial_slice(g, r)
-    c = 1.0 / np.sinh(r) ** 2
-    return SpatialMetric(cut.domain, lambda y: c * cut(y),
-                         analytic=cut.has_jet, name=f"{g.name}^|r={r:g}")
 
 
 def sinh_warped_cut(g: RadialMetric, r0: float,

@@ -69,6 +69,9 @@ def test_verify_rejects_small_t0(capsys):
     (["verify", "lemma3.1"], {"seed": 1.5}),
     (["verify", "lemma2.1"], {"lemma2.1": {"t0_values": 3}}),
     (["theorem"], {"theorem": dict(SMALL_THEOREM["theorem"], grid=5)}),
+    (["dump-grid", "--seed", "7"], None),
+    (["dump-grid", "--json"], None),
+    (["demo-remark", "--seed", "7"], None),
 ])
 def test_bad_numeric_flags_are_usage_errors(tmp_path, monkeypatch, argv, cfg):
     monkeypatch.chdir(tmp_path)

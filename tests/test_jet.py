@@ -12,11 +12,11 @@ from warpforce.model import (
     GridSpec,
     Jet,
     RadialMetric,
-    ScalarField,
     WarpforceError,
     _fd_jet,
     c2_norm,
     hyperbolic_model,
+    interval_domain,
     profile_scalar,
 )
 from warpforce.manifold import perturbed_hyperbolic, pullback, radial_chart
@@ -234,7 +234,7 @@ def test_jet_operands_carry_the_result_axes():
 
 
 def test_unmarked_field_stays_on_finite_differences():
-    f = ScalarField(BOX, lambda p: np.exp(p[:, 0]))
+    f = Field(BOX, lambda p: np.exp(p[:, 0]))
     assert not f.has_jet
     assert c2_norm(f, GridSpec(points_per_axis=8)).derivative_source \
         == "finite-difference"
@@ -252,14 +252,38 @@ CH = ChartModel(n=2, xi=1.0, grid=GridSpec(points_per_axis=16))
 def test_blend_plateaus_bitwise_in_jets():
     sigma = hyperbolic_model(CH)
     other = random_close_metric(CH, np.random.default_rng(4))
-    one = ScalarField(CH.domain, lambda p: np.ones(len(p)), analytic=True)
-    zero = ScalarField(CH.domain, lambda p: np.zeros(len(p)), analytic=True)
+    one = Field(CH.domain, lambda p: np.ones(len(p)), analytic=True)
+    zero = Field(CH.domain, lambda p: np.zeros(len(p)), analytic=True)
     pts = CH.grid_points()
     for lam, same in ((one, sigma), (zero, other)):
         got = blend(sigma, other, lam).jet(pts)
         want = same.jet(pts)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+def test_value_function_that_drops_the_jet_raises():
+    # np.asarray keeps a Jet's value and drops its derivatives
+    f = Field(interval_domain(0, 2), lambda p: np.asarray(p)[:, 0] ** 2,
+              analytic=True, name="square")
+    with pytest.raises(WarpforceError, match="square"):
+        f.jet([[0.5], [1.0]])
+
+
+def test_blend_parts_that_drop_the_jet_raise():
+    sigma = hyperbolic_model(CH)
+    one = Field(CH.domain, lambda p: np.ones(len(p)), analytic=True)
+    lam = Field(CH.domain, lambda p: 0.5 + 0.1 * np.asarray(p)[:, 0],
+                analytic=True, name="lam")
+    flat = RadialMetric.on_chart(
+        CH, lambda p: np.asarray(p)[:, 1, None, None] + 3.0, analytic=True,
+        name="flat")
+    pts = CH.grid_points()
+    # the weight meets the Jet in Field.__call__, the metric in spatial_jet
+    for g, name in ((blend(sigma, sigma, lam), "lam"),
+                    (blend(flat, sigma, one), "flat")):
+        with pytest.raises(WarpforceError, match=name):
+            g.jet(pts)
 
 
 def test_warp_force_plateaus_bitwise_in_jets():

@@ -103,7 +103,8 @@ class TestRadialChart:
         m = punctured_hyperbolic(2)
         rc = radial_chart(m, 5.0, y0=(0.4,))
         pts = np.array([[0.25, -0.7], [0.0, 0.0]])
-        q = rc.map_points(pts)
+        q, J = rc.map_points(pts)
+        assert np.array_equal(J, np.full((2, 1, 1), rc.scale))
         assert q[:, 1] == pytest.approx(pts[:, 1] + 5.0)
         assert q[0, 0] == pytest.approx(0.4 + rc.scale * 0.25)
         assert q[1, 0] == pytest.approx(0.4)
@@ -125,7 +126,7 @@ class TestRadialChart:
         rc = radial_chart(m, 5.0, y0=(1.1, 0.5))
         rng = np.random.default_rng(3)
         x = rng.uniform(-0.9, 0.9, size=(40, 2))
-        y = rc.phi1(x)
+        y, _ = rc.sphere(x)
         p0 = np.array([np.sin(1.1) * np.cos(0.5),
                        np.sin(1.1) * np.sin(0.5), np.cos(1.1)])
         P = np.stack([np.sin(y[:, 0]) * np.cos(y[:, 1]),
@@ -140,12 +141,12 @@ class TestRadialChart:
         rng = np.random.default_rng(5)
         x = rng.uniform(-0.8, 0.8, size=(25, 2))
         x = np.vstack([x, [[0.0, 0.0]]])  # include the center point
-        J = rc.jac(x)
+        _, J = rc.sphere(x)
         h = 1e-6
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            fd = (rc.phi1(x + e) - rc.phi1(x - e)) / (2 * h)
+            fd = (rc.sphere(x + e)[0] - rc.sphere(x - e)[0]) / (2 * h)
             assert np.abs(J[:, :, i] - fd).max() < 1e-7
 
 

@@ -12,7 +12,6 @@ from warpforce.model import (
     Field,
     GenerationError,
     GridSpec,
-    ScalarField,
     _fd_jet,
     ball_domain,
     c2_norm,
@@ -154,7 +153,7 @@ class TestC2Norm:
 
     def test_stencil_domain_error_names_point(self):
         w = interval_domain(0.0, 5.0)
-        f = ScalarField(w, lambda p: np.exp(-p[:, 0]), name="decay")
+        f = Field(w, lambda p: np.exp(-p[:, 0]), name="decay")
         with pytest.raises(DomainError) as exc:
             c2_norm(f)
         assert "decay" in str(exc.value)
@@ -213,8 +212,7 @@ class TestNormAxioms:
         f = polynomial_scalar(dom, ca)
         g = polynomial_scalar(dom, cb)
         # the product's jet comes from Jet arithmetic (the Leibniz rule)
-        prod = ScalarField(dom, lambda p: f(p) * g(p), analytic=True,
-                           name="fg")
+        prod = Field(dom, lambda p: f(p) * g(p), analytic=True, name="fg")
         np_ = c2_norm(prod, self.GRID).value
         nf = c2_norm(f, self.GRID).value
         ng = c2_norm(g, self.GRID).value
@@ -301,7 +299,7 @@ class TestDump:
 
     def test_scalar_dump(self, tmp_path):
         dom = interval_domain(0.0, 1.0)
-        f = ScalarField(dom, lambda p: p[:, 0] ** 2)
+        f = Field(dom, lambda p: p[:, 0] ** 2)
         path = tmp_path / "s.csv"
         rows = dump_grid_csv(f, path, grid=GridSpec(points_per_axis=5))
         assert rows == 5

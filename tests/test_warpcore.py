@@ -8,8 +8,8 @@ from warpforce.model import (
     ChartModel,
     Domain,
     DomainError,
+    Field,
     GridSpec,
-    ScalarField,
     c2_norm,
     difference,
     hyperbolic_model,
@@ -24,10 +24,8 @@ from warpforce.warpcore import (
     WarpFunction,
     apply_warp,
     blend,
-    make_bump,
     radial_slice,
     sinh_warped_cut,
-    unwarped_cut,
     warp_force,
     warped_extension,
 )
@@ -104,7 +102,7 @@ class TestBump:
         assert nrm.value == pytest.approx(b.certified_c2, rel=1e-4)
 
     def test_to_json(self):
-        d = make_bump().to_json()
+        d = BumpFunction().to_json()
         assert d["delta"] == 0.05
         assert d["certified_c2"] < d["bound"] == 48.0
 
@@ -147,7 +145,7 @@ class TestWarpFunction:
         nu = WarpFunction(t0)
         w = interval_domain(0.0, 14.0 + 2.0 * t0)
         # nu - 1 with nu lifted through its own jet
-        one = ScalarField(w, lambda p: np.ones(len(p)), analytic=True)
+        one = Field(w, lambda p: np.ones(len(p)), analytic=True)
         f = difference(profile_scalar(w, nu), one)
         nrm = c2_norm(f, GridSpec(points_per_axis=2001))
         ratio = nrm.value / np.exp(-2.0 * t0)
@@ -211,7 +209,6 @@ class TestChartOperators:
 
     def test_apply_warp_requires_split(self):
         ch = self.chart()
-        from warpforce.model import Field
         # a plain metric field has no spatial block to warp
         g = Field(ch.domain, lambda p: np.tile(np.eye(2), (len(p), 1, 1)),
                   shape=(2, 2))
@@ -224,8 +221,8 @@ class TestChartOperators:
         other = RadialMetric.on_chart(
             ch, lambda p: 2.0 * np.exp(2 * p[:, -1])[:, None, None] * np.eye(1))
         pts = ch.grid_points(GridSpec(points_per_axis=10))
-        one = ScalarField(ch.domain, lambda p: np.ones(len(p)))
-        zero = ScalarField(ch.domain, lambda p: np.zeros(len(p)))
+        one = Field(ch.domain, lambda p: np.ones(len(p)))
+        zero = Field(ch.domain, lambda p: np.zeros(len(p)))
         assert np.array_equal(blend(sig, other, one)(pts), sig(pts))
         assert np.array_equal(blend(sig, other, zero)(pts), other(pts))
 
@@ -234,7 +231,7 @@ class TestChartOperators:
         sig = hyperbolic_model(ch)
         other = RadialMetric.on_chart(
             ch, lambda p: 3.0 * np.exp(2 * p[:, -1])[:, None, None] * np.eye(1))
-        half = ScalarField(ch.domain, lambda p: np.full(len(p), 0.5))
+        half = Field(ch.domain, lambda p: np.full(len(p), 0.5))
         pts = ch.grid_points(GridSpec(points_per_axis=6))
         mid = blend(sig, other, half)(pts)
         assert np.allclose(mid, 0.5 * sig(pts) + 0.5 * other(pts), rtol=1e-15)
@@ -247,8 +244,6 @@ class TestRadialOperators:
         cut = radial_slice(g, 2.5)
         y = cut.domain.grid(GridSpec(points_per_axis=5))
         assert np.allclose(cut(y), np.sinh(2.5) ** 2 * H, rtol=1e-15)
-        un = unwarped_cut(g, 2.5)
-        assert np.allclose(un(y), H, rtol=1e-13)
 
     def test_cut_radius_guard(self):
         g = sinh_squared_radial(np.eye(2))
