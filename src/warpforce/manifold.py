@@ -202,6 +202,40 @@ def _check_window(name: str, lo: float, hi: float, wlo: float, whi: float):
             f"manifold window ({wlo:.4g}, {whi:.4g})")
 
 
+def _exp_map(x, c: float, p0, e1, e2):
+    """(phi1(x), Dphi1(x)) of phi1(x) = exp_p0(c (x1 e1 + x2 e2)) in
+    (colatitude, longitude).  Every operation acts row by row."""
+    rho = np.linalg.norm(x, axis=1)
+    th = c * rho
+    # s = sin(c rho)/rho, series-switched near the origin
+    small = rho < 1e-6
+    safe = np.where(small, 1.0, rho)
+    s = np.where(small, c * (1.0 - th ** 2 / 6.0), np.sin(th) / safe)
+    u = x[:, 0, None] * e1 + x[:, 1, None] * e2
+    P = np.cos(th)[:, None] * p0 + s[:, None] * u
+    phi = np.arccos(np.clip(P[:, 2], -1.0, 1.0))
+    psi = np.arctan2(P[:, 1], P[:, 0])
+
+    small = rho < 1e-4
+    safe = np.where(small, 1.0, rho)
+    # q = d(s)/d(rho) / rho, regular at the origin
+    q = np.where(
+        small,
+        -(c ** 3) / 3.0 * (1.0 - th ** 2 / 10.0),
+        (c * safe * np.cos(th) - np.sin(th)) / safe ** 3,
+    )
+    dP = np.empty((len(x), 2, 3))
+    for i, ei in enumerate((e1, e2)):
+        dP[:, i] = (-c * s * x[:, i])[:, None] * p0 \
+            + (q * x[:, i])[:, None] * u + s[:, None] * ei
+    sin_phi2 = np.maximum(1.0 - P[:, 2] ** 2, 1e-18)
+    dphi = -dP[:, :, 2] / np.sqrt(sin_phi2)[:, None]
+    dpsi = (P[:, 0, None] * dP[:, :, 1] - P[:, 1, None] * dP[:, :, 0]) \
+        / sin_phi2[:, None]
+    # rows: output coords (phi, psi); columns: inputs x1, x2
+    return np.stack([phi, psi], axis=1), np.stack([dphi, dpsi], axis=1)
+
+
 def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
                  y0=None, grid: Optional[GridSpec] = None) -> RadialChart:
     """Chart of excess xi centered at sphere point y0, radius t0.
@@ -233,12 +267,10 @@ def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
         raise ValueError("only n = 2 and n = 3 charts are implemented")
 
     phi0, psi0 = (np.pi / 2.0, 0.0) if y0 is None else map(float, y0)
-    (plo, phi_hi) = g.domain.bounds[0]
-    (qlo, qhi) = g.domain.bounds[1]
+    (plo, phi_hi), (qlo, qhi) = g.domain.bounds[:2]
     # conservative fit check: the exp-map image is a geodesic disc of radius c
     _check_window("colatitude", phi0 - 1.05 * c, phi0 + 1.05 * c, plo, phi_hi)
-    span = 1.05 * c / max(np.sin(min(phi0 + c, np.pi - phi0 + c,
-                                     np.pi / 2.0)), 1e-9)
+    span = 1.05 * np.arcsin(np.sin(c) / np.sin(phi0))   # the disc's half-span
     _check_window("longitude", psi0 - span, psi0 + span, qlo, qhi)
 
     p0 = np.array([np.sin(phi0) * np.cos(psi0),
@@ -250,35 +282,12 @@ def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
     e2 = np.array([-np.sin(psi0), np.cos(psi0), 0.0])
 
     def sphere(x):
-        rho = np.linalg.norm(x, axis=1)
-        th = c * rho
-        # s = sin(c rho)/rho, series-switched near the origin
-        small = rho < 1e-6
-        safe = np.where(small, 1.0, rho)
-        s = np.where(small, c * (1.0 - th ** 2 / 6.0), np.sin(th) / safe)
-        u = x[:, 0, None] * e1 + x[:, 1, None] * e2
-        P = np.cos(th)[:, None] * p0 + s[:, None] * u
-        phi = np.arccos(np.clip(P[:, 2], -1.0, 1.0))
-        psi = np.arctan2(P[:, 1], P[:, 0])
-
-        small = rho < 1e-4
-        safe = np.where(small, 1.0, rho)
-        # q = d(s)/d(rho) / rho, regular at the origin
-        q = np.where(
-            small,
-            -(c ** 3) / 3.0 * (1.0 - th ** 2 / 10.0),
-            (c * safe * np.cos(th) - np.sin(th)) / safe ** 3,
-        )
-        dP = np.empty((len(x), 2, 3))
-        for i, ei in enumerate((e1, e2)):
-            dP[:, i] = (-c * s * x[:, i])[:, None] * p0 \
-                + (q * x[:, i])[:, None] * u + s[:, None] * ei
-        sin_phi2 = np.maximum(1.0 - P[:, 2] ** 2, 1e-18)
-        dphi = -dP[:, :, 2] / np.sqrt(sin_phi2)[:, None]
-        dpsi = (P[:, 0, None] * dP[:, :, 1] - P[:, 1, None] * dP[:, :, 0]) \
-            / sin_phi2[:, None]
-        # rows: output coords (phi, psi); columns: inputs x1, x2
-        return np.stack([phi, psi], axis=1), np.stack([dphi, dpsi], axis=1)
+        # chart grids repeat each x along t: map each run of equal rows once
+        new = np.ones(len(x), dtype=bool)
+        new[1:] = (x[1:] != x[:-1]).any(axis=1)
+        y, J = _exp_map(x[new], c, p0, e1, e2)
+        run = np.cumsum(new) - 1
+        return y[run], J[run]
 
     return RadialChart(t0=float(t0), scale=float(c), sphere=sphere,
                        affine=False, chart=chart)
@@ -301,7 +310,7 @@ def pullback(rc: RadialChart, g: RadialMetric,
                 f"pullback of {g.name!r} hit coordinates "
                 f"{tuple(round(float(v), 6) for v in bad)} outside its window")
         S = g.spatial(q)
-        return np.einsum("mab,mac,mcd->mbd", J, S, J)
+        return np.swapaxes(J, 1, 2) @ S @ J
 
     return RadialMetric.on_chart(rc.chart, spatial,
                                  analytic=rc.affine and g.has_jet,

@@ -200,8 +200,8 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
     them as it stands and numpy's inner loops run over the batch, not over
     the d derivatives.  A value function written with + - *, division by
     constants, unary minus, integer powers, exp, sin, cos, sinh, cosh,
-    indexing, np.concatenate and np.einsum with one Jet operand evaluates on
-    a Jet unchanged; anything else raises TypeError.  The value part is
+    indexing, np.concatenate and @ with one constant operand evaluates on a
+    Jet unchanged; anything else raises TypeError.  The value part is
     computed by the same numpy operation as on plain arrays, so it is
     bitwise the array result.  Plain arrays mixed in are constants.
     """
@@ -279,8 +279,6 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
     def __array_function__(self, func, types, args, kwargs):
         if func is np.concatenate:
             return _concatenate(*args, **kwargs)
-        if func is np.einsum:
-            return _einsum(*args, **kwargs)
         return NotImplemented
 
 
@@ -324,11 +322,20 @@ def _jet_div(a, b, v) -> Jet:
     return Jet(v, a.d1 / b, a.d2 / b)
 
 
+def _jet_matmul(a, b, v) -> Jet:
+    if isinstance(a, Jet) and isinstance(b, Jet):
+        raise TypeError("a Jet multiplies matrices only by constants")
+    if isinstance(a, Jet):
+        return Jet(v, a.d1 @ b, a.d2 @ b)
+    return Jet(v, a @ b.d1, a @ b.d2)
+
+
 _BINARY = {
     np.add: _jet_add,
     np.subtract: lambda a, b, v: _jet_add(a, b, v, np.subtract),
     np.multiply: _jet_mul,
     np.true_divide: _jet_div,
+    np.matmul: _jet_matmul,
 }
 
 
@@ -349,27 +356,6 @@ def _concatenate(arrays, axis=0):
                                 axis=axis + o) for o in range(3)))
 
 
-def _einsum(subscripts: str, *operands, **kwargs):
-    """einsum with exactly one Jet operand and an explicit output: each part
-    carries its derivative axes through as extra free indices."""
-    jets = [i for i, op in enumerate(operands) if isinstance(op, Jet)]
-    if len(jets) != 1 or "->" not in subscripts:
-        raise TypeError("einsum on a Jet needs one Jet operand and '->'")
-    i = jets[0]
-    inputs, output = subscripts.split("->")
-    specs = inputs.split(",")
-    free = [c for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ" if c not in subscripts]
-    parts = []
-    for order in range(3):
-        lead = "".join(free[:order])
-        spec = specs[:i] + [lead + specs[i]] + specs[i + 1:]
-        ops = list(operands)
-        ops[i] = _part(operands[i], order, 0)
-        parts.append(np.einsum(",".join(spec) + "->" + lead + output, *ops,
-                               **kwargs))
-    return Jet(*parts)
-
-
 def _at_jet(fn: Callable, x: Jet, name: str):
     """fn at a Jet.  A plain-array result must be constant over the batch:
     one that varies came from a value function that converted its Jet
@@ -383,10 +369,15 @@ def _at_jet(fn: Callable, x: Jet, name: str):
     return out
 
 
-def _taylor(fn: Callable, pts: np.ndarray, name: str) -> tuple:
-    """(v, d1, d2) of fn at (m, d) points in the (m, d, *S) layout: fn
-    evaluated on the seeded Jet.  A plain-array result is a constant."""
-    out = _at_jet(fn, Jet.seed(pts), name)
+def _taylor(fn: Callable, pts: np.ndarray, f: "Field") -> tuple:
+    """(v, d1, d2) of f's value function fn on the seeded Jet, in the
+    (m, d, *S) layout.  A plain-array result is a constant.  A lone point
+    goes with its domain mirror lo + hi - p, so that _at_jet sees two."""
+    if len(pts) == 1:
+        lo, hi = np.array(f.domain.bounds).T
+        return tuple(a[:1] for a in _taylor(
+            fn, np.concatenate([pts, lo + hi - pts]), f))
+    out = _at_jet(fn, Jet.seed(pts), f.name)
     if isinstance(out, Jet):
         return out.v, np.moveaxis(out.d1, 0, 1), np.moveaxis(out.d2, 2, 0)
     m, d = pts.shape
@@ -437,7 +428,7 @@ class Field:
         """(value, gradient, hessian), shapes (m, *S), (m, d, *S),
         (m, d, d, *S)."""
         self._need_jet()
-        return _taylor(self._fn, _as_points(pts, self.domain.dim), self.name)
+        return _taylor(self._fn, _as_points(pts, self.domain.dim), self)
 
     def _need_jet(self):
         if not self.has_jet:
@@ -505,7 +496,7 @@ class RadialMetric(Field):
         self._need_jet()
         x = _as_points(pts, self.domain.dim)
         return _at_jet(self._spatial, x, self.name) if isinstance(x, Jet) \
-            else _taylor(self._spatial, x, self.name)
+            else _taylor(self._spatial, x, self)
 
 
 def hyperbolic_model(chart: ChartModel) -> RadialMetric:

@@ -145,13 +145,13 @@ def test_concatenate_mixes_jets_and_constants():
     assert_matches_fd(f)
 
 
-def test_einsum_with_constant_operands():
+def test_matmul_with_constant_operands():
     J = np.array([[0.5, -1.0], [0.25, 2.0]])
 
     def fn(p):
         M = ((p[:, 0] ** 2 * p[:, 1])[:, None, None] * np.eye(2)
              + p[:, :1, None])
-        return np.einsum("ab,mbc,dc->mad", J, M, J)
+        return J @ M @ J.T
 
     f = scalar(fn, shape=(2, 2))
     x, y = PTS[:, 0], PTS[:, 1]
@@ -221,6 +221,7 @@ def test_jet_outputs_are_ndarrays_and_values_survive_asarray():
     lambda p: np.tanh(p[:, 0]),                      # ufunc not supported
     lambda p: np.stack([p[:, 0], p[:, 1]], axis=1),  # function not supported
     lambda p: 1.0 / p[:, 0],                         # division by a Jet
+    lambda p: p[:, :, None] @ p[:, None, :],         # Jet @ Jet
 ])
 def test_unsupported_operations_raise(fn):
     with pytest.raises(TypeError):
@@ -268,6 +269,29 @@ def test_value_function_that_drops_the_jet_raises():
               analytic=True, name="square")
     with pytest.raises(WarpforceError, match="square"):
         f.jet([[0.5], [1.0]])
+
+
+def test_one_point_jet_is_checked_against_its_mirror():
+    # a lone point is evaluated beside lo + hi - p, so a dropped Jet shows
+    # there too; the domain centre 1.0 is its own mirror and stays unchecked
+    f = Field(interval_domain(0, 2), lambda p: np.asarray(p)[:, 0] ** 2,
+              analytic=True, name="square")
+    with pytest.raises(WarpforceError, match="square"):
+        f.jet([[0.5]])
+    flat = RadialMetric.on_chart(
+        CH, lambda p: np.asarray(p)[:, 1, None, None] + 3.0, analytic=True,
+        name="flat")
+    with pytest.raises(WarpforceError, match="flat"):
+        flat.spatial_jet([[0.2, 0.7]])
+
+
+def test_one_point_jet_is_the_row_of_a_batch():
+    g = perturbed_hyperbolic(3, amplitude=0.05).metric
+    pts = np.array([[1.1, 0.4, 5.2], [0.7, -2.0, 3.0]])
+    for one, batch in zip(g.jet(pts[:1]), g.jet(pts)):
+        assert np.array_equal(one, batch[:1])
+    for one, batch in zip(g.spatial_jet(pts[1:]), g.spatial_jet(pts)):
+        assert np.array_equal(one, batch[1:])
 
 
 def test_blend_parts_that_drop_the_jet_raise():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from warpforce import manifold
 from warpforce.manifold import (
     CenteredManifold,
     closeness_at,
@@ -20,6 +21,20 @@ from warpforce.model import (
     validate_metric,
 )
 from warpforce.warpcore import BumpFunction, warp_force
+
+
+def fd_stencil(rc):
+    """The flattened finite-difference stencil of the chart grid, as one
+    norm chunk hands it to the pullback."""
+    seen = []
+
+    def record(p):
+        seen.append(p)
+        return np.zeros(len(p))
+
+    _fd_jet(Field(rc.chart.domain, record), rc.chart.grid_points(),
+            rc.chart.grid)
+    return seen[0]
 
 
 class TestPuncturedModel:
@@ -121,6 +136,44 @@ class TestRadialChart:
         with pytest.raises(DomainError):
             radial_chart(m, 3.0, y0=(3.14,))
 
+    def test_longitude_guard_uses_the_disc_half_span(self):
+        # at phi0 = 0.6 the disc of radius c = 2 e^{-2.8} spans
+        # arcsin(sin c / sin phi0) = 0.2166 in longitude: past the seam at pi
+        m = punctured_hyperbolic(3)
+        with pytest.raises(DomainError, match="longitude"):
+            radial_chart(m, 2.8, xi=0.5, y0=(0.6, np.pi - 0.2))
+        radial_chart(m, 2.8, xi=0.5, y0=(0.6, np.pi - 0.25))
+
+    def test_sphere_maps_rows_independently(self):
+        m = punctured_hyperbolic(3, grid=GridSpec(points_per_axis=6))
+        rc = radial_chart(m, 4.0, y0=(1.3, -0.4))
+        x = fd_stencil(rc)[:, :2]
+        y, J = rc.sphere(x)
+        perm = np.random.default_rng(2).permutation(len(x))
+        ys, Js = rc.sphere(x[perm])
+        assert np.array_equal(ys, y[perm]) and np.array_equal(Js, J[perm])
+        rows = [rc.sphere(x[i:i + 1]) for i in range(len(x))]
+        assert np.array_equal(np.concatenate([r[0] for r in rows]), y)
+        assert np.array_equal(np.concatenate([r[1] for r in rows]), J)
+
+    def test_fd_chunk_maps_each_run_of_x_once(self, monkeypatch):
+        m = punctured_hyperbolic(3, grid=GridSpec(points_per_axis=8))
+        rc = radial_chart(m, 5.0, y0=(1.2, 0.3))
+        exp_map, rows = manifold._exp_map, []
+
+        def counting(x, *args):
+            rows.append(len(x))
+            return exp_map(x, *args)
+
+        monkeypatch.setattr(manifold, "_exp_map", counting)
+        pts = rc.chart.grid_points()
+        _fd_jet(pullback(rc, m.metric), pts, rc.chart.grid)
+        # t is the fastest grid axis, so each of the 19 stencil offsets
+        # passes every distinct x once, in one run
+        distinct = len(np.unique(pts[:, :2], axis=0))
+        assert rows == [19 * distinct]
+        assert len(pts) == 8 * distinct
+
     def test_exp_map_geodesic_property(self):
         m = punctured_hyperbolic(3)
         rc = radial_chart(m, 5.0, y0=(1.1, 0.5))
@@ -185,6 +238,16 @@ class TestPullback:
         assert np.abs(v - w).max() == 0.0
         assert np.abs(d1 - e1).max() < 1e-6 * max(1.0, np.abs(d1).max())
         assert np.abs(d2 - e2).max() < 1e-4 * max(1.0, np.abs(d2).max())
+
+    def test_n3_sandwich_matches_einsum(self):
+        m = perturbed_hyperbolic(3, amplitude=0.05,
+                                 grid=GridSpec(points_per_axis=8))
+        rc = radial_chart(m, 5.0, y0=(1.2, 0.3))
+        pts = fd_stencil(rc)
+        q, J = rc.map_points(pts)
+        want = np.einsum("mab,mac,mcd->mbd", J, m.metric.spatial(q), J)
+        G = pullback(rc, m.metric)(pts)[:, :2, :2]
+        assert np.abs(G - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_out_of_window_error(self):
         m = punctured_hyperbolic(2, r_range=(3.0, 8.3))

@@ -354,6 +354,19 @@ def test_audit_chart_misfit_becomes_error_entry(monkeypatch):
         assert np.isnan(r.lhs) and not r.passed
 
 
+def test_main_theorem_n3_end_to_end():
+    # every n = 3 norm is a finite-difference norm of an exp-map pullback;
+    # eps and eta_max were recorded from the einsum sandwich that ran the
+    # exp map at every stencil point
+    m = perturbed_hyperbolic(n=3, grid=GridSpec(points_per_axis=8))
+    inst = check_main_theorem(m, 5.0, 1.5, centers_per_zone=1)
+    assert inst.passed and len(inst.reports) == 3
+    assert all(r.derivative_source == "finite-difference"
+               for r in inst.reports)
+    assert inst.eps == pytest.approx(0.009297131953189819, rel=1e-9)
+    assert inst.eta_max == pytest.approx(0.0013963645055052134, rel=1e-9)
+
+
 def test_theorem_config_from_dict():
     cfg = TheoremConfig.from_dict({"r0_values": [5.0], "xi": 1.2,
                                    "grid": {"points_per_axis": 32}})
