@@ -20,7 +20,6 @@ from warpforce.model import (
     interval_domain,
     is_eps_close,
     metric_deviation,
-    polynomial_scalar,
     profile_scalar,
     validate_metric,
 )

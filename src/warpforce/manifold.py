@@ -284,10 +284,10 @@ def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
     def sphere(x):
         # chart grids repeat each x along t: map each run of equal rows once
         new = np.ones(len(x), dtype=bool)
-        new[1:] = (x[1:] != x[:-1]).any(axis=1)
+        new[1:] = (x[1:, 0] != x[:-1, 0]) | (x[1:, 1] != x[:-1, 1])
         y, J = _exp_map(x[new], c, p0, e1, e2)
         run = np.cumsum(new) - 1
-        return y[run], J[run]
+        return np.take(y, run, axis=0), np.take(J, run, axis=0)
 
     return RadialChart(t0=float(t0), scale=float(c), sphere=sphere,
                        affine=False, chart=chart)
@@ -310,7 +310,10 @@ def pullback(rc: RadialChart, g: RadialMetric,
                 f"pullback of {g.name!r} hit coordinates "
                 f"{tuple(round(float(v), 6) for v in bad)} outside its window")
         S = g.spatial(q)
-        return np.swapaxes(J, 1, 2) @ S @ J
+        # n = 2 has 1 x 1 blocks, where matmul's per-matrix cost dominates;
+        # the broadcast product is bitwise the same
+        return J * S * J if J.shape[1:] == (1, 1) \
+            else np.swapaxes(J, 1, 2) @ S @ J
 
     return RadialMetric.on_chart(rc.chart, spatial,
                                  analytic=rc.affine and g.has_jet,

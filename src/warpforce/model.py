@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -128,8 +127,7 @@ class Domain:
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         if self.ball_axes >= 2:
             cut = 1.0 - 2.0 * spec.boundary_margin
-            r = np.linalg.norm(pts[:, : self.ball_axes], axis=1)
-            pts = pts[r <= cut]
+            pts = pts[self._ball_radius(pts) <= cut]
         return pts
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
@@ -141,9 +139,17 @@ class Domain:
             else:
                 ok &= (pts[:, i] > lo) & (pts[:, i] < hi)
         if self.ball_axes >= 2:
-            r = np.linalg.norm(pts[:, : self.ball_axes], axis=1)
+            r = self._ball_radius(pts)
             ok &= (r <= 1.0) if self.closed else (r < 1.0)
         return ok
+
+    def _ball_radius(self, pts: np.ndarray) -> np.ndarray:
+        """|x| over the ball axes: np.linalg.norm's sum of squares in its
+        order, column by column (its reduction over a short axis is slow)."""
+        sq = pts[:, 0] * pts[:, 0]
+        for i in range(1, self.ball_axes):
+            sq = sq + pts[:, i] * pts[:, i]
+        return np.sqrt(sq)
 
 
 def interval_domain(lo: float, hi: float) -> Domain:
@@ -414,7 +420,19 @@ class Field:
         self.name = name
         self.grid = grid or GridSpec()
         self.has_jet = bool(analytic)
-        self._fn = fn
+        self._fn = self._checked(fn, self.shape) if self.shape else fn
+
+    def _checked(self, fn: Callable, shape: tuple) -> Callable:
+        """fn, refusing values whose trailing shape is not `shape`: numpy
+        would broadcast an (m, 1, 1) block to any k x k silently."""
+        def checked(pts):
+            out = fn(pts)
+            got = np.asarray(out).shape[1:]     # a Jet gives its value
+            if got == shape:
+                return out
+            raise WarpforceError(f"field {self.name!r} returned blocks of "
+                                 f"shape {got}, declared {shape}")
+        return checked
 
     def __call__(self, pts):
         """Values at (m, d) points; at a Jet, the Taylor value."""
@@ -440,7 +458,7 @@ def _embed(S, m: int, d: int, unit: float = 1.0):
     left of a zero (m, d, d) array with `unit` in the last diagonal entry;
     a Jet embeds each part, its derivatives with a zero entry."""
     if isinstance(S, Jet):
-        return Jet(_embed(S.v, m, d), _embed(S.d1, m, d, 0.0),
+        return Jet(_embed(S.v, m, d, unit), _embed(S.d1, m, d, 0.0),
                    _embed(S.d2, m, d, 0.0))
     S = np.asarray(S)
     k = d - 1
@@ -467,6 +485,7 @@ class RadialMetric(Field):
                  analytic: bool = False, grid: Optional[GridSpec] = None,
                  name: str = "metric", chart: Optional[ChartModel] = None):
         d = domain.dim
+        spatial = self._checked(spatial, (d - 1, d - 1))
 
         def fn(pts):
             # the block first: its temporaries are freed before `out` exists
@@ -511,12 +530,19 @@ def hyperbolic_model(chart: ChartModel) -> RadialMetric:
 
 
 def difference(f: Field, g: Field, name: Optional[str] = None) -> Field:
-    """Pointwise f - g on f's domain (shapes must agree)."""
+    """Pointwise f - g on f's domain (shapes must agree).  RadialMetrics
+    subtract their blocks: bitwise f - g, as their unit entries cancel."""
     if f.shape != g.shape:
         raise ValueError("field shapes differ")
-    return Field(f.domain, lambda pts: f(pts) - g(pts),
-                 analytic=f.has_jet and g.has_jet, shape=f.shape,
-                 name=name or f"{f.name}-{g.name}", grid=f.grid)
+
+    def fn(pts):
+        if isinstance(f, RadialMetric) and isinstance(g, RadialMetric):
+            return _embed(f.spatial(pts) - g.spatial(pts), len(pts),
+                          f.domain.dim, 0.0)
+        return f(pts) - g(pts)
+
+    return Field(f.domain, fn, analytic=f.has_jet and g.has_jet,
+                 shape=f.shape, name=name or f"{f.name}-{g.name}", grid=f.grid)
 
 
 def profile_scalar(domain: Domain, profile,
@@ -528,31 +554,6 @@ def profile_scalar(domain: Domain, profile,
     BumpFunction and WarpFunction do.  A constant may return a plain array.
     """
     return Field(domain, lambda pts: profile(pts[:, -1]), analytic=True,
-                 name=name)
-
-
-def _poly_eval(coeffs: np.ndarray, pts):
-    out = np.zeros(len(pts))
-    for powers in itertools.product(*(range(s) for s in coeffs.shape)):
-        c = coeffs[powers]
-        if c == 0.0:
-            continue
-        term = np.full(len(pts), c)
-        for i, p in enumerate(powers):
-            if p:
-                term = term * pts[:, i] ** p
-        out = out + term
-    return out
-
-
-def polynomial_scalar(domain: Domain, coeffs: np.ndarray,
-                      name: str = "poly") -> Field:
-    """Multivariate polynomial with exact jets; coeffs[p1,...,pd] multiplies
-    x1^p1 ... xd^pd."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != domain.dim:
-        raise ValueError("coefficient array rank must match domain dim")
-    return Field(domain, lambda pts: _poly_eval(coeffs, pts), analytic=True,
                  name=name)
 
 
@@ -575,19 +576,13 @@ def _fd_jet(f: Field, pts: np.ndarray, spec: GridSpec):
     d = dom.dim
     h = spec.fd_step * dom.extents
 
-    offsets = [np.zeros(d)]
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h[i]
-        offsets += [e, -e]
+    e = np.diag(h)
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    for i, j in pairs:
-        for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            e = np.zeros(d)
-            e[i] = si * h[i]
-            e[j] = sj * h[j]
-            offsets.append(e)
-    offsets = np.array(offsets)
+    signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    offsets = np.array([np.zeros(d)] + [s * e[i] for i in range(d)
+                                        for s in (1, -1)]
+                       + [si * e[i] + sj * e[j] for i, j in pairs
+                          for si, sj in signs])
 
     stencil = pts[None, :, :] + offsets[:, None, :]
     flat = stencil.reshape(-1, d)

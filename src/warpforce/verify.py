@@ -144,23 +144,20 @@ CSV_COLUMNS = ["name", "lhs", "rhs", "margin", "passed", "marginal",
 
 
 def reports_to_csv_rows(reports: Sequence[BoundReport]) -> list:
-    rows = []
-    for r in reports:
-        rows.append({
-            "name": r.name,
-            "lhs": f"{r.lhs:.12g}",
-            "rhs": f"{r.rhs:.12g}",
-            "margin": f"{r.margin:.12g}",
-            "passed": str(r.passed).lower(),
-            "marginal": str(r.marginal).lower(),
-            "error_estimate": f"{r.error_estimate:.6g}",
-            "derivative_source": r.derivative_source,
-            "grid_points": str(r.grid.points_per_axis),
-            "params": json.dumps(r.params, sort_keys=True,
-                                 separators=(",", ":"), default=float),
-            "notes": r.notes,
-        })
-    return rows
+    return [{
+        "name": r.name,
+        "lhs": f"{r.lhs:.12g}",
+        "rhs": f"{r.rhs:.12g}",
+        "margin": f"{r.margin:.12g}",
+        "passed": str(r.passed).lower(),
+        "marginal": str(r.marginal).lower(),
+        "error_estimate": f"{r.error_estimate:.6g}",
+        "derivative_source": r.derivative_source,
+        "grid_points": str(r.grid.points_per_axis),
+        "params": json.dumps(r.params, sort_keys=True,
+                             separators=(",", ":"), default=float),
+        "notes": r.notes,
+    } for r in reports]
 
 
 def measured_with_error(f: Field, grid: Optional[GridSpec] = None):

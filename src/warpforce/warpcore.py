@@ -281,13 +281,19 @@ def blend(g1: RadialMetric, g2: RadialMetric, lam: Field,
     """lambda g1 + (1 - lambda) g2 for a scalar field lambda on the domain.
 
     The last-axis block stays exactly 1.  Where lambda is exactly 1.0 (resp.
-    0.0) the blend reproduces g1 (resp. g2) bitwise.
+    0.0) the blend reproduces g1 (resp. g2) bitwise; on a batch where it is
+    so on every row, the other metric is not evaluated.
     """
     if g1.domain.dim != g2.domain.dim:
         raise ValueError("metric dimensions differ")
 
     def spatial(pts):
         l = lam(pts)
+        w = np.asarray(l)          # the values, also when l is a Jet
+        if not w.any():
+            return g2.spatial(pts)
+        if (w == 1.0).all():
+            return g1.spatial(pts)
         return (l[:, None, None] * g1.spatial(pts)
                 + (1.0 - l)[:, None, None] * g2.spatial(pts))
 

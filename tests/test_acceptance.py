@@ -15,7 +15,6 @@ from warpforce.model import (
     GridSpec,
     c2_norm,
     hyperbolic_model,
-    polynomial_scalar,
 )
 from warpforce.manifold import (
     perturbed_hyperbolic,
@@ -40,6 +39,8 @@ from warpforce.verify import (
     run_check,
     run_theorem_sweep,
 )
+
+from polynomials import polynomial_scalar
 
 
 def report(num, ok, detail):

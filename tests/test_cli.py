@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +145,21 @@ def test_verify_bad_config_json(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["verify", "all", "--config", str(path)])
     assert exc.value.code == 2
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_verify_all_matches_golden_csv(tmp_path, capsys):
+    # tests/data/reports.csv is the output of this exact command.  Only a
+    # declared numerical fix may regenerate it, logged in CHANGES.md.
+    assert run_cli(["verify", "all", "--config",
+                    str(ROOT / "configs" / "default.json"), "--grid", "8",
+                    "--instances", "2", "--seed", "0",
+                    "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    golden = Path(__file__).parent / "data" / "reports.csv"
+    assert (tmp_path / "reports.csv").read_bytes() == golden.read_bytes()
 
 
 # ---------------------------------------------------------------------------

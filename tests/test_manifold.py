@@ -17,6 +17,7 @@ from warpforce.model import (
     Field,
     GenerationError,
     GridSpec,
+    RadialMetric,
     _fd_jet,
     validate_metric,
 )
@@ -248,6 +249,21 @@ class TestPullback:
         want = np.einsum("mab,mac,mcd->mbd", J, m.metric.spatial(q), J)
         G = pullback(rc, m.metric)(pts)[:, :2, :2]
         assert np.abs(G - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_n2_sandwich_is_bitwise_the_matmul(self):
+        m = perturbed_hyperbolic(2)
+        rc = radial_chart(m, 6.0, xi=0.5)
+
+        def matmul(pts):
+            q, J = rc.map_points(pts)
+            return np.swapaxes(J, 1, 2) @ m.metric.spatial(q) @ J
+
+        ref = RadialMetric.on_chart(rc.chart, matmul, analytic=True)
+        pb = pullback(rc, m.metric)
+        pts = rc.chart.grid_points(GridSpec(points_per_axis=16))
+        assert np.array_equal(pb.spatial(pts), ref.spatial(pts))
+        for got, want in zip(pb.spatial_jet(pts), ref.spatial_jet(pts)):
+            assert np.array_equal(got, want)
 
     def test_out_of_window_error(self):
         m = punctured_hyperbolic(2, r_range=(3.0, 8.3))

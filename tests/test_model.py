@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from warpforce.model import (
     C2Norm,
     ChartModel,
+    Domain,
     DomainError,
     Field,
     GenerationError,
@@ -21,12 +22,13 @@ from warpforce.model import (
     interval_domain,
     is_eps_close,
     metric_deviation,
-    polynomial_scalar,
     RadialMetric,
     profile_scalar,
     validate_metric,
 )
 from warpforce.warpcore import ShiftedProfile
+
+from polynomials import polynomial_scalar
 
 
 def chart2(xi=1.0, pts=64):
@@ -88,6 +90,24 @@ class TestDomains:
         assert not open_d.contains(np.array([[1.0, 0.0]]))[0]
         closed_w = interval_domain(0.0, 1.0)
         assert closed_w.contains(np.array([[0.0]]))[0]
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_contains_matches_norm_at_the_unit_sphere(self, closed, k):
+        dom = Domain(bounds=((-1.0, 1.0),) * k,
+                     axis_names=tuple(f"x{i}" for i in range(k)),
+                     ball_axes=k, closed=closed)
+        u = np.random.default_rng(k).normal(size=(200, k))
+        u = np.concatenate([np.eye(k), u / np.linalg.norm(u, axis=1)[:, None]])
+        radii = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+        pts = np.concatenate([r * u for r in radii])
+        r = np.linalg.norm(pts, axis=1)
+        if closed:
+            want = (np.abs(pts) <= 1.0).all(axis=1) & (r <= 1.0)
+        else:
+            want = (np.abs(pts) < 1.0).all(axis=1) & (r < 1.0)
+        assert 0 < want.sum() < len(pts)
+        assert np.array_equal(dom.contains(pts), want)
 
     def test_chart_validation(self):
         with pytest.raises(ValueError):
@@ -249,6 +269,25 @@ class TestJets:
         assert d1[:, 0] == pytest.approx(0.0)
         assert d1[:, 1] == pytest.approx(2 * (pts[:, 1] - 0.5))
         assert d2[:, 1, 1] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_metric_difference_is_bitwise_the_full_difference(self, n):
+        ch = chart2(pts=8) if n == 2 else ChartModel(
+            n=3, grid=GridSpec(points_per_axis=8))
+        H = np.array([[1.3, 0.2], [0.2, 0.9]])[:ch.k, :ch.k]
+
+        def spatial(p):
+            f = np.exp(2 * p[:, -1]) * (1.0 + 0.2 * np.sin(p[:, 0]))
+            return f[:, None, None] * H
+
+        g = RadialMetric.on_chart(ch, spatial, analytic=True)
+        sig = hyperbolic_model(ch)
+        d = difference(g, sig)
+        pts = ch.grid_points()
+        assert d(pts).shape == (len(pts), n, n)
+        assert np.array_equal(d(pts), g(pts) - sig(pts))
+        for got, a, b in zip(d.jet(pts), g.jet(pts), sig.jet(pts)):
+            assert np.array_equal(got, a - b)
 
     def test_difference_propagates_jets(self):
         ch = chart2()

@@ -8,6 +8,7 @@ from warpforce.model import (
     DomainError,
     Field,
     GridSpec,
+    Jet,
     WarpforceError,
     c2_norm,
     difference,
@@ -403,3 +404,28 @@ def test_fd_oracle_requires_jet():
     bare = Field(CH.domain, lambda p: np.exp(p[:, 1]))
     with pytest.raises(WarpforceError):
         fd_oracle_check(bare)
+
+
+def test_generators_refuse_blocks_of_the_wrong_shape():
+    # both generators write a 1 x 1 block; a k x k declaration must refuse
+    # it instead of broadcasting it to the singular [[a, a], [a, a]]
+    rng = np.random.default_rng(0)
+    g = random_close_metric(ChartModel(n=3, grid=GridSpec(points_per_axis=8)),
+                            rng)
+    pts = g.domain.grid(g.grid)
+    at_jet = Jet.seed(pts)
+    for call in (lambda: g(pts), lambda: g(at_jet), lambda: g.jet(pts),
+                 lambda: g.spatial(pts), lambda: g.spatial(at_jet),
+                 lambda: g.spatial_jet(pts)):
+        with pytest.raises(WarpforceError, match="'synthetic'.*declared"):
+            call()
+    a = random_ball_metric(2, rng)
+    y = a.domain.grid(GridSpec(points_per_axis=8))
+    for call in (lambda: a(y), lambda: a(Jet.seed(y)), lambda: a.jet(y)):
+        with pytest.raises(WarpforceError, match="'ball-metric'.*declared"):
+            call()
+    # the n = 2 instances the lemma suites draw keep their 1 x 1 blocks
+    g2 = random_close_metric(CH, rng)
+    assert g2.spatial(CH.grid_points()).shape[1:] == (1, 1)
+    assert random_ball_metric(1, rng).jet(np.array([[0.3]]))[0].shape \
+        == (1, 1, 1)

@@ -236,6 +236,49 @@ class TestChartOperators:
         mid = blend(sig, other, half)(pts)
         assert np.allclose(mid, 0.5 * sig(pts) + 0.5 * other(pts), rtol=1e-15)
 
+    def counting_parts(self, ch):
+        """Two analytic metrics a, b whose spatial calls are counted."""
+        calls = {"a": 0, "b": 0}
+
+        def part(key, c):
+            def spatial(p):
+                calls[key] += 1
+                f = c * np.exp(2 * p[:, -1]) * (1.0 + 0.1 * np.sin(p[:, 0]))
+                return f[:, None, None] * np.eye(ch.k)
+
+            return RadialMetric.on_chart(ch, spatial, analytic=True, name=key)
+
+        return part("a", 2.0), part("b", 3.0), calls
+
+    @pytest.mark.parametrize("r0,kept,skipped", [(-10.0, "b", "a"),
+                                                 (10.0, "a", "b")])
+    def test_blend_plateau_skips_the_other_part(self, r0, kept, skipped):
+        # rho_{r0} is exactly 0 (r0 = -10) or 1 (r0 = 10) on the chart
+        ch = self.chart(n=3)
+        a, b, calls = self.counting_parts(ch)
+        lam = profile_scalar(ch.domain, BumpFunction().shifted(r0))
+        W = blend(a, b, lam)
+        part = {"a": a, "b": b}[kept]
+        pts = ch.grid_points(GridSpec(points_per_axis=8))
+        assert np.array_equal(W.spatial(pts), part.spatial(pts))
+        for got, want in zip(W.spatial_jet(pts), part.spatial_jet(pts)):
+            assert np.array_equal(got, want)
+        assert calls[skipped] == 0 and calls[kept] == 4
+
+    def test_blend_mixed_weights_evaluate_both_parts(self):
+        ch = self.chart(n=3)
+        a, b, calls = self.counting_parts(ch)
+        lam = profile_scalar(ch.domain, BumpFunction().shifted(0.0))
+        W = blend(a, b, lam)
+        pts = ch.grid_points(GridSpec(points_per_axis=8))
+        l = lam(pts)
+        assert l.min() == 0.0 and l.max() == 1.0
+        want = (l[:, None, None] * a.spatial(pts)
+                + (1.0 - l)[:, None, None] * b.spatial(pts))
+        assert np.array_equal(W.spatial(pts), want)
+        W.spatial_jet(pts)
+        assert calls == {"a": 3, "b": 3}
+
 
 class TestRadialOperators:
     def test_cut_values(self):
