@@ -18,7 +18,6 @@ from warpforce.model import (
     dump_grid_csv,
     hyperbolic_model,
     interval_domain,
-    is_eps_close,
     metric_deviation,
     profile_scalar,
     validate_metric,

@@ -375,20 +375,66 @@ def _at_jet(fn: Callable, x: Jet, name: str):
     return out
 
 
-def _taylor(fn: Callable, pts: np.ndarray, f: "Field") -> tuple:
-    """(v, d1, d2) of f's value function fn on the seeded Jet, in the
-    (m, d, *S) layout.  A plain-array result is a constant.  A lone point
-    goes with its domain mirror lo + hi - p, so that _at_jet sees two."""
-    if len(pts) == 1:
-        lo, hi = np.array(f.domain.bounds).T
-        return tuple(a[:1] for a in _taylor(
-            fn, np.concatenate([pts, lo + hi - pts]), f))
-    out = _at_jet(fn, Jet.seed(pts), f.name)
+def _taylor(fn: Callable, x, f: "Field") -> tuple:
+    """(v, d1, d2) of f's value function fn in the (m, d, *S) layout, at
+    (m, d) points, seeded here, or at a seeded Jet x of them.  A plain-array
+    result is a constant.  A lone point goes with its domain mirror
+    lo + hi - p, so that _at_jet sees two."""
+    if not isinstance(x, Jet):
+        if len(x) == 1:
+            lo, hi = np.array(f.domain.bounds).T
+            return tuple(a[:1] for a in _taylor(
+                fn, np.concatenate([x, lo + hi - x]), f))
+        x = Jet.seed(x)
+    out = _at_jet(fn, x, f.name)
     if isinstance(out, Jet):
         return out.v, np.moveaxis(out.d1, 0, 1), np.moveaxis(out.d2, 2, 0)
-    m, d = pts.shape
+    m, d = x.shape
     S = out.shape[1:]
     return out, np.zeros((m, d) + S), np.zeros((m, d, d) + S)
+
+
+class _GridJet(Jet):
+    """The seeded Jet of a small norm grid, shared by every norm of that
+    grid (see _batches): the one argument that fields memoize."""
+
+    __slots__ = ()
+
+
+class _LastJet:
+    """fn with a one-entry memo for _GridJet arguments: called again with
+    the same _GridJet object (`is`, not equal values), it returns its last
+    result.  Any other argument is evaluated every time, so that the chunks
+    of a large grid leave no result behind."""
+
+    __slots__ = ("fn", "arg", "out")
+
+    def __init__(self, fn: Callable):
+        self.fn, self.arg, self.out = fn, None, None
+
+    def __call__(self, pts):
+        if pts is self.arg:
+            return self.out
+        if not isinstance(pts, _GridJet):
+            return self.fn(pts)
+        self.arg = self.out = None          # free the last result first
+        self.out = self.fn(pts)
+        self.arg = pts
+        return self.out
+
+
+def _checked(fn: Callable, shape: tuple, name: str) -> Callable:
+    """fn, refusing values whose trailing shape is not `shape`: numpy would
+    broadcast an (m, 1, 1) block to any k x k silently.  The closure holds
+    the name, not the field, so that a field is no reference cycle."""
+    def checked(pts):
+        out = fn(pts)
+        got = np.asarray(out).shape[1:]     # a Jet gives its value
+        if got == shape:
+            return out
+        raise WarpforceError(f"field {name!r} returned blocks of "
+                             f"shape {got}, declared {shape}")
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +455,10 @@ class Field:
     on `grid` by default.
 
     `analytic` says that fn also evaluates on a Jet (see Jet), which gives
-    the field exact jets; without it, norms use finite differences.
+    the field exact jets; without it, norms use finite differences.  fn must
+    be pure: called again with the same norm-grid Jet object, the field
+    returns its first result (a one-entry memo, so that the norms of one
+    check evaluate a shared sub-field once per grid).
     """
 
     def __init__(self, domain: Domain, fn: Callable, analytic: bool = False,
@@ -420,19 +469,8 @@ class Field:
         self.name = name
         self.grid = grid or GridSpec()
         self.has_jet = bool(analytic)
-        self._fn = self._checked(fn, self.shape) if self.shape else fn
-
-    def _checked(self, fn: Callable, shape: tuple) -> Callable:
-        """fn, refusing values whose trailing shape is not `shape`: numpy
-        would broadcast an (m, 1, 1) block to any k x k silently."""
-        def checked(pts):
-            out = fn(pts)
-            got = np.asarray(out).shape[1:]     # a Jet gives its value
-            if got == shape:
-                return out
-            raise WarpforceError(f"field {self.name!r} returned blocks of "
-                                 f"shape {got}, declared {shape}")
-        return checked
+        self._fn = _LastJet(_checked(fn, self.shape, name) if self.shape
+                            else fn)
 
     def __call__(self, pts):
         """Values at (m, d) points; at a Jet, the Taylor value."""
@@ -444,7 +482,7 @@ class Field:
 
     def jet(self, pts):
         """(value, gradient, hessian), shapes (m, *S), (m, d, *S),
-        (m, d, d, *S)."""
+        (m, d, d, *S), at (m, d) points or at a seeded Jet of them."""
         self._need_jet()
         return _taylor(self._fn, _as_points(pts, self.domain.dim), self)
 
@@ -485,7 +523,7 @@ class RadialMetric(Field):
                  analytic: bool = False, grid: Optional[GridSpec] = None,
                  name: str = "metric", chart: Optional[ChartModel] = None):
         d = domain.dim
-        spatial = self._checked(spatial, (d - 1, d - 1))
+        spatial = _LastJet(_checked(spatial, (d - 1, d - 1), name))
 
         def fn(pts):
             # the block first: its temporaries are freed before `out` exists
@@ -636,48 +674,84 @@ def _norm_keys(names: Sequence[str]):
 
 def c2_norm(f: Field, grid: Optional[GridSpec] = None) -> C2Norm:
     """Taylor-weighted C2 norm of a field over its own (or the given) grid."""
-    spec = grid or f.grid
-    dom = f.domain
-    names = dom.axis_names
-    d = dom.dim
-    pts = dom.grid(spec)
-    if len(pts) == 0:
-        raise DomainError(f"empty sampling grid for field {f.name!r}")
+    return _walk_norms(f, (grid or f.grid,))[0]
 
-    sups = {k: 0.0 for k in _norm_keys(names)}
+
+def _c2_norms(f: Field, specs: tuple) -> list:
+    """c2_norm of f on each grid of `specs` (which share fd_step).  Grids
+    that fit in one chunk together, by their unmasked sizes, share one
+    evaluation of f; larger grids are walked one by one, as c2_norm walks
+    them.  An error of the shared evaluation is raised again as c2_norm on
+    the grids one by one raises it."""
+    if sum(spec.points_per_axis ** f.domain.dim for spec in specs) <= _CHUNK:
+        try:
+            return _walk_norms(f, specs)
+        except WarpforceError:
+            pass
+    return [c2_norm(f, spec) for spec in specs]
+
+
+def _walk_norms(f: Field, specs: tuple) -> list:
+    names = f.domain.axis_names
+    d = len(names)
+    sups = [dict.fromkeys(_norm_keys(names), 0.0) for _ in specs]
     use_jet = f.has_jet
-    for sl in _chunks(len(pts)):
-        chunk = pts[sl]
-        v, d1, d2 = f.jet(chunk) if use_jet else _fd_jet(f, chunk, spec)
-        sups["1"] = max(sups["1"], float(np.max(np.abs(v))))
-        for i in range(d):
-            key = f"d{names[i]}"
-            sups[key] = max(sups[key], float(np.max(np.abs(d1[:, i]))))
-        for i in range(d):
-            for j in range(i, d):
-                w = 0.5 if i == j else 1.0
-                key = f"d{names[i]}d{names[j]}"
-                sups[key] = max(sups[key], w * float(np.max(np.abs(d2[:, i, j]))))
+    for x, parts in _batches(f, specs):
+        v, d1, d2 = f.jet(x) if use_jet \
+            else _fd_jet(f, np.asarray(x), specs[0])
+        for s, rows in zip(sups, parts):
+            s["1"] = max(s["1"], float(np.max(np.abs(v[rows]))))
+            for i in range(d):
+                key = f"d{names[i]}"
+                s[key] = max(s[key], float(np.max(np.abs(d1[rows, i]))))
+            for i in range(d):
+                for j in range(i, d):
+                    w = 0.5 if i == j else 1.0
+                    key = f"d{names[i]}d{names[j]}"
+                    s[key] = max(s[key],
+                                 w * float(np.max(np.abs(d2[rows, i, j]))))
+    source = "analytic" if use_jet else "finite-difference"
+    return [C2Norm(value=max(s.values()), per_order_sups=s, grid=spec,
+                   derivative_source=source) for s, spec in zip(sups, specs)]
 
-    return C2Norm(
-        value=max(sups.values()),
-        per_order_sups=sups,
-        grid=spec,
-        derivative_source="analytic" if use_jet else "finite-difference",
-    )
+
+_SEEDS: dict = {}   # (domain, specs) -> (_GridJet, parts), least recent first
+_SEEDS_MAX = 8
+
+
+def _batches(f: Field, specs: tuple):
+    """(x, parts) chunks of the grids of `specs`, parts[i] slicing the rows
+    of grid i.  Grids that fit in one chunk together share it as their
+    seeded Jet, kept in a small cache so that every norm of a check hands
+    its fields the same Jet object; a larger grid, alone in `specs`, is
+    walked in chunks of _CHUNK rows."""
+    key = (f.domain, specs)
+    hit = _SEEDS.pop(key, None)
+    if hit is None:
+        grids = []
+        for spec in specs:
+            pts = f.domain.grid(spec)
+            if len(pts) == 0:
+                raise DomainError(f"empty sampling grid for field {f.name!r}")
+            grids.append(pts)
+        if len(specs) == 1 and len(grids[0]) > _CHUNK:
+            for sl in _chunks(len(grids[0])):
+                yield grids[0][sl], (slice(None),)
+            return
+        ends = np.cumsum([len(g) for g in grids]).tolist()
+        x = np.concatenate(grids) if len(grids) > 1 else grids[0]
+        x.flags.writeable = False       # shared by every norm of the key
+        hit = _GridJet.seed(x), tuple(map(slice, [0] + ends[:-1], ends))
+        if len(_SEEDS) >= _SEEDS_MAX:
+            del _SEEDS[next(iter(_SEEDS))]
+    _SEEDS[key] = hit
+    yield hit
 
 
 def metric_deviation(g: Field, h: Field,
                      grid: Optional[GridSpec] = None) -> C2Norm:
     """|g - h|_C2 over g's grid."""
     return c2_norm(difference(g, h), grid=grid)
-
-
-def is_eps_close(g: RadialMetric, eps: float,
-                 grid: Optional[GridSpec] = None):
-    """Whether |g - sigma|_C2 < eps against the chart's hyperbolic model."""
-    dev = metric_deviation(g, hyperbolic_model(g.chart), grid=grid)
-    return bool(dev.value < eps), dev
 
 
 # ---------------------------------------------------------------------------

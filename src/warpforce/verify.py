@@ -38,6 +38,7 @@ from warpforce.model import (
     GridSpec,
     RadialMetric,
     WarpforceError,
+    _c2_norms,
     _fd_jet,
     ball_domain,
     c2_norm,
@@ -161,10 +162,10 @@ def reports_to_csv_rows(reports: Sequence[BoundReport]) -> list:
 
 
 def measured_with_error(f: Field, grid: Optional[GridSpec] = None):
-    """C2 norm plus a refinement-probe error estimate."""
+    """C2 norm plus a refinement-probe error estimate; the N-grid norm and
+    the N/2-grid probe come from one evaluation of f."""
     spec = grid or f.grid
-    full = c2_norm(f, spec)
-    half = c2_norm(f, spec.halved())
+    full, half = _c2_norms(f, (spec, spec.halved()))
     err = abs(full.value - half.value) / 3.0
     if full.derivative_source == "finite-difference":
         err += _FD_PROXY * full.value

@@ -151,15 +151,18 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_verify_all_matches_golden_csv(tmp_path, capsys):
-    # tests/data/reports.csv is the output of this exact command.  Only a
-    # declared numerical fix may regenerate it, logged in CHANGES.md.
+    # tests/data/reports.csv and reports.json are the outputs of this exact
+    # command.  The CSV prints 12 significant digits; the JSON's repr floats
+    # pin every bit.  Only a declared numerical fix may regenerate them,
+    # logged in CHANGES.md.
     assert run_cli(["verify", "all", "--config",
                     str(ROOT / "configs" / "default.json"), "--grid", "8",
                     "--instances", "2", "--seed", "0",
                     "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    golden = Path(__file__).parent / "data" / "reports.csv"
-    assert (tmp_path / "reports.csv").read_bytes() == golden.read_bytes()
+    for name in ("reports.csv", "reports.json"):
+        golden = Path(__file__).parent / "data" / name
+        assert (tmp_path / name).read_bytes() == golden.read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,12 @@ from warpforce.model import (
     Field,
     GenerationError,
     GridSpec,
+    Jet,
+    _CHUNK,
+    _GridJet,
+    _SEEDS,
+    _SEEDS_MAX,
+    _batches,
     _fd_jet,
     ball_domain,
     c2_norm,
@@ -20,13 +28,13 @@ from warpforce.model import (
     dump_grid_csv,
     hyperbolic_model,
     interval_domain,
-    is_eps_close,
     metric_deviation,
     RadialMetric,
     profile_scalar,
     validate_metric,
 )
-from warpforce.warpcore import ShiftedProfile
+from warpforce.verify import measured_with_error
+from warpforce.warpcore import ShiftedProfile, WarpFunction, apply_warp
 
 from polynomials import polynomial_scalar
 
@@ -158,7 +166,7 @@ class TestC2Norm:
             assert dev.value == pytest.approx(0.01 * sigma_norm_oracle(xi),
                                               rel=1e-5)
 
-    def test_is_eps_close_threshold(self):
+    def test_metric_deviation_threshold(self):
         ch = chart2(xi=0.5)
         sig = hyperbolic_model(ch)
         pert = RadialMetric.on_chart(
@@ -166,10 +174,9 @@ class TestC2Norm:
             lambda p: 1.01 * np.exp(2 * p[:, -1])[:, None, None] * np.eye(1),
         )
         oracle = 0.01 * sigma_norm_oracle(0.5)
-        ok, dev = is_eps_close(pert, 2.0 * oracle)
-        assert ok and isinstance(dev, C2Norm)
-        bad, _ = is_eps_close(pert, 0.5 * oracle)
-        assert not bad
+        dev = metric_deviation(pert, sig)
+        assert dev.value < 2.0 * oracle and isinstance(dev, C2Norm)
+        assert not dev.value < 0.5 * oracle
 
     def test_stencil_domain_error_names_point(self):
         w = interval_domain(0.0, 5.0)
@@ -295,6 +302,105 @@ class TestJets:
         d = difference(sig, sig)
         assert d.has_jet
         assert c2_norm(d).value == 0.0
+
+
+def counted(calls):
+    """A chart metric's spatial block that records the batch size of every
+    Jet it is evaluated at."""
+    def spatial(p):
+        if isinstance(p, Jet):
+            calls.append(len(p))
+        return (np.exp(2 * p[:, -1]) * (1.0 + 0.2 * np.sin(p[:, 0])))[
+            :, None, None]
+    return spatial
+
+
+class TestMemo:
+    def test_shared_metric_is_evaluated_once_per_grid(self):
+        ch = chart2(pts=16)
+        spec = ch.grid
+        calls = []
+        g = RadialMetric.on_chart(ch, counted(calls), analytic=True)
+        n_full = len(ch.grid_points())
+        n_half = len(ch.grid_points(spec.halved()))
+
+        c2_norm(difference(apply_warp(g, WarpFunction(3.0)), g))
+        assert calls == [n_full]
+        # the N and N/2 grids: one evaluation for both
+        measured_with_error(difference(apply_warp(g, WarpFunction(4.0)), g))
+        assert calls == [n_full, n_full + n_half]
+        # a later norm of the same grids hands g the same Jet again
+        measured_with_error(difference(g, hyperbolic_model(ch)))
+        assert calls == [n_full, n_full + n_half]
+
+    def test_only_the_same_grid_jet_object_is_remembered(self):
+        ch = chart2(pts=8)
+        calls = []
+        g = RadialMetric.on_chart(ch, counted(calls), analytic=True)
+        pts = ch.grid_points()
+        x = _GridJet.seed(pts)
+        first = g.spatial(x)
+        assert g.spatial(x) is first and g(x) is g(x)
+        assert len(calls) == 1
+        again = g.spatial(_GridJet.seed(pts.copy()))     # equal values
+        assert len(calls) == 2
+        assert np.array_equal(again.d2, first.d2)
+        y = Jet.seed(pts)                # not a norm grid's Jet
+        g.spatial(y)
+        g.spatial(y)
+        assert len(calls) == 4
+
+    def test_array_calls_are_never_memoized(self):
+        ch = chart2(pts=8)
+        seen = []
+
+        def fn(p):
+            seen.append(type(p))
+            return np.exp(2 * p[:, -1])
+
+        f = Field(ch.domain, fn)            # finite differences
+        pts = ch.grid_points()
+        f(pts)
+        f(pts)
+        assert len(seen) == 2
+        c2_norm(f)
+        c2_norm(f)
+        assert len(seen) == 4 and all(t is np.ndarray for t in seen)
+
+    def test_dropped_metric_is_freed_by_reference_counting(self):
+        ch = chart2(pts=8)
+        gc.disable()
+        try:
+            g = RadialMetric.on_chart(ch, counted([]), analytic=True)
+            f = Field(ch.domain, lambda p: 0.0 * g(p), analytic=True,
+                      shape=(2, 2))
+            c2_norm(f)                      # fills both memos
+            refs = weakref.ref(g), weakref.ref(f)
+            del g, f
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("sizes", [(101, 50), (_CHUNK,),
+                                       (2 * _CHUNK + 3,)])
+    def test_chunks_walk_each_grid_in_order(self, sizes):
+        # a pair that shares one chunk, a grid of exactly one chunk, and a
+        # grid that ends in a partial chunk
+        f = Field(interval_domain(0.0, 1.0), np.exp, analytic=True)
+        specs = tuple(GridSpec(points_per_axis=n) for n in sizes)
+        got = [[] for _ in specs]
+        for x, parts in _batches(f, specs):
+            assert len(np.asarray(x)) <= _CHUNK
+            for rows, part in zip(got, parts):
+                rows.append(np.asarray(x)[part])
+        for rows, spec in zip(got, specs):
+            assert np.array_equal(np.concatenate(rows),
+                                  f.domain.grid(spec))
+
+    def test_seed_cache_is_bounded(self):
+        for xi in np.linspace(0.5, 2.0, 2 * _SEEDS_MAX):
+            c2_norm(hyperbolic_model(chart2(xi=float(xi), pts=8)))
+        assert len(_SEEDS) == _SEEDS_MAX
 
 
 class TestValidateMetric:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from warpforce import model
 from warpforce.model import (
     ChartModel,
     DomainError,
@@ -13,8 +14,15 @@ from warpforce.model import (
     c2_norm,
     difference,
     hyperbolic_model,
+    interval_domain,
+    profile_scalar,
 )
-from warpforce.manifold import perturbed_hyperbolic, punctured_hyperbolic
+from warpforce.manifold import (
+    perturbed_hyperbolic,
+    pullback,
+    punctured_hyperbolic,
+    radial_chart,
+)
 from warpforce.warpcore import BumpFunction, WarpFunction, apply_warp
 from warpforce.verify import (
     CSV_COLUMNS,
@@ -92,6 +100,80 @@ def test_measured_with_error_fd_proxy():
     assert err >= 3e-6 * full.value
     _, err_jet = measured_with_error(difference(sigma, sigma))
     assert err_jet == 0.0
+
+
+def _assert_merged_probe_is_two_norms(f, spec):
+    full, err = measured_with_error(f, spec)
+    alone = c2_norm(f, spec)
+    half = c2_norm(f, spec.halved())
+    assert full == alone                    # value, per_order_sups, grid
+    assert list(full.per_order_sups) == list(alone.per_order_sups)
+    assert err == abs(alone.value - half.value) / 3.0 + (
+        3e-6 * alone.value if alone.derivative_source == "finite-difference"
+        else 0.0)
+    # the probe's own sups, bitwise: read them back through the same walk
+    both = model._c2_norms(f, (spec, spec.halved()))
+    assert both == [alone, half]
+
+
+def test_merged_probe_is_bitwise_two_norms_on_an_n2_chart():
+    g = random_close_metric(CH, np.random.default_rng(3))
+    _assert_merged_probe_is_two_norms(
+        difference(apply_warp(g, WarpFunction(3.0)), hyperbolic_model(CH)),
+        GridSpec())
+
+
+def test_merged_probe_is_bitwise_two_norms_on_the_decay_interval():
+    window = interval_domain(0.0, 20.0)
+    f = difference(profile_scalar(window, WarpFunction(3.0)),
+                   Field(window, lambda p: np.full(len(p), 1.0),
+                         analytic=True))
+    spec = GridSpec(points_per_axis=4001)
+    assert len(window.grid(spec)) + len(window.grid(spec.halved())) \
+        == 4001 + 2000
+    _assert_merged_probe_is_two_norms(f, spec)
+
+
+def test_merged_probe_is_bitwise_two_norms_across_a_chunk_boundary():
+    m = perturbed_hyperbolic(n=3)
+    spec = GridSpec(points_per_axis=24)
+    rc = radial_chart(m, 6.0, xi=0.5, grid=spec)
+    f = difference(pullback(rc, m.metric), hyperbolic_model(rc.chart))
+    assert not f.has_jet
+    n_full = len(f.domain.grid(spec))
+    # the N grid ends in a partial chunk, and the two grids need two chunks
+    assert n_full % model._CHUNK and n_full > model._CHUNK
+    _assert_merged_probe_is_two_norms(f, spec)
+
+
+def test_merged_probe_grids_that_share_a_chunk_evaluate_once():
+    calls = []
+
+    def fn(p):
+        calls.append(len(p))
+        return np.exp(p[:, -1])
+
+    f = Field(CH.domain, fn, analytic=True)
+    spec = GridSpec(points_per_axis=80)      # 6400 + 1600 rows
+    measured_with_error(f, spec)
+    assert calls == [6400 + 1600]
+    del calls[:]
+    measured_with_error(f, GridSpec(points_per_axis=91))    # 8281 + 2025
+    assert calls == [8192, 8281 - 8192, 2025]
+
+
+def test_merged_probe_error_is_the_n_grid_error():
+    def fn(p):
+        raise DomainError(f"refused a batch of {len(p)} points")
+
+    f = Field(interval_domain(0.0, 1.0), fn, analytic=True, name="refuser")
+    spec = GridSpec(points_per_axis=100)
+    with pytest.raises(DomainError) as alone:
+        c2_norm(f, spec)
+    with pytest.raises(DomainError) as merged:
+        measured_with_error(f, spec)
+    assert str(merged.value) == str(alone.value) \
+        == "refused a batch of 100 points"
 
 
 # ---------------------------------------------------------------------------
