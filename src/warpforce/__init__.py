@@ -18,14 +18,11 @@ from warpforce.model import (
     dump_grid_csv,
     hyperbolic_model,
     interval_domain,
-    metric_deviation,
     profile_scalar,
-    validate_metric,
 )
 
 from warpforce.warpcore import (
     BumpFunction,
-    ShiftedProfile,
     WarpFunction,
     apply_warp,
     blend,

@@ -20,6 +20,7 @@ differences.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -33,8 +34,9 @@ from warpforce.model import (
     GenerationError,
     GridSpec,
     RadialMetric,
+    c2_norm,
+    difference,
     hyperbolic_model,
-    metric_deviation,
 )
 
 __all__ = [
@@ -67,10 +69,6 @@ class CenteredManifold:
     @property
     def r_range(self):
         return self.metric.domain.bounds[-1]
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "n": self.n,
-                "r_range": list(self.r_range), "params": dict(self.params)}
 
 
 def _sphere_domain(n: int, r_range) -> Domain:
@@ -149,24 +147,26 @@ def perturbed_hyperbolic(n: int = 2, amplitude: float = 1e-3,
     return CenteredManifold(metric=metric, kind="perturbed", params=params)
 
 
+_KINDS = {"punctured": punctured_hyperbolic, "perturbed": perturbed_hyperbolic}
+
+
 def manifold_from_config(cfg: dict) -> CenteredManifold:
+    """The manifold of a config object: its "kind" (default "punctured")
+    and the keyword arguments of that kind's constructor, except grid.
+    Any other key is a ValueError that names it."""
     if not isinstance(cfg, dict):
         raise ValueError(f"manifold config must be an object, got {cfg!r}")
-    kind = cfg.get("kind", "punctured")
-    n = int(cfg.get("n", 2))
-    r_range = cfg.get("r_range", (0.05, 16.0))
-    if kind == "punctured":
-        return punctured_hyperbolic(n=n, r_range=r_range)
-    if kind == "perturbed":
-        return perturbed_hyperbolic(
-            n=n,
-            amplitude=float(cfg.get("amplitude", 1e-3)),
-            sphere_mode=int(cfg.get("sphere_mode", 3)),
-            radial_center=float(cfg.get("radial_center", 5.0)),
-            radial_width=float(cfg.get("radial_width", 1.5)),
-            r_range=r_range,
-        )
-    raise ValueError(f"unknown manifold kind {kind!r}")
+    kw = dict(cfg)
+    kind = kw.pop("kind", "punctured")
+    build = _KINDS.get(kind) if isinstance(kind, str) else None
+    if build is None:
+        raise ValueError(f"unknown manifold kind {kind!r}")
+    unknown = sorted(set(kw) - (set(inspect.signature(build).parameters)
+                                - {"grid"}))
+    if unknown:
+        raise ValueError(f"unknown keys for a {kind} manifold: "
+                         f"{', '.join(map(repr, unknown))}")
+    return build(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +293,7 @@ def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
                        affine=False, chart=chart)
 
 
-def pullback(rc: RadialChart, g: RadialMetric,
-             name: Optional[str] = None) -> RadialMetric:
+def pullback(rc: RadialChart, g: RadialMetric) -> RadialMetric:
     """Chart pullback (Dphi1^T spatial Dphi1)(phi1(x), t+t0) + dt^2.
 
     Carries analytic jets when the sphere map is affine and g has a jet;
@@ -317,14 +316,14 @@ def pullback(rc: RadialChart, g: RadialMetric,
 
     return RadialMetric.on_chart(rc.chart, spatial,
                                  analytic=rc.affine and g.has_jet,
-                                 name=name or f"pull[{g.name};t0={rc.t0:g}]")
+                                 name=f"pull[{g.name};t0={rc.t0:g}]")
 
 
 def radial_closeness(rc: RadialChart, g: RadialMetric,
                      grid: Optional[GridSpec] = None) -> C2Norm:
     """|pullback(g) - sigma|_C2 on the chart grid."""
-    pb = pullback(rc, g)
-    return metric_deviation(pb, hyperbolic_model(rc.chart), grid=grid)
+    return c2_norm(difference(pullback(rc, g), hyperbolic_model(rc.chart)),
+                   grid=grid)
 
 
 def closeness_at(manifold: CenteredManifold, t0: float, xi: float = 1.0,

@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -583,8 +584,7 @@ def difference(f: Field, g: Field, name: Optional[str] = None) -> Field:
                  shape=f.shape, name=name or f"{f.name}-{g.name}", grid=f.grid)
 
 
-def profile_scalar(domain: Domain, profile,
-                   name: str = "profile") -> Field:
+def profile_scalar(domain: Domain, profile) -> Field:
     """Lift a 1-D profile p to the domain: f(x, t) = p(last axis).
 
     p must evaluate on 1-D arrays and on 1-D Jets: written in Jet
@@ -592,7 +592,7 @@ def profile_scalar(domain: Domain, profile,
     BumpFunction and WarpFunction do.  A constant may return a plain array.
     """
     return Field(domain, lambda pts: profile(pts[:, -1]), analytic=True,
-                 name=name)
+                 name="profile")
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +660,6 @@ class C2Norm:
     grid: GridSpec
     derivative_source: str
 
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _norm_keys(names: Sequence[str]):
     keys = ["1"] + [f"d{a}" for a in names]
@@ -691,6 +688,12 @@ def _c2_norms(f: Field, specs: tuple) -> list:
     return [c2_norm(f, spec) for spec in specs]
 
 
+def _sup(a: float, b: float) -> float:
+    """max(a, b), but NaN if either is NaN: Python's max(a, nan) is a, which
+    would let a NaN sample read as the sup of the others."""
+    return a if a >= b or a != a else b
+
+
 def _walk_norms(f: Field, specs: tuple) -> list:
     names = f.domain.axis_names
     d = len(names)
@@ -700,19 +703,20 @@ def _walk_norms(f: Field, specs: tuple) -> list:
         v, d1, d2 = f.jet(x) if use_jet \
             else _fd_jet(f, np.asarray(x), specs[0])
         for s, rows in zip(sups, parts):
-            s["1"] = max(s["1"], float(np.max(np.abs(v[rows]))))
+            s["1"] = _sup(s["1"], float(np.max(np.abs(v[rows]))))
             for i in range(d):
                 key = f"d{names[i]}"
-                s[key] = max(s[key], float(np.max(np.abs(d1[rows, i]))))
+                s[key] = _sup(s[key], float(np.max(np.abs(d1[rows, i]))))
             for i in range(d):
                 for j in range(i, d):
                     w = 0.5 if i == j else 1.0
                     key = f"d{names[i]}d{names[j]}"
-                    s[key] = max(s[key],
-                                 w * float(np.max(np.abs(d2[rows, i, j]))))
+                    s[key] = _sup(s[key],
+                                  w * float(np.max(np.abs(d2[rows, i, j]))))
     source = "analytic" if use_jet else "finite-difference"
-    return [C2Norm(value=max(s.values()), per_order_sups=s, grid=spec,
-                   derivative_source=source) for s, spec in zip(sups, specs)]
+    return [C2Norm(value=reduce(_sup, s.values()), per_order_sups=s,
+                   grid=spec, derivative_source=source)
+            for s, spec in zip(sups, specs)]
 
 
 _SEEDS: dict = {}   # (domain, specs) -> (_GridJet, parts), least recent first
@@ -748,37 +752,8 @@ def _batches(f: Field, specs: tuple):
     yield hit
 
 
-def metric_deviation(g: Field, h: Field,
-                     grid: Optional[GridSpec] = None) -> C2Norm:
-    """|g - h|_C2 over g's grid."""
-    return c2_norm(difference(g, h), grid=grid)
-
-
 # ---------------------------------------------------------------------------
-# diagnostics and dumps
-
-
-def validate_metric(g: Field, grid: Optional[GridSpec] = None) -> dict:
-    """Symmetry / positivity audit; raises GenerationError.
-
-    Returns {'min_eigenvalue', 'symmetry_defect'}.
-    """
-    spec = grid or dataclasses.replace(g.grid, points_per_axis=16)
-    pts = g.domain.grid(spec)
-    min_eig = np.inf
-    sym = 0.0
-    for sl in _chunks(len(pts)):
-        G = g(pts[sl])
-        sym = max(sym, float(np.max(np.abs(G - np.swapaxes(G, 1, 2)))))
-        w = np.linalg.eigvalsh(0.5 * (G + np.swapaxes(G, 1, 2)))
-        min_eig = min(min_eig, float(w.min()))
-    if sym > 1e-12:
-        raise GenerationError(f"metric {g.name!r} is not symmetric "
-                              f"(defect {sym:.3e})")
-    if min_eig <= 1e-10:
-        raise GenerationError(f"metric {g.name!r} is not positive definite "
-                              f"(min eigenvalue {min_eig:.3e})")
-    return {"min_eigenvalue": min_eig, "symmetry_defect": sym}
+# dumps
 
 
 def dump_grid_csv(f: Field, path, grid: Optional[GridSpec] = None) -> int:

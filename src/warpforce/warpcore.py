@@ -49,7 +49,6 @@ from warpforce.model import (
 __all__ = [
     "BumpFunction",
     "WarpFunction",
-    "ShiftedProfile",
     "radial_slice",
     "warped_extension",
     "apply_warp",
@@ -99,21 +98,6 @@ _STEP_SUP_D1, _STEP_SUP_D2 = _measure_step_sups()
 _BUMP_BOUND = 48.0    # the C2 norm every bump must certify below
 
 
-class ShiftedProfile:
-    """p_s(t) = p(t - s) for any 1-D profile p with an optional jet."""
-
-    def __init__(self, base, shift: float):
-        self.base = base
-        self.shift = float(shift)
-
-    def __call__(self, t):
-        t = t if isinstance(t, Jet) else np.asarray(t, dtype=float)
-        return self.base(t - self.shift)
-
-    def jet(self, t):
-        return self.base.jet(np.asarray(t, dtype=float) - self.shift)
-
-
 class BumpFunction:
     """Smooth cutoff: 1 on (-inf, delta], 0 on [1/2 - delta, inf).
 
@@ -156,21 +140,6 @@ class BumpFunction:
         s, d1, d2 = _step_jet(v)
         return 1.0 - s, -d1 / self.width, -d2 / self.width ** 2
 
-    def shifted(self, r0: float) -> ShiftedProfile:
-        """rho_{r0}(t) = rho(t - r0): cutoff at radius r0."""
-        return ShiftedProfile(self, r0)
-
-    def to_json(self) -> dict:
-        return {
-            "delta": self.delta,
-            "certified_c2": self.certified_c2,
-            "bound": _BUMP_BOUND,
-            "plateau_end": self.plateau_end,
-            "support_end": self.support_end,
-            "sup_abs_d1": self.sup_abs_d1,
-            "sup_abs_d2": self.sup_abs_d2,
-        }
-
 
 class WarpFunction:
     """nu(t) = e^{-2t} (sinh(t+t0)/sinh t0)^2, evaluated cancellation-free.
@@ -211,10 +180,6 @@ class WarpFunction:
         d2 = c * 2.0 * (qp ** 2 + q * qpp)
         return v, d1, d2
 
-    def shifted(self, s: float) -> ShiftedProfile:
-        """nu_s(t) = nu(t - s)."""
-        return ShiftedProfile(self, s)
-
 
 # ---------------------------------------------------------------------------
 # operators on split metrics
@@ -243,9 +208,8 @@ def radial_slice(g: RadialMetric, s: float) -> Field:
 
 def apply_warp(g: RadialMetric, nu, s: float = 0.0,
                name: Optional[str] = None) -> RadialMetric:
-    """g_nu = nu_s(t) g_t + dt^2 for a 1-D warp profile nu."""
-    prof = nu.shifted(s) if s != 0.0 else nu
-    w = profile_scalar(g.domain, prof)
+    """g_nu = nu(t - s) g_t + dt^2 for a 1-D warp profile nu."""
+    w = profile_scalar(g.domain, nu if s == 0.0 else lambda t: nu(t - s))
 
     def spatial(pts):
         return w(pts)[:, None, None] * g.spatial(pts)
@@ -268,12 +232,10 @@ def _rewarp(a: Field, w, domain: Domain, grid: GridSpec,
     return apply_warp(frozen, w, name=name)
 
 
-def warped_extension(a: Field, s: float, chart: ChartModel,
-                     name: Optional[str] = None) -> RadialMetric:
+def warped_extension(a: Field, s: float, chart: ChartModel) -> RadialMetric:
     """The warped metric e^{2(t-s)} a + dt^2 on the chart."""
     return _rewarp(a, lambda t: np.exp(2.0 * (t - s)),
-                   chart.domain, chart.grid, chart,
-                   name or f"ext[{a.name};s={s:g}]")
+                   chart.domain, chart.grid, chart, f"ext[{a.name};s={s:g}]")
 
 
 def blend(g1: RadialMetric, g2: RadialMetric, lam: Field,
@@ -304,22 +266,19 @@ def blend(g1: RadialMetric, g2: RadialMetric, lam: Field,
                         chart=g1.chart)
 
 
-def sinh_warped_cut(g: RadialMetric, r0: float,
-                    name: Optional[str] = None) -> RadialMetric:
+def sinh_warped_cut(g: RadialMetric, r0: float) -> RadialMetric:
     """bar_g_{r0} = sinh^2(r) ghat_{r0} + dr^2 = (sinh^2 r / sinh^2 r0) g_{r0} + dr^2."""
     s2 = np.sinh(r0) ** 2
     return _rewarp(radial_slice(g, r0), lambda r: np.sinh(r) ** 2 / s2,
-                   g.domain, g.grid, g.chart,
-                   name or f"bar[{g.name};r0={r0:g}]")
+                   g.domain, g.grid, g.chart, f"bar[{g.name};r0={r0:g}]")
 
 
-def warp_force(g: RadialMetric, r0: float, rho: BumpFunction,
-               name: Optional[str] = None) -> RadialMetric:
+def warp_force(g: RadialMetric, r0: float, rho: BumpFunction) -> RadialMetric:
     """W_{r0} g = rho_{r0} bar_g_{r0} + (1 - rho_{r0}) g.
 
     Equals bar_g_{r0} bitwise where rho_{r0} = 1 (r <= r0 + delta) and g
     bitwise where rho_{r0} = 0 (r >= r0 + 1/2 - delta).
     """
     return blend(sinh_warped_cut(g, r0), g,
-                 profile_scalar(g.domain, rho.shifted(r0)),
-                 name=name or f"force[{g.name};r0={r0:g}]")
+                 profile_scalar(g.domain, lambda r: rho(r - r0)),
+                 name=f"force[{g.name};r0={r0:g}]")

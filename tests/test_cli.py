@@ -150,19 +150,54 @@ def test_verify_bad_config_json(tmp_path):
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def assert_golden(outdir, *names):
+    """The files `names` in outdir equal those of tests/data byte for byte,
+    except the lines that hold a run time."""
+    for name in names:
+        got = (outdir / name).read_bytes().splitlines(keepends=True)
+        got = b"".join(line for line in got if b'"runtime_s"' not in line)
+        golden = Path(__file__).parent / "data" / name
+        assert got == golden.read_bytes(), name
+
+
+# tests/data holds the outputs of the exact commands of the golden tests.
+# The CSVs print 12 significant digits; the JSON's repr floats pin every
+# bit.  Only a declared numerical fix may regenerate them, logged in
+# CHANGES.md.
+
+
 def test_verify_all_matches_golden_csv(tmp_path, capsys):
-    # tests/data/reports.csv and reports.json are the outputs of this exact
-    # command.  The CSV prints 12 significant digits; the JSON's repr floats
-    # pin every bit.  Only a declared numerical fix may regenerate them,
-    # logged in CHANGES.md.
     assert run_cli(["verify", "all", "--config",
                     str(ROOT / "configs" / "default.json"), "--grid", "8",
                     "--instances", "2", "--seed", "0",
                     "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    for name in ("reports.csv", "reports.json"):
-        golden = Path(__file__).parent / "data" / name
-        assert (tmp_path / name).read_bytes() == golden.read_bytes(), name
+    assert_golden(tmp_path, "reports.csv", "reports.json")
+
+
+def test_theorem_matches_golden(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"theorem": {"r0_values": [5.0],
+                                           "centers_per_zone": 2}})
+    out = tmp_path / "out"
+    assert run_cli(["theorem", "--config", cfg, "--grid", "8",
+                    "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert_golden(out, "theorem_centers.csv", "theorem_sweep.csv",
+                  "theorem.json")
+
+
+def test_demo_remark_matches_golden(tmp_path, capsys):
+    assert run_cli(["demo-remark", "--grid", "8", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert_golden(tmp_path, "remark.csv", "remark.json")
+
+
+def test_dump_grid_matches_golden(tmp_path, capsys):
+    assert run_cli(["dump-grid", "--config",
+                    str(ROOT / "configs" / "default.json"), "--grid", "8",
+                    "--r0", "5", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert_golden(tmp_path, "grid.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +233,23 @@ def test_theorem_rejects_bad_excess(tmp_path, capsys):
         run_cli(["theorem", "--config", cfg])
     assert exc.value.code == 2
     assert "xi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theorem", [
+    {"centers_per_zone": 0, "r0_values": [5.0]},
+    {"r0_values": []},
+], ids=["no-centers", "no-r0"])
+@pytest.mark.parametrize("argv", [["theorem"],
+                                  ["verify", "all", "--instances", "0"]],
+                         ids=["theorem", "verify-all"])
+def test_vacuous_theorem_is_a_usage_error(tmp_path, capsys, argv, theorem):
+    # a sweep with no center or no r0 would report PASS having checked nothing
+    cfg = write_cfg(tmp_path, {"theorem": theorem})
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--config", cfg, "--grid", "8"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "centers_per_zone" in err or "r0 value" in err
 
 
 def test_theorem_writes_sweep_and_centers(tmp_path, capsys):
@@ -313,6 +365,17 @@ def test_dump_grid_rejects_unknown_kind(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["dump-grid", "--config", cfg])
     assert exc.value.code == 2
+
+
+def test_dump_grid_rejects_unknown_manifold_key(tmp_path, capsys):
+    # a misspelt key used to fall back to the default amplitude silently
+    cfg = write_cfg(tmp_path, {"manifold": {"kind": "perturbed",
+                                            "amplitud": 0.5}})
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["dump-grid", "--config", cfg, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "'amplitud'" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
 
 
 # ---------------------------------------------------------------------------

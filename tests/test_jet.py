@@ -184,14 +184,18 @@ def test_chain_lifts_a_profile_jet():
     assert_matches_fd(f)
 
 
-@pytest.mark.parametrize("profile", [WarpFunction(3.0),
-                                     BumpFunction().shifted(1.0)],
-                         ids=["warp", "shifted-bump"])
-def test_hand_jet_profiles_lift_themselves(profile):
+_WARP, _BUMP = WarpFunction(3.0), BumpFunction()
+
+
+@pytest.mark.parametrize("profile,jet", [
+    (_WARP, _WARP.jet),
+    (lambda t: _BUMP(t - 1.0), lambda t: _BUMP.jet(t - 1.0)),
+], ids=["warp", "shifted-bump"])
+def test_hand_jet_profiles_lift_themselves(profile, jet):
     # called directly inside a value function, not only via profile_scalar
     f = scalar(lambda p: profile(p[:, 1]) * p[:, 0])
     v, d1, d2 = f.jet(PTS)
-    p, p1, p2 = profile.jet(PTS[:, 1])
+    p, p1, p2 = jet(PTS[:, 1])
     assert np.array_equal(d1[:, 0], p)
     assert np.array_equal(d1[:, 1], p1 * PTS[:, 0])
     assert np.array_equal(d2[:, 1, 1], p2 * PTS[:, 0])

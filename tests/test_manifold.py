@@ -19,7 +19,6 @@ from warpforce.model import (
     GridSpec,
     RadialMetric,
     _fd_jet,
-    validate_metric,
 )
 from warpforce.warpcore import BumpFunction, warp_force
 
@@ -104,8 +103,9 @@ class TestPerturbedModel:
         m = perturbed_hyperbolic(2, amplitude=0.3, radial_center=5.0)
         rc = radial_chart(m, 5.0, xi=1.0)
         pb = pullback(rc, m.metric)
-        out = validate_metric(pb, grid=GridSpec(points_per_axis=12))
-        assert out["min_eigenvalue"] > 0
+        G = pb(pb.domain.grid(GridSpec(points_per_axis=12)))
+        assert np.abs(G - np.swapaxes(G, 1, 2)).max() <= 1e-12
+        assert np.linalg.eigvalsh(G).min() > 1e-10
 
 
 class TestRadialChart:
@@ -316,7 +316,7 @@ class TestConfig:
                                   "r_range": [0.1, 12.0]})
         assert isinstance(m, CenteredManifold)
         assert m.kind == "punctured" and m.n == 2
-        assert m.to_json()["r_range"] == [0.1, 12.0]
+        assert m.r_range == (0.1, 12.0)
 
     def test_perturbed_roundtrip(self):
         cfg = {"kind": "perturbed", "n": 3, "amplitude": 0.01,
@@ -329,3 +329,18 @@ class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             manifold_from_config({"kind": "flat"})
+
+    @pytest.mark.parametrize("cfg,key", [
+        ({"kind": "punctured", "amplitude": 0.5}, "amplitude"),
+        ({"kind": "perturbed", "amplitud": 0.5}, "amplitud"),
+        ({"n": 2, "grid": {"points_per_axis": 8}}, "grid"),
+    ])
+    def test_unknown_keys_are_named(self, cfg, key):
+        with pytest.raises(ValueError, match=repr(key)):
+            manifold_from_config(cfg)
+
+    def test_defaults_are_the_constructors(self):
+        assert manifold_from_config({}).params == \
+            punctured_hyperbolic().params
+        assert manifold_from_config({"kind": "perturbed"}).params == \
+            perturbed_hyperbolic().params

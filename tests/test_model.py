@@ -13,7 +13,6 @@ from warpforce.model import (
     Domain,
     DomainError,
     Field,
-    GenerationError,
     GridSpec,
     Jet,
     _CHUNK,
@@ -28,13 +27,11 @@ from warpforce.model import (
     dump_grid_csv,
     hyperbolic_model,
     interval_domain,
-    metric_deviation,
     RadialMetric,
     profile_scalar,
-    validate_metric,
 )
 from warpforce.verify import measured_with_error
-from warpforce.warpcore import ShiftedProfile, WarpFunction, apply_warp
+from warpforce.warpcore import WarpFunction, apply_warp
 
 from polynomials import polynomial_scalar
 
@@ -162,7 +159,7 @@ class TestC2Norm:
                 lambda p: 1.01 * np.exp(2 * p[:, -1])[:, None, None] * np.eye(1),
                 name="pert",
             )
-            dev = metric_deviation(pert, sig)
+            dev = c2_norm(difference(pert, sig))
             assert dev.value == pytest.approx(0.01 * sigma_norm_oracle(xi),
                                               rel=1e-5)
 
@@ -174,7 +171,7 @@ class TestC2Norm:
             lambda p: 1.01 * np.exp(2 * p[:, -1])[:, None, None] * np.eye(1),
         )
         oracle = 0.01 * sigma_norm_oracle(0.5)
-        dev = metric_deviation(pert, sig)
+        dev = c2_norm(difference(pert, sig))
         assert dev.value < 2.0 * oracle and isinstance(dev, C2Norm)
         assert not dev.value < 0.5 * oracle
 
@@ -185,13 +182,6 @@ class TestC2Norm:
             c2_norm(f)
         assert "decay" in str(exc.value)
         assert "(" in str(exc.value)  # names the offending point
-
-    def test_to_json_roundtrip_fields(self):
-        nrm = c2_norm(hyperbolic_model(chart2()))
-        d = nrm.to_json()
-        assert d["value"] == nrm.value
-        assert d["grid"]["points_per_axis"] == 64
-        assert d["derivative_source"] == "analytic"
 
 
 def poly_pair(draw_coeffs):
@@ -261,15 +251,7 @@ class TestJets:
 
     def test_profile_lift_shift(self):
         dom = chart2().domain
-
-        class Sq:
-            def __call__(self, t):
-                return t ** 2
-
-            def jet(self, t):
-                return t ** 2, 2 * t, 2 * np.ones_like(t)
-
-        f = profile_scalar(dom, ShiftedProfile(Sq(), 0.5))
+        f = profile_scalar(dom, lambda t: (t - 0.5) ** 2)
         pts = np.array([[0.3, 1.5], [0.0, -1.0]])
         assert f(pts) == pytest.approx((pts[:, 1] - 0.5) ** 2)
         v, d1, d2 = f.jet(pts)
@@ -401,32 +383,6 @@ class TestMemo:
         for xi in np.linspace(0.5, 2.0, 2 * _SEEDS_MAX):
             c2_norm(hyperbolic_model(chart2(xi=float(xi), pts=8)))
         assert len(_SEEDS) == _SEEDS_MAX
-
-
-class TestValidateMetric:
-    def test_hyperbolic_passes(self):
-        out = validate_metric(hyperbolic_model(chart2()))
-        assert out["min_eigenvalue"] > 0
-        assert out["symmetry_defect"] == 0.0
-
-    def test_rejects_indefinite(self):
-        ch = chart2()
-        bad = RadialMetric.on_chart(
-            ch, lambda p: -np.ones((len(p), 1, 1)), name="bad")
-        with pytest.raises(GenerationError):
-            validate_metric(bad)
-
-    def test_rejects_asymmetric(self):
-        ch = ChartModel(n=3, xi=0.5, grid=GridSpec(points_per_axis=8))
-
-        def fn(p):
-            out = np.tile(np.eye(3), (len(p), 1, 1))
-            out[:, 0, 1] = 0.5
-            return out
-
-        bad = Field(ch.domain, fn, shape=(3, 3), name="asym", grid=ch.grid)
-        with pytest.raises(GenerationError):
-            validate_metric(bad)
 
 
 class TestDump:

@@ -10,6 +10,7 @@ from warpforce.model import (
     Field,
     GridSpec,
     Jet,
+    RadialMetric,
     WarpforceError,
     c2_norm,
     difference,
@@ -18,6 +19,7 @@ from warpforce.model import (
     profile_scalar,
 )
 from warpforce.manifold import (
+    CenteredManifold,
     perturbed_hyperbolic,
     pullback,
     punctured_hyperbolic,
@@ -45,6 +47,7 @@ from warpforce.verify import (
     remark_decay,
     reports_to_csv_rows,
     run_check,
+    run_theorem_sweep,
     available_checks,
     theorem_centers,
 )
@@ -304,7 +307,8 @@ def test_blend_bump_weight():
     g2 = apply_warp(g1, WarpFunction(4.0))
     from warpforce.model import profile_scalar
     # the lift of rho's own jet along t, which the hand-written jet spelled out
-    lam = profile_scalar(CH.domain, BumpFunction().shifted(-1.2))
+    rho = BumpFunction()
+    lam = profile_scalar(CH.domain, lambda t: rho(t + 1.2))
     r = check_lemma_1_1(g1, g2, lam)
     assert r.passed and r.lhs > 0.0
 
@@ -418,6 +422,44 @@ def test_audit_rejects_bad_geometry():
         check_main_theorem(m, 2.0, 1.5, centers_per_zone=2, seed=0)
 
 
+def test_audit_refuses_a_vacuous_sweep():
+    m = perturbed_hyperbolic(2, grid=GridSpec(points_per_axis=8))
+    with pytest.raises(ValueError, match="centers_per_zone"):
+        check_main_theorem(m, 5.0, 1.5, centers_per_zone=0)
+    with pytest.raises(ValueError, match="r0 value"):
+        run_theorem_sweep(TheoremConfig(r0_values=()))
+
+
+def test_nan_samples_make_the_norm_nan_and_the_check_fail():
+    # Python's max(sup, nan) keeps sup, which read this field as 0.0
+    f = Field(ChartModel(n=2).domain,
+              lambda p: np.where(p[:, 1] > 0, np.nan, 5.0))
+    with np.errstate(invalid="ignore"):
+        nrm = c2_norm(f)
+        full, err = measured_with_error(f)
+    assert np.isnan(nrm.value)
+    assert all(np.isnan(v) for v in nrm.per_order_sups.values())
+    assert np.isnan(full.value)
+    r = make_report("nan", {}, full.value, 1.0, err, full.grid,
+                    full.derivative_source)
+    assert not r.passed and not r.marginal
+
+
+def test_audit_nan_closeness_fails_the_sweep():
+    g = perturbed_hyperbolic(2, grid=GridSpec(points_per_axis=8)).metric
+
+    def spatial(p):
+        return np.where(p[:, -1, None, None] > 6.5, np.nan, g.spatial(p))
+
+    m = CenteredManifold(RadialMetric(g.domain, spatial, grid=g.grid),
+                         kind="perturbed")
+    with np.errstate(invalid="ignore"):
+        inst = check_main_theorem(m, 5.0, 1.5, centers_per_zone=1)
+    assert np.isnan(inst.eps) and np.isnan(inst.eta_max)
+    assert np.isnan(inst.decay_constant) and not inst.passed
+    assert not any(r.passed or r.marginal for r in inst.reports)
+
+
 def test_audit_chart_misfit_becomes_error_entry(monkeypatch):
     import warpforce.verify as V
     real = V.radial_chart
@@ -454,7 +496,6 @@ def test_theorem_config_from_dict():
     cfg = TheoremConfig.from_dict({"r0_values": [5.0], "xi": 1.2,
                                    "grid": {"points_per_axis": 32}})
     assert cfg.r0_values == (5.0,) and cfg.grid.points_per_axis == 32
-    assert json.dumps(cfg.to_json())
 
 
 # ---------------------------------------------------------------------------

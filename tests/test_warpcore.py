@@ -20,7 +20,6 @@ from warpforce.manifold import punctured_hyperbolic
 from warpforce.warpcore import (
     BumpFunction,
     RadialMetric,
-    ShiftedProfile,
     WarpFunction,
     apply_warp,
     blend,
@@ -87,24 +86,12 @@ class TestBump:
         assert np.abs(d1 - fd1).max() < 1e-7
         assert np.abs(d2 - fd2).max() < 1e-4
 
-    def test_shift(self):
-        b = BumpFunction()
-        s = b.shifted(3.0)
-        t = np.linspace(2.0, 4.0, 50)
-        assert np.array_equal(s(t), b(t - 3.0))
-        assert isinstance(s, ShiftedProfile)
-
     def test_measured_profile_norm_matches_certificate(self):
         b = BumpFunction()
         w = interval_domain(-0.2, 0.7)
-        f = profile_scalar(w, b, name="rho")
+        f = profile_scalar(w, b)
         nrm = c2_norm(f, GridSpec(points_per_axis=20001))
         assert nrm.value == pytest.approx(b.certified_c2, rel=1e-4)
-
-    def test_to_json(self):
-        d = BumpFunction().to_json()
-        assert d["delta"] == 0.05
-        assert d["certified_c2"] < d["bound"] == 48.0
 
 
 class TestWarpFunction:
@@ -256,7 +243,8 @@ class TestChartOperators:
         # rho_{r0} is exactly 0 (r0 = -10) or 1 (r0 = 10) on the chart
         ch = self.chart(n=3)
         a, b, calls = self.counting_parts(ch)
-        lam = profile_scalar(ch.domain, BumpFunction().shifted(r0))
+        rho = BumpFunction()
+        lam = profile_scalar(ch.domain, lambda r: rho(r - r0))
         W = blend(a, b, lam)
         part = {"a": a, "b": b}[kept]
         pts = ch.grid_points(GridSpec(points_per_axis=8))
@@ -268,7 +256,7 @@ class TestChartOperators:
     def test_blend_mixed_weights_evaluate_both_parts(self):
         ch = self.chart(n=3)
         a, b, calls = self.counting_parts(ch)
-        lam = profile_scalar(ch.domain, BumpFunction().shifted(0.0))
+        lam = profile_scalar(ch.domain, BumpFunction())
         W = blend(a, b, lam)
         pts = ch.grid_points(GridSpec(points_per_axis=8))
         l = lam(pts)
