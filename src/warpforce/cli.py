@@ -24,7 +24,6 @@ from warpforce.verify import (
     CSV_COLUMNS,
     TheoremConfig,
     available_checks,
-    check_lemma_2_1,
     remark_decay,
     reports_to_csv_rows,
     run_check,
@@ -118,33 +117,25 @@ def _print_reports(reports, as_json: bool):
 
 def cmd_verify(parser, args) -> int:
     cfg = _load_config(parser, args.config)
-    for name in cfg.get("checks", []):
-        if name not in available_checks():
-            parser.error(f"config references unknown check {name!r}")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = args.seed if args.seed is not None else cfg.get("seed")
     instances = (args.instances if args.instances is not None
                  else cfg.get("instances", 100))
     if not (_is_int(instances) and instances >= 0):
         parser.error(f"instances must be an integer >= 0 (got {instances!r})")
-    if not _is_int(seed):
+    if not (seed is None or _is_int(seed)):
         parser.error(f"seed must be an integer (got {seed!r})")
     xi_values = cfg.get("xi_values", (1.0, 1.5))
     grid = _grid_from(parser, args, cfg)
-
+    section = cfg if args.check == "all" else cfg.get(args.check)
     if args.t0 is not None:
         if args.check != "lemma2.1":
             parser.error("--t0 only applies to the lemma2.1 check")
-        if not 2.0 < args.t0 < np.inf:
-            parser.error(f"--t0 must exceed 2 and be finite (got {args.t0:g})")
-        reports = [check_lemma_2_1(args.t0)]
-    else:
-        section = cfg if args.check == "all" else cfg.get(args.check)
-        try:
-            reports = run_check(args.check, seed=seed, instances=instances,
-                                xi_values=xi_values, grid=grid,
-                                config=section)
-        except (ValueError, WarpforceError) as exc:
-            parser.error(str(exc))
+        section = {"t0_values": [args.t0]}
+    try:
+        reports = run_check(args.check, seed=seed, instances=instances,
+                            xi_values=xi_values, grid=grid, config=section)
+    except (ValueError, WarpforceError) as exc:
+        parser.error(str(exc))
     _write_reports(args.out, reports)
     _print_reports(reports, args.json)
     return _exit_code(reports)
@@ -167,17 +158,11 @@ def cmd_theorem(parser, args) -> int:
     else:
         parser.error("config has no theorem instance spec (expected a "
                      "'theorem' object or top-level instance fields)")
-    section = dict(section)
-    if args.seed is not None:
-        section["seed"] = args.seed
+    seed = args.seed if args.seed is not None else doc.get("seed")
     grid = _grid_from(parser, args, doc)
-    if grid is not None:
-        section["grid"] = dataclasses.asdict(grid)
     try:
-        tcfg = TheoremConfig.from_dict(section)
-        instances = run_theorem_sweep(tcfg)
-    except TypeError as exc:
-        parser.error(f"bad theorem config: {exc}")
+        instances = run_theorem_sweep(
+            TheoremConfig.from_dict(section, seed, grid))
     except (ValueError, WarpforceError) as exc:
         parser.error(str(exc))
 

@@ -66,8 +66,10 @@ class GridSpec:
     fd_step: float = 1e-4
 
     def __post_init__(self):
-        if self.points_per_axis < 4:
-            raise ValueError("points_per_axis must be >= 4")
+        if (not isinstance(self.points_per_axis, (int, np.integer))
+                or self.points_per_axis < 4):
+            raise ValueError(f"points_per_axis must be an integer >= 4, "
+                             f"got {self.points_per_axis!r}")
         if not 0.0 <= self.boundary_margin < 0.5:
             raise ValueError("boundary_margin must be in [0, 0.5)")
         if not 0.0 < self.fd_step < 0.1:

@@ -478,17 +478,33 @@ class TheoremConfig:
     grid: GridSpec = field(default_factory=GridSpec)
 
     @classmethod
-    def from_dict(cls, cfg: dict) -> "TheoremConfig":
-        kw = dict(cfg)
-        grid = kw.get("grid", GridSpec())
-        if isinstance(grid, dict):
-            kw["grid"] = GridSpec(**grid)
-        elif not isinstance(grid, GridSpec):
-            raise ValueError(f"theorem grid must be an object, got {grid!r}")
-        for key in ("r_range", "r0_values"):
-            if key in kw:
-                kw[key] = tuple(kw[key])
-        return cls(**kw)
+    def from_dict(cls, section: dict, seed: Optional[int] = None,
+                  grid: Optional[GridSpec] = None) -> "TheoremConfig":
+        """The config a `theorem` section describes; a given seed or grid
+        replaces the section's own.  ValueError names an unknown key or a
+        malformed value."""
+        if not isinstance(section, dict):
+            raise ValueError(f"theorem config must be an object, "
+                             f"got {section!r}")
+        kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+        kw = dict(section) if seed is None else dict(section, seed=seed)
+        for key, v in list(kw.items()):
+            kind = kinds.get(key)
+            if kind is None:
+                raise ValueError(f"unknown theorem key {key!r}; known: "
+                                 f"{', '.join(kinds)}")
+            if key == "grid":
+                try:
+                    kw[key] = GridSpec(**v)
+                except TypeError as exc:
+                    raise ValueError(f"bad theorem grid: {exc}") from None
+            elif kind is tuple:   # [] gets run_theorem_sweep's error
+                kw[key] = () if v == [] else _numbers(v, f"theorem {key}")
+            elif kind in (int, float) and (isinstance(v, bool) or
+                                           not isinstance(v, (int, kind))):
+                what = "an integer" if kind is int else "a number"
+                raise ValueError(f"theorem {key} must be {what}, got {v!r}")
+        return cls(**kw) if grid is None else cls(**dict(kw, grid=grid))
 
 
 @dataclass(frozen=True)
@@ -656,10 +672,8 @@ def remark_decay(t0_values: Optional[Sequence[float]] = None,
     model family needs the puncture cut out.  t0_values defaults to 2.2, 3,
     ..., 9 when None; an empty sequence is a ValueError.
     """
-    t0s = tuple((2.2, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0)
-                if t0_values is None else t0_values)
-    if not t0s:
-        raise ValueError("remark_decay needs at least one t0 value")
+    t0s = ((2.2, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0) if t0_values is None
+           else _numbers(t0_values, "t0_values"))
     r_hi = max(t0s) + 2.0 + 0.5     # a chart of excess 1 reaches t0 + 2
     m = punctured_hyperbolic(2, r_range=(0.05, r_hi))
     rows = []
@@ -719,38 +733,35 @@ def available_checks() -> list:
     return list(_LEMMA_NAMES) + ["theorem", "all"]
 
 
-def run_check(name: str, seed: int = 0, instances: int = 100,
+def run_check(name: str, seed: Optional[int] = None, instances: int = 100,
               xi_values=(1.0, 1.5), grid: Optional[GridSpec] = None,
               config: Optional[dict] = None) -> list:
-    """Run a registry check and return its BoundReports."""
+    """Run a registry check and return its BoundReports.  A given seed or
+    grid overrides the theorem section's own; the lemma suites default to
+    seed 0.  `all` reads its theorem section before the first lemma runs."""
     if config is not None and not isinstance(config, dict):
         raise ValueError(f"config of {name!r} must be an object, "
                          f"got {config!r}")
-    if name == "all":
+    if name in ("all", "theorem"):
         doc = config or {}
-        out = []
-        for nm in _LEMMA_NAMES:
-            out.extend(run_check(nm, seed=seed, instances=instances,
-                                 xi_values=xi_values, grid=grid,
-                                 config=doc.get(nm)))
-        out.extend(run_check("theorem", seed=seed, grid=grid,
-                             config=doc.get("theorem")))
-        return out
+        theorem = TheoremConfig.from_dict(
+            doc.get("theorem", {}) if name == "all" else doc, seed, grid)
+        out = [] if name == "theorem" else [
+            r for nm in _LEMMA_NAMES
+            for r in run_check(nm, seed, instances, xi_values, grid,
+                               doc.get(nm))]
+        return out + [r for inst in run_theorem_sweep(theorem)
+                      for r in inst.reports]
     if name == "lemma2.1":
         t0s = _numbers((config or {}).get("t0_values", _DEFAULT_T0S),
                        "lemma2.1 t0_values")
+        for t0 in t0s:
+            if not 2.0 < t0 < np.inf:
+                raise ValueError(f"lemma2.1 t0 must exceed 2 and be finite "
+                                 f"(got {t0:g})")
         return [check_lemma_2_1(t0) for t0 in t0s]
     if name in _LEMMA_NAMES:
-        return _run_lemma_suite(name, seed, instances, xi_values, grid)
-    if name == "theorem":
-        kw = dict(config or {})
-        kw.setdefault("seed", seed)
-        if grid is not None:
-            kw["grid"] = grid
-        cfg = TheoremConfig.from_dict(kw)
-        out = []
-        for inst in run_theorem_sweep(cfg):
-            out.extend(inst.reports)
-        return out
+        return _run_lemma_suite(name, 0 if seed is None else seed,
+                                instances, xi_values, grid)
     raise ValueError(
         f"unknown check {name!r}; available: {', '.join(available_checks())}")

@@ -44,10 +44,13 @@ def test_verify_single_point_passes(capsys):
     assert "PASS" in out and "0.0128895" in out
 
 
-def test_verify_rejects_small_t0(capsys):
-    for t0 in ("1", "nan", "inf"):
+def test_verify_rejects_small_t0(tmp_path, capsys):
+    # the flag and the config section obey one rule
+    cfg = write_cfg(tmp_path, {"lemma2.1": {"t0_values": [3.0, float("inf")]}})
+    for argv in (["--t0", "1"], ["--t0", "nan"], ["--t0", "inf"],
+                 ["--config", cfg]):
         with pytest.raises(SystemExit) as exc:
-            run_cli(["verify", "lemma2.1", "--t0", t0])
+            run_cli(["verify", "lemma2.1"] + argv)
         assert exc.value.code == 2
         assert "must exceed 2" in capsys.readouterr().err
 
@@ -73,6 +76,17 @@ def test_verify_rejects_small_t0(capsys):
     (["dump-grid", "--seed", "7"], None),
     (["dump-grid", "--json"], None),
     (["demo-remark", "--seed", "7"], None),
+    # a malformed theorem section is a usage error under every command
+    *[(argv + ["--grid", "8"],
+       {"theorem": dict(SMALL_THEOREM["theorem"], **bad)})
+      for bad in ({"warp_speed": 9}, {"r0_values": 5},
+                  {"grid": {"points": 8}}, {"seed": 1.5}, {"xi": "wide"})
+      for argv in (["theorem"], ["verify", "theorem"], ["verify", "all"])],
+    (["theorem", "--grid", "8"], dict(SMALL_THEOREM, seed=1.5)),
+    (["demo-remark"], {"t0_values": 5}),
+    (["demo-remark"], {"t0_values": ["a"]}),
+    (["demo-remark"], {"grid": {"points_per_axis": 16.5}}),
+    (["verify", "lemma1.1"], {"grid": {"points_per_axis": 16.5}}),
 ])
 def test_bad_numeric_flags_are_usage_errors(tmp_path, monkeypatch, argv, cfg):
     monkeypatch.chdir(tmp_path)
@@ -121,14 +135,6 @@ def test_verify_json_stdout(capsys):
     assert run_cli(["verify", "lemma2.1", "--json"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert len(blob) == 6 and all(r["passed"] for r in blob)
-
-
-def test_verify_config_unknown_check_name(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"checks": ["lemma9.1"]})
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["verify", "all", "--config", cfg])
-    assert exc.value.code == 2
-    assert "lemma9.1" in capsys.readouterr().err
 
 
 def test_verify_config_grid_and_instances(tmp_path, capsys):
@@ -292,6 +298,50 @@ def test_theorem_seed_flag_overrides(tmp_path, capsys):
     t0_a = [r["params"]["t0"] for r in first[0]["reports"]]
     t0_b = [r["params"]["t0"] for r in second[0]["reports"]]
     assert t0_a != t0_b
+
+
+def center_t0s(argv, cfg, capsys):
+    """The t0 of every center a theorem run checks, in report order."""
+    assert run_cli(argv + ["--config", cfg, "--grid", "8", "--json"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    reports = blob[0]["reports"] if argv[0] == "theorem" else blob
+    return [r["params"]["t0"] for r in reports]
+
+
+def test_theorem_and_verify_theorem_draw_the_same_centers(tmp_path, capsys):
+    # a top-level seed is read by both commands
+    cfg = write_cfg(tmp_path, {"seed": 3, "theorem": {
+        "r0_values": [5.0], "centers_per_zone": 1}})
+    plain = center_t0s(["theorem"], cfg, capsys)
+    assert plain == center_t0s(["verify", "theorem"], cfg, capsys)
+    default = write_cfg(tmp_path, {"theorem": {
+        "r0_values": [5.0], "centers_per_zone": 1}}, name="default.json")
+    assert plain != center_t0s(["theorem"], default, capsys)
+
+
+def test_verify_theorem_seed_flag_overrides_the_section(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"theorem": {
+        "r0_values": [5.0], "centers_per_zone": 1, "seed": 1}})
+    five = center_t0s(["verify", "theorem", "--seed", "5"], cfg, capsys)
+    nine = center_t0s(["verify", "theorem", "--seed", "9"], cfg, capsys)
+    assert five != nine
+    assert five == center_t0s(["theorem", "--seed", "5"], cfg, capsys)
+
+
+def test_verify_all_reads_the_theorem_section_first(tmp_path, monkeypatch,
+                                                    capsys):
+    from warpforce import verify
+    calls = []
+    monkeypatch.setattr(verify, "_run_lemma_suite",
+                        lambda *a, **k: calls.append(a) or [])
+    monkeypatch.setattr(verify, "check_lemma_2_1",
+                        lambda *a, **k: calls.append(a))
+    cfg = write_cfg(tmp_path, {"theorem": {"r0_values": [5.0],
+                                           "warp_speed": 9}})
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "all", "--config", cfg, "--grid", "8"])
+    assert exc.value.code == 2 and calls == []
+    assert "'warp_speed'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

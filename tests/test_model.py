@@ -61,6 +61,15 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(fd_step=0.0)
 
+    @pytest.mark.parametrize("points", [16.5, 16.0, "16", None])
+    def test_points_per_axis_must_be_an_integer(self, points):
+        # np.linspace refuses a float count with a TypeError deep in a norm
+        with pytest.raises(ValueError, match="integer"):
+            GridSpec(points_per_axis=points)
+
+    def test_numpy_integer_points_accepted(self):
+        assert GridSpec(points_per_axis=np.int64(16)).points_per_axis == 16
+
     def test_halved(self):
         assert GridSpec(points_per_axis=64).halved().points_per_axis == 32
         assert GridSpec(points_per_axis=5).halved().points_per_axis == 4
