@@ -21,6 +21,7 @@ differences.
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -34,6 +35,7 @@ from warpforce.model import (
     GenerationError,
     GridSpec,
     RadialMetric,
+    _diag,
     c2_norm,
     difference,
     hyperbolic_model,
@@ -72,9 +74,14 @@ class CenteredManifold:
 
 
 def _sphere_domain(n: int, r_range) -> Domain:
-    lo, hi = float(r_range[0]), float(r_range[1])
-    if lo < 0.0:
-        raise ValueError("radial window must stay in r >= 0")
+    ok = isinstance(r_range, (list, tuple, np.ndarray)) \
+        and len(r_range) == 2 and all(isinstance(v, numbers.Real)
+                                      and not isinstance(v, bool)
+                                      for v in r_range)
+    lo, hi = map(float, r_range) if ok else (np.nan, np.nan)
+    if not 0.0 <= lo < hi < np.inf:
+        raise ValueError(f"r_range must be two finite numbers lo, hi with "
+                         f"0 <= lo < hi, got {r_range!r}")
     if n == 2:
         return Domain(bounds=((-np.pi, np.pi), (lo, hi)),
                       axis_names=("theta", "r"))
@@ -86,27 +93,18 @@ def _sphere_domain(n: int, r_range) -> Domain:
     raise ValueError("only n = 2 and n = 3 manifolds are implemented")
 
 
-def _sinh_spatial(n: int):
-    """spatial(y, r) = sinh^2(r) sigma_S."""
-    if n == 2:
-        return lambda p: (np.sinh(p[:, -1]) ** 2)[:, None, None]
-
-    def fn(p):
-        s2 = np.sinh(p[:, -1]) ** 2
-        f = s2 * np.sin(p[:, 0]) ** 2
-        # diag(s2, f) times the identity: the off-diagonal zeros are exact
-        return np.concatenate([s2[:, None], f[:, None]], axis=1)[:, :, None] \
-            * np.eye(2)
-
-    return fn
+def _sinh_diagonal(n: int, p) -> list:
+    """The diagonal of sinh^2(r) sigma_S at points p, as (m,) columns."""
+    s2 = np.sinh(p[:, -1]) ** 2
+    return [s2] if n == 2 else [s2, s2 * np.sin(p[:, 0]) ** 2]
 
 
 def punctured_hyperbolic(n: int = 2, r_range=(0.05, 16.0),
                          grid: Optional[GridSpec] = None) -> CenteredManifold:
     """Hyperbolic space minus its center: sinh^2(r) sigma_S + dr^2."""
     dom = _sphere_domain(n, r_range)
-    metric = RadialMetric(dom, _sinh_spatial(n), analytic=True, grid=grid,
-                          name=f"punctured{n}d")
+    metric = RadialMetric(dom, lambda p: _diag(_sinh_diagonal(n, p)),
+                          analytic=True, grid=grid, name=f"punctured{n}d")
     return CenteredManifold(metric=metric, kind="punctured",
                             params={"n": n, "r_range": list(map(float, r_range))})
 
@@ -129,7 +127,6 @@ def perturbed_hyperbolic(n: int = 2, amplitude: float = 1e-3,
     if radial_width <= 0.0:
         raise GenerationError("radial_width must be positive")
     dom = _sphere_domain(n, r_range)
-    base_fn = _sinh_spatial(n)
     ang_axis = 0 if n == 2 else 1
     A, mm, rc, rw = float(amplitude), int(sphere_mode), \
         float(radial_center), float(radial_width)
@@ -137,7 +134,7 @@ def perturbed_hyperbolic(n: int = 2, amplitude: float = 1e-3,
     def fn(p):
         u = (p[:, -1] - rc) / rw
         factor = 1.0 + A * np.cos(mm * p[:, ang_axis]) * np.exp(-u ** 2)
-        return factor[:, None, None] * base_fn(p)
+        return _diag([factor * c for c in _sinh_diagonal(n, p)])
 
     metric = RadialMetric(dom, fn, analytic=True, grid=grid,
                           name=f"perturbed{n}d")
@@ -293,6 +290,27 @@ def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
                        affine=False, chart=chart)
 
 
+def _sandwich(J, S):
+    """J^T S J of (m, k, k) stacks, entry by entry from (m,) columns, in the
+    order of (J^T S) J: `@` would call BLAS once per k x k matrix."""
+    k = J.shape[1]
+    out = np.empty(J.shape)
+    T = np.empty((k, len(J)))      # a row of J^T S
+    tmp = np.empty(len(J))
+
+    def dot(us, vs, acc):          # acc = sum_a us[a] * vs[a], in order
+        np.multiply(us[0], vs[0], out=acc)
+        for u, v in zip(us[1:], vs[1:]):
+            acc += np.multiply(u, v, out=tmp)
+
+    for i in range(k):
+        for b in range(k):
+            dot(J[:, :, i].T, S[:, :, b].T, T[b])
+        for j in range(k):
+            dot(T, J[:, :, j].T, out[:, i, j])
+    return out
+
+
 def pullback(rc: RadialChart, g: RadialMetric) -> RadialMetric:
     """Chart pullback (Dphi1^T spatial Dphi1)(phi1(x), t+t0) + dt^2.
 
@@ -309,10 +327,9 @@ def pullback(rc: RadialChart, g: RadialMetric) -> RadialMetric:
                 f"pullback of {g.name!r} hit coordinates "
                 f"{tuple(round(float(v), 6) for v in bad)} outside its window")
         S = g.spatial(q)
-        # n = 2 has 1 x 1 blocks, where matmul's per-matrix cost dominates;
-        # the broadcast product is bitwise the same
-        return J * S * J if J.shape[1:] == (1, 1) \
-            else np.swapaxes(J, 1, 2) @ S @ J
+        # n = 2 has 1 x 1 blocks: the broadcast product is bitwise the
+        # matmul (and carries jets)
+        return J * S * J if J.shape[1:] == (1, 1) else _sandwich(J, S)
 
     return RadialMetric.on_chart(rc.chart, spatial,
                                  analytic=rc.affine and g.has_jet,

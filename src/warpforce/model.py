@@ -559,31 +559,56 @@ class RadialMetric(Field):
             else _taylor(self._spatial, x, self)
 
 
+def _diag(cols):
+    """The (m, k, k) block with the k (m,) columns `cols` (arrays or Jets)
+    on its diagonal: a zero block filled part by part, as _embed fills one.
+    A product with np.eye(k) would be the same values (up to the sign of
+    its off-diagonal zeros), but numpy runs it as a loop over a length-k
+    axis."""
+    if len(cols) == 1:
+        return cols[0][:, None, None]
+    jet = next((c for c in cols if isinstance(c, Jet)), None)
+    if jet is not None:
+        d = len(jet.d1)
+        return Jet(*(_diag([_part(c, o, d) for c in cols])
+                     for o in range(3)))
+    cols = [np.asarray(c) for c in cols]
+    k = len(cols)
+    out = np.zeros(cols[0].shape + (k, k))
+    for i, c in enumerate(cols):
+        out[..., i, i] = c
+    return out
+
+
 def hyperbolic_model(chart: ChartModel) -> RadialMetric:
     """sigma = e^{2t} (dx_1^2 + ... + dx_{n-1}^2) + dt^2."""
-    eye = np.eye(chart.k)
-
     def spatial(pts):
-        return np.exp(2.0 * pts[:, -1])[:, None, None] * eye
+        return _diag([np.exp(2.0 * pts[:, -1])] * chart.k)
 
     return RadialMetric.on_chart(chart, spatial, analytic=True,
                                  name="hyperbolic")
 
 
 def difference(f: Field, g: Field, name: Optional[str] = None) -> Field:
-    """Pointwise f - g on f's domain (shapes must agree).  RadialMetrics
-    subtract their blocks: bitwise f - g, as their unit entries cancel."""
+    """Pointwise f - g on f's domain (shapes must agree).  Two RadialMetrics
+    give the (k, k) difference of their spatial blocks: the rest of f - g
+    is exactly 0 (their unit entries cancel), which adds nothing to a
+    norm."""
     if f.shape != g.shape:
         raise ValueError("field shapes differ")
+    shape = f.shape
+    if isinstance(f, RadialMetric) and isinstance(g, RadialMetric):
+        k = f.domain.dim - 1
+        shape = (k, k)
 
-    def fn(pts):
-        if isinstance(f, RadialMetric) and isinstance(g, RadialMetric):
-            return _embed(f.spatial(pts) - g.spatial(pts), len(pts),
-                          f.domain.dim, 0.0)
-        return f(pts) - g(pts)
+        def fn(pts):
+            return f.spatial(pts) - g.spatial(pts)
+    else:
+        def fn(pts):
+            return f(pts) - g(pts)
 
     return Field(f.domain, fn, analytic=f.has_jet and g.has_jet,
-                 shape=f.shape, name=name or f"{f.name}-{g.name}", grid=f.grid)
+                 shape=shape, name=name or f"{f.name}-{g.name}", grid=f.grid)
 
 
 def profile_scalar(domain: Domain, profile) -> Field:

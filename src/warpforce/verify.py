@@ -27,7 +27,7 @@ import json
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -746,22 +746,38 @@ def run_check(name: str, seed: Optional[int] = None, instances: int = 100,
         doc = config or {}
         theorem = TheoremConfig.from_dict(
             doc.get("theorem", {}) if name == "all" else doc, seed, grid)
-        out = [] if name == "theorem" else [
-            r for nm in _LEMMA_NAMES
-            for r in run_check(nm, seed, instances, xi_values, grid,
-                               doc.get(nm))]
-        return out + [r for inst in run_theorem_sweep(theorem)
-                      for r in inst.reports]
-    if name == "lemma2.1":
-        t0s = _numbers((config or {}).get("t0_values", _DEFAULT_T0S),
-                       "lemma2.1 t0_values")
-        for t0 in t0s:
-            if not 2.0 < t0 < np.inf:
-                raise ValueError(f"lemma2.1 t0 must exceed 2 and be finite "
-                                 f"(got {t0:g})")
-        return [check_lemma_2_1(t0) for t0 in t0s]
+        lemmas = [] if name == "theorem" else [
+            _lemma_run(nm, doc.get(nm), seed, instances, xi_values, grid)
+            for nm in _LEMMA_NAMES]
+        return [r for run in lemmas for r in run()] + [
+            r for inst in run_theorem_sweep(theorem) for r in inst.reports]
     if name in _LEMMA_NAMES:
-        return _run_lemma_suite(name, 0 if seed is None else seed,
-                                instances, xi_values, grid)
+        return _lemma_run(name, config, seed, instances, xi_values, grid)()
     raise ValueError(
         f"unknown check {name!r}; available: {', '.join(available_checks())}")
+
+
+def _lemma_run(name: str, section, seed: Optional[int], instances: int,
+               xi_values, grid: Optional[GridSpec]) -> Callable:
+    """The run of lemma suite `name` on its config section, checked now:
+    lemma2.1 reads `t0_values` and the other suites take no keys, so any
+    other key is a ValueError that names it."""
+    if section is not None and not isinstance(section, dict):
+        raise ValueError(f"config of {name!r} must be an object, "
+                         f"got {section!r}")
+    section = section or {}
+    known = ("t0_values",) if name == "lemma2.1" else ()
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {name} key {unknown[0]!r}; known: "
+                         f"{', '.join(known) or 'none'}")
+    if name != "lemma2.1":
+        return lambda: _run_lemma_suite(name, 0 if seed is None else seed,
+                                        instances, xi_values, grid)
+    t0s = _numbers(section.get("t0_values", _DEFAULT_T0S),
+                   "lemma2.1 t0_values")
+    for t0 in t0s:
+        if not 2.0 < t0 < np.inf:
+            raise ValueError(f"lemma2.1 t0 must exceed 2 and be finite "
+                             f"(got {t0:g})")
+    return lambda: [check_lemma_2_1(t0) for t0 in t0s]

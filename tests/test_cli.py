@@ -206,6 +206,19 @@ def test_dump_grid_matches_golden(tmp_path, capsys):
     assert_golden(tmp_path, "grid.csv")
 
 
+def test_theorem_n3_matches_golden(tmp_path, capsys):
+    # every other golden is n = 2: this one pins the exp-map pullback and
+    # its finite-difference norms
+    cfg = write_cfg(tmp_path, {"theorem": {"n": 3, "r0_values": [5.0],
+                                           "centers_per_zone": 1}})
+    out = tmp_path / "out"
+    assert run_cli(["theorem", "--config", cfg, "--grid", "8",
+                    "--out", str(out)]) == 0
+    capsys.readouterr()
+    (out / "theorem.json").rename(out / "theorem_n3.json")
+    assert_golden(out, "theorem_n3.json")
+
+
 # ---------------------------------------------------------------------------
 # theorem
 
@@ -342,6 +355,50 @@ def test_verify_all_reads_the_theorem_section_first(tmp_path, monkeypatch,
         run_cli(["verify", "all", "--config", cfg, "--grid", "8"])
     assert exc.value.code == 2 and calls == []
     assert "'warp_speed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,cfg", [
+    (["verify", "theorem"], {"theorem": {"r0_values": [5.0],
+                                         "centers_per_zone": 1,
+                                         "r_range": [0.05]}}),
+    (["theorem"], {"theorem": {"r0_values": [5.0], "centers_per_zone": 1,
+                               "r_range": [0.05, 16.0, 99]}}),
+    (["dump-grid"], {"manifold": {"kind": "punctured",
+                                  "r_range": [0.05, 16.0, 99]}}),
+    (["dump-grid"], {"manifold": {"kind": "punctured", "r_range": [1.0]}}),
+    (["dump-grid"], {"manifold": {"kind": "perturbed",
+                                  "r_range": [8.0, 2.0]}}),
+])
+def test_bad_r_range_is_a_usage_error(tmp_path, capsys, argv, cfg):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--grid", "8", "--out", str(tmp_path),
+                        "--config", write_cfg(tmp_path, cfg)])
+    assert exc.value.code == 2
+    assert "r_range" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.parametrize("check,section,key", [
+    ("lemma2.1", {"t0_value": [3.0]}, "t0_value"),
+    ("lemma3.2", {"instances": 3}, "instances"),
+    ("lemma1.1", {"t0_values": [3.0]}, "t0_values"),
+])
+@pytest.mark.parametrize("all_", [False, True])
+def test_unknown_lemma_key_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                            check, section, key, all_):
+    # under `verify all` no lemma runs before the sections are read
+    from warpforce import verify
+    calls = []
+    monkeypatch.setattr(verify, "_run_lemma_suite",
+                        lambda *a, **k: calls.append(a) or [])
+    monkeypatch.setattr(verify, "check_lemma_2_1",
+                        lambda *a, **k: calls.append(a))
+    cfg = write_cfg(tmp_path, {check: section})
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "all" if all_ else check, "--config", cfg,
+                 "--grid", "8", "--out", str(tmp_path)])
+    assert exc.value.code == 2 and calls == []
+    assert repr(key) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

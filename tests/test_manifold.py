@@ -55,6 +55,33 @@ class TestPuncturedModel:
         assert S[0, 0, 1] == 0.0
 
     @pytest.mark.parametrize("n", [2, 3])
+    def test_blocks_are_bitwise_the_eye_product(self, n):
+        def old(p):
+            s2 = np.sinh(p[:, -1]) ** 2
+            if n == 2:
+                return s2[:, None, None]
+            f = s2 * np.sin(p[:, 0]) ** 2
+            return np.concatenate([s2[:, None], f[:, None]], axis=1)[
+                :, :, None] * np.eye(2)
+
+        def old_perturbed(p):
+            u = (p[:, -1] - 5.0) / 1.5
+            ang = p[:, 0] if n == 2 else p[:, 1]
+            factor = 1.0 + 0.05 * np.cos(3 * ang) * np.exp(-u ** 2)
+            return factor[:, None, None] * old(p)
+
+        pts = punctured_hyperbolic(n).metric.domain.grid(
+            GridSpec(points_per_axis=6))
+        for m, ref in ((punctured_hyperbolic(n), old),
+                       (perturbed_hyperbolic(n, amplitude=0.05),
+                        old_perturbed)):
+            want = RadialMetric(m.metric.domain, ref, analytic=True)
+            assert np.array_equal(m.metric.spatial(pts), want.spatial(pts))
+            for got, exp in zip(m.metric.spatial_jet(pts),
+                                want.spatial_jet(pts)):
+                assert np.array_equal(got, exp)
+
+    @pytest.mark.parametrize("n", [2, 3])
     def test_jets_match_fd(self, n):
         m = punctured_hyperbolic(n, r_range=(0.5, 6.0))
         f = m.metric
@@ -265,6 +292,22 @@ class TestPullback:
         for got, want in zip(pb.spatial_jet(pts), ref.spatial_jet(pts)):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("y0", [None, (1.2, 0.3)])
+    def test_n3_sandwich_within_4_ulps_of_the_matmul(self, y0):
+        m = perturbed_hyperbolic(3, amplitude=0.05,
+                                 grid=GridSpec(points_per_axis=8))
+        rc = radial_chart(m, 5.0, y0=y0)
+        q, J = rc.map_points(fd_stencil(rc))
+        S = m.metric.spatial(q)
+        want = np.swapaxes(J, 1, 2) @ S @ J
+        G = pullback(rc, m.metric).spatial(fd_stencil(rc))
+        # an entry's rounding scale is that of its terms: off the equator
+        # the off-diagonal entries cancel, and FMA in the matmul moves them
+        # by many of their own ulps
+        scale = want if y0 is None \
+            else np.swapaxes(np.abs(J), 1, 2) @ np.abs(S) @ np.abs(J)
+        assert np.all(np.abs(G - want) <= 4 * np.spacing(np.abs(scale)))
+
     def test_out_of_window_error(self):
         m = punctured_hyperbolic(2, r_range=(3.0, 8.3))
         rc = radial_chart(m, 6.0, xi=1.0)  # image [4, 8] fits
@@ -338,6 +381,15 @@ class TestConfig:
     def test_unknown_keys_are_named(self, cfg, key):
         with pytest.raises(ValueError, match=repr(key)):
             manifold_from_config(cfg)
+
+    @pytest.mark.parametrize("r_range", [
+        [], [0.05], [0.05, 16.0, 99], [-1.0, 3.0], [3.0, 1.0], [2.0, 2.0],
+        [0.05, float("inf")], [float("nan"), 3.0], ["0.05", 16.0],
+        [True, 16.0], 5.0, None])
+    def test_r_range_must_be_two_ordered_finite_numbers(self, r_range):
+        for build in (punctured_hyperbolic, perturbed_hyperbolic):
+            with pytest.raises(ValueError, match="r_range"):
+                build(3, r_range=r_range)
 
     def test_defaults_are_the_constructors(self):
         assert manifold_from_config({}).params == \

@@ -20,6 +20,7 @@ from warpforce.model import (
     _SEEDS,
     _SEEDS_MAX,
     _batches,
+    _diag,
     _fd_jet,
     ball_domain,
     c2_norm,
@@ -282,10 +283,14 @@ class TestJets:
         sig = hyperbolic_model(ch)
         d = difference(g, sig)
         pts = ch.grid_points()
-        assert d(pts).shape == (len(pts), n, n)
-        assert np.array_equal(d(pts), g(pts) - sig(pts))
-        for got, a, b in zip(d.jet(pts), g.jet(pts), sig.jet(pts)):
-            assert np.array_equal(got, a - b)
+        k = ch.k
+        assert d(pts).shape == (len(pts), k, k)
+        for got, a, b in zip((d(pts),) + d.jet(pts), (g(pts),) + g.jet(pts),
+                             (sig(pts),) + sig.jet(pts)):
+            full = a - b
+            assert np.array_equal(got, full[..., :k, :k])
+            full[..., :k, :k] = 0.0
+            assert not full.any()
 
     def test_difference_propagates_jets(self):
         ch = chart2()
@@ -293,6 +298,105 @@ class TestJets:
         d = difference(sig, sig)
         assert d.has_jet
         assert c2_norm(d).value == 0.0
+
+
+def eye_product(cols):
+    """A diagonal block as the package built it before _diag: the columns
+    side by side, broadcast against np.eye."""
+    return np.concatenate([c[:, None] for c in cols], axis=1)[:, :, None] \
+        * np.eye(len(cols))
+
+
+def parts(x):
+    return (x.v, x.d1, x.d2) if isinstance(x, Jet) else (x,)
+
+
+def same(a, b):
+    """a == b, with NaN equal to NaN."""
+    return a == b or (a != a and b != b)
+
+
+def embedded(f, g):
+    """f - g of two RadialMetrics as the full d x d difference."""
+    d = f.domain.dim
+    return Field(f.domain, lambda p: f(p) - g(p),
+                 analytic=f.has_jet and g.has_jet, shape=(d, d), grid=f.grid)
+
+
+def nan_metric(ch, analytic):
+    """A chart metric whose rows with x1 > 0.5 are NaN."""
+    H = np.array([[1.3, 0.2], [0.2, 0.9]])[:ch.k, :ch.k]
+
+    def spatial(p):
+        w = np.where(np.asarray(p)[:, 0] > 0.5, np.nan, 1.0)
+        return np.exp(2 * p[:, -1])[:, None, None] * H * w[:, None, None]
+
+    return RadialMetric.on_chart(ch, spatial, analytic=analytic, name="nan")
+
+
+def pullback_pair(n):
+    """(pullback, sigma) on a radial chart: analytic for n = 2, finite
+    differences for n = 3."""
+    from warpforce.manifold import (perturbed_hyperbolic, pullback,
+                                    radial_chart)
+    m = perturbed_hyperbolic(n, amplitude=0.05,
+                             grid=GridSpec(points_per_axis=16 if n == 2
+                                           else 8))
+    rc = radial_chart(m, 5.0, y0=None if n == 2 else (1.2, 0.3))
+    return pullback(rc, m.metric), hyperbolic_model(rc.chart)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("jet", [False, True])
+    def test_diag_is_bitwise_the_eye_product(self, k, jet):
+        pts = ChartModel(n=4, grid=GridSpec(points_per_axis=5)).grid_points()
+        x = Jet.seed(pts) if jet else pts
+        cols = [np.exp(2 * x[:, -1]), -np.sin(x[:, 0]) * x[:, 1],
+                x[:, 2] * x[:, 2] - 0.3][:k]
+        got, want = _diag(cols), eye_product(cols)
+        assert got.shape == (len(pts), k, k)
+        off = ~np.eye(k, dtype=bool)
+        for a, b in zip(parts(got), parts(want)):
+            assert np.array_equal(a, b)
+            assert not a[..., off].any()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_hyperbolic_model_is_bitwise_the_eye_product(self, n):
+        ch = ChartModel(n=n, grid=GridSpec(points_per_axis=8))
+        old = RadialMetric.on_chart(
+            ch, lambda p: np.exp(2.0 * p[:, -1])[:, None, None]
+            * np.eye(ch.k), analytic=True)
+        sig = hyperbolic_model(ch)
+        pts = ch.grid_points()
+        assert np.array_equal(sig.spatial(pts), old.spatial(pts))
+        for got, want in zip(sig.spatial_jet(pts), old.spatial_jet(pts)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", ["n2-analytic", "n3-fd", "n2-nan",
+                                      "n3-nan-fd"])
+    def test_block_norms_equal_the_full_difference_norms(self, case):
+        n = int(case[1])
+        if "nan" in case:
+            ch = ChartModel(n=n, grid=GridSpec(points_per_axis=8))
+            f, g = nan_metric(ch, analytic=n == 2), hyperbolic_model(ch)
+        else:
+            f, g = pullback_pair(n)
+        block, full = difference(f, g), embedded(f, g)
+        assert block.shape == (n - 1, n - 1)
+        assert block.has_jet == full.has_jet == (n == 2)
+        a, b = c2_norm(block), c2_norm(full)
+        assert a.derivative_source == b.derivative_source
+        assert same(a.value, b.value)
+        assert a.per_order_sups.keys() == b.per_order_sups.keys()
+        assert all(same(a.per_order_sups[key], b.per_order_sups[key])
+                   for key in a.per_order_sups)
+        (a, a_err), (b, b_err) = (measured_with_error(block),
+                                  measured_with_error(full))
+        assert same(a.value, b.value) and same(a_err, b_err)
+        assert all(same(a.per_order_sups[key], b.per_order_sups[key])
+                   for key in a.per_order_sups)
+        assert (a.value != a.value) == ("nan" in case)
 
 
 def counted(calls):
