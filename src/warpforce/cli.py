@@ -23,6 +23,7 @@ from warpforce.manifold import manifold_from_config
 from warpforce.verify import (
     CSV_COLUMNS,
     TheoremConfig,
+    _cell,
     available_checks,
     remark_decay,
     reports_to_csv_rows,
@@ -63,13 +64,6 @@ def _grid_from(parser, args, cfg: dict) -> Optional[GridSpec]:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _cell(x) -> str:
-    """CSV text of one value: booleans lower-case, numbers to 12 digits."""
-    if isinstance(x, bool):
-        return str(x).lower()
-    return x if isinstance(x, str) else f"{x:.12g}"
 
 
 def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]):

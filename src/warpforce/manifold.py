@@ -336,15 +336,13 @@ def pullback(rc: RadialChart, g: RadialMetric) -> RadialMetric:
                                  name=f"pull[{g.name};t0={rc.t0:g}]")
 
 
-def radial_closeness(rc: RadialChart, g: RadialMetric,
-                     grid: Optional[GridSpec] = None) -> C2Norm:
+def radial_closeness(rc: RadialChart, g: RadialMetric) -> C2Norm:
     """|pullback(g) - sigma|_C2 on the chart grid."""
-    return c2_norm(difference(pullback(rc, g), hyperbolic_model(rc.chart)),
-                   grid=grid)
+    return c2_norm(difference(pullback(rc, g), hyperbolic_model(rc.chart)))
 
 
 def closeness_at(manifold: CenteredManifold, t0: float, xi: float = 1.0,
                  y0=None, grid: Optional[GridSpec] = None) -> C2Norm:
     """Radial closeness of the manifold at radius t0 (chart built in place)."""
     rc = radial_chart(manifold, t0, xi=xi, y0=y0, grid=grid)
-    return radial_closeness(rc, manifold.metric, grid=grid)
+    return radial_closeness(rc, manifold.metric)

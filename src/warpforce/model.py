@@ -405,39 +405,34 @@ class _GridJet(Jet):
 
 
 class _LastJet:
-    """fn with a one-entry memo for _GridJet arguments: called again with
-    the same _GridJet object (`is`, not equal values), it returns its last
-    result.  Any other argument is evaluated every time, so that the chunks
-    of a large grid leave no result behind."""
+    """A field's value function fn.  It refuses values of a trailing shape
+    other than a non-empty `shape` (numpy would broadcast an (m, 1, 1)
+    block to any k x k silently).  Called again with the same _GridJet
+    object (`is`, not equal values), it returns its last result; other
+    arguments are evaluated every time, so that the chunks of a large grid
+    leave no result behind.  It holds the name, not the field, so that a
+    field is no reference cycle."""
 
-    __slots__ = ("fn", "arg", "out")
+    __slots__ = ("fn", "shape", "name", "arg", "out")
 
-    def __init__(self, fn: Callable):
-        self.fn, self.arg, self.out = fn, None, None
+    def __init__(self, fn: Callable, shape: tuple, name: str):
+        self.fn, self.shape, self.name = fn, shape, name
+        self.arg = self.out = None
 
     def __call__(self, pts):
         if pts is self.arg:
             return self.out
-        if not isinstance(pts, _GridJet):
-            return self.fn(pts)
-        self.arg = self.out = None          # free the last result first
-        self.out = self.fn(pts)
-        self.arg = pts
-        return self.out
-
-
-def _checked(fn: Callable, shape: tuple, name: str) -> Callable:
-    """fn, refusing values whose trailing shape is not `shape`: numpy would
-    broadcast an (m, 1, 1) block to any k x k silently.  The closure holds
-    the name, not the field, so that a field is no reference cycle."""
-    def checked(pts):
-        out = fn(pts)
-        got = np.asarray(out).shape[1:]     # a Jet gives its value
-        if got == shape:
-            return out
-        raise WarpforceError(f"field {name!r} returned blocks of "
-                             f"shape {got}, declared {shape}")
-    return checked
+        grid = isinstance(pts, _GridJet)
+        if grid:
+            self.arg = self.out = None      # free the last result first
+        out = self.fn(pts)
+        got = np.asarray(out).shape[1:] if self.shape else ()  # a Jet's value
+        if got != self.shape:
+            raise WarpforceError(f"field {self.name!r} returned blocks of "
+                                 f"shape {got}, declared {self.shape}")
+        if grid:
+            self.arg, self.out = pts, out
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +467,7 @@ class Field:
         self.name = name
         self.grid = grid or GridSpec()
         self.has_jet = bool(analytic)
-        self._fn = _LastJet(_checked(fn, self.shape, name) if self.shape
-                            else fn)
+        self._fn = _LastJet(fn, self.shape, name)
 
     def __call__(self, pts):
         """Values at (m, d) points; at a Jet, the Taylor value."""
@@ -526,7 +520,7 @@ class RadialMetric(Field):
                  analytic: bool = False, grid: Optional[GridSpec] = None,
                  name: str = "metric", chart: Optional[ChartModel] = None):
         d = domain.dim
-        spatial = _LastJet(_checked(spatial, (d - 1, d - 1), name))
+        spatial = _LastJet(spatial, (d - 1, d - 1), name)
 
         def fn(pts):
             # the block first: its temporaries are freed before `out` exists
@@ -629,9 +623,9 @@ def profile_scalar(domain: Domain, profile) -> Field:
 _CHUNK = 8192
 
 
-def _chunks(m: int, size: int = _CHUNK):
-    for i in range(0, m, size):
-        yield slice(i, min(i + size, m))
+def _chunks(m: int):
+    for i in range(0, m, _CHUNK):
+        yield slice(i, min(i + _CHUNK, m))
 
 
 def _fd_jet(f: Field, pts: np.ndarray, spec: GridSpec):
@@ -698,21 +692,7 @@ def _norm_keys(names: Sequence[str]):
 
 def c2_norm(f: Field, grid: Optional[GridSpec] = None) -> C2Norm:
     """Taylor-weighted C2 norm of a field over its own (or the given) grid."""
-    return _walk_norms(f, (grid or f.grid,))[0]
-
-
-def _c2_norms(f: Field, specs: tuple) -> list:
-    """c2_norm of f on each grid of `specs` (which share fd_step).  Grids
-    that fit in one chunk together, by their unmasked sizes, share one
-    evaluation of f; larger grids are walked one by one, as c2_norm walks
-    them.  An error of the shared evaluation is raised again as c2_norm on
-    the grids one by one raises it."""
-    if sum(spec.points_per_axis ** f.domain.dim for spec in specs) <= _CHUNK:
-        try:
-            return _walk_norms(f, specs)
-        except WarpforceError:
-            pass
-    return [c2_norm(f, spec) for spec in specs]
+    return _c2_norms(f, (grid or f.grid,))[0]
 
 
 def _sup(a: float, b: float) -> float:
@@ -721,7 +701,9 @@ def _sup(a: float, b: float) -> float:
     return a if a >= b or a != a else b
 
 
-def _walk_norms(f: Field, specs: tuple) -> list:
+def _c2_norms(f: Field, specs: tuple) -> list:
+    """c2_norm of f on each grid of `specs` (which share fd_step), from one
+    walk over the batches of _batches."""
     names = f.domain.axis_names
     d = len(names)
     sups = [dict.fromkeys(_norm_keys(names), 0.0) for _ in specs]
@@ -729,7 +711,8 @@ def _walk_norms(f: Field, specs: tuple) -> list:
     for x, parts in _batches(f, specs):
         v, d1, d2 = f.jet(x) if use_jet \
             else _fd_jet(f, np.asarray(x), specs[0])
-        for s, rows in zip(sups, parts):
+        for g, rows in parts:
+            s = sups[g]
             s["1"] = _sup(s["1"], float(np.max(np.abs(v[rows]))))
             for i in range(d):
                 key = f"d{names[i]}"
@@ -751,11 +734,11 @@ _SEEDS_MAX = 8
 
 
 def _batches(f: Field, specs: tuple):
-    """(x, parts) chunks of the grids of `specs`, parts[i] slicing the rows
-    of grid i.  Grids that fit in one chunk together share it as their
-    seeded Jet, kept in a small cache so that every norm of a check hands
-    its fields the same Jet object; a larger grid, alone in `specs`, is
-    walked in chunks of _CHUNK rows."""
+    """(x, parts) batches of the grids of `specs`, parts holding (i, rows)
+    for each grid i that has the rows `rows` of x.  Grids whose rows fit in
+    one chunk together share it as their seeded Jet, kept in a small cache
+    so that every norm of a check hands its fields the same Jet object;
+    otherwise each grid is walked alone, in chunks of _CHUNK rows."""
     key = (f.domain, specs)
     hit = _SEEDS.pop(key, None)
     if hit is None:
@@ -765,14 +748,17 @@ def _batches(f: Field, specs: tuple):
             if len(pts) == 0:
                 raise DomainError(f"empty sampling grid for field {f.name!r}")
             grids.append(pts)
-        if len(specs) == 1 and len(grids[0]) > _CHUNK:
-            for sl in _chunks(len(grids[0])):
-                yield grids[0][sl], (slice(None),)
-            return
         ends = np.cumsum([len(g) for g in grids]).tolist()
+        if ends[-1] > _CHUNK:
+            for i in range(len(grids)):
+                pts, grids[i] = grids[i], None    # freed once walked
+                for sl in _chunks(len(pts)):
+                    yield pts[sl], ((i, slice(None)),)
+            return
         x = np.concatenate(grids) if len(grids) > 1 else grids[0]
         x.flags.writeable = False       # shared by every norm of the key
-        hit = _GridJet.seed(x), tuple(map(slice, [0] + ends[:-1], ends))
+        hit = _GridJet.seed(x), tuple(enumerate(map(slice, [0] + ends[:-1],
+                                                    ends)))
         if len(_SEEDS) >= _SEEDS_MAX:
             del _SEEDS[next(iter(_SEEDS))]
     _SEEDS[key] = hit

@@ -144,14 +144,21 @@ CSV_COLUMNS = ["name", "lhs", "rhs", "margin", "passed", "marginal",
                "params", "notes"]
 
 
+def _cell(x) -> str:
+    """CSV text of one value: booleans lower-case, numbers to 12 digits."""
+    if isinstance(x, bool):
+        return str(x).lower()
+    return x if isinstance(x, str) else f"{x:.12g}"
+
+
 def reports_to_csv_rows(reports: Sequence[BoundReport]) -> list:
     return [{
         "name": r.name,
-        "lhs": f"{r.lhs:.12g}",
-        "rhs": f"{r.rhs:.12g}",
-        "margin": f"{r.margin:.12g}",
-        "passed": str(r.passed).lower(),
-        "marginal": str(r.marginal).lower(),
+        "lhs": _cell(r.lhs),
+        "rhs": _cell(r.rhs),
+        "margin": _cell(r.margin),
+        "passed": _cell(r.passed),
+        "marginal": _cell(r.marginal),
         "error_estimate": f"{r.error_estimate:.6g}",
         "derivative_source": r.derivative_source,
         "grid_points": str(r.grid.points_per_axis),
@@ -498,7 +505,7 @@ class TheoremConfig:
                     kw[key] = GridSpec(**v)
                 except TypeError as exc:
                     raise ValueError(f"bad theorem grid: {exc}") from None
-            elif kind is tuple:   # [] gets run_theorem_sweep's error
+            elif kind is tuple:   # [] gets _sweep_manifold's error
                 kw[key] = () if v == [] else _numbers(v, f"theorem {key}")
             elif kind in (int, float) and (isinstance(v, bool) or
                                            not isinstance(v, (int, kind))):
@@ -544,7 +551,16 @@ def theorem_centers(r0: float, xi: float, r_range, per_zone: int,
     Measurement charts have excess xi - 1 (radial half-width xi), so every
     center keeps [t0 - xi, t0 + xi] inside the manifold window; case-3
     centers additionally stay outside the deleted ball B_{r0 - (1+xi)}.
+    ValueError or DomainError for arguments that check_main_theorem cannot
+    audit: xi <= 1, r0 <= 1 + xi, per_zone < 1, or zones that do not fit.
     """
+    if not xi > 1.0:
+        raise ValueError("warp forcing audit needs excess xi > 1")
+    if r0 - (1.0 + xi) <= 0.0:
+        raise ValueError("r0 must exceed 1 + xi")
+    if not per_zone >= 1:
+        raise ValueError(f"centers_per_zone must be at least 1 "
+                         f"(got {per_zone!r})")
     r_lo, r_hi = r_range
     pad = 0.05
     lo3 = max(r0 - (1.0 + xi), xi + r_lo) + pad
@@ -577,13 +593,6 @@ def check_main_theorem(manifold: CenteredManifold, r0: float, xi: float,
     regression guard.  Every norm samples on the manifold metric's grid.
     """
     t_start = time.perf_counter()
-    if not xi > 1.0:
-        raise ValueError("warp forcing audit needs excess xi > 1")
-    if r0 - (1.0 + xi) <= 0.0:
-        raise ValueError("r0 must exceed 1 + xi")
-    if not centers_per_zone >= 1:
-        raise ValueError(f"centers_per_zone must be at least 1 "
-                         f"(got {centers_per_zone!r})")
     g = manifold.metric
     spec = g.grid
     rng = np.random.default_rng((seed, int(r0 * 8)))
@@ -615,7 +624,7 @@ def check_main_theorem(manifold: CenteredManifold, r0: float, xi: float,
                               y0=_angular_center(manifold.n, th0), grid=spec)
             eta, err = measured_with_error(
                 difference(pullback(rc, W), hyperbolic_model(rc.chart)), spec)
-            eps_c = radial_closeness(rc, g, grid=spec)
+            eps_c = radial_closeness(rc, g)
             p["eps_center"] = eps_c.value
             p["ratio"] = eta.value / denom
             notes = f"eta/(e^-2r0+eps)={eta.value / denom:.4g}"
@@ -641,14 +650,24 @@ def check_main_theorem(manifold: CenteredManifold, r0: float, xi: float,
     )
 
 
-def run_theorem_sweep(cfg: Optional[TheoremConfig] = None) -> list:
-    cfg = cfg or TheoremConfig()
+def _sweep_manifold(cfg: TheoremConfig) -> CenteredManifold:
+    """The manifold of cfg's sweep, once theorem_centers has accepted every
+    r0 of the sweep on it: ValueError or WarpforceError otherwise."""
     if not cfg.r0_values:
         raise ValueError("theorem sweep needs at least one r0 value")
     manifold = perturbed_hyperbolic(
         n=cfg.n, amplitude=cfg.amplitude, sphere_mode=cfg.sphere_mode,
         radial_center=cfg.radial_center, radial_width=cfg.radial_width,
         r_range=cfg.r_range, grid=cfg.grid)
+    for r0 in cfg.r0_values:    # its draws are discarded
+        theorem_centers(r0, cfg.xi, manifold.r_range, cfg.centers_per_zone,
+                        np.random.default_rng(0))
+    return manifold
+
+
+def run_theorem_sweep(cfg: Optional[TheoremConfig] = None) -> list:
+    cfg = cfg or TheoremConfig()
+    manifold = _sweep_manifold(cfg)
     return [
         check_main_theorem(manifold, r0, cfg.xi,
                            centers_per_zone=cfg.centers_per_zone,
@@ -738,7 +757,7 @@ def run_check(name: str, seed: Optional[int] = None, instances: int = 100,
               config: Optional[dict] = None) -> list:
     """Run a registry check and return its BoundReports.  A given seed or
     grid overrides the theorem section's own; the lemma suites default to
-    seed 0.  `all` reads its theorem section before the first lemma runs."""
+    seed 0.  `all` checks its whole theorem sweep before any lemma runs."""
     if config is not None and not isinstance(config, dict):
         raise ValueError(f"config of {name!r} must be an object, "
                          f"got {config!r}")
@@ -746,6 +765,7 @@ def run_check(name: str, seed: Optional[int] = None, instances: int = 100,
         doc = config or {}
         theorem = TheoremConfig.from_dict(
             doc.get("theorem", {}) if name == "all" else doc, seed, grid)
+        _sweep_manifold(theorem)    # refuses a bad sweep before any lemma
         lemmas = [] if name == "theorem" else [
             _lemma_run(nm, doc.get(nm), seed, instances, xi_values, grid)
             for nm in _LEMMA_NAMES]

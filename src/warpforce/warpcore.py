@@ -153,7 +153,7 @@ class WarpFunction:
         if not t0 > 2.0:
             raise ValueError(f"warp function requires t0 > 2, got {t0:g}")
         self.t0 = float(t0)
-        self._q0 = 1.0 - np.exp(-2.0 * self.t0)
+        self._c = 1.0 / (1.0 - np.exp(-2.0 * self.t0)) ** 2     # 1 / q0^2
 
     def _q(self, t):
         t = np.asarray(t, dtype=float)
@@ -168,13 +168,13 @@ class WarpFunction:
     def __call__(self, t):
         if isinstance(t, Jet):
             return t.chain(*self.jet(t.v))
-        return (self._q(t) / self._q0) ** 2
+        return self._c * self._q(t) ** 2     # bitwise the jet's value
 
     def jet(self, t):
         q = self._q(t)
         qp = 2.0 * (1.0 - q)           # d/dt e^{-2(t+t0)} = -2 e^{...}
         qpp = -2.0 * qp
-        c = 1.0 / self._q0 ** 2
+        c = self._c
         v = c * q ** 2
         d1 = c * 2.0 * q * qp
         d2 = c * 2.0 * (qp ** 2 + q * qpp)

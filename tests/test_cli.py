@@ -341,20 +341,39 @@ def test_verify_theorem_seed_flag_overrides_the_section(tmp_path, capsys):
     assert five == center_t0s(["theorem", "--seed", "5"], cfg, capsys)
 
 
+@pytest.mark.parametrize("key,value,message", [
+    pytest.param("warp_speed", 9, "'warp_speed'", id="unknown-key"),
+    pytest.param("r_range", [0.05], "r_range", id="r_range-one-number"),
+    pytest.param("r_range", [0.05, 9.0], "cannot fit three theorem zones",
+                 id="r_range-zones-do-not-fit"),
+    pytest.param("n", 4, "only n = 2 and n = 3", id="n-4"),
+    pytest.param("amplitude", 1.5, "amplitude", id="amplitude-1.5"),
+    pytest.param("radial_width", 0, "radial_width", id="radial_width-0"),
+    pytest.param("xi", 0.8, "xi > 1", id="xi-0.8"),
+    pytest.param("r0_values", [], "at least one r0", id="r0_values-empty"),
+    pytest.param("r0_values", [2.0], "r0 must exceed 1 + xi",
+                 id="r0_values-2"),
+    pytest.param("centers_per_zone", 0, "centers_per_zone",
+                 id="centers_per_zone-0"),
+])
 def test_verify_all_reads_the_theorem_section_first(tmp_path, monkeypatch,
-                                                    capsys):
+                                                    capsys, key, value,
+                                                    message):
+    # the default campaign with one theorem key changed is refused before
+    # any lemma suite runs
     from warpforce import verify
     calls = []
     monkeypatch.setattr(verify, "_run_lemma_suite",
                         lambda *a, **k: calls.append(a) or [])
     monkeypatch.setattr(verify, "check_lemma_2_1",
                         lambda *a, **k: calls.append(a))
-    cfg = write_cfg(tmp_path, {"theorem": {"r0_values": [5.0],
-                                           "warp_speed": 9}})
+    doc = json.loads((ROOT / "configs" / "default.json").read_text())
+    doc["theorem"][key] = value
     with pytest.raises(SystemExit) as exc:
-        run_cli(["verify", "all", "--config", cfg, "--grid", "8"])
+        run_cli(["verify", "all", "--config", write_cfg(tmp_path, doc),
+                 "--grid", "8"])
     assert exc.value.code == 2 and calls == []
-    assert "'warp_speed'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,cfg", [

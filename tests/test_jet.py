@@ -196,6 +196,7 @@ def test_hand_jet_profiles_lift_themselves(profile, jet):
     f = scalar(lambda p: profile(p[:, 1]) * p[:, 0])
     v, d1, d2 = f.jet(PTS)
     p, p1, p2 = jet(PTS[:, 1])
+    assert np.array_equal(v, f(PTS))        # one formula for the value
     assert np.array_equal(d1[:, 0], p)
     assert np.array_equal(d1[:, 1], p1 * PTS[:, 0])
     assert np.array_equal(d2[:, 1, 1], p2 * PTS[:, 0])

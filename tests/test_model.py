@@ -477,17 +477,19 @@ class TestMemo:
             gc.enable()
 
     @pytest.mark.parametrize("sizes", [(101, 50), (_CHUNK,),
-                                       (2 * _CHUNK + 3,)])
+                                       (2 * _CHUNK + 3,), (6000, 3000)])
     def test_chunks_walk_each_grid_in_order(self, sizes):
-        # a pair that shares one chunk, a grid of exactly one chunk, and a
-        # grid that ends in a partial chunk
+        # a pair that shares one chunk, a grid of exactly one chunk, a grid
+        # that ends in a partial chunk, and a pair that does not fit one
+        # chunk together, so that each grid is walked alone
         f = Field(interval_domain(0.0, 1.0), np.exp, analytic=True)
         specs = tuple(GridSpec(points_per_axis=n) for n in sizes)
         got = [[] for _ in specs]
         for x, parts in _batches(f, specs):
             assert len(np.asarray(x)) <= _CHUNK
-            for rows, part in zip(got, parts):
-                rows.append(np.asarray(x)[part])
+            assert len(parts) == (len(specs) if sum(sizes) <= _CHUNK else 1)
+            for i, part in parts:
+                got[i].append(np.asarray(x)[part])
         for rows, spec in zip(got, specs):
             assert np.array_equal(np.concatenate(rows),
                                   f.domain.grid(spec))

@@ -163,20 +163,26 @@ def test_merged_probe_grids_that_share_a_chunk_evaluate_once():
     del calls[:]
     measured_with_error(f, GridSpec(points_per_axis=91))    # 8281 + 2025
     assert calls == [8192, 8281 - 8192, 2025]
+    # an n = 3 chart shares by its ball-masked rows, not by 20^3 + 10^3
+    del calls[:]
+    n3 = ChartModel(n=3, xi=0.5)
+    spec = GridSpec(points_per_axis=20)
+    measured_with_error(Field(n3.domain, fn, analytic=True), spec)
+    assert calls == [6120] == [len(n3.grid_points(spec))
+                               + len(n3.grid_points(spec.halved()))]
 
 
-def test_merged_probe_error_is_the_n_grid_error():
+def test_merged_probe_error_is_the_fields_error():
     def fn(p):
         raise DomainError(f"refused a batch of {len(p)} points")
 
     f = Field(interval_domain(0.0, 1.0), fn, analytic=True, name="refuser")
     spec = GridSpec(points_per_axis=100)
-    with pytest.raises(DomainError) as alone:
+    with pytest.raises(DomainError, match="^refused a batch of 100 points$"):
         c2_norm(f, spec)
-    with pytest.raises(DomainError) as merged:
+    # the N and N/2 grids are one batch: the error is the field's, raised once
+    with pytest.raises(DomainError, match="^refused a batch of 150 points$"):
         measured_with_error(f, spec)
-    assert str(merged.value) == str(alone.value) \
-        == "refused a batch of 100 points"
 
 
 # ---------------------------------------------------------------------------
