@@ -94,7 +94,7 @@ def _print_reports(reports, as_json: bool):
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         flag = " (marginal)" if r.marginal else ""
-        if np.isnan(r.lhs):
+        if r.notes.startswith("error:"):
             print(f"ERROR {r.name} {r.notes} params={r.params}")
             continue
         print(f"{status}{flag} {r.name} lhs={r.lhs:.6g} rhs={r.rhs:.6g} "

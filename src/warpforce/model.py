@@ -177,8 +177,9 @@ class ChartModel:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if self.xi <= 0:
-            raise ValueError("xi must be positive")
+        if not 0.0 < self.xi < np.inf:
+            raise ValueError(f"xi must be positive and finite "
+                             f"(got {self.xi!r})")
 
     @property
     def k(self) -> int:
@@ -621,6 +622,7 @@ def profile_scalar(domain: Domain, profile) -> Field:
 
 
 _CHUNK = 8192
+_FD_ROWS = 2 * _CHUNK   # most stencil rows one piece of an FD jet evaluates
 
 
 def _chunks(m: int):
@@ -630,7 +632,14 @@ def _chunks(m: int):
 
 def _fd_jet(f: Field, pts: np.ndarray, spec: GridSpec):
     """Second-order central differences; raises DomainError if any stencil
-    point leaves the field's domain."""
+    point leaves the field's domain.
+
+    The stencil is evaluated in pieces of consecutive base rows, at most
+    _FD_ROWS stencil rows each, so that its temporaries fit in the cache.
+    For value functions that act row by row, as all of this package's do,
+    the numbers are bitwise those of one evaluation.  Each piece fills
+    derivative buffers whose d axes lead, returned as views in the
+    (m, d, *S), (m, d, d, *S) layout."""
     dom = f.domain
     d = dom.dim
     h = spec.fd_step * dom.extents
@@ -643,32 +652,35 @@ def _fd_jet(f: Field, pts: np.ndarray, spec: GridSpec):
                        + [si * e[i] + sj * e[j] for i, j in pairs
                           for si, sj in signs])
 
-    stencil = pts[None, :, :] + offsets[:, None, :]
-    flat = stencil.reshape(-1, d)
-    inside = dom.contains(flat)
-    if not inside.all():
-        bad = flat[~inside][0]
-        raise DomainError(
-            f"finite-difference stencil point {tuple(round(float(c), 12) for c in bad)} "
-            f"lies outside the domain of field {f.name!r}"
-        )
-    vals = f(flat)
-    vals = vals.reshape((len(offsets), len(pts)) + f.shape)
-
-    v = vals[0]
     m = len(pts)
-    d1 = np.empty((m, d) + f.shape)
-    d2 = np.empty((m, d, d) + f.shape)
-    for i in range(d):
-        fp, fm = vals[1 + 2 * i], vals[2 + 2 * i]
-        d1[:, i] = (fp - fm) / (2.0 * h[i])
-        d2[:, i, i] = (fp - 2.0 * v + fm) / h[i] ** 2
+    v = np.empty((m,) + f.shape)
+    d1 = np.empty((d, m) + f.shape)
+    d2 = np.empty((d, d, m) + f.shape)
     base = 1 + 2 * d
-    for idx, (i, j) in enumerate(pairs):
-        fpp, fpm, fmp, fmm = vals[base + 4 * idx: base + 4 * idx + 4]
-        d2[:, i, j] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
-        d2[:, j, i] = d2[:, i, j]
-    return v, d1, d2
+    step = max(1, _FD_ROWS // len(offsets))
+    for a in range(0, m, step):
+        rows = slice(a, min(a + step, m))
+        stencil = pts[None, rows, :] + offsets[:, None, :]
+        flat = stencil.reshape(-1, d)
+        inside = dom.contains(flat)
+        if not inside.all():
+            bad = flat[~inside][0]
+            raise DomainError(
+                f"finite-difference stencil point {tuple(round(float(c), 12) for c in bad)} "
+                f"lies outside the domain of field {f.name!r}"
+            )
+        vals = f(flat).reshape(stencil.shape[:2] + f.shape)
+
+        v[rows] = v0 = vals[0]
+        for i in range(d):
+            fp, fm = vals[1 + 2 * i], vals[2 + 2 * i]
+            d1[i, rows] = (fp - fm) / (2.0 * h[i])
+            d2[i, i, rows] = (fp - 2.0 * v0 + fm) / h[i] ** 2
+        for idx, (i, j) in enumerate(pairs):
+            fpp, fpm, fmp, fmm = vals[base + 4 * idx: base + 4 * idx + 4]
+            d2[i, j, rows] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
+            d2[j, i, rows] = d2[i, j, rows]
+    return v, np.moveaxis(d1, 0, 1), np.moveaxis(d2, 2, 0)
 
 
 @dataclass(frozen=True)

@@ -422,7 +422,6 @@ def _run_lemma_suite(name: str, seed: int, instances: int,
         reports.append(check_lemma_3_2(hyperbolic_model(ch), 0.0,
                                        params=trivial))
 
-    xi_values = _numbers(xi_values, "xi_values")
     counts = _split_counts(instances, len(xi_values))
     idx = 0
     for xi, count in zip(xi_values, counts):
@@ -781,7 +780,8 @@ def _lemma_run(name: str, section, seed: Optional[int], instances: int,
                xi_values, grid: Optional[GridSpec]) -> Callable:
     """The run of lemma suite `name` on its config section, checked now:
     lemma2.1 reads `t0_values` and the other suites take no keys, so any
-    other key is a ValueError that names it."""
+    other key is a ValueError that names it.  The other suites read
+    `xi_values`, a non-empty list of positive, finite numbers."""
     if section is not None and not isinstance(section, dict):
         raise ValueError(f"config of {name!r} must be an object, "
                          f"got {section!r}")
@@ -792,6 +792,11 @@ def _lemma_run(name: str, section, seed: Optional[int], instances: int,
         raise ValueError(f"unknown {name} key {unknown[0]!r}; known: "
                          f"{', '.join(known) or 'none'}")
     if name != "lemma2.1":
+        xi_values = _numbers(xi_values, "xi_values")
+        for xi in xi_values:
+            if not 0.0 < xi < np.inf:
+                raise ValueError(f"xi_values must be positive and finite "
+                                 f"(got {xi:g})")
         return lambda: _run_lemma_suite(name, 0 if seed is None else seed,
                                         instances, xi_values, grid)
     t0s = _numbers(section.get("t0_values", _DEFAULT_T0S),

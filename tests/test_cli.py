@@ -206,9 +206,7 @@ def test_dump_grid_matches_golden(tmp_path, capsys):
     assert_golden(tmp_path, "grid.csv")
 
 
-def test_theorem_n3_matches_golden(tmp_path, capsys):
-    # every other golden is n = 2: this one pins the exp-map pullback and
-    # its finite-difference norms
+def assert_theorem_n3_golden(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"theorem": {"n": 3, "r0_values": [5.0],
                                            "centers_per_zone": 1}})
     out = tmp_path / "out"
@@ -217,6 +215,20 @@ def test_theorem_n3_matches_golden(tmp_path, capsys):
     capsys.readouterr()
     (out / "theorem.json").rename(out / "theorem_n3.json")
     assert_golden(out, "theorem_n3.json")
+
+
+def test_theorem_n3_matches_golden(tmp_path, capsys):
+    # every other golden is n = 2: this one pins the exp-map pullback and
+    # its finite-difference norms
+    assert_theorem_n3_golden(tmp_path, capsys)
+
+
+def test_theorem_n3_golden_holds_in_small_fd_pieces(tmp_path, capsys,
+                                                   monkeypatch):
+    # 52 base rows a piece: pieces cut the grid's runs of equal x
+    from warpforce import model
+    monkeypatch.setattr(model, "_FD_ROWS", 1000)
+    assert_theorem_n3_golden(tmp_path, capsys)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +430,48 @@ def test_unknown_lemma_key_is_a_usage_error(tmp_path, monkeypatch, capsys,
                  "--grid", "8", "--out", str(tmp_path)])
     assert exc.value.code == 2 and calls == []
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("xi_values", [
+    pytest.param([float("inf")], id="inf"),
+    pytest.param([float("nan")], id="nan"),
+    pytest.param([1.0, -2], id="second-negative"),
+    pytest.param([0], id="zero"),
+    pytest.param([], id="empty"),
+    pytest.param([True], id="bool"),
+])
+@pytest.mark.parametrize("check", ["lemma1.1", "all"])
+def test_bad_xi_values_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                        xi_values, check):
+    # refused before any lemma suite runs, under `verify all` too
+    from warpforce import verify
+    calls = []
+    monkeypatch.setattr(verify, "_run_lemma_suite",
+                        lambda *a, **k: calls.append(a) or [])
+    monkeypatch.setattr(verify, "check_lemma_2_1",
+                        lambda *a, **k: calls.append(a))
+    cfg = write_cfg(tmp_path, {"xi_values": xi_values})
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", check, "--config", cfg, "--grid", "8",
+                 "--out", str(tmp_path)])
+    assert exc.value.code == 2 and calls == []
+    assert "xi_values" in capsys.readouterr().err
+
+
+def test_only_error_entries_print_as_error(capsys):
+    # a NaN sample makes a check FAIL with a NaN lhs; ERROR is kept for the
+    # entries that could not be evaluated
+    from warpforce.cli import _print_reports
+    from warpforce.model import GridSpec
+    from warpforce.verify import error_report, make_report
+    failed = make_report("lemma1.1", {"instance": 0}, float("nan"), 1.0,
+                         0.0, GridSpec(), "analytic")
+    error = error_report("theorem", {"r0": 5.0}, GridSpec(), "chart misfit")
+    _print_reports([failed, error], as_json=False)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL lemma1.1 lhs=nan rhs=1 margin=nan"
+    assert lines[1].startswith("ERROR theorem error: chart misfit")
+    assert lines[2] == "2 checks: 0 passed, 2 failed (0 marginal)"
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ def fd_stencil(rc):
 
     _fd_jet(Field(rc.chart.domain, record), rc.chart.grid_points(),
             rc.chart.grid)
+    assert len(seen) == 1               # a small grid is one piece
     return seen[0]
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from warpforce import model
 from warpforce.model import (
     C2Norm,
     ChartModel,
@@ -31,7 +32,7 @@ from warpforce.model import (
     RadialMetric,
     profile_scalar,
 )
-from warpforce.verify import measured_with_error
+from warpforce.verify import fd_oracle_check, measured_with_error
 from warpforce.warpcore import WarpFunction, apply_warp
 
 from polynomials import polynomial_scalar
@@ -127,8 +128,9 @@ class TestDomains:
     def test_chart_validation(self):
         with pytest.raises(ValueError):
             ChartModel(n=1)
-        with pytest.raises(ValueError):
-            ChartModel(n=2, xi=0.0)
+        for xi in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ChartModel(n=2, xi=xi)
 
 
 class TestC2Norm:
@@ -459,8 +461,10 @@ class TestMemo:
         f(pts)
         assert len(seen) == 2
         c2_norm(f)
+        once = len(seen) - 2            # one call per piece of the stencil
         c2_norm(f)
-        assert len(seen) == 4 and all(t is np.ndarray for t in seen)
+        assert once >= 1 and len(seen) == 2 + 2 * once
+        assert all(t is np.ndarray for t in seen)
 
     def test_dropped_metric_is_freed_by_reference_counting(self):
         ch = chart2(pts=8)
@@ -498,6 +502,70 @@ class TestMemo:
         for xi in np.linspace(0.5, 2.0, 2 * _SEEDS_MAX):
             c2_norm(hyperbolic_model(chart2(xi=float(xi), pts=8)))
         assert len(_SEEDS) == _SEEDS_MAX
+
+
+class TestFdPieces:
+    """_fd_jet evaluates its stencil in pieces of at most _FD_ROWS rows."""
+
+    @staticmethod
+    def counting(f, rows):
+        """f as a finite-difference field that records its batch sizes."""
+        return Field(f.domain, lambda p: rows.append(len(p)) or f(p),
+                     shape=f.shape, name=f.name, grid=f.grid)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_small_pieces_are_bitwise_one_piece(self, monkeypatch, n):
+        if n == 3:
+            f = difference(*pullback_pair(3))
+        else:
+            ch = chart2(pts=16)
+            f = Field(ch.domain,
+                      lambda p: np.exp(2 * p[:, -1]) * np.sin(3 * p[:, 0]),
+                      grid=ch.grid)
+        rows = []
+        f = self.counting(f, rows)
+        pts = f.domain.grid(f.grid)
+        stencil = 1 + 2 * n + 2 * n * (n - 1)
+        whole = _fd_jet(f, pts, f.grid)
+        assert rows == [stencil * len(pts)]
+        monkeypatch.setattr(model, "_FD_ROWS", 97)
+        rows.clear()
+        pieces = _fd_jet(f, pts, f.grid)
+        assert max(rows) == stencil * (97 // stencil)
+        assert sum(rows) == stencil * len(pts)
+        for a, b in zip(whole, pieces):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_fd_oracle_check_is_unchanged_by_small_pieces(self,
+                                                          monkeypatch):
+        f = pullback_pair(2)[0]
+        whole = fd_oracle_check(f)
+        monkeypatch.setattr(model, "_FD_ROWS", 97)
+        assert fd_oracle_check(f) == whole
+
+    def test_n3_norm_calls_stay_within_the_budget(self):
+        rows = []
+        g = difference(*pullback_pair(3))
+        spec = dataclasses.replace(g.grid, points_per_axis=32)
+        m = len(g.domain.grid(spec))
+        assert m == 23680                   # three norm chunks
+        c2_norm(self.counting(g, rows), spec)
+        assert max(rows) <= model._FD_ROWS
+        assert sum(rows) == 19 * m
+
+    def test_bad_point_in_the_last_piece_raises(self, monkeypatch):
+        monkeypatch.setattr(model, "_FD_ROWS", 97)      # 32 base rows
+        rows = []
+        f = Field(interval_domain(0.0, 5.0),
+                  lambda p: rows.append(len(p)) or np.exp(-p[:, 0]),
+                  name="decay")
+        pts = np.linspace(2.0, 5.0, 100)[:, None]    # only 5 + h is out
+        with pytest.raises(DomainError) as exc:
+            _fd_jet(f, pts, GridSpec())
+        # the clean pieces were evaluated, the last one never reached f
+        assert rows == [3 * 32] * 3
+        assert "'decay'" in str(exc.value)
+        assert "(5.0005,)" in str(exc.value)
 
 
 class TestDump:
