@@ -73,14 +73,25 @@ def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]):
         w.writerows(rows)
 
 
+def _dump_json(doc, fh):
+    """doc as indented JSON and a newline, streamed to fh (the bytes of
+    json.dumps(doc, indent=2) without building that text first)."""
+    json.dump(doc, fh, indent=2)
+    fh.write("\n")
+
+
+def _write_json(path: Path, doc):
+    with open(path, "w") as fh:
+        _dump_json(doc, fh)
+
+
 def _write_reports(outdir: Optional[str], reports):
     if outdir is None:
         return
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "reports.csv", CSV_COLUMNS, reports_to_csv_rows(reports))
-    (out / "reports.json").write_text(
-        json.dumps([r.to_json() for r in reports], indent=2) + "\n")
+    _write_json(out / "reports.json", [r.to_json() for r in reports])
 
 
 def _exit_code(reports) -> int:
@@ -89,7 +100,7 @@ def _exit_code(reports) -> int:
 
 def _print_reports(reports, as_json: bool):
     if as_json:
-        print(json.dumps([r.to_json() for r in reports], indent=2))
+        _dump_json([r.to_json() for r in reports], sys.stdout)
         return
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
@@ -170,11 +181,10 @@ def cmd_theorem(parser, args) -> int:
             {c: _cell(getattr(inst, c)) for c in _SWEEP_COLUMNS}
             for inst in instances
         ])
-        (out / "theorem.json").write_text(
-            json.dumps([inst.to_json() for inst in instances], indent=2)
-            + "\n")
+        _write_json(out / "theorem.json",
+                    [inst.to_json() for inst in instances])
     if args.json:
-        print(json.dumps([inst.to_json() for inst in instances], indent=2))
+        _dump_json([inst.to_json() for inst in instances], sys.stdout)
     else:
         for inst in instances:
             status = "PASS" if inst.passed else "FAIL"
@@ -210,9 +220,9 @@ def cmd_demo_remark(parser, args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / "remark.csv", _REMARK_COLUMNS,
                    [{c: _cell(r[c]) for c in _REMARK_COLUMNS} for r in rows])
-        (out / "remark.json").write_text(json.dumps(rows, indent=2) + "\n")
+        _write_json(out / "remark.json", rows)
     if args.json:
-        print(json.dumps(rows, indent=2))
+        _dump_json(rows, sys.stdout)
     else:
         print(f"{'t0':>6}  {'closeness':>12}  {'ratio':>10}")
         for r in rows:

@@ -625,9 +625,14 @@ _CHUNK = 8192
 _FD_ROWS = 2 * _CHUNK   # most stencil rows one piece of an FD jet evaluates
 
 
-def _chunks(m: int):
-    for i in range(0, m, _CHUNK):
-        yield slice(i, min(i + _CHUNK, m))
+def _chunks(m: int, step: int):
+    for i in range(0, m, step):
+        yield slice(i, min(i + step, m))
+
+
+def _fd_piece(d: int) -> int:
+    """Base rows of one FD piece: its 1 + 2d^2 stencil rows fit _FD_ROWS."""
+    return max(1, _FD_ROWS // (1 + 2 * d * d))
 
 
 def _fd_jet(f: Field, pts: np.ndarray, spec: GridSpec):
@@ -657,9 +662,7 @@ def _fd_jet(f: Field, pts: np.ndarray, spec: GridSpec):
     d1 = np.empty((d, m) + f.shape)
     d2 = np.empty((d, d, m) + f.shape)
     base = 1 + 2 * d
-    step = max(1, _FD_ROWS // len(offsets))
-    for a in range(0, m, step):
-        rows = slice(a, min(a + step, m))
+    for rows in _chunks(m, _fd_piece(d)):
         stencil = pts[None, rows, :] + offsets[:, None, :]
         flat = stencil.reshape(-1, d)
         inside = dom.contains(flat)
@@ -715,30 +718,32 @@ def _sup(a: float, b: float) -> float:
 
 def _c2_norms(f: Field, specs: tuple) -> list:
     """c2_norm of f on each grid of `specs` (which share fd_step), from one
-    walk over the batches of _batches."""
+    walk over the batches of _batches.  Each batch is reduced before the
+    next one is evaluated, by one abs and one max per jet part, to the
+    maxima of |v|, of |d1| per axis and of |d2| per axis pair."""
     names = f.domain.axis_names
     d = len(names)
-    sups = [dict.fromkeys(_norm_keys(names), 0.0) for _ in specs]
+    found = [None] * len(specs)     # per grid: the running maxima
     use_jet = f.has_jet
     for x, parts in _batches(f, specs):
-        v, d1, d2 = f.jet(x) if use_jet \
-            else _fd_jet(f, np.asarray(x), specs[0])
+        jet = f.jet(x) if use_jet else _fd_jet(f, np.asarray(x), specs[0])
         for g, rows in parts:
-            s = sups[g]
-            s["1"] = _sup(s["1"], float(np.max(np.abs(v[rows]))))
-            for i in range(d):
-                key = f"d{names[i]}"
-                s[key] = _sup(s[key], float(np.max(np.abs(d1[rows, i]))))
-            for i in range(d):
-                for j in range(i, d):
-                    w = 0.5 if i == j else 1.0
-                    key = f"d{names[i]}d{names[j]}"
-                    s[key] = _sup(s[key],
-                                  w * float(np.max(np.abs(d2[rows, i, j]))))
+            # part o keeps its o derivative axes, after the row axis
+            got = [np.abs(a[rows]).max(axis=(0, *range(1 + o, a.ndim)))
+                   for o, a in enumerate(jet)]
+            found[g] = got if found[g] is None \
+                else list(map(np.maximum, found[g], got))   # keeps a NaN
     source = "analytic" if use_jet else "finite-difference"
-    return [C2Norm(value=reduce(_sup, s.values()), per_order_sups=s,
-                   grid=spec, derivative_source=source)
-            for s, spec in zip(sups, specs)]
+    norms = []
+    for (v, d1, d2), spec in zip(found, specs):
+        d2 = d2.tolist()
+        vals = [float(v), *d1.tolist()] + [
+            (0.5 if i == j else 1.0) * d2[i][j]     # 1/a! weights
+            for i in range(d) for j in range(i, d)]
+        s = dict(zip(_norm_keys(names), vals))
+        norms.append(C2Norm(value=reduce(_sup, vals), per_order_sups=s,
+                            grid=spec, derivative_source=source))
+    return norms
 
 
 _SEEDS: dict = {}   # (domain, specs) -> (_GridJet, parts), least recent first
@@ -747,12 +752,15 @@ _SEEDS_MAX = 8
 
 def _batches(f: Field, specs: tuple):
     """(x, parts) batches of the grids of `specs`, parts holding (i, rows)
-    for each grid i that has the rows `rows` of x.  Grids whose rows fit in
-    one chunk together share it as their seeded Jet, kept in a small cache
-    so that every norm of a check hands its fields the same Jet object;
-    otherwise each grid is walked alone, in chunks of _CHUNK rows."""
+    for each grid i that has the rows `rows` of x.  An analytic field's
+    grids whose rows fit in one chunk together share it as their seeded
+    Jet, kept in a small cache so that every norm of a check hands its
+    fields the same Jet object; otherwise each grid is walked alone, in
+    chunks of _CHUNK rows.  A finite-difference field walks each grid alone
+    in batches of one stencil piece (_fd_piece rows), so that no FD jet is
+    larger than one piece."""
     key = (f.domain, specs)
-    hit = _SEEDS.pop(key, None)
+    hit = _SEEDS.pop(key, None) if f.has_jet else None
     if hit is None:
         grids = []
         for spec in specs:
@@ -761,10 +769,11 @@ def _batches(f: Field, specs: tuple):
                 raise DomainError(f"empty sampling grid for field {f.name!r}")
             grids.append(pts)
         ends = np.cumsum([len(g) for g in grids]).tolist()
-        if ends[-1] > _CHUNK:
+        if ends[-1] > _CHUNK or not f.has_jet:
+            step = _CHUNK if f.has_jet else _fd_piece(f.domain.dim)
             for i in range(len(grids)):
                 pts, grids[i] = grids[i], None    # freed once walked
-                for sl in _chunks(len(pts)):
+                for sl in _chunks(len(pts), step):
                     yield pts[sl], ((i, slice(None)),)
             return
         x = np.concatenate(grids) if len(grids) > 1 else grids[0]
@@ -783,23 +792,24 @@ def _batches(f: Field, specs: tuple):
 
 def dump_grid_csv(f: Field, path, grid: Optional[GridSpec] = None) -> int:
     """Write the sampled field to CSV (one row per grid point), returning the
-    row count.  Matrix fields emit row-major component columns g11, g12, ..."""
+    row count.  Matrix fields emit row-major component columns g11, g12, ...
+    Each chunk of rows is written as soon as it is evaluated."""
     spec = grid or f.grid
     pts = f.domain.grid(spec)
-    vals = np.concatenate([f(pts[sl]) for sl in _chunks(len(pts))])
 
     header = list(f.domain.axis_names)
     if f.shape == ():
         header.append("value")
-        cols = vals.reshape(len(pts), 1)
     else:
         nr, nc = f.shape
         header += [f"g{i + 1}{j + 1}" for i in range(nr) for j in range(nc)]
-        cols = vals.reshape(len(pts), nr * nc)
 
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for p, row in zip(pts, cols):
-            w.writerow([f"{x:.17g}" for x in p] + [f"{x:.17g}" for x in row])
+        for sl in _chunks(len(pts), _CHUNK):
+            cols = f(pts[sl]).reshape(sl.stop - sl.start, -1)
+            for p, row in zip(pts[sl], cols):
+                w.writerow([f"{x:.17g}" for x in p]
+                           + [f"{x:.17g}" for x in row])
     return len(pts)

@@ -111,7 +111,14 @@ class BoundReport:
     notes: str = ""
 
     def to_json(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields in order; params copied one level deep, which is all
+        the nesting a report's params have (dataclasses.asdict's deep copy
+        costs more than the rest of the JSON)."""
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        d["params"] = {k: v.copy() if isinstance(v, (list, dict)) else v
+                       for k, v in self.params.items()}
+        d["grid"] = dataclasses.asdict(self.grid)
+        return d
 
 
 def make_report(name: str, params: dict, lhs: float, rhs: float,
@@ -531,8 +538,10 @@ class TheoremInstance:
     notes: str = ""
 
     def to_json(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["reports"] = list(d.pop("reports"))   # last, after the summary
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+             if f.name != "reports"}
+        d["case_counts"] = dict(self.case_counts)
+        d["reports"] = [r.to_json() for r in self.reports]   # last
         return d
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -8,8 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from warpforce.cli import main
-from warpforce.verify import CSV_COLUMNS, remark_decay
+from warpforce.cli import _write_reports, main
+from warpforce.model import GridSpec
+from warpforce.verify import CSV_COLUMNS, make_report, remark_decay
+
+from memory import traced_peak_mb
 
 
 def run_cli(args):
@@ -129,6 +133,19 @@ def test_verify_csv_deterministic(tmp_path):
         assert run_cli(["verify", "lemma1.1", "--instances", "4",
                         "--out", str(out), "--seed", "9"]) == 0
     assert (a / "reports.csv").read_bytes() == (b / "reports.csv").read_bytes()
+
+
+def test_reports_json_streams_in_small_memory(tmp_path):
+    # as many reports as `verify all` on the default config; building the
+    # JSON text first took 3.3 MB
+    reports = [make_report("lemma3.1", {"xi": 1.5, "s": 0.01 * i,
+                                        "window": [0.0, 3.0]},
+                           1e-3 * i, 1.0, 1e-6, GridSpec(), "analytic")
+               for i in range(708)]
+    _, mb = traced_peak_mb(_write_reports, str(tmp_path), reports)
+    assert mb < 1.5
+    assert (tmp_path / "reports.json").read_text() == json.dumps(
+        [dataclasses.asdict(r) for r in reports], indent=2) + "\n"
 
 
 def test_verify_json_stdout(capsys):

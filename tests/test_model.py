@@ -35,6 +35,7 @@ from warpforce.model import (
 from warpforce.verify import fd_oracle_check, measured_with_error
 from warpforce.warpcore import WarpFunction, apply_warp
 
+from memory import traced_peak_mb
 from polynomials import polynomial_scalar
 
 
@@ -504,14 +505,38 @@ class TestMemo:
         assert len(_SEEDS) == _SEEDS_MAX
 
 
+def whole_grid_sups(f, spec):
+    """Per-key sups of one finite-difference jet of f's whole grid, key by
+    key: the reference for the norm walk's reduction by jet part."""
+    names = f.domain.axis_names
+    v, d1, d2 = _fd_jet(f, f.domain.grid(spec), spec)
+    s = {"1": float(np.max(np.abs(v)))}
+    for i, a in enumerate(names):
+        s[f"d{a}"] = float(np.max(np.abs(d1[:, i])))
+    for i, a in enumerate(names):
+        for j in range(i, len(names)):
+            w = 0.5 if i == j else 1.0
+            s[f"d{a}d{names[j]}"] = w * float(np.max(np.abs(d2[:, i, j])))
+    return s
+
+
 class TestFdPieces:
-    """_fd_jet evaluates its stencil in pieces of at most _FD_ROWS rows."""
+    """Finite-difference jets, and the norms over them, work in pieces of at
+    most _FD_ROWS stencil rows."""
 
     @staticmethod
     def counting(f, rows):
         """f as a finite-difference field that records its batch sizes."""
         return Field(f.domain, lambda p: rows.append(len(p)) or f(p),
                      shape=f.shape, name=f.name, grid=f.grid)
+
+    @staticmethod
+    def n2_field(edit):
+        """An n = 2 FD field on a 64-point chart; edit(values, points)
+        returns its values."""
+        ch = chart2(pts=64)
+        return Field(ch.domain, lambda p: edit(
+            np.exp(2 * p[:, -1]) * np.sin(3 * p[:, 0]), p), grid=ch.grid)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_small_pieces_are_bitwise_one_piece(self, monkeypatch, n):
@@ -553,6 +578,56 @@ class TestFdPieces:
         assert max(rows) <= model._FD_ROWS
         assert sum(rows) == 19 * m
 
+    def test_fd_grids_walk_alone_one_piece_at_a_time(self):
+        # N and N/2 fit one chunk together (4096 + 1024 rows), yet an FD
+        # field walks each grid alone, in order, one stencil piece a batch
+        f = self.n2_field(lambda v, p: v)
+        specs = (f.grid, f.grid.halved())
+        walked, order = [[] for _ in specs], []
+        for x, parts in _batches(f, specs):
+            assert len(x) <= model._FD_ROWS // 9
+            ((i, rows),) = parts
+            order.append(i)
+            walked[i].append(x[rows])
+        assert order == [0, 0, 0, 1]
+        for rows, spec in zip(walked, specs):
+            assert np.array_equal(np.concatenate(rows), f.domain.grid(spec))
+
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_piece_sups_are_the_whole_grid_sups(self, nan):
+        f = self.n2_field(lambda v, p: np.where(p[:, 0] > 0.5, np.nan, v)
+                          if nan else v)
+        specs = (f.grid, f.grid.halved())
+        for norm, spec in zip(model._c2_norms(f, specs), specs):
+            want = whole_grid_sups(f, spec)
+            assert list(norm.per_order_sups) == list(want)
+            assert np.array_equal(list(norm.per_order_sups.values()),
+                                  list(want.values()), equal_nan=True)
+            assert np.isnan(norm.value) == nan
+
+    def test_norm_jets_are_one_piece(self, monkeypatch):
+        # every FD jet of a norm is one stencil piece (862 rows at d = 3),
+        # and every row of both grids is in one of them
+        sizes = []
+        fd_jet = model._fd_jet
+        monkeypatch.setattr(model, "_fd_jet", lambda f, pts, spec: (
+            sizes.append(len(pts)) or fd_jet(f, pts, spec)))
+        g = difference(*pullback_pair(3))
+        spec = dataclasses.replace(g.grid, points_per_axis=32)
+        measured_with_error(g, spec)
+        assert max(sizes) <= model._FD_ROWS // 19
+        assert sum(sizes) == sum(len(g.domain.grid(s))
+                                 for s in (spec, spec.halved()))
+
+    def test_n3_norm_memory_stays_small(self):
+        # the N-grid norm and its probe at 32 points per axis (23,680 and
+        # 2,752 rows) took 10.3 MB when each FD jet was a whole 8,192-row
+        # chunk
+        g = difference(*pullback_pair(3))
+        spec = dataclasses.replace(g.grid, points_per_axis=32)
+        _, mb = traced_peak_mb(measured_with_error, g, spec)
+        assert mb < 6.0
+
     def test_bad_point_in_the_last_piece_raises(self, monkeypatch):
         monkeypatch.setattr(model, "_FD_ROWS", 97)      # 32 base rows
         rows = []
@@ -580,6 +655,20 @@ class TestDump:
         assert b1 == b2
         header = b1.decode().splitlines()[0]
         assert header == "x1,t,g11,g12,g21,g22"
+
+    def test_chunked_dump_is_the_one_chunk_dump(self, tmp_path,
+                                                monkeypatch):
+        sig = hyperbolic_model(chart2(pts=8))
+        rows = []
+        f = Field(sig.domain, lambda p: rows.append(len(p)) or sig(p),
+                  shape=sig.shape, grid=sig.grid)
+        one, small = tmp_path / "one.csv", tmp_path / "small.csv"
+        dump_grid_csv(f, one)
+        monkeypatch.setattr(model, "_CHUNK", 7)
+        rows.clear()
+        dump_grid_csv(f, small)
+        assert rows == [7] * 9 + [1]
+        assert small.read_bytes() == one.read_bytes()
 
     def test_scalar_dump(self, tmp_path):
         dom = interval_domain(0.0, 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -404,6 +405,25 @@ def test_audit_to_json_roundtrips(small_audit):
     blob = json.dumps(small_audit.to_json())
     back = json.loads(blob)
     assert back["r0"] == 4.0 and len(back["reports"]) == 9
+
+
+def test_to_json_is_the_dataclass_deep_copy(small_audit):
+    want = dataclasses.asdict(small_audit)
+    want["reports"] = list(want.pop("reports"))
+    got = small_audit.to_json()
+    assert got == want and list(got) == list(want)
+    assert [list(r) for r in got["reports"]] == \
+        [list(r) for r in want["reports"]]
+    # a copy: editing it leaves the instance and its reports as they were
+    got["reports"][0]["params"]["t0"] = -1.0
+    got["case_counts"][1] = -1
+    assert small_audit.reports[0].params["t0"] != -1.0
+    assert small_audit.case_counts[1] == 3
+    r = check_lemma_2_1(3.0)
+    got = r.to_json()
+    assert got == dataclasses.asdict(r)
+    got["params"]["window"].append(1.0)
+    assert len(r.params["window"]) == 2
 
 
 def test_audit_zone_classification():

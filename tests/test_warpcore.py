@@ -18,6 +18,8 @@ from warpforce.model import (
 )
 from warpforce.manifold import punctured_hyperbolic
 from warpforce.warpcore import (
+    _measure_step_sups,
+    _step_jet,
     BumpFunction,
     RadialMetric,
     WarpFunction,
@@ -28,6 +30,8 @@ from warpforce.warpcore import (
     warp_force,
     warped_extension,
 )
+
+from memory import traced_peak_mb
 
 
 def sinh_squared_radial(H, r_lo=1.0, r_hi=4.0, k=2, pts=16):
@@ -85,6 +89,15 @@ class TestBump:
         fd2 = (b(t + h) - 2 * b(t) + b(t - h)) / h ** 2
         assert np.abs(d1 - fd1).max() < 1e-7
         assert np.abs(d2 - fd2).max() < 1e-4
+
+    def test_step_sups_are_one_sample_in_small_pieces(self):
+        # the import-time sample is taken a chunk at a time: bitwise the
+        # sups of one _step_jet over all 200,001 samples, in a tenth of
+        # that one evaluation's memory (23 MB)
+        _, d1, d2 = _step_jet(np.linspace(0.0, 1.0, 200001))
+        sups, mb = traced_peak_mb(_measure_step_sups)
+        assert sups == (float(np.abs(d1).max()), float(np.abs(d2).max()))
+        assert mb < 5.0
 
     def test_measured_profile_norm_matches_certificate(self):
         b = BumpFunction()
