@@ -39,6 +39,7 @@ from warpforce.model import (
     c2_norm,
     difference,
     hyperbolic_model,
+    read_config,
 )
 
 __all__ = [
@@ -149,20 +150,17 @@ _KINDS = {"punctured": punctured_hyperbolic, "perturbed": perturbed_hyperbolic}
 
 def manifold_from_config(cfg: dict) -> CenteredManifold:
     """The manifold of a config object: its "kind" (default "punctured")
-    and the keyword arguments of that kind's constructor, except grid.
-    Any other key is a ValueError that names it."""
-    if not isinstance(cfg, dict):
-        raise ValueError(f"manifold config must be an object, got {cfg!r}")
-    kw = dict(cfg)
-    kind = kw.pop("kind", "punctured")
+    and the keyword arguments of that kind's constructor, except grid, read
+    against the constructor's defaults (see read_config)."""
+    kind = (cfg if isinstance(cfg, dict) else {}).get("kind", "punctured")
     build = _KINDS.get(kind) if isinstance(kind, str) else None
     if build is None:
         raise ValueError(f"unknown manifold kind {kind!r}")
-    unknown = sorted(set(kw) - (set(inspect.signature(build).parameters)
-                                - {"grid"}))
-    if unknown:
-        raise ValueError(f"unknown keys for a {kind} manifold: "
-                         f"{', '.join(map(repr, unknown))}")
+    defaults = {"kind": kind} | {
+        k: p.default for k, p in inspect.signature(build).parameters.items()
+        if k != "grid"}
+    kw = read_config(cfg, defaults, "manifold")
+    kw.pop("kind", None)
     return build(**kw)
 
 

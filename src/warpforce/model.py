@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -83,6 +82,47 @@ class GridSpec:
         return dataclasses.replace(
             self, points_per_axis=max(4, self.points_per_axis // 2)
         )
+
+
+def _numbers(values, what: str) -> tuple:
+    """A non-empty list of numbers as a tuple; ValueError otherwise."""
+    if not (isinstance(values, (list, tuple)) and values and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in values)):
+        raise ValueError(f"{what} must be a non-empty list of numbers, "
+                         f"got {values!r}")
+    return tuple(values)
+
+
+def read_config(section, defaults: dict, what: str) -> dict:
+    """The values of config object `section`, checked against `defaults`,
+    the default of each key it may have.  A value must be of its default's
+    kind: an integer for an int, a number for a float (never a bool), a
+    list of numbers for a tuple (read as one, [] as ()), an object of
+    GridSpec fields for a GridSpec (read as one); others pass through.
+    ValueError, naming `what`, refuses a section that is not an object,
+    the first unknown key and the first value of the wrong kind."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{what} config must be an object, got {section!r}")
+    kw = {}
+    for key, v in section.items():
+        if key not in defaults:
+            raise ValueError(f"unknown {what} key {key!r}; known: "
+                             f"{', '.join(defaults) or 'none'}")
+        kind = type(defaults[key])
+        if kind is GridSpec:
+            try:
+                v = GridSpec(**v)
+            except TypeError as exc:
+                raise ValueError(f"bad {what} {key}: {exc}") from None
+        elif kind is tuple:
+            v = () if v == [] else _numbers(v, f"{what} {key}")
+        elif kind in (int, float) and (isinstance(v, bool)
+                                       or not isinstance(v, (int, kind))):
+            need = "an integer" if kind is int else "a number"
+            raise ValueError(f"{what} {key} must be {need}, got {v!r}")
+        kw[key] = v
+    return kw
 
 
 @dataclass(frozen=True)
@@ -510,27 +550,28 @@ class RadialMetric(Field):
 
     The leading k = d - 1 domain axes carry the spatial block and the last
     axis is radial: t on a chart, r in polar form around a center.  spatial
-    maps (m, d) points to (m, k, k) matrices and, when `analytic`, also
-    evaluates on a Jet.  The full d x d value embeds the block with a unit
-    last-axis entry.  Metrics built on a ChartModel keep it as `chart` (its
-    excess xi and hyperbolic model feed the lemma checks); polar metrics
-    have chart None.
+    maps (m, d) points to (m, k, k) matrices (when `analytic`, Jets too);
+    the Field `block` holds it.  The full d x d value embeds the block with
+    a unit last-axis entry.  Metrics built on a ChartModel keep it as
+    `chart` (its excess xi and hyperbolic model feed the lemma checks);
+    polar metrics have chart None.
     """
 
     def __init__(self, domain: Domain, spatial: Callable,
                  analytic: bool = False, grid: Optional[GridSpec] = None,
                  name: str = "metric", chart: Optional[ChartModel] = None):
         d = domain.dim
-        spatial = _LastJet(spatial, (d - 1, d - 1), name)
+        block = Field(domain, spatial, analytic=analytic,
+                      shape=(d - 1, d - 1), name=name, grid=grid)
 
         def fn(pts):
             # the block first: its temporaries are freed before `out` exists
-            return _embed(spatial(pts), len(pts), d)
+            return _embed(block._fn(pts), len(pts), d)
 
         super().__init__(domain, fn, analytic=analytic, shape=(d, d),
                          name=name, grid=grid)
         self.chart = chart
-        self._spatial = spatial
+        self.block = block
 
     @classmethod
     def on_chart(cls, chart: ChartModel, spatial: Callable,
@@ -541,17 +582,14 @@ class RadialMetric(Field):
 
     def spatial(self, pts):
         """(m, k, k) spatial block; at a Jet, its Taylor value."""
-        if isinstance(pts, Jet):
-            return self.spatial_jet(pts)
-        return np.asarray(self._spatial(_as_points(pts, self.domain.dim)))
+        return self.spatial_jet(pts) if isinstance(pts, Jet) \
+            else self.block(pts)
 
     def spatial_jet(self, pts):
         """Taylor value of the spatial block: at (m, d) points the
         (v, d1, d2) tuple in the (m, d, k, k) layout, at a Jet a Jet."""
-        self._need_jet()
-        x = _as_points(pts, self.domain.dim)
-        return _at_jet(self._spatial, x, self.name) if isinstance(x, Jet) \
-            else _taylor(self._spatial, x, self)
+        return self.block(pts) if isinstance(pts, Jet) \
+            else self.block.jet(pts)
 
 
 def _diag(cols):
@@ -593,8 +631,7 @@ def difference(f: Field, g: Field, name: Optional[str] = None) -> Field:
         raise ValueError("field shapes differ")
     shape = f.shape
     if isinstance(f, RadialMetric) and isinstance(g, RadialMetric):
-        k = f.domain.dim - 1
-        shape = (k, k)
+        shape = f.block.shape
 
         def fn(pts):
             return f.spatial(pts) - g.spatial(pts)
@@ -710,12 +747,6 @@ def c2_norm(f: Field, grid: Optional[GridSpec] = None) -> C2Norm:
     return _c2_norms(f, (grid or f.grid,))[0]
 
 
-def _sup(a: float, b: float) -> float:
-    """max(a, b), but NaN if either is NaN: Python's max(a, nan) is a, which
-    would let a NaN sample read as the sup of the others."""
-    return a if a >= b or a != a else b
-
-
 def _c2_norms(f: Field, specs: tuple) -> list:
     """c2_norm of f on each grid of `specs` (which share fd_step), from one
     walk over the batches of _batches.  Each batch is reduced before the
@@ -741,7 +772,7 @@ def _c2_norms(f: Field, specs: tuple) -> list:
             (0.5 if i == j else 1.0) * d2[i][j]     # 1/a! weights
             for i in range(d) for j in range(i, d)]
         s = dict(zip(_norm_keys(names), vals))
-        norms.append(C2Norm(value=reduce(_sup, vals), per_order_sups=s,
+        norms.append(C2Norm(value=float(np.max(vals)), per_order_sups=s,
                             grid=spec, derivative_source=source))
     return norms
 

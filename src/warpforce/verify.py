@@ -40,12 +40,14 @@ from warpforce.model import (
     WarpforceError,
     _c2_norms,
     _fd_jet,
+    _numbers,
     ball_domain,
     c2_norm,
     difference,
     hyperbolic_model,
     interval_domain,
     profile_scalar,
+    read_config,
 )
 from warpforce.manifold import (
     CenteredManifold,
@@ -388,16 +390,6 @@ def _chart(xi: float, grid: Optional[GridSpec]) -> ChartModel:
     return ChartModel(n=2, xi=xi, grid=grid or GridSpec())
 
 
-def _numbers(values, what: str) -> tuple:
-    """A non-empty list of numbers as a tuple; ValueError otherwise."""
-    if not (isinstance(values, (list, tuple)) and values and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in values)):
-        raise ValueError(f"{what} must be a non-empty list of numbers, "
-                         f"got {values!r}")
-    return tuple(values)
-
-
 def _split_counts(total: int, parts: int) -> list:
     base = total // parts
     rest = total - base * parts
@@ -495,29 +487,14 @@ class TheoremConfig:
                   grid: Optional[GridSpec] = None) -> "TheoremConfig":
         """The config a `theorem` section describes; a given seed or grid
         replaces the section's own.  ValueError names an unknown key or a
-        malformed value."""
-        if not isinstance(section, dict):
-            raise ValueError(f"theorem config must be an object, "
-                             f"got {section!r}")
-        kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
-        kw = dict(section) if seed is None else dict(section, seed=seed)
-        for key, v in list(kw.items()):
-            kind = kinds.get(key)
-            if kind is None:
-                raise ValueError(f"unknown theorem key {key!r}; known: "
-                                 f"{', '.join(kinds)}")
-            if key == "grid":
-                try:
-                    kw[key] = GridSpec(**v)
-                except TypeError as exc:
-                    raise ValueError(f"bad theorem grid: {exc}") from None
-            elif kind is tuple:   # [] gets _sweep_manifold's error
-                kw[key] = () if v == [] else _numbers(v, f"theorem {key}")
-            elif kind in (int, float) and (isinstance(v, bool) or
-                                           not isinstance(v, (int, kind))):
-                what = "an integer" if kind is int else "a number"
-                raise ValueError(f"theorem {key} must be {what}, got {v!r}")
-        return cls(**kw) if grid is None else cls(**dict(kw, grid=grid))
+        malformed value (see read_config)."""
+        defaults = vars(cls())      # every field with its default value
+        kw = read_config(section, defaults, "theorem")
+        if seed is not None:
+            kw |= read_config({"seed": seed}, defaults, "theorem")
+        if grid is not None:
+            kw["grid"] = grid
+        return cls(**kw)
 
 
 @dataclass(frozen=True)
@@ -767,8 +744,7 @@ def run_check(name: str, seed: Optional[int] = None, instances: int = 100,
     grid overrides the theorem section's own; the lemma suites default to
     seed 0.  `all` checks its whole theorem sweep before any lemma runs."""
     if config is not None and not isinstance(config, dict):
-        raise ValueError(f"config of {name!r} must be an object, "
-                         f"got {config!r}")
+        raise ValueError(f"{name} config must be an object, got {config!r}")
     if name in ("all", "theorem"):
         doc = config or {}
         theorem = TheoremConfig.from_dict(
@@ -788,18 +764,11 @@ def run_check(name: str, seed: Optional[int] = None, instances: int = 100,
 def _lemma_run(name: str, section, seed: Optional[int], instances: int,
                xi_values, grid: Optional[GridSpec]) -> Callable:
     """The run of lemma suite `name` on its config section, checked now:
-    lemma2.1 reads `t0_values` and the other suites take no keys, so any
-    other key is a ValueError that names it.  The other suites read
-    `xi_values`, a non-empty list of positive, finite numbers."""
-    if section is not None and not isinstance(section, dict):
-        raise ValueError(f"config of {name!r} must be an object, "
-                         f"got {section!r}")
-    section = section or {}
-    known = ("t0_values",) if name == "lemma2.1" else ()
-    unknown = sorted(set(section) - set(known))
-    if unknown:
-        raise ValueError(f"unknown {name} key {unknown[0]!r}; known: "
-                         f"{', '.join(known) or 'none'}")
+    lemma2.1 reads `t0_values` and the other suites take no keys (see
+    read_config).  The other suites read `xi_values`, a non-empty list of
+    positive, finite numbers."""
+    known = {"t0_values": _DEFAULT_T0S} if name == "lemma2.1" else {}
+    section = read_config({} if section is None else section, known, name)
     if name != "lemma2.1":
         xi_values = _numbers(xi_values, "xi_values")
         for xi in xi_values:
@@ -808,8 +777,9 @@ def _lemma_run(name: str, section, seed: Optional[int], instances: int,
                                  f"(got {xi:g})")
         return lambda: _run_lemma_suite(name, 0 if seed is None else seed,
                                         instances, xi_values, grid)
-    t0s = _numbers(section.get("t0_values", _DEFAULT_T0S),
-                   "lemma2.1 t0_values")
+    t0s = section.get("t0_values", _DEFAULT_T0S)
+    if not t0s:
+        raise ValueError("lemma2.1 needs at least one t0 value")
     for t0 in t0s:
         if not 2.0 < t0 < np.inf:
             raise ValueError(f"lemma2.1 t0 must exceed 2 and be finite "

@@ -140,9 +140,7 @@ class BumpFunction:
     def __call__(self, t):
         if isinstance(t, Jet):
             return t.chain(*self.jet(t.v))
-        v = (np.asarray(t, dtype=float) - self.plateau_end) / self.width
-        s, _, _ = _step_jet(v)
-        return 1.0 - s
+        return self.jet(t)[0]
 
     def jet(self, t):
         v = (np.asarray(t, dtype=float) - self.plateau_end) / self.width
@@ -177,7 +175,7 @@ class WarpFunction:
     def __call__(self, t):
         if isinstance(t, Jet):
             return t.chain(*self.jet(t.v))
-        return self._c * self._q(t) ** 2     # bitwise the jet's value
+        return self.jet(t)[0]
 
     def jet(self, t):
         q = self._q(t)

@@ -91,6 +91,7 @@ def test_verify_rejects_small_t0(tmp_path, capsys):
     (["demo-remark"], {"t0_values": ["a"]}),
     (["demo-remark"], {"grid": {"points_per_axis": 16.5}}),
     (["verify", "lemma1.1"], {"grid": {"points_per_axis": 16.5}}),
+    (["verify", "lemma2.1"], {"lemma2.1": {"t0_values": []}}),
 ])
 def test_bad_numeric_flags_are_usage_errors(tmp_path, monkeypatch, argv, cfg):
     monkeypatch.chdir(tmp_path)
@@ -572,6 +573,24 @@ def test_dump_grid_rejects_unknown_manifold_key(tmp_path, capsys):
         run_cli(["dump-grid", "--config", cfg, "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "'amplitud'" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("amplitude", "0.1"), ("amplitude", None), ("sphere_mode", 2.5),
+    ("sphere_mode", True), ("sphere_mode", "3"), ("radial_width", "2"),
+    ("radial_center", None), ("n", 2.0),
+])
+def test_dump_grid_refuses_a_manifold_value_of_the_wrong_kind(
+        tmp_path, capsys, key, value):
+    # these used to end in a TypeError traceback or to run silently with
+    # a rounded value
+    cfg = write_cfg(tmp_path, {"manifold": {"kind": "perturbed", key: value}})
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["dump-grid", "--config", cfg, "--grid", "8",
+                 "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"manifold {key} must be" in capsys.readouterr().err
     assert not (tmp_path / "grid.csv").exists()
 
 

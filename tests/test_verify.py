@@ -21,6 +21,7 @@ from warpforce.model import (
 )
 from warpforce.manifold import (
     CenteredManifold,
+    manifold_from_config,
     perturbed_hyperbolic,
     pullback,
     punctured_hyperbolic,
@@ -522,6 +523,23 @@ def test_theorem_config_from_dict():
     cfg = TheoremConfig.from_dict({"r0_values": [5.0], "xi": 1.2,
                                    "grid": {"points_per_axis": 32}})
     assert cfg.r0_values == (5.0,) and cfg.grid.points_per_axis == 32
+
+
+@pytest.mark.parametrize("read,what", [
+    (manifold_from_config, "manifold"),
+    (TheoremConfig.from_dict, "theorem"),
+    (lambda sec: run_check("lemma2.1", config=sec), "lemma2.1"),
+    (lambda sec: run_check("lemma3.2", config=sec), "lemma3.2"),
+], ids=["manifold", "theorem", "lemma2.1", "lemma3.2"])
+def test_config_objects_refuse_unknown_keys_alike(read, what):
+    # one reader: the same message names the object, the key and the keys
+    # that the object knows
+    with pytest.raises(ValueError,
+                       match=rf"^unknown {what} key 'warp_speed'; known: "):
+        read({"warp_speed": 9})
+    with pytest.raises(ValueError,
+                       match=rf"^{what} config must be an object, got 9$"):
+        read(9)
 
 
 # ---------------------------------------------------------------------------
