@@ -53,11 +53,11 @@ def _grid_from(parser, args, cfg: dict) -> Optional[GridSpec]:
     spec = None
     try:
         if base is not None:
-            spec = GridSpec(**base)
+            spec = GridSpec.read(base, "grid")
         if args.grid is not None:
             spec = dataclasses.replace(spec or GridSpec(),
                                        points_per_axis=args.grid)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         parser.error(f"bad grid: {exc}")
     return spec
 

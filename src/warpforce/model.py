@@ -74,6 +74,12 @@ class GridSpec:
         if not 0.0 < self.fd_step < 0.1:
             raise ValueError("fd_step must be in (0, 0.1)")
 
+    @classmethod
+    def read(cls, section, what: str) -> "GridSpec":
+        """The grid of config object `section`, its fields read against
+        GridSpec's defaults (see read_config)."""
+        return cls(**read_config(section, vars(cls()), what))
+
     def halved(self) -> "GridSpec":
         """The strictly coarser grid of the refinement probe."""
         if self.points_per_axis == 4:
@@ -98,8 +104,8 @@ def read_config(section, defaults: dict, what: str) -> dict:
     """The values of config object `section`, checked against `defaults`,
     the default of each key it may have.  A value must be of its default's
     kind: an integer for an int, a number for a float (never a bool), a
-    list of numbers for a tuple (read as one, [] as ()), an object of
-    GridSpec fields for a GridSpec (read as one); others pass through.
+    list of numbers for a tuple (read as one, [] as ()), a config object
+    for a GridSpec (read by GridSpec.read); others pass through.
     ValueError, naming `what`, refuses a section that is not an object,
     the first unknown key and the first value of the wrong kind."""
     if not isinstance(section, dict):
@@ -111,10 +117,7 @@ def read_config(section, defaults: dict, what: str) -> dict:
                              f"{', '.join(defaults) or 'none'}")
         kind = type(defaults[key])
         if kind is GridSpec:
-            try:
-                v = GridSpec(**v)
-            except TypeError as exc:
-                raise ValueError(f"bad {what} {key}: {exc}") from None
+            v = GridSpec.read(v, f"{what} {key}")
         elif kind is tuple:
             v = () if v == [] else _numbers(v, f"{what} {key}")
         elif kind in (int, float) and (isinstance(v, bool)
@@ -172,6 +175,42 @@ class Domain:
             cut = 1.0 - 2.0 * spec.boundary_margin
             pts = pts[self._ball_radius(pts) <= cut]
         return pts
+
+    def _lead(self, spec: GridSpec):
+        """(lead, rest, m) of grid(spec): the kept points (q, b) of the b
+        leading ball axes, which alone decide the ball mask (b = 0 without
+        one), the axis points of the other axes, and the grid's row count.
+        Row i of the grid is lead[i // R] followed by the C-order index
+        i % R of the rest, R the product of their lengths."""
+        axes = self.axis_points(spec)
+        b = self.ball_axes if self.ball_axes >= 2 else 0
+        lead = np.empty((1, 0))
+        if b:
+            mesh = np.meshgrid(*axes[:b], indexing="ij")
+            lead = np.stack([m.ravel() for m in mesh], axis=-1)
+            cut = 1.0 - 2.0 * spec.boundary_margin
+            lead = lead[self._ball_radius(lead) <= cut]
+        rest = axes[b:]
+        return lead, rest, len(lead) * int(np.prod([len(a) for a in rest]))
+
+    def grid_size(self, spec: GridSpec) -> int:
+        """len(grid(spec)), without building the grid."""
+        return self._lead(spec)[2]
+
+    def grid_chunks(self, spec: GridSpec, step: int):
+        """The rows of grid(spec) in order, `step` at a time (the last
+        chunk may be shorter), each built alone from its row indices, so
+        that no more than one chunk of the grid exists at a time."""
+        lead, rest, m = self._lead(spec)
+        b = lead.shape[1]
+        for sl in _chunks(m, step):
+            i = np.arange(sl.start, sl.stop)
+            out = np.empty((len(i), self.dim))
+            for j in range(self.dim - 1, b - 1, -1):   # C order: last first
+                i, k = np.divmod(i, len(rest[j - b]))
+                out[:, j] = rest[j - b][k]
+            out[:, :b] = lead[i]
+            yield out
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -787,28 +826,36 @@ def _batches(f: Field, specs: tuple):
     grids whose rows fit in one chunk together share it as their seeded
     Jet, kept in a small cache so that every norm of a check hands its
     fields the same Jet object; otherwise each grid is walked alone, in
-    chunks of _CHUNK rows.  A finite-difference field walks each grid alone
-    in batches of one stencil piece (_fd_piece rows), so that no FD jet is
+    chunks of _CHUNK rows built one at a time (Domain.grid_chunks).  A
+    finite-difference field walks each grid alone in batches of one
+    stencil piece (_fd_piece rows) of the whole grid, so that no FD jet is
     larger than one piece."""
     key = (f.domain, specs)
     hit = _SEEDS.pop(key, None) if f.has_jet else None
     if hit is None:
-        grids = []
-        for spec in specs:
-            pts = f.domain.grid(spec)
-            if len(pts) == 0:
-                raise DomainError(f"empty sampling grid for field {f.name!r}")
-            grids.append(pts)
-        ends = np.cumsum([len(g) for g in grids]).tolist()
-        if ends[-1] > _CHUNK or not f.has_jet:
-            step = _CHUNK if f.has_jet else _fd_piece(f.domain.dim)
-            for i in range(len(grids)):
-                pts, grids[i] = grids[i], None    # freed once walked
-                for sl in _chunks(len(pts), step):
-                    yield pts[sl], ((i, slice(None)),)
+        sizes = [f.domain.grid_size(spec) for spec in specs]
+        if 0 in sizes:
+            raise DomainError(f"empty sampling grid for field {f.name!r}")
+        if sum(sizes) > _CHUNK or not f.has_jet:
+            for i, spec in enumerate(specs):
+                if f.has_jet:
+                    batches = f.domain.grid_chunks(spec, _CHUNK)
+                else:
+                    # an FD grid is small next to its stencil (1 + 2d^2
+                    # rows a point) and is built whole: built a piece at a
+                    # time, it left glibc mapping each piece's equal-size
+                    # temporaries afresh (98k minor page faults a
+                    # theorem_n3 pass, not 8.4k)
+                    pts = f.domain.grid(spec)
+                    batches = (pts[sl] for sl in
+                               _chunks(len(pts), _fd_piece(f.domain.dim)))
+                for x in batches:
+                    yield x, ((i, slice(None)),)
             return
+        grids = [f.domain.grid(spec) for spec in specs]
         x = np.concatenate(grids) if len(grids) > 1 else grids[0]
         x.flags.writeable = False       # shared by every norm of the key
+        ends = np.cumsum(sizes).tolist()
         hit = _GridJet.seed(x), tuple(enumerate(map(slice, [0] + ends[:-1],
                                                     ends)))
         if len(_SEEDS) >= _SEEDS_MAX:
@@ -824,10 +871,8 @@ def _batches(f: Field, specs: tuple):
 def dump_grid_csv(f: Field, path, grid: Optional[GridSpec] = None) -> int:
     """Write the sampled field to CSV (one row per grid point), returning the
     row count.  Matrix fields emit row-major component columns g11, g12, ...
-    Each chunk of rows is written as soon as it is evaluated."""
+    Each chunk of rows is built, evaluated and written before the next."""
     spec = grid or f.grid
-    pts = f.domain.grid(spec)
-
     header = list(f.domain.axis_names)
     if f.shape == ():
         header.append("value")
@@ -838,9 +883,11 @@ def dump_grid_csv(f: Field, path, grid: Optional[GridSpec] = None) -> int:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for sl in _chunks(len(pts), _CHUNK):
-            cols = f(pts[sl]).reshape(sl.stop - sl.start, -1)
-            for p, row in zip(pts[sl], cols):
+        rows = 0
+        for pts in f.domain.grid_chunks(spec, _CHUNK):
+            cols = f(pts).reshape(len(pts), -1)
+            for p, row in zip(pts, cols):
                 w.writerow([f"{x:.17g}" for x in p]
                            + [f"{x:.17g}" for x in row])
-    return len(pts)
+            rows += len(pts)
+    return rows

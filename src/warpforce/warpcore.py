@@ -142,6 +142,12 @@ class BumpFunction:
             return t.chain(*self.jet(t.v))
         return self.jet(t)[0]
 
+    def vanishes_from(self, s: float) -> bool:
+        """True when rho is exactly 0.0 at every argument t >= s.  jet's
+        v = (t - plateau_end) / width rounds monotonely in t, and the step
+        is exactly 1 wherever v >= 1.0, so v at s decides it."""
+        return (s - self.plateau_end) / self.width >= 1.0
+
     def jet(self, t):
         v = (np.asarray(t, dtype=float) - self.plateau_end) / self.width
         s, d1, d2 = _step_jet(v)

@@ -476,6 +476,33 @@ def test_bad_xi_values_is_a_usage_error(tmp_path, monkeypatch, capsys,
     assert "xi_values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [False, True, "0.02", None],
+                         ids=["false", "true", "string", "null"])
+@pytest.mark.parametrize("where", ["top-level", "theorem"])
+def test_grid_value_of_the_wrong_kind_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, where, value):
+    # a bool margin was read as 0 or 1, a string or null reached GridSpec;
+    # refused before any lemma suite runs, naming the key
+    from warpforce import verify
+    calls = []
+    monkeypatch.setattr(verify, "_run_lemma_suite",
+                        lambda *a, **k: calls.append(a) or [])
+    monkeypatch.setattr(verify, "check_lemma_2_1",
+                        lambda *a, **k: calls.append(a))
+    doc = json.loads((ROOT / "configs" / "default.json").read_text())
+    grid = {"points_per_axis": 8, "boundary_margin": value}
+    if where == "theorem":
+        doc["theorem"]["grid"] = grid
+    else:
+        doc["grid"] = grid
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "all", "--config", write_cfg(tmp_path, doc)])
+    assert exc.value.code == 2 and calls == []
+    err = capsys.readouterr().err
+    assert "boundary_margin must be a number" in err
+    assert ("theorem grid" in err) == (where == "theorem")
+
+
 def test_only_error_entries_print_as_error(capsys):
     # a NaN sample makes a check FAIL with a NaN lhs; ERROR is kept for the
     # entries that could not be evaluated

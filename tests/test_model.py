@@ -126,6 +126,24 @@ class TestDomains:
         assert 0 < want.sum() < len(pts)
         assert np.array_equal(dom.contains(pts), want)
 
+    @pytest.mark.parametrize("dom", [
+        ChartModel(n=2).domain, ChartModel(n=3, xi=0.5).domain,
+        ChartModel(n=4).domain, ball_domain(2), interval_domain(0.0, 1.0),
+        Domain(bounds=((0.1, 3.0), (-3.0, 3.0), (1.0, 9.0)),
+               axis_names=("phi", "psi", "r")),
+    ], ids=["n2", "n3-ball", "n4-ball", "ball-only", "interval", "polar3"])
+    @pytest.mark.parametrize("step", [1, 7, _CHUNK])
+    def test_grid_chunks_are_the_grid(self, dom, step):
+        # each chunk is built from its row indices alone, the ball mask
+        # from the leading axes alone
+        spec = GridSpec(points_per_axis=13)
+        whole = dom.grid(spec)
+        chunks = list(dom.grid_chunks(spec, step))
+        assert all(len(c) == step for c in chunks[:-1])
+        assert 0 < len(chunks[-1]) <= step
+        assert np.array_equal(np.concatenate(chunks), whole)
+        assert dom.grid_size(spec) == len(whole)
+
     def test_chart_validation(self):
         with pytest.raises(ValueError):
             ChartModel(n=1)
@@ -498,6 +516,13 @@ class TestMemo:
         for rows, spec in zip(got, specs):
             assert np.array_equal(np.concatenate(rows),
                                   f.domain.grid(spec))
+
+    def test_large_grid_norm_builds_one_chunk_at_a_time(self):
+        # the N and N/2 grids at 1024 points per axis (16.8 and 4.2 MB of
+        # points) took 33.6 MB when each was built whole before its walk
+        sig = hyperbolic_model(chart2(pts=1024))
+        _, mb = traced_peak_mb(measured_with_error, sig)
+        assert mb < 10.0
 
     def test_seed_cache_is_bounded(self):
         for xi in np.linspace(0.5, 2.0, 2 * _SEEDS_MAX):

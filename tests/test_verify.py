@@ -26,11 +26,15 @@ from warpforce.manifold import (
     pullback,
     punctured_hyperbolic,
     radial_chart,
+    radial_closeness,
 )
-from warpforce.warpcore import BumpFunction, WarpFunction, apply_warp
+from warpforce.warpcore import BumpFunction, WarpFunction, apply_warp, \
+    warp_force
 from warpforce.verify import (
     CSV_COLUMNS,
     TheoremConfig,
+    _angular_center,
+    _sweep_manifold,
     check_lemma_1_1,
     check_lemma_2_1,
     check_lemma_2_2,
@@ -321,6 +325,20 @@ def test_blend_bump_weight():
     assert r.passed and r.lhs > 0.0
 
 
+def test_blend_evaluates_lambda_once_per_grid():
+    # lam_norm is the N-grid norm of the (N, N/2) walk that the blend's
+    # norm walks again, so the blend finds lam's values in its memo
+    rng = np.random.default_rng(23)
+    g1 = random_close_metric(CH, rng)
+    g2 = random_close_metric(CH, rng)
+    calls = []
+    lam = Field(CH.domain, lambda p: calls.append(len(p))
+                or 0.5 + 0.5 * np.sin(0.3 + p[:, 0] - p[:, 1]), analytic=True)
+    r = check_lemma_1_1(g1, g2, lam)
+    assert calls == [64 * 64 + 32 * 32]
+    assert r.params["lam_norm"] == c2_norm(lam).value
+
+
 # ---------------------------------------------------------------------------
 # suites and registry
 
@@ -388,6 +406,97 @@ def test_audit_case1_eta_equals_eps_exactly(small_audit):
     assert case1
     for r in case1:
         assert r.lhs == r.params["eps_center"]
+
+
+def assert_eps_center_is_closeness(inst, manifold, bump_delta=0.05):
+    """Every report's eps_center equals g's closeness on its chart, computed
+    here.  Where the chart lies beyond the bump, eta's norm (recomputed as
+    the audit takes it) equals that closeness key by key.  Returns how many
+    charts lay beyond it."""
+    g = manifold.metric
+    spec = g.grid
+    bump = BumpFunction(delta=bump_delta)
+    W = warp_force(g, inst.r0, bump)
+    beyond = 0
+    for r in inst.reports:
+        p = r.params
+        rc = radial_chart(manifold, p["t0"], xi=p["excess"],
+                          y0=_angular_center(manifold.n, p["theta0"]),
+                          grid=spec)
+        want = radial_closeness(rc, g)
+        assert p["eps_center"] == want.value
+        eta, _ = measured_with_error(
+            difference(pullback(rc, W), hyperbolic_model(rc.chart)), spec)
+        assert r.lhs == eta.value
+        floor = rc.chart.domain.bounds[-1][0] + rc.t0   # lowest radius
+        if bump.vanishes_from(floor - inst.r0):
+            assert list(eta.per_order_sups) == list(want.per_order_sups)
+            assert eta == want          # value, every key, grid and source
+            beyond += 1
+        else:
+            assert p["case"] == 3       # zones 1 and 2 lie beyond the bump
+    return beyond
+
+
+def test_eps_center_is_closeness_of_g_at_every_center(small_audit):
+    m = perturbed_hyperbolic(n=2, amplitude=1e-3, r_range=(0.05, 16.0))
+    assert assert_eps_center_is_closeness(small_audit, m) >= 6
+
+
+def test_eps_center_is_closeness_of_g_on_the_n3_golden_sweep():
+    cfg = TheoremConfig(n=3, r0_values=(5.0,), centers_per_zone=1,
+                        grid=GridSpec(points_per_axis=8))
+    (inst,) = run_theorem_sweep(cfg)
+    assert assert_eps_center_is_closeness(inst, _sweep_manifold(cfg)) == 2
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["edge", "one-below"])
+def test_eps_center_at_the_edge_of_the_bump(monkeypatch, below):
+    # the chart's lowest radius exactly at r0 + support_end, or one float
+    # below it: the audit reuses eta at the first and measures g at the
+    # second, and both give g's closeness
+    from warpforce import verify
+    r0, xi = 4.0, 1.5
+    bump = BumpFunction()
+    lo = -(1.0 + (xi - 1.0))            # the measurement chart's lower t
+    edge = r0 + bump.support_end
+    t0 = edge - lo
+    assert lo + t0 == edge
+    if below:
+        t0 = np.nextafter(t0, -np.inf)
+        assert lo + t0 == np.nextafter(edge, -np.inf)
+    assert bump.vanishes_from(lo + t0 - r0) != below
+    monkeypatch.setattr(verify, "theorem_centers",
+                        lambda *a: [(float(t0), 0.25, 3)])
+    calls = []
+    monkeypatch.setattr(verify, "radial_closeness",
+                        lambda *a: calls.append(a) or radial_closeness(*a))
+    m = perturbed_hyperbolic(n=2, grid=GridSpec(points_per_axis=16))
+    inst = check_main_theorem(m, r0, xi, centers_per_zone=1)
+    assert len(calls) == below
+    (r,) = inst.reports
+    rc = radial_chart(m, t0, xi=xi - 1.0, y0=(0.25,), grid=m.metric.grid)
+    assert r.params["eps_center"] == radial_closeness(rc, m.metric).value
+
+
+def test_n3_golden_sweep_walks_g_once(monkeypatch):
+    # only the zone-3 chart, which reaches into the bump, measures g
+    # again; the others take eps_center from eta (2,352 FD base rows and
+    # three radial_closeness calls before)
+    from warpforce import verify
+    calls, rows = [], []
+    monkeypatch.setattr(verify, "radial_closeness",
+                        lambda *a: calls.append(a) or radial_closeness(*a))
+    fd_jet = model._fd_jet
+    monkeypatch.setattr(model, "_fd_jet", lambda f, pts, spec: (
+        rows.append(len(pts)) or fd_jet(f, pts, spec)))
+    (inst,) = run_theorem_sweep(TheoremConfig(
+        n=3, r0_values=(5.0,), centers_per_zone=1,
+        grid=GridSpec(points_per_axis=8)))
+    assert [rc.t0 for rc, _ in calls] == [
+        r.params["t0"] for r in inst.reports if r.params["case"] == 3]
+    assert len(calls) == 1
+    assert sum(rows) == 1840
 
 
 def test_audit_case3_actually_blends(small_audit):

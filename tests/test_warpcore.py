@@ -90,6 +90,23 @@ class TestBump:
         assert np.abs(d1 - fd1).max() < 1e-7
         assert np.abs(d2 - fd2).max() < 1e-4
 
+    def test_vanishes_from_is_exact_from_its_edge(self):
+        # the least s the predicate accepts: rho is exactly 0.0 there and
+        # beyond, and the float below it is refused
+        b = BumpFunction()
+        s = b.support_end
+        while not b.vanishes_from(s):
+            s = np.nextafter(s, np.inf)
+        while b.vanishes_from(np.nextafter(s, -np.inf)):
+            s = np.nextafter(s, -np.inf)
+        t = np.array([s, np.nextafter(s, np.inf), s + 1e-12, s + 1e-3,
+                      0.5, 10.0])
+        assert all(b.vanishes_from(x) for x in t)
+        assert (b(t) == 0.0).all() and (b.jet(t)[0] == 0.0).all()
+        assert not b.vanishes_from(np.nextafter(s, -np.inf))
+        assert abs(s - b.support_end) < 1e-15
+        assert not b.vanishes_from(b.plateau_end)
+
     def test_step_sups_are_one_sample_in_small_pieces(self):
         # the import-time sample is taken a chunk at a time: bitwise the
         # sups of one _step_jet over all 200,001 samples, in a tenth of
