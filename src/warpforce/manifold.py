@@ -36,6 +36,7 @@ from warpforce.model import (
     GridSpec,
     RadialMetric,
     _diag,
+    _per_run,
     c2_norm,
     difference,
     hyperbolic_model,
@@ -277,12 +278,7 @@ def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
     e2 = np.array([-np.sin(psi0), np.cos(psi0), 0.0])
 
     def sphere(x):
-        # chart grids repeat each x along t: map each run of equal rows once
-        new = np.ones(len(x), dtype=bool)
-        new[1:] = (x[1:, 0] != x[:-1, 0]) | (x[1:, 1] != x[:-1, 1])
-        y, J = _exp_map(x[new], c, p0, e1, e2)
-        run = np.cumsum(new) - 1
-        return np.take(y, run, axis=0), np.take(J, run, axis=0)
+        return _per_run(lambda u: _exp_map(u, c, p0, e1, e2), x)
 
     return RadialChart(t0=float(t0), scale=float(c), sphere=sphere,
                        affine=False, chart=chart)

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -293,6 +295,17 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
     Jet unchanged; anything else raises TypeError.  The value part is
     computed by the same numpy operation as on plain arrays, so it is
     bitwise the array result.  Plain arrays mixed in are constants.
+
+    A derivative part whose batch axis has stride 0 is constant along the
+    batch (the seed's identity gradient and zero hessian, and the parts of
+    an affine argument such as 2t): every operation but @ computes such a
+    part on one row and returns it as a read-only np.broadcast_to view, so
+    the parts of Field.jet may be read-only views.  A zero part is 0.0
+    broadcast (the seed's hessian, a constant's derivatives): a sum leaves
+    it out, and a product term with it is dropped when the other factor is
+    finite on every row.  Products and their sums are formed in the order
+    of the full-width formulas, so the numbers are those of full-width
+    parts up to the sign of a zero derivative entry.
     """
 
     __slots__ = ("v", "d1", "d2")
@@ -305,7 +318,7 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
         """The chart coordinates themselves: (m, d) points, d1 = identity."""
         m, d = pts.shape
         return cls(pts, np.broadcast_to(np.eye(d)[:, None, :], (d, m, d)),
-                   np.broadcast_to(0.0, (d, d, m, d)))
+                   _zeros((d, d, m, d)))
 
     @property
     def shape(self) -> tuple:
@@ -324,15 +337,34 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
 
     def __getitem__(self, key):
         key = key if isinstance(key, tuple) else (key,)
-        every = slice(None)
+        i = key[0]
+        if isinstance(i, (np.ndarray, list)) and np.ndim(i) == 1 \
+                and not any(map(np.ndim, key[1:])):
+            i = np.asarray(i)
+            if i.dtype != bool or len(i) == len(self):
+                rows = self._take(np.flatnonzero(i) if i.dtype == bool
+                                  else i)
+                return rows[(slice(None),) + key[1:]] if key[1:] else rows
+        every = slice(None)     # basic indexing keeps a stride of 0
         return Jet(self.v[key], self.d1[(every,) + key],
                    self.d2[(every, every) + key])
+
+    def _take(self, i: np.ndarray) -> "Jet":
+        """The rows i of the batch, taken part by part (np.take is faster
+        than fancy indexing); a part constant along the batch keeps its
+        one row."""
+        v, n = np.take(self.v, i, axis=0), self.ndim
+        return Jet(v, *(np.take(p, i, axis=o) if _row(p, n) is p else
+                        _wide(_row(p, n), p.shape[:o] + v.shape)
+                        for o, p in ((1, self.d1), (2, self.d2))))
 
     def chain(self, f, f1, f2) -> "Jet":
         """p(self) for a 1-D function p with p, p', p'' = f, f1, f2 at
         self.v: the chain rule to second order."""
-        g = self.d1
-        return Jet(f, f1 * g, f2 * (g[:, None] * g[None, :]) + f1 * self.d2)
+        g = _row(self.d1, self.ndim)
+        return Jet(f, _wide(f1 * g, self.d1.shape),
+                   _sum((f2 * (g[:, None] * g[None, :]),
+                         _times(self.d2, f1, self.ndim)), self.d2.shape))
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method != "__call__" or kwargs:
@@ -342,7 +374,7 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
             return x.chain(*_UNARY[ufunc](x.v, ufunc(x.v)))
         if ufunc is np.negative:
             (x,) = inputs
-            return Jet(-x.v, -x.d1, -x.d2)
+            return Jet(-x.v, *_negated(x))
         if ufunc is np.power:
             x, n = inputs
             if not isinstance(x, Jet) or isinstance(n, Jet) \
@@ -356,8 +388,9 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
                            else zero)
         if ufunc in _BINARY:
             a, b = inputs
-            v = ufunc(*(x.v if isinstance(x, Jet) else x for x in inputs))
-            if any(isinstance(x, Jet) and x.ndim < v.ndim for x in inputs):
+            ja, jb = isinstance(a, Jet), isinstance(b, Jet)
+            v = ufunc(a.v if ja else a, b.v if jb else b)
+            if (ja and a.ndim < v.ndim) or (jb and b.ndim < v.ndim):
                 # derivative axes lead, so they broadcast only when every
                 # Jet operand carries all of the result's axes
                 raise ValueError("a Jet operand has fewer axes than the "
@@ -381,15 +414,110 @@ _UNARY = {
 }
 
 
+def _row(a, n: int):
+    """a cut to its first row when it is constant along a batch of more
+    than one row, that is when its batch axis, the n-th from last, has
+    stride 0; otherwise (a full part, a constant without a batch axis) a
+    itself."""
+    if getattr(a, "ndim", 0) < n or a.strides[-n] or a.shape[-n] < 2:
+        return a
+    return a[(slice(None),) * (a.ndim - n) + (slice(0, 1),)]
+
+
+@functools.lru_cache(maxsize=64)
+def _zeros(shape: tuple) -> np.ndarray:
+    """The zero part of `shape`: 0.0 broadcast, read-only, every stride 0."""
+    return np.broadcast_to(0.0, shape)
+
+
+def _zero(a: np.ndarray) -> bool:
+    """True for a zero part: one stored value (every stride 0), and 0."""
+    return not any(a.strides) and a.size > 0 and not a.item(0)
+
+
+def _finite(q) -> bool:
+    """True when q is finite on every row.  An array is summed: the sum of
+    finite values may overflow, which only keeps a term of zeros."""
+    if isinstance(q, np.ndarray):
+        return math.isfinite(q.sum())
+    return math.isfinite(q) if isinstance(q, (float, int)) \
+        else bool(np.isfinite(q).all())
+
+
+def _wide(out: np.ndarray, shape: tuple) -> np.ndarray:
+    """out, one row wide or of the full batch, at `shape`: a one-row out
+    as a read-only broadcast view."""
+    if out.shape == shape:
+        return out
+    return _zeros(shape) if _zero(out) else np.broadcast_to(out, shape)
+
+
+def _lean(op, shape: tuple, n: int, *args) -> np.ndarray:
+    """op(*args), of shape `shape`, for jet parts and constants whose batch
+    axis is their n-th from last, computed on one row when every argument
+    is constant along the batch (see _row)."""
+    return _wide(op(*[_row(a, n) for a in args]), shape)
+
+
+def _times(p: np.ndarray, q, n: int):
+    """The term p * q of a sum (see _sum), p a jet part and q a factor, on
+    one row when both are constant along the batch (see _row).  None when
+    p is a zero part (see _zero) and q is finite on every row: that term
+    would add only signed zeros."""
+    if p.strides[-n]:               # a full part
+        return p * q
+    q = _row(q, n)
+    if _zero(p) and _finite(q):
+        return None
+    return _row(p, n) * q
+
+
+def _sum(terms, shape: tuple) -> np.ndarray:
+    """The terms, fresh products or None for a dropped one, added up in
+    order, of shape `shape` (see _wide): in place into the first term or
+    sum once it is of that shape; zeros when every term was dropped."""
+    acc = None
+    for t in terms:
+        if t is None:
+            continue
+        if acc is None:
+            acc = t
+        elif acc.shape == shape:
+            acc += t
+        else:
+            acc = acc + t
+    return _zeros(shape) if acc is None else _wide(acc, shape)
+
+
+def _negated(x: "Jet") -> tuple:
+    """-x.d1, -x.d2 (see _lean); a zero part stays as it is."""
+    n = x.ndim
+    return tuple(-p if p.strides[-n] else p if _zero(p) else
+                 _lean(np.negative, p.shape, n, p) for p in (x.d1, x.d2))
+
+
+def _added(op, p, q, shape: tuple, n: int) -> np.ndarray:
+    """p + q or p - q (op) for jet parts (see _lean), leaving out a zero
+    part (see _zero)."""
+    if p.strides[-n] and q.strides[-n]:     # two full parts
+        return op(p, q)
+    if _zero(q):
+        return _wide(p, shape)
+    if _zero(p) and op is np.add:
+        return _wide(q, shape)
+    return _lean(op, shape, n, p, q)
+
+
 def _jet_add(a, b, v, op=np.add) -> Jet:
+    d = len((a if isinstance(a, Jet) else b).d1)
     if not isinstance(a, Jet):
-        d1, d2 = (b.d1, b.d2) if op is np.add else (-b.d1, -b.d2)
+        d1, d2 = (b.d1, b.d2) if op is np.add else _negated(b)
     elif not isinstance(b, Jet):
         d1, d2 = a.d1, a.d2
     else:
-        d1, d2 = op(a.d1, b.d1), op(a.d2, b.d2)
+        d1, d2 = (_added(op, p, q, (d,) * o + v.shape, v.ndim)
+                  for o, p, q in ((1, a.d1, b.d1), (2, a.d2, b.d2)))
     if d1.shape[1:] != v.shape:   # broadcasting widened the value
-        d = len(d1)
         d1 = np.broadcast_to(d1, (d,) + v.shape)
         d2 = np.broadcast_to(d2, (d, d) + v.shape)
     return Jet(v, d1, d2)
@@ -398,17 +526,23 @@ def _jet_add(a, b, v, op=np.add) -> Jet:
 def _jet_mul(a, b, v) -> Jet:
     if not isinstance(a, Jet):
         a, b = b, a
+    n, d = v.ndim, len(a.d1)
+    s1, s2 = (d,) + v.shape, (d, d) + v.shape
     if not isinstance(b, Jet):
-        return Jet(v, a.d1 * b, a.d2 * b)
-    cross = a.d1[:, None] * b.d1[None, :]   # + its transpose: symmetric
-    return Jet(v, a.d1 * b.v + a.v * b.d1,
-               a.d2 * b.v + cross + np.swapaxes(cross, 0, 1) + a.v * b.d2)
+        return Jet(v, _sum((_times(a.d1, b, n),), s1),
+                   _sum((_times(a.d2, b, n),), s2))
+    cross = _row(a.d1, n)[:, None] * _row(b.d1, n)[None, :]
+    return Jet(v, _sum((_times(a.d1, b.v, n), _times(b.d1, a.v, n)), s1),
+               _sum((_times(a.d2, b.v, n), cross,       # + its transpose
+                     cross.swapaxes(0, 1), _times(b.d2, a.v, n)), s2))
 
 
 def _jet_div(a, b, v) -> Jet:
     if isinstance(b, Jet):
         raise TypeError("a Jet divides only by constants")
-    return Jet(v, a.d1 / b, a.d2 / b)
+    d = len(a.d1)
+    return Jet(v, *(_lean(np.true_divide, (d,) * o + v.shape, v.ndim, p, b)
+                    for o, p in ((1, a.d1), (2, a.d2))))
 
 
 def _jet_matmul(a, b, v) -> Jet:
@@ -434,15 +568,54 @@ def _part(a, order: int, d: int) -> np.ndarray:
     if isinstance(a, Jet):
         return (a.v, a.d1, a.d2)[order]
     a = np.asarray(a)
-    return a if order == 0 else np.zeros((d,) * order + a.shape)
+    return a if order == 0 else _zeros((d,) * order + a.shape)
 
 
 def _concatenate(arrays, axis=0):
     jet = next(a for a in arrays if isinstance(a, Jet))
-    d = len(jet.d1)
-    axis %= jet.ndim
-    return Jet(*(np.concatenate([_part(a, o, d) for a in arrays],
-                                axis=axis + o) for o in range(3)))
+    d, n = len(jet.d1), jet.ndim
+    axis %= n
+    v = np.concatenate([_part(a, 0, d) for a in arrays], axis=axis)
+
+    def join(o):
+        parts = [_part(a, o, d) for a in arrays]
+        if all(map(_zero, parts)):
+            return _zeros((d,) * o + v.shape)
+        rows = [_row(p, n) for p in parts]
+        if axis and all(r.shape[o] == 1 for r in rows):
+            parts = rows        # every part is constant along the batch
+        return _wide(np.concatenate(parts, axis=axis + o),
+                     (d,) * o + v.shape)
+
+    return Jet(v, join(1), join(2))
+
+
+def _per_run(fn: Callable, x):
+    """fn(x) for a function fn of (m, k) points (or of a Jet of them) that
+    acts row by row, evaluated once per run of equal consecutive rows of x
+    and spread back over each run; fn may return a tuple.  Chart grids and
+    FD stencil blocks repeat each x along t.  A Jet's rows with equal
+    values are equal rows only when its derivative parts are constant
+    along the batch."""
+    if isinstance(x, Jet):
+        if _row(x.d1, 2) is x.d1 or _row(x.d2, 2) is x.d2:
+            return fn(x)
+        v = x.v
+    else:
+        v = x = np.asarray(x)
+    new = np.ones(len(v), dtype=bool)
+    new[1:] = v[1:, 0] != v[:-1, 0]
+    for j in range(1, v.shape[1]):      # column by column: see _ball_radius
+        new[1:] |= v[1:, j] != v[:-1, j]
+    if new.all():
+        return fn(x)
+    out = fn(x[new])
+    run = np.cumsum(new) - 1
+
+    def spread(a):
+        return a[run] if isinstance(a, Jet) else np.take(a, run, axis=0)
+
+    return tuple(map(spread, out)) if isinstance(out, tuple) else spread(out)
 
 
 def _at_jet(fn: Callable, x: Jet, name: str):
@@ -474,7 +647,7 @@ def _taylor(fn: Callable, x, f: "Field") -> tuple:
         return out.v, np.moveaxis(out.d1, 0, 1), np.moveaxis(out.d2, 2, 0)
     m, d = x.shape
     S = out.shape[1:]
-    return out, np.zeros((m, d) + S), np.zeros((m, d, d) + S)
+    return out, _zeros((m, d) + S), _zeros((m, d, d) + S)
 
 
 class _GridJet(Jet):
@@ -559,7 +732,9 @@ class Field:
 
     def jet(self, pts):
         """(value, gradient, hessian), shapes (m, *S), (m, d, *S),
-        (m, d, d, *S), at (m, d) points or at a seeded Jet of them."""
+        (m, d, d, *S), at (m, d) points or at a seeded Jet of them.  A part
+        constant over the points may be a read-only broadcast view (see
+        Jet)."""
         self._need_jet()
         return _taylor(self._fn, _as_points(pts, self.domain.dim), self)
 
@@ -798,8 +973,10 @@ def _c2_norms(f: Field, specs: tuple) -> list:
     for x, parts in _batches(f, specs):
         jet = f.jet(x) if use_jet else _fd_jet(f, np.asarray(x), specs[0])
         for g, rows in parts:
-            # part o keeps its o derivative axes, after the row axis
-            got = [np.abs(a[rows]).max(axis=(0, *range(1 + o, a.ndim)))
+            # part o keeps its o derivative axes, after the row axis; a
+            # part constant along the batch is reduced on its one row
+            got = [np.abs(_row(a[rows], a.ndim)).max(
+                       axis=(0, *range(1 + o, a.ndim)))
                    for o, a in enumerate(jet)]
             found[g] = got if found[g] is None \
                 else list(map(np.maximum, found[g], got))   # keeps a NaN

@@ -45,6 +45,7 @@ from warpforce.model import (
     RadialMetric,
     _CHUNK,
     _chunks,
+    _per_run,
     profile_scalar,
 )
 
@@ -235,11 +236,12 @@ def apply_warp(g: RadialMetric, nu, s: float = 0.0,
 def _rewarp(a: Field, w, domain: Domain, grid: GridSpec,
             chart: Optional[ChartModel], name: str) -> RadialMetric:
     """w(last axis) a + d(last axis)^2: the frozen slice a, extended
-    constantly along the last axis, then warped by the 1-D profile w."""
+    constantly along the last axis (evaluated once per run of equal leading
+    axes), then warped by the 1-D profile w."""
     k = domain.dim - 1
     if a.domain.dim != k:
         raise ValueError("spatial metric dimension does not match chart")
-    frozen = RadialMetric(domain, lambda pts: a(pts[:, :k]),
+    frozen = RadialMetric(domain, lambda pts: _per_run(a, pts[:, :k]),
                           analytic=a.has_jet, grid=grid, name=a.name,
                           chart=chart)
     return apply_warp(frozen, w, name=name)

@@ -1,9 +1,12 @@
 """The second-order Taylor type: each primitive against closed forms and
-against central differences, plateau exactness of blends, and the FD oracle
-on a warp-forced pullback."""
+against central differences, parts constant along the batch against full
+ones, plateau exactness of blends, and the FD oracle on a warp-forced
+pullback."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpforce.model import (
     ChartModel,
@@ -14,6 +17,7 @@ from warpforce.model import (
     RadialMetric,
     WarpforceError,
     _fd_jet,
+    _per_run,
     c2_norm,
     hyperbolic_model,
     interval_domain,
@@ -21,8 +25,9 @@ from warpforce.model import (
 )
 from warpforce.manifold import perturbed_hyperbolic, pullback, radial_chart
 from warpforce.verify import fd_oracle_check, random_close_metric
-from warpforce.warpcore import (BumpFunction, WarpFunction, blend,
-                                 warp_force)
+from warpforce.warpcore import (BumpFunction, WarpFunction, apply_warp,
+                                 blend, radial_slice, warp_force,
+                                 warped_extension)
 
 # (0.5, 2) x (0.5, 2): away from zero, so quotients and powers are smooth
 BOX = Domain(bounds=((0.5, 2.0), (0.5, 2.0)), axis_names=("x", "y"))
@@ -351,3 +356,132 @@ def test_warp_forced_perturbed_pullback_passes_fd_oracle(order):
     assert isinstance(f, RadialMetric) and f.has_jet
     res = fd_oracle_check(f, grid=GridSpec(points_per_axis=16))
     assert res["passed"], res
+
+
+# ---------------------------------------------------------------------------
+# parts constant along the batch
+
+
+def materialised(x: Jet) -> Jet:
+    """x with every part a full array of its own."""
+    return Jet(np.array(x.v), np.array(x.d1), np.array(x.d2))
+
+
+# each op at an affine Jet a and the seed p, with the derivative parts it
+# keeps one row wide when a and p have one-row parts
+JET_OPS = {
+    **{u.__name__: (lambda a, p, u=u: u(a), ()) for u in UNARY},
+    **{f"pow{k}": (lambda a, p, k=k: a ** k, ()) for k in (-1, 0, 1, 2, 3)},
+    "scalar-mul": (lambda a, p: 2.5 * a, ("d1", "d2")),
+    "scalar-div": (lambda a, p: a / 3.0, ("d1", "d2")),
+    "neg": (lambda a, p: -a, ("d1", "d2")),
+    "jet-add": (lambda a, p: a + p[:, 0], ("d1", "d2")),
+    "jet-sub": (lambda a, p: p[:, 1] - a, ("d1", "d2")),
+    "jet-mul": (lambda a, p: a * p[:, 1], ("d2",)),
+    "concatenate": (lambda a, p: np.concatenate(
+        [p, a[:, None], np.full((len(p), 1), 2.5)], axis=1), ("d1", "d2")),
+    "index": (lambda a, p: a[:, None, None], ("d1", "d2")),
+    "index-array": (lambda a, p: a[np.arange(len(a))[::-1]], ("d1", "d2")),
+}
+
+box_points = st.integers(2, 9).flatmap(lambda m: st.lists(
+    st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    min_size=m, max_size=m)).map(np.array)
+
+
+@pytest.mark.parametrize("name", list(JET_OPS))
+@settings(max_examples=20, deadline=None)
+@given(pts=box_points, coeffs=st.tuples(st.floats(-1.0, 1.0),
+                                        st.floats(-1.0, 1.0),
+                                        st.floats(5.0, 6.0)))
+def test_one_row_parts_match_full_parts(name, pts, coeffs):
+    op, kept = JET_OPS[name]
+    a0, b0, c0 = coeffs
+    p = Jet.seed(pts)
+    a = a0 * p[:, 0] + b0 * p[:, 1] + c0          # 1 <= a: powers finite
+    assert a.d1.strides[1] == 0 and a.d2.strides[2] == 0
+    got = op(a, p)
+    want = op(materialised(a), materialised(p))
+    for part in ("v", "d1", "d2"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
+    for part in kept:                 # the batch axis follows the d axes
+        o = int(part[1])
+        assert getattr(got, part).strides[o] == 0, part
+
+
+def test_non_finite_derivatives_propagate_as_with_full_parts():
+    # exp(800 x) overflows for x > 0.89: a zero hessian times an infinite
+    # f' is NaN, so that term is kept wherever f' is not finite
+    ch = ChartModel(n=2, xi=1.0, grid=GridSpec(points_per_axis=16))
+
+    def fn(p):
+        return np.exp(800.0 * p[:, 0])
+
+    lean = Field(ch.domain, fn, analytic=True)
+    full = Field(ch.domain, lambda p: fn(materialised(p)), analytic=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = c2_norm(lean), c2_norm(full)
+        pts = ch.grid_points()
+        jets = lean.jet(pts), full.jet(pts)
+    assert np.isnan(got.value) and got.per_order_sups["1"] == np.inf
+    assert str(got) == str(want)          # NaN != NaN: compare as text
+    for a, b in zip(*jets):
+        assert np.array_equal(np.isnan(a), np.isnan(b))
+        assert np.array_equal(np.isinf(a), np.isinf(b))
+        assert np.array_equal(a, b, equal_nan=True)
+    _, _, d2 = jets[0]
+    assert np.isnan(d2).any() and not np.isinf(d2).any()
+
+
+def test_frozen_slice_is_evaluated_once_per_distinct_x():
+    ch = ChartModel(n=2, xi=1.0, grid=GridSpec(points_per_axis=16))
+    g = random_close_metric(ch, np.random.default_rng(6))
+    rows = []
+
+    def counted(p):
+        rows.append(len(p))
+        return g.spatial(p)
+
+    s = 0.4
+    ext = warped_extension(
+        radial_slice(RadialMetric.on_chart(ch, counted, analytic=True), s),
+        s, ch)
+    pts = ch.grid_points()
+    distinct = len(np.unique(pts[:, 0]))
+    got = c2_norm(ext)
+    assert rows == [distinct]
+    rows.clear()
+    ext.spatial(pts)
+    assert rows == [distinct]
+    # the same extension with its slice evaluated on every row
+    a = radial_slice(g, s)
+    whole = apply_warp(RadialMetric.on_chart(ch, lambda p: a(p[:, :1]),
+                                             analytic=True),
+                       lambda t: np.exp(2.0 * (t - s)))
+    assert got == c2_norm(whole)
+
+
+def test_per_run_evaluates_every_row_unless_rows_repeat_with_one_row_parts():
+    calls = []
+
+    def fn(x):
+        calls.append(len(x))
+        return np.sin(x[:, :1] * x[:, 1:]), x[:, ::-1] * 2.0
+
+    pts = np.random.default_rng(8).uniform(0.5, 2.0, size=(12, 2))
+    repeated = np.repeat(pts[:4], 3, axis=0)
+    for x, want_rows in ((pts, 12), (repeated, 4)):
+        calls.clear()
+        got = _per_run(fn, x)
+        assert calls == [want_rows]
+        for a, b in zip(got, fn(x)):
+            assert np.array_equal(a, b)
+    # equal values are equal rows only when the derivatives are one row wide
+    for x, want_rows in ((Jet.seed(repeated), 4),
+                         (materialised(Jet.seed(repeated)), 12)):
+        calls.clear()
+        got = _per_run(fn, x)
+        assert calls == [want_rows]
+        for a, b in zip(got, fn(x)):
+            for part in ("v", "d1", "d2"):
+                assert np.array_equal(getattr(a, part), getattr(b, part))
