@@ -169,14 +169,10 @@ class Domain:
         return axes
 
     def grid(self, spec: GridSpec) -> np.ndarray:
-        """Full product grid as an (m, dim) array, ball-masked if needed."""
-        axes = self.axis_points(spec)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        if self.ball_axes >= 2:
-            cut = 1.0 - 2.0 * spec.boundary_margin
-            pts = pts[self._ball_radius(pts) <= cut]
-        return pts
+        """The (m, dim) product grid, ball-masked if needed, as one chunk."""
+        for x, _ in self.grid_chunks((spec,), max(self.grid_size(spec), 1)):
+            return x
+        return np.empty((0, self.dim))
 
     def _lead(self, spec: GridSpec):
         """(lead, rest, m) of grid(spec): the kept points (q, b) of the b
@@ -199,20 +195,29 @@ class Domain:
         """len(grid(spec)), without building the grid."""
         return self._lead(spec)[2]
 
-    def grid_chunks(self, spec: GridSpec, step: int):
-        """The rows of grid(spec) in order, `step` at a time (the last
-        chunk may be shorter), each built alone from its row indices, so
-        that no more than one chunk of the grid exists at a time."""
-        lead, rest, m = self._lead(spec)
-        b = lead.shape[1]
-        for sl in _chunks(m, step):
-            i = np.arange(sl.start, sl.stop)
-            out = np.empty((len(i), self.dim))
-            for j in range(self.dim - 1, b - 1, -1):   # C order: last first
-                i, k = np.divmod(i, len(rest[j - b]))
-                out[:, j] = rest[j - b][k]
-            out[:, :b] = lead[i]
-            yield out
+    def grid_chunks(self, specs: tuple, step: int):
+        """(x, parts) for the rows x of the grids of `specs`, one grid after
+        the other, `step` at a time (the last chunk may be shorter, and a
+        chunk may end one grid and begin the next), parts holding (i, rows)
+        for each grid i that has the rows `rows` of x.  Each chunk is built
+        alone from its row indices, so that no more than one exists at a
+        time."""
+        grids = [self._lead(spec) for spec in specs]
+        for sl in _chunks(sum(m for _, _, m in grids), step):
+            x = np.empty((sl.stop - sl.start, self.dim))
+            parts, at = [], -sl.start      # grid g's row 0 is x's row at
+            for g, (lead, rest, m) in enumerate(grids):
+                lo, hi = max(-at, 0), min(sl.stop - sl.start - at, m)
+                if lo < hi:
+                    parts.append((g, slice(at + lo, at + hi)))
+                    i, b = np.arange(lo, hi), lead.shape[1]
+                    out = x[at + lo:at + hi]
+                    for j in range(self.dim - 1, b - 1, -1):   # C order
+                        i, k = np.divmod(i, len(rest[j - b]))
+                        out[:, j] = rest[j - b][k]
+                    out[:, :b] = lead[i]
+                at += m
+            yield x, parts
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -651,40 +656,41 @@ def _taylor(fn: Callable, x, f: "Field") -> tuple:
 
 
 class _GridJet(Jet):
-    """The seeded Jet of a small norm grid, shared by every norm of that
-    grid (see _batches): the one argument that fields memoize."""
+    """The seeded Jet of one chunk of a norm walk, handed to every field of
+    the walk (see _c2_norms).  Its memo holds the result of each value
+    function evaluated at it, and goes with it when the walk moves on."""
 
-    __slots__ = ()
+    __slots__ = ("memo",)
+
+    def __init__(self, v, d1, d2):
+        super().__init__(v, d1, d2)
+        self.memo = {}
 
 
 class _LastJet:
     """A field's value function fn.  It refuses values of a trailing shape
     other than a non-empty `shape` (numpy would broadcast an (m, 1, 1)
-    block to any k x k silently).  Called again with the same _GridJet
-    object (`is`, not equal values), it returns its last result; other
-    arguments are evaluated every time, so that the chunks of a large grid
-    leave no result behind.  It holds the name, not the field, so that a
+    block to any k x k silently).  At a _GridJet it keeps its result in
+    that Jet's memo and, called there again, returns it; other arguments
+    are evaluated every time.  It holds the name, not the field, so that a
     field is no reference cycle."""
 
-    __slots__ = ("fn", "shape", "name", "arg", "out")
+    __slots__ = ("fn", "shape", "name")
 
     def __init__(self, fn: Callable, shape: tuple, name: str):
         self.fn, self.shape, self.name = fn, shape, name
-        self.arg = self.out = None
 
     def __call__(self, pts):
-        if pts is self.arg:
-            return self.out
-        grid = isinstance(pts, _GridJet)
-        if grid:
-            self.arg = self.out = None      # free the last result first
+        memo = pts.memo if isinstance(pts, _GridJet) else None
+        if memo is not None and self in memo:
+            return memo[self]
         out = self.fn(pts)
         got = np.asarray(out).shape[1:] if self.shape else ()  # a Jet's value
         if got != self.shape:
             raise WarpforceError(f"field {self.name!r} returned blocks of "
                                  f"shape {got}, declared {self.shape}")
-        if grid:
-            self.arg, self.out = pts, out
+        if memo is not None:
+            memo[self] = out
         return out
 
 
@@ -707,9 +713,9 @@ class Field:
 
     `analytic` says that fn also evaluates on a Jet (see Jet), which gives
     the field exact jets; without it, norms use finite differences.  fn must
-    be pure: called again with the same norm-grid Jet object, the field
-    returns its first result (a one-entry memo, so that the norms of one
-    check evaluate a shared sub-field once per grid).
+    be pure: called again at the seeded Jet of the same chunk of a norm
+    walk, the field returns its first result (see _LastJet), so that the
+    norms of one check evaluate a shared sub-field once per chunk.
     """
 
     def __init__(self, domain: Domain, fn: Callable, analytic: bool = False,
@@ -875,6 +881,12 @@ def profile_scalar(domain: Domain, profile) -> Field:
 _CHUNK = 8192
 _FD_ROWS = 2 * _CHUNK   # most stencil rows one piece of an FD jet evaluates
 
+# glibc raises its mmap threshold (and, at twice it, the free heap top that
+# it keeps) only when a larger mapped block is freed, so each norm chunk and
+# FD piece faulted its working set in afresh (100k minor faults a theorem_n3
+# pass); freeing one untouched 4 MiB block raises it for the process.
+np.empty(1 << 19)
+
 
 def _chunks(m: int, step: int):
     for i in range(0, m, step):
@@ -948,97 +960,84 @@ class C2Norm:
     derivative_source: str
 
 
-def _norm_keys(names: Sequence[str]):
-    keys = ["1"] + [f"d{a}" for a in names]
-    for i in range(len(names)):
-        for j in range(i, len(names)):
-            keys.append(f"d{names[i]}d{names[j]}")
-    return keys
-
-
 def c2_norm(f: Field, grid: Optional[GridSpec] = None) -> C2Norm:
     """Taylor-weighted C2 norm of a field over its own (or the given) grid."""
-    return _c2_norms(f, (grid or f.grid,))[0]
+    return _c2_norms([f], (grid or f.grid,))[0][0]
 
 
-def _c2_norms(f: Field, specs: tuple) -> list:
-    """c2_norm of f on each grid of `specs` (which share fd_step), from one
-    walk over the batches of _batches.  Each batch is reduced before the
-    next one is evaluated, by one abs and one max per jet part, to the
-    maxima of |v|, of |d1| per axis and of |d2| per axis pair."""
-    names = f.domain.axis_names
-    d = len(names)
-    found = [None] * len(specs)     # per grid: the running maxima
-    use_jet = f.has_jet
-    for x, parts in _batches(f, specs):
-        jet = f.jet(x) if use_jet else _fd_jet(f, np.asarray(x), specs[0])
-        for g, rows in parts:
-            # part o keeps its o derivative axes, after the row axis; a
-            # part constant along the batch is reduced on its one row
-            got = [np.abs(_row(a[rows], a.ndim)).max(
-                       axis=(0, *range(1 + o, a.ndim)))
-                   for o, a in enumerate(jet)]
-            found[g] = got if found[g] is None \
-                else list(map(np.maximum, found[g], got))   # keeps a NaN
-    source = "analytic" if use_jet else "finite-difference"
-    norms = []
-    for (v, d1, d2), spec in zip(found, specs):
-        d2 = d2.tolist()
-        vals = [float(v), *d1.tolist()] + [
-            (0.5 if i == j else 1.0) * d2[i][j]     # 1/a! weights
-            for i in range(d) for j in range(i, d)]
-        s = dict(zip(_norm_keys(names), vals))
-        norms.append(C2Norm(value=float(np.max(vals)), per_order_sups=s,
-                            grid=spec, derivative_source=source))
-    return norms
-
-
-_SEEDS: dict = {}   # (domain, specs) -> (_GridJet, parts), least recent first
-_SEEDS_MAX = 8
-
-
-def _batches(f: Field, specs: tuple):
-    """(x, parts) batches of the grids of `specs`, parts holding (i, rows)
-    for each grid i that has the rows `rows` of x.  An analytic field's
-    grids whose rows fit in one chunk together share it as their seeded
-    Jet, kept in a small cache so that every norm of a check hands its
-    fields the same Jet object; otherwise each grid is walked alone, in
-    chunks of _CHUNK rows built one at a time (Domain.grid_chunks).  A
-    finite-difference field walks each grid alone in batches of one
-    stencil piece (_fd_piece rows) of the whole grid, so that no FD jet is
-    larger than one piece."""
-    key = (f.domain, specs)
-    hit = _SEEDS.pop(key, None) if f.has_jet else None
-    if hit is None:
-        sizes = [f.domain.grid_size(spec) for spec in specs]
-        if 0 in sizes:
-            raise DomainError(f"empty sampling grid for field {f.name!r}")
-        if sum(sizes) > _CHUNK or not f.has_jet:
-            for i, spec in enumerate(specs):
+def _c2_norms(fields: Sequence[Field], specs: tuple) -> list:
+    """c2_norm of each field of one domain on each grid of `specs` (which
+    share fd_step), one list per field, from one walk.  The analytic fields
+    walk the grids' rows together, a chunk at a time (Domain.grid_chunks,
+    or _grid_rows for one chunk), seeded once as a _GridJet at which every
+    field takes its jet, so that a sub-field they share is evaluated once
+    per chunk.  A field's own result leaves the memo once folded: list a
+    field after the fields that contain it.  A finite-difference field
+    walks each grid alone, built whole, one stencil piece (_fd_piece rows)
+    a batch.  Each batch is folded before the next one is evaluated."""
+    dom = fields[0].domain
+    if any(f.domain != dom for f in fields):
+        raise ValueError("the fields of one norm walk must share a domain")
+    sizes, chunk = _grid_rows(dom, specs)
+    if 0 in sizes:
+        raise DomainError(f"empty sampling grid for field {fields[0].name!r}")
+    found = [[None] * len(specs) for _ in fields]   # per grid: the maxima
+    fd = [i for i, f in enumerate(fields) if not f.has_jet]
+    if len(fd) < len(fields):
+        for x, parts in [chunk] if chunk else dom.grid_chunks(specs, _CHUNK):
+            seed = _GridJet.seed(x)
+            for f, maxima in zip(fields, found):
                 if f.has_jet:
-                    batches = f.domain.grid_chunks(spec, _CHUNK)
-                else:
-                    # an FD grid is small next to its stencil (1 + 2d^2
-                    # rows a point) and is built whole: built a piece at a
-                    # time, it left glibc mapping each piece's equal-size
-                    # temporaries afresh (98k minor page faults a
-                    # theorem_n3 pass, not 8.4k)
-                    pts = f.domain.grid(spec)
-                    batches = (pts[sl] for sl in
-                               _chunks(len(pts), _fd_piece(f.domain.dim)))
-                for x in batches:
-                    yield x, ((i, slice(None)),)
-            return
-        grids = [f.domain.grid(spec) for spec in specs]
-        x = np.concatenate(grids) if len(grids) > 1 else grids[0]
-        x.flags.writeable = False       # shared by every norm of the key
-        ends = np.cumsum(sizes).tolist()
-        hit = _GridJet.seed(x), tuple(enumerate(map(slice, [0] + ends[:-1],
-                                                    ends)))
-        if len(_SEEDS) >= _SEEDS_MAX:
-            del _SEEDS[next(iter(_SEEDS))]
-    _SEEDS[key] = hit
-    yield hit
+                    _fold(maxima, f.jet(seed), parts)
+                    seed.memo.pop(f._fn, None)
+            del seed                # and with it the chunk's memo
+    for g, spec in enumerate(specs if fd else ()):
+        pts = dom.grid(spec)
+        for i in fd:
+            for sl in _chunks(len(pts), _fd_piece(dom.dim)):
+                _fold(found[i], _fd_jet(fields[i], pts[sl], spec),
+                      ((g, slice(None)),))
+    return [[_norm(f, m, spec) for m, spec in zip(maxima, specs)]
+            for f, maxima in zip(fields, found)]
+
+
+def _fold(found: list, jet, parts):
+    """Fold a batch's jet (v, d1, d2) into found[i], the maxima of |v|, of
+    |d1| per axis and of |d2| per axis pair of grid i, for each (i, rows)
+    of parts.  A part constant along the batch is reduced on its one row."""
+    for i, rows in parts:
+        got = [np.abs(_row(a[rows], a.ndim)).max(
+                   axis=(0, *range(1 + o, a.ndim)))
+               for o, a in enumerate(jet)]
+        found[i] = got if found[i] is None \
+            else list(map(np.maximum, found[i], got))   # keeps a NaN
+
+
+def _norm(f: Field, maxima: list, spec: GridSpec) -> C2Norm:
+    """f's C2Norm on grid `spec` from the maxima of _fold."""
+    names = f.domain.axis_names
+    pairs = [(i, j) for i in range(len(names)) for j in range(i, len(names))]
+    v, d1, d2 = maxima[0], maxima[1].tolist(), maxima[2].tolist()
+    vals = [float(v), *d1] + [(0.5 if i == j else 1.0) * d2[i][j]  # 1/a!
+                              for i, j in pairs]
+    sups = dict(zip(["1"] + [f"d{a}" for a in names] + [
+        f"d{names[i]}d{names[j]}" for i, j in pairs], vals))
+    return C2Norm(value=float(np.max(vals)), per_order_sups=sups, grid=spec,
+                  derivative_source="analytic" if f.has_jet
+                  else "finite-difference")
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_rows(domain: Domain, specs: tuple) -> tuple:
+    """(sizes, chunk): the grids' row counts and, when their rows fit in one
+    chunk, that chunk (x, parts) of grid_chunks, x read-only (else None),
+    shared by the walks of every check on the same grids."""
+    sizes = tuple(domain.grid_size(spec) for spec in specs)
+    if 0 in sizes or sum(sizes) > _CHUNK:
+        return sizes, None
+    x, parts = next(domain.grid_chunks(specs, _CHUNK))
+    x.flags.writeable = False
+    return sizes, (x, tuple(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -1061,7 +1060,7 @@ def dump_grid_csv(f: Field, path, grid: Optional[GridSpec] = None) -> int:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         rows = 0
-        for pts in f.domain.grid_chunks(spec, _CHUNK):
+        for pts, _ in f.domain.grid_chunks((spec,), _CHUNK):
             cols = f(pts).reshape(len(pts), -1)
             for p, row in zip(pts, cols):
                 w.writerow([f"{x:.17g}" for x in p]

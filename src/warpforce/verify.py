@@ -177,15 +177,17 @@ def reports_to_csv_rows(reports: Sequence[BoundReport]) -> list:
     } for r in reports]
 
 
-def measured_with_error(f: Field, grid: Optional[GridSpec] = None):
-    """C2 norm plus a refinement-probe error estimate; the N-grid norm and
-    the N/2-grid probe come from one evaluation of f."""
-    spec = grid or f.grid
-    full, half = _c2_norms(f, (spec, spec.halved()))
-    err = abs(full.value - half.value) / 3.0
-    if full.derivative_source == "finite-difference":
-        err += _FD_PROXY * full.value
-    return full, err
+def measured_with_error(fields: Sequence[Field],
+                        grid: Optional[GridSpec] = None) -> list:
+    """(C2 norm, refinement-probe error estimate) of each field of one
+    domain, in order, on `grid` (by default the first field's): the N-grid
+    norms and N/2-grid probes of all the fields come from one walk of both
+    grids (see model._c2_norms)."""
+    spec = grid or fields[0].grid
+    return [(full, abs(full.value - half.value) / 3.0 + (
+        _FD_PROXY * full.value
+        if full.derivative_source == "finite-difference" else 0.0))
+        for full, half in _c2_norms(fields, (spec, spec.halved()))]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +202,7 @@ def check_lemma_2_1(t0: float) -> BoundReport:
     f = difference(profile_scalar(window, WarpFunction(t0)),
                    _constant_scalar(window, 1.0), name=f"decay[t0={t0:g}]")
     grid = GridSpec(points_per_axis=4001)
-    full, err = measured_with_error(f, grid)
+    ((full, err),) = measured_with_error([f], grid)
     rhs = 5.2 * np.exp(-2.0 * t0)
     return make_report("lemma2.1", {"t0": t0, "window": [0.0, hi]},
                        full.value, rhs, err, grid, full.derivative_source)
@@ -214,11 +216,10 @@ def check_lemma_2_2(g: RadialMetric, nu, s: float = 0.0,
     spec = g.grid
     prof = nu.shifted(s) if s != 0.0 else nu
     h = apply_warp(g, prof)
-    full, err = measured_with_error(difference(g, h), spec)
-    nu_dev, nu_err = measured_with_error(
-        difference(_constant_scalar(g.domain, 1.0),
-                   profile_scalar(g.domain, prof)), spec)
-    g_norm, g_err = measured_with_error(g, spec)
+    nu_diff = difference(_constant_scalar(g.domain, 1.0),
+                         profile_scalar(g.domain, prof))
+    (full, err), (nu_dev, nu_err), (g_norm, g_err) = measured_with_error(
+        [difference(g, h), nu_diff, g], spec)
     rhs = 4.0 * nu_dev.value * g_norm.value
     # margin uncertainty: lhs probe plus rhs sensitivity to its factors
     err += 4.0 * (nu_err * g_norm.value + nu_dev.value * g_err)
@@ -237,18 +238,17 @@ def check_lemma_2_3(g: RadialMetric, t0: float, s: float = 0.0,
     nu = WarpFunction(t0)
     h = apply_warp(g, nu, s=s)
     sigma = hyperbolic_model(g.chart)
-    eps, eps_err = measured_with_error(difference(g, sigma), spec)
+    (eps, eps_err), (full1, err1), (full2, err2) = measured_with_error(
+        [difference(g, sigma), difference(h, g), difference(h, sigma)], spec)
     scale = np.exp(2.0 * (1.0 + xi))
     p = {"xi": xi, "t0": t0, "s": s, "eps": eps.value}
     p.update(params or {})
 
-    full1, err1 = measured_with_error(difference(h, g), spec)
     rhs1 = 21.0 * (eps.value + scale) * np.exp(-2.0 * t0)
     r1 = make_report("lemma2.3(1)", p, full1.value, rhs1,
                      err1 + 21.0 * np.exp(-2.0 * t0) * eps_err,
                      spec, full1.derivative_source)
 
-    full2, err2 = measured_with_error(difference(h, sigma), spec)
     rhs2 = 21.0 * scale * (np.exp(-2.0 * t0) + eps.value)
     r2 = make_report("lemma2.3(2)", p, full2.value, rhs2,
                      err2 + 21.0 * scale * eps_err,
@@ -262,8 +262,8 @@ def check_lemma_3_1(a: Field, b: Field, s: float, chart: ChartModel,
     spec = chart.grid
     ea = warped_extension(a, s, chart)
     eb = warped_extension(b, s, chart)
-    full, err = measured_with_error(difference(ea, eb), spec)
-    eps_ab, eps_err = measured_with_error(difference(a, b), spec)
+    ((full, err),) = measured_with_error([difference(ea, eb)], spec)
+    ((eps_ab, eps_err),) = measured_with_error([difference(a, b)], spec)
     factor = 4.0 * np.exp(4.0 * (1.0 + chart.xi))
     rhs = factor * eps_ab.value
     p = {"xi": chart.xi, "s": s, "eps_ab": eps_ab.value}
@@ -279,8 +279,8 @@ def check_lemma_3_2(g: RadialMetric, s: float,
     spec = g.grid
     ext = warped_extension(radial_slice(g, s), s, g.chart)
     sigma = hyperbolic_model(g.chart)
-    eps, eps_err = measured_with_error(difference(g, sigma), spec)
-    full, err = measured_with_error(difference(ext, sigma), spec)
+    (eps, eps_err), (full, err) = measured_with_error(
+        [difference(g, sigma), difference(ext, sigma)], spec)
     factor = 4.0 * np.exp(4.0 * (1.0 + g.chart.xi))
     rhs = factor * eps.value
     p = {"xi": g.chart.xi, "s": s, "eps": eps.value}
@@ -295,13 +295,12 @@ def check_lemma_1_1(g1: RadialMetric, g2: RadialMetric, lam: Field,
     """|lam g1 + (1-lam) g2 - sigma| < 4 (1 + |lam|) (eps1 + eps2)."""
     spec = g1.grid
     sigma = hyperbolic_model(g1.chart)
-    eps1, e1 = measured_with_error(difference(g1, sigma), spec)
-    eps2, e2 = measured_with_error(difference(g2, sigma), spec)
-    # the N-grid norm of the (N, N/2) walk that blend's norm walks again,
-    # so that lam is evaluated once (its memo)
-    lam_norm = measured_with_error(lam, spec)[0].value
     gl = blend(g1, g2, lam)
-    full, err = measured_with_error(difference(gl, sigma), spec)
+    # lam after the blend that contains it, so that it is evaluated once
+    (eps1, e1), (eps2, e2), (full, err), (lam_c2, _) = measured_with_error(
+        [difference(g1, sigma), difference(g2, sigma), difference(gl, sigma),
+         lam], spec)
+    lam_norm = lam_c2.value
     rhs = 4.0 * (1.0 + lam_norm) * (eps1.value + eps2.value)
     err += 4.0 * (1.0 + lam_norm) * (e1 + e2)
     p = {"xi": g1.chart.xi, "lam_norm": lam_norm,
@@ -611,8 +610,9 @@ def check_main_theorem(manifold: CenteredManifold, r0: float, xi: float,
         try:
             rc = radial_chart(manifold, t0, xi=xi_m,
                               y0=_angular_center(manifold.n, th0), grid=spec)
-            eta, err = measured_with_error(
-                difference(pullback(rc, W), hyperbolic_model(rc.chart)), spec)
+            ((eta, err),) = measured_with_error(
+                [difference(pullback(rc, W), hyperbolic_model(rc.chart))],
+                spec)
             # eta's walk, FD stencils included, evaluates only points with
             # t above the open chart's lower bound, and t + t0 rounds
             # monotonely.  Where the bump is 0.0 from there on, W is g at

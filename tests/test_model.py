@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import sys
 import weakref
 
 import numpy as np
@@ -18,11 +19,9 @@ from warpforce.model import (
     Jet,
     _CHUNK,
     _GridJet,
-    _SEEDS,
-    _SEEDS_MAX,
-    _batches,
     _diag,
     _fd_jet,
+    _grid_rows,
     ball_domain,
     c2_norm,
     difference,
@@ -135,14 +134,26 @@ class TestDomains:
     @pytest.mark.parametrize("step", [1, 7, _CHUNK])
     def test_grid_chunks_are_the_grid(self, dom, step):
         # each chunk is built from its row indices alone, the ball mask
-        # from the leading axes alone
+        # from the leading axes alone; grid reads the same rows whole, and
+        # a chunk may end one grid and begin the next
+        def meshgrid_reference(spec):
+            mesh = np.meshgrid(*dom.axis_points(spec), indexing="ij")
+            pts = np.stack([m.ravel() for m in mesh], axis=-1)
+            if dom.ball_axes >= 2:
+                r = np.linalg.norm(pts[:, :dom.ball_axes], axis=1)
+                pts = pts[r <= 1.0 - 2.0 * spec.boundary_margin]
+            return pts
+
         spec = GridSpec(points_per_axis=13)
-        whole = dom.grid(spec)
-        chunks = list(dom.grid_chunks(spec, step))
-        assert all(len(c) == step for c in chunks[:-1])
-        assert 0 < len(chunks[-1]) <= step
-        assert np.array_equal(np.concatenate(chunks), whole)
+        whole = meshgrid_reference(spec)
+        assert np.array_equal(dom.grid(spec), whole)
         assert dom.grid_size(spec) == len(whole)
+        for specs in ((spec,), (spec, spec.halved())):
+            chunks = [x for x, _ in dom.grid_chunks(specs, step)]
+            assert all(len(c) == step for c in chunks[:-1])
+            assert 0 < len(chunks[-1]) <= step
+            assert np.array_equal(np.concatenate(chunks), np.concatenate(
+                [meshgrid_reference(s) for s in specs]))
 
     def test_chart_validation(self):
         with pytest.raises(ValueError):
@@ -412,8 +423,8 @@ class TestBlocks:
         assert a.per_order_sups.keys() == b.per_order_sups.keys()
         assert all(same(a.per_order_sups[key], b.per_order_sups[key])
                    for key in a.per_order_sups)
-        (a, a_err), (b, b_err) = (measured_with_error(block),
-                                  measured_with_error(full))
+        ((a, a_err),), ((b, b_err),) = (measured_with_error([block]),
+                                        measured_with_error([full]))
         assert same(a.value, b.value) and same(a_err, b_err)
         assert all(same(a.per_order_sups[key], b.per_order_sups[key])
                    for key in a.per_order_sups)
@@ -442,12 +453,29 @@ class TestMemo:
 
         c2_norm(difference(apply_warp(g, WarpFunction(3.0)), g))
         assert calls == [n_full]
-        # the N and N/2 grids: one evaluation for both
-        measured_with_error(difference(apply_warp(g, WarpFunction(4.0)), g))
+        # the N and N/2 grids of several fields: one evaluation for all
+        measured_with_error([
+            difference(apply_warp(g, WarpFunction(4.0)), g),
+            difference(g, hyperbolic_model(ch)), g])
         assert calls == [n_full, n_full + n_half]
-        # a later norm of the same grids hands g the same Jet again
-        measured_with_error(difference(g, hyperbolic_model(ch)))
-        assert calls == [n_full, n_full + n_half]
+
+    def test_no_jet_outlives_its_walk(self):
+        ch = chart2(pts=16)
+        seen = []
+
+        def spatial(p):
+            seen.append(p)
+            return counted([])(p)
+
+        g = RadialMetric.on_chart(ch, spatial, analytic=True)
+        measured_with_error([difference(g, hyperbolic_model(ch)), g])
+        (x,) = seen
+        # the seed and its memo are held by `seen` alone; the memo keeps the
+        # shared block, not the folded results of the walk's own fields
+        assert isinstance(x, _GridJet) and g.block._fn in x.memo
+        assert g._fn not in x.memo and len(x.memo) == 2     # block, sigma's
+        del seen[:]
+        assert sys.getrefcount(x) == 2
 
     def test_only_the_same_grid_jet_object_is_remembered(self):
         ch = chart2(pts=8)
@@ -504,30 +532,38 @@ class TestMemo:
     def test_chunks_walk_each_grid_in_order(self, sizes):
         # a pair that shares one chunk, a grid of exactly one chunk, a grid
         # that ends in a partial chunk, and a pair that does not fit one
-        # chunk together, so that each grid is walked alone
-        f = Field(interval_domain(0.0, 1.0), np.exp, analytic=True)
+        # chunk together, whose first chunk ends the first grid and begins
+        # the second
+        dom = interval_domain(0.0, 1.0)
         specs = tuple(GridSpec(points_per_axis=n) for n in sizes)
         got = [[] for _ in specs]
-        for x, parts in _batches(f, specs):
-            assert len(np.asarray(x)) <= _CHUNK
-            assert len(parts) == (len(specs) if sum(sizes) <= _CHUNK else 1)
+        chunks = []
+        for x, parts in dom.grid_chunks(specs, _CHUNK):
+            chunks.append(len(x))
             for i, part in parts:
-                got[i].append(np.asarray(x)[part])
+                got[i].append(x[part])
+        assert all(n == _CHUNK for n in chunks[:-1]) and sum(chunks) == \
+            sum(sizes)
         for rows, spec in zip(got, specs):
-            assert np.array_equal(np.concatenate(rows),
-                                  f.domain.grid(spec))
+            assert np.array_equal(np.concatenate(rows), dom.grid(spec))
 
     def test_large_grid_norm_builds_one_chunk_at_a_time(self):
         # the N and N/2 grids at 1024 points per axis (16.8 and 4.2 MB of
         # points) took 33.6 MB when each was built whole before its walk
         sig = hyperbolic_model(chart2(pts=1024))
-        _, mb = traced_peak_mb(measured_with_error, sig)
+        _, mb = traced_peak_mb(measured_with_error, [sig])
         assert mb < 10.0
 
     def test_seed_cache_is_bounded(self):
-        for xi in np.linspace(0.5, 2.0, 2 * _SEEDS_MAX):
+        # the points cache keeps read-only grid rows, a bounded number
+        size = _grid_rows.cache_info().maxsize
+        for xi in np.linspace(0.5, 2.0, 2 * size):
             c2_norm(hyperbolic_model(chart2(xi=float(xi), pts=8)))
-        assert len(_SEEDS) == _SEEDS_MAX
+        assert _grid_rows.cache_info().currsize == size
+        spec = GridSpec(points_per_axis=8)
+        sizes, (x, parts) = _grid_rows(chart2().domain, (spec,))
+        assert type(x) is np.ndarray and not x.flags.writeable
+        assert sizes == (64,) and parts == ((0, slice(0, 64)),)
 
 
 def whole_grid_sups(f, spec):
@@ -603,27 +639,28 @@ class TestFdPieces:
         assert max(rows) <= model._FD_ROWS
         assert sum(rows) == 19 * m
 
-    def test_fd_grids_walk_alone_one_piece_at_a_time(self):
+    def test_fd_grids_walk_alone_one_piece_at_a_time(self, monkeypatch):
         # N and N/2 fit one chunk together (4096 + 1024 rows), yet an FD
         # field walks each grid alone, in order, one stencil piece a batch
         f = self.n2_field(lambda v, p: v)
         specs = (f.grid, f.grid.halved())
-        walked, order = [[] for _ in specs], []
-        for x, parts in _batches(f, specs):
-            assert len(x) <= model._FD_ROWS // 9
-            ((i, rows),) = parts
-            order.append(i)
-            walked[i].append(x[rows])
-        assert order == [0, 0, 0, 1]
-        for rows, spec in zip(walked, specs):
-            assert np.array_equal(np.concatenate(rows), f.domain.grid(spec))
+        pieces = []
+        fd_jet = model._fd_jet
+        monkeypatch.setattr(model, "_fd_jet", lambda f, pts, spec: (
+            pieces.append(pts) or fd_jet(f, pts, spec)))
+        model._c2_norms([f], specs)
+        piece = model._FD_ROWS // 9
+        assert [len(x) for x in pieces] == [piece, piece, 4096 - 2 * piece,
+                                            1024]
+        assert np.array_equal(np.concatenate(pieces), np.concatenate(
+            [f.domain.grid(spec) for spec in specs]))
 
     @pytest.mark.parametrize("nan", [False, True])
     def test_piece_sups_are_the_whole_grid_sups(self, nan):
         f = self.n2_field(lambda v, p: np.where(p[:, 0] > 0.5, np.nan, v)
                           if nan else v)
         specs = (f.grid, f.grid.halved())
-        for norm, spec in zip(model._c2_norms(f, specs), specs):
+        for norm, spec in zip(model._c2_norms([f], specs)[0], specs):
             want = whole_grid_sups(f, spec)
             assert list(norm.per_order_sups) == list(want)
             assert np.array_equal(list(norm.per_order_sups.values()),
@@ -639,7 +676,7 @@ class TestFdPieces:
             sizes.append(len(pts)) or fd_jet(f, pts, spec)))
         g = difference(*pullback_pair(3))
         spec = dataclasses.replace(g.grid, points_per_axis=32)
-        measured_with_error(g, spec)
+        measured_with_error([g], spec)
         assert max(sizes) <= model._FD_ROWS // 19
         assert sum(sizes) == sum(len(g.domain.grid(s))
                                  for s in (spec, spec.halved()))
@@ -650,7 +687,7 @@ class TestFdPieces:
         # chunk
         g = difference(*pullback_pair(3))
         spec = dataclasses.replace(g.grid, points_per_axis=32)
-        _, mb = traced_peak_mb(measured_with_error, g, spec)
+        _, mb = traced_peak_mb(measured_with_error, [g], spec)
         assert mb < 6.0
 
     def test_bad_point_in_the_last_piece_raises(self, monkeypatch):

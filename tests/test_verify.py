@@ -104,32 +104,50 @@ def test_csv_rows_columns_and_params_roundtrip():
 def test_measured_with_error_fd_proxy():
     sigma = hyperbolic_model(CH)
     bare = Field(CH.domain, lambda p: np.exp(2.0 * p[:, 1]))
-    full, err = measured_with_error(bare)
+    ((full, err),) = measured_with_error([bare])
     assert full.derivative_source == "finite-difference"
     assert err >= 3e-6 * full.value
-    _, err_jet = measured_with_error(difference(sigma, sigma))
+    ((_, err_jet),) = measured_with_error([difference(sigma, sigma)])
     assert err_jet == 0.0
 
 
-def _assert_merged_probe_is_two_norms(f, spec):
-    full, err = measured_with_error(f, spec)
-    alone = c2_norm(f, spec)
-    half = c2_norm(f, spec.halved())
-    assert full == alone                    # value, per_order_sups, grid
-    assert list(full.per_order_sups) == list(alone.per_order_sups)
-    assert err == abs(alone.value - half.value) / 3.0 + (
-        3e-6 * alone.value if alone.derivative_source == "finite-difference"
-        else 0.0)
-    # the probe's own sups, bitwise: read them back through the same walk
-    both = model._c2_norms(f, (spec, spec.halved()))
-    assert both == [alone, half]
+def _assert_merged_probe_is_two_norms(fields, spec):
+    together = measured_with_error(fields, spec)
+    walk = model._c2_norms(fields, (spec, spec.halved()))
+    assert len(together) == len(walk) == len(fields)
+    for f, (full, err), both in zip(fields, together, walk):
+        # each field's norm, error and source are its one-field walk's
+        assert measured_with_error([f], spec) == [(full, err)]
+        alone = c2_norm(f, spec)
+        half = c2_norm(f, spec.halved())
+        assert full == alone        # value, per_order_sups, grid, source
+        assert list(full.per_order_sups) == list(alone.per_order_sups)
+        assert err == abs(alone.value - half.value) / 3.0 + (
+            3e-6 * alone.value
+            if alone.derivative_source == "finite-difference" else 0.0)
+        # the probe's own sups, bitwise: read them back through the walk
+        assert both == [alone, half]
 
 
 def test_merged_probe_is_bitwise_two_norms_on_an_n2_chart():
     g = random_close_metric(CH, np.random.default_rng(3))
     _assert_merged_probe_is_two_norms(
-        difference(apply_warp(g, WarpFunction(3.0)), hyperbolic_model(CH)),
+        [difference(apply_warp(g, WarpFunction(3.0)), hyperbolic_model(CH))],
         GridSpec())
+
+
+def test_merged_probe_is_bitwise_one_field_walks_of_mixed_fields():
+    # analytic fields that share g walk together, across a chunk that ends
+    # the N grid and begins the N/2 grid (8281 + 2025 rows); the FD field
+    # walks each grid alone
+    g = random_close_metric(CH, np.random.default_rng(5))
+    sigma = hyperbolic_model(CH)
+    fd = Field(CH.domain, lambda p: np.exp(2.0 * p[:, 1]) * np.cos(p[:, 0]),
+               name="fd")
+    fields = [difference(apply_warp(g, WarpFunction(3.0)), sigma), fd,
+              difference(g, sigma), g]
+    assert [f.has_jet for f in fields] == [True, False, True, True]
+    _assert_merged_probe_is_two_norms(fields, GridSpec(points_per_axis=91))
 
 
 def test_merged_probe_is_bitwise_two_norms_on_the_decay_interval():
@@ -140,7 +158,7 @@ def test_merged_probe_is_bitwise_two_norms_on_the_decay_interval():
     spec = GridSpec(points_per_axis=4001)
     assert len(window.grid(spec)) + len(window.grid(spec.halved())) \
         == 4001 + 2000
-    _assert_merged_probe_is_two_norms(f, spec)
+    _assert_merged_probe_is_two_norms([f], spec)
 
 
 def test_merged_probe_is_bitwise_two_norms_across_a_chunk_boundary():
@@ -152,7 +170,7 @@ def test_merged_probe_is_bitwise_two_norms_across_a_chunk_boundary():
     n_full = len(f.domain.grid(spec))
     # the N grid ends in a partial chunk, and the two grids need two chunks
     assert n_full % model._CHUNK and n_full > model._CHUNK
-    _assert_merged_probe_is_two_norms(f, spec)
+    _assert_merged_probe_is_two_norms([f], spec)
 
 
 def test_merged_probe_grids_that_share_a_chunk_evaluate_once():
@@ -164,16 +182,16 @@ def test_merged_probe_grids_that_share_a_chunk_evaluate_once():
 
     f = Field(CH.domain, fn, analytic=True)
     spec = GridSpec(points_per_axis=80)      # 6400 + 1600 rows
-    measured_with_error(f, spec)
+    measured_with_error([f], spec)
     assert calls == [6400 + 1600]
     del calls[:]
-    measured_with_error(f, GridSpec(points_per_axis=91))    # 8281 + 2025
-    assert calls == [8192, 8281 - 8192, 2025]
+    measured_with_error([f], GridSpec(points_per_axis=91))  # 8281 + 2025
+    assert calls == [8192, 89 + 2025]   # a chunk ends N and begins N/2
     # an n = 3 chart shares by its ball-masked rows, not by 20^3 + 10^3
     del calls[:]
     n3 = ChartModel(n=3, xi=0.5)
     spec = GridSpec(points_per_axis=20)
-    measured_with_error(Field(n3.domain, fn, analytic=True), spec)
+    measured_with_error([Field(n3.domain, fn, analytic=True)], spec)
     assert calls == [6120] == [len(n3.grid_points(spec))
                                + len(n3.grid_points(spec.halved()))]
 
@@ -188,7 +206,40 @@ def test_merged_probe_error_is_the_fields_error():
         c2_norm(f, spec)
     # the N and N/2 grids are one batch: the error is the field's, raised once
     with pytest.raises(DomainError, match="^refused a batch of 150 points$"):
-        measured_with_error(f, spec)
+        measured_with_error([f], spec)
+
+
+def test_lemma_1_1_evaluates_lam_once_per_row_of_its_walk():
+    # lam is listed after the blend that contains it, so its norm reads the
+    # blend's evaluation from the chunk's memo
+    rows = []
+    ch = ChartModel(n=2, xi=1.0, grid=GridSpec(points_per_axis=16))
+
+    def fn(p):
+        rows.append(len(p))
+        return 0.5 + 0.25 * np.sin(p[:, 0])
+
+    lam = Field(ch.domain, fn, analytic=True)
+    g1, g2 = (random_close_metric(ch, np.random.default_rng(s))
+              for s in (1, 2))
+    assert check_lemma_1_1(g1, g2, lam).passed
+    assert rows == [16 ** 2 + 8 ** 2]
+
+
+def test_lemma_2_3_evaluates_g_once_per_row_of_its_walk():
+    # its three norms walk the N and N/2 grids together, so g sees each of
+    # their rows once, though they span three chunks
+    rows = []
+    chart = ChartModel(n=2, xi=1.0, grid=GridSpec(points_per_axis=128))
+
+    def spatial(p):
+        rows.append(len(p))
+        return (np.exp(2.0 * p[:, -1])
+                * (1.0 + 0.1 * np.sin(p[:, 0])))[:, None, None]
+
+    g = RadialMetric.on_chart(chart, spatial, analytic=True)
+    assert all(r.passed for r in check_lemma_2_3(g, 3.0))
+    assert sum(rows) == 128 ** 2 + 64 ** 2 == 20480
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +476,8 @@ def assert_eps_center_is_closeness(inst, manifold, bump_delta=0.05):
                           grid=spec)
         want = radial_closeness(rc, g)
         assert p["eps_center"] == want.value
-        eta, _ = measured_with_error(
-            difference(pullback(rc, W), hyperbolic_model(rc.chart)), spec)
+        ((eta, _),) = measured_with_error(
+            [difference(pullback(rc, W), hyperbolic_model(rc.chart))], spec)
         assert r.lhs == eta.value
         floor = rc.chart.domain.bounds[-1][0] + rc.t0   # lowest radius
         if bump.vanishes_from(floor - inst.r0):
@@ -572,7 +623,7 @@ def test_nan_samples_make_the_norm_nan_and_the_check_fail():
               lambda p: np.where(p[:, 1] > 0, np.nan, 5.0))
     with np.errstate(invalid="ignore"):
         nrm = c2_norm(f)
-        full, err = measured_with_error(f)
+        ((full, err),) = measured_with_error([f])
     assert np.isnan(nrm.value)
     assert all(np.isnan(v) for v in nrm.per_order_sups.values())
     assert np.isnan(full.value)
