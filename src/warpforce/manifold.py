@@ -34,6 +34,7 @@ from warpforce.model import (
     DomainError,
     GenerationError,
     GridSpec,
+    Jet,
     RadialMetric,
     _diag,
     _per_run,
@@ -185,10 +186,14 @@ class RadialChart:
 
     def map_points(self, pts):
         """(q, J): the polar points (m, n) of chart points (m, n) and the
-        sphere map's Jacobian at them."""
+        sphere map's Jacobian at them; at arrays, q is column-major."""
         y, J = self.sphere(pts[:, :self.chart.k])
         r = pts[:, -1] + self.t0
-        return np.concatenate([y, r[:, None]], axis=1), J
+        if isinstance(y, Jet):
+            return np.concatenate([y, r[:, None]], axis=1), J
+        q = np.empty((len(r), self.chart.n), order="F")
+        q[:, :-1], q[:, -1] = y, r
+        return q, J
 
 
 def _check_window(name: str, lo: float, hi: float, wlo: float, whi: float):
@@ -198,28 +203,31 @@ def _check_window(name: str, lo: float, hi: float, wlo: float, whi: float):
             f"manifold window ({wlo:.4g}, {whi:.4g})")
 
 
+def _switched(rho, cut: float, series: Callable, exact: Callable):
+    """np.where(rho < cut, series(), exact(safe)), safe being rho with 1.0
+    below cut; series() is evaluated only when some rho is below cut."""
+    small = rho < cut
+    if not small.any():
+        return exact(rho)
+    return np.where(small, series(), exact(np.where(small, 1.0, rho)))
+
+
 def _exp_map(x, c: float, p0, e1, e2):
     """(phi1(x), Dphi1(x)) of phi1(x) = exp_p0(c (x1 e1 + x2 e2)) in
     (colatitude, longitude).  Every operation acts row by row."""
     rho = np.linalg.norm(x, axis=1)
     th = c * rho
+    sin, cos = np.sin(th), np.cos(th)
     # s = sin(c rho)/rho, series-switched near the origin
-    small = rho < 1e-6
-    safe = np.where(small, 1.0, rho)
-    s = np.where(small, c * (1.0 - th ** 2 / 6.0), np.sin(th) / safe)
+    s = _switched(rho, 1e-6, lambda: c * (1.0 - th ** 2 / 6.0),
+                  lambda r: sin / r)
     u = x[:, 0, None] * e1 + x[:, 1, None] * e2
-    P = np.cos(th)[:, None] * p0 + s[:, None] * u
+    P = cos[:, None] * p0 + s[:, None] * u
     phi = np.arccos(np.clip(P[:, 2], -1.0, 1.0))
     psi = np.arctan2(P[:, 1], P[:, 0])
-
-    small = rho < 1e-4
-    safe = np.where(small, 1.0, rho)
     # q = d(s)/d(rho) / rho, regular at the origin
-    q = np.where(
-        small,
-        -(c ** 3) / 3.0 * (1.0 - th ** 2 / 10.0),
-        (c * safe * np.cos(th) - np.sin(th)) / safe ** 3,
-    )
+    q = _switched(rho, 1e-4, lambda: -(c ** 3) / 3.0 * (1.0 - th ** 2 / 10.0),
+                  lambda r: (c * r * cos - sin) / r ** 3)
     dP = np.empty((len(x), 2, 3))
     for i, ei in enumerate((e1, e2)):
         dP[:, i] = (-c * s * x[:, i])[:, None] * p0 \
@@ -286,9 +294,11 @@ def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
 
 def _sandwich(J, S):
     """J^T S J of (m, k, k) stacks, entry by entry from (m,) columns, in the
-    order of (J^T S) J: `@` would call BLAS once per k x k matrix."""
+    order of (J^T S) J: `@` would call BLAS once per k x k matrix.  out,
+    like J (_per_run) and S (_diag), is column-major: each column is
+    contiguous."""
     k = J.shape[1]
-    out = np.empty(J.shape)
+    out = np.empty(J.shape, order="F")
     T = np.empty((k, len(J)))      # a row of J^T S
     tmp = np.empty(len(J))
 

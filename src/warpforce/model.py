@@ -201,10 +201,11 @@ class Domain:
         chunk may end one grid and begin the next), parts holding (i, rows)
         for each grid i that has the rows `rows` of x.  Each chunk is built
         alone from its row indices, so that no more than one exists at a
-        time."""
+        time.  x is column-major (Fortran order): each coordinate of a
+        chunk is one contiguous column."""
         grids = [self._lead(spec) for spec in specs]
         for sl in _chunks(sum(m for _, _, m in grids), step):
-            x = np.empty((sl.stop - sl.start, self.dim))
+            x = np.empty((sl.stop - sl.start, self.dim), order="F")
             parts, at = [], -sl.start      # grid g's row 0 is x's row at
             for g, (lead, rest, m) in enumerate(grids):
                 lo, hi = max(-at, 0), min(sl.stop - sl.start - at, m)
@@ -599,9 +600,9 @@ def _per_run(fn: Callable, x):
     """fn(x) for a function fn of (m, k) points (or of a Jet of them) that
     acts row by row, evaluated once per run of equal consecutive rows of x
     and spread back over each run; fn may return a tuple.  Chart grids and
-    FD stencil blocks repeat each x along t.  A Jet's rows with equal
-    values are equal rows only when its derivative parts are constant
-    along the batch."""
+    FD stencil blocks repeat each x along t.  An array result is spread
+    with a contiguous batch axis.  A Jet's rows with equal values are equal
+    rows only when its derivative parts are constant along the batch."""
     if isinstance(x, Jet):
         if _row(x.d1, 2) is x.d1 or _row(x.d2, 2) is x.d2:
             return fn(x)
@@ -618,7 +619,7 @@ def _per_run(fn: Callable, x):
     run = np.cumsum(new) - 1
 
     def spread(a):
-        return a[run] if isinstance(a, Jet) else np.take(a, run, axis=0)
+        return a[run] if isinstance(a, Jet) else np.take(a.T, run, -1).T
 
     return tuple(map(spread, out)) if isinstance(out, tuple) else spread(out)
 
@@ -671,11 +672,13 @@ class _LastJet:
     """A field's value function fn.  It refuses values of a trailing shape
     other than a non-empty `shape` (numpy would broadcast an (m, 1, 1)
     block to any k x k silently).  At a _GridJet it keeps its result in
-    that Jet's memo and, called there again, returns it; other arguments
-    are evaluated every time.  It holds the name, not the field, so that a
-    field is no reference cycle."""
+    that Jet's memo and, called there again, returns it, or raises once
+    its norm walk has folded it (FOLDED); other arguments are evaluated
+    every time.  It holds the name, not the field, so that a field is no
+    reference cycle."""
 
     __slots__ = ("fn", "shape", "name")
+    FOLDED = object()       # the memo entry of a folded field
 
     def __init__(self, fn: Callable, shape: tuple, name: str):
         self.fn, self.shape, self.name = fn, shape, name
@@ -683,6 +686,10 @@ class _LastJet:
     def __call__(self, pts):
         memo = pts.memo if isinstance(pts, _GridJet) else None
         if memo is not None and self in memo:
+            if memo[self] is self.FOLDED:
+                raise WarpforceError(f"field {self.name!r} was asked for "
+                                     f"after its norm was folded: list it "
+                                     f"after the fields that contain it")
             return memo[self]
         out = self.fn(pts)
         got = np.asarray(out).shape[1:] if self.shape else ()  # a Jet's value
@@ -817,7 +824,7 @@ def _diag(cols):
     on its diagonal: a zero block filled part by part, as _embed fills one.
     A product with np.eye(k) would be the same values (up to the sign of
     its off-diagonal zeros), but numpy runs it as a loop over a length-k
-    axis."""
+    axis.  A block of (m,) columns is column-major; Jet parts keep theirs."""
     if len(cols) == 1:
         return cols[0][:, None, None]
     jet = next((c for c in cols if isinstance(c, Jet)), None)
@@ -827,7 +834,8 @@ def _diag(cols):
                      for o in range(3)))
     cols = [np.asarray(c) for c in cols]
     k = len(cols)
-    out = np.zeros(cols[0].shape + (k, k))
+    out = np.zeros(cols[0].shape + (k, k),
+                   order="F" if cols[0].ndim == 1 else "C")
     for i, c in enumerate(cols):
         out[..., i, i] = c
     return out
@@ -905,8 +913,10 @@ def _fd_jet(f: Field, pts: np.ndarray, spec: GridSpec):
     The stencil is evaluated in pieces of consecutive base rows, at most
     _FD_ROWS stencil rows each, so that its temporaries fit in the cache.
     For value functions that act row by row, as all of this package's do,
-    the numbers are bitwise those of one evaluation.  Each piece fills
-    derivative buffers whose d axes lead, returned as views in the
+    the numbers are bitwise those of one evaluation.  A piece's stencil is
+    written column by column into a column-major array; its values, read
+    as a (stencil, row, *S) view, and the v, d1, d2 buffers have a
+    contiguous batch axis.  d1 and d2 are returned as views in the
     (m, d, *S), (m, d, d, *S) layout."""
     dom = f.domain
     d = dom.dim
@@ -921,13 +931,15 @@ def _fd_jet(f: Field, pts: np.ndarray, spec: GridSpec):
                           for si, sj in signs])
 
     m = len(pts)
-    v = np.empty((m,) + f.shape)
-    d1 = np.empty((d, m) + f.shape)
-    d2 = np.empty((d, d, m) + f.shape)
+    v, d1, d2 = (np.moveaxis(np.empty(lead + f.shape + (m,)), -1, len(lead))
+                 for lead in ((), (d,), (d, d)))     # (*lead, m, *S)
     base = 1 + 2 * d
     for rows in _chunks(m, _fd_piece(d)):
-        stencil = pts[None, rows, :] + offsets[:, None, :]
-        flat = stencil.reshape(-1, d)
+        n = rows.stop - rows.start
+        flat = np.empty((len(offsets) * n, d), order="F")
+        for j in range(d):      # stencil s, row r at flat row s * n + r
+            np.add(pts[rows, j], offsets[:, j, None],
+                   out=flat[:, j].reshape(-1, n))
         inside = dom.contains(flat)
         if not inside.all():
             bad = flat[~inside][0]
@@ -935,7 +947,7 @@ def _fd_jet(f: Field, pts: np.ndarray, spec: GridSpec):
                 f"finite-difference stencil point {tuple(round(float(c), 12) for c in bad)} "
                 f"lies outside the domain of field {f.name!r}"
             )
-        vals = f(flat).reshape(stencil.shape[:2] + f.shape)
+        vals = f(flat).reshape((len(offsets), n) + f.shape)   # a view
 
         v[rows] = v0 = vals[0]
         for i in range(d):
@@ -971,10 +983,11 @@ def _c2_norms(fields: Sequence[Field], specs: tuple) -> list:
     walk the grids' rows together, a chunk at a time (Domain.grid_chunks,
     or _grid_rows for one chunk), seeded once as a _GridJet at which every
     field takes its jet, so that a sub-field they share is evaluated once
-    per chunk.  A field's own result leaves the memo once folded: list a
-    field after the fields that contain it.  A finite-difference field
-    walks each grid alone, built whole, one stencil piece (_fd_piece rows)
-    a batch.  Each batch is folded before the next one is evaluated."""
+    per chunk.  A field's own result leaves the memo once folded, and a
+    field asked for again at that chunk raises: list a field after the
+    fields that contain it.  A finite-difference field walks each grid
+    alone, built whole, one stencil piece (_fd_piece rows) a batch.  Each
+    batch is folded before the next one is evaluated."""
     dom = fields[0].domain
     if any(f.domain != dom for f in fields):
         raise ValueError("the fields of one norm walk must share a domain")
@@ -989,7 +1002,7 @@ def _c2_norms(fields: Sequence[Field], specs: tuple) -> list:
             for f, maxima in zip(fields, found):
                 if f.has_jet:
                     _fold(maxima, f.jet(seed), parts)
-                    seed.memo.pop(f._fn, None)
+                    seed.memo[f._fn] = _LastJet.FOLDED
             del seed                # and with it the chunk's memo
     for g, spec in enumerate(specs if fd else ()):
         pts = dom.grid(spec)

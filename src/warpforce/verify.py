@@ -180,10 +180,12 @@ def reports_to_csv_rows(reports: Sequence[BoundReport]) -> list:
 def measured_with_error(fields: Sequence[Field],
                         grid: Optional[GridSpec] = None) -> list:
     """(C2 norm, refinement-probe error estimate) of each field of one
-    domain, in order, on `grid` (by default the first field's): the N-grid
-    norms and N/2-grid probes of all the fields come from one walk of both
-    grids (see model._c2_norms)."""
+    domain, in order, on `grid` (by default the grid all of them share):
+    the N-grid norms and N/2-grid probes of all the fields come from one
+    walk of both grids (see model._c2_norms)."""
     spec = grid or fields[0].grid
+    if grid is None and any(f.grid != spec for f in fields):
+        raise ValueError("fields on different grids need an explicit grid")
     return [(full, abs(full.value - half.value) / 3.0 + (
         _FD_PROXY * full.value
         if full.derivative_source == "finite-difference" else 0.0))

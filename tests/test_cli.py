@@ -224,21 +224,28 @@ def test_dump_grid_matches_golden(tmp_path, capsys):
     assert_golden(tmp_path, "grid.csv")
 
 
-def assert_theorem_n3_golden(tmp_path, capsys):
+def assert_theorem_n3_golden(tmp_path, capsys, grid=8,
+                             name="theorem_n3.json"):
     cfg = write_cfg(tmp_path, {"theorem": {"n": 3, "r0_values": [5.0],
                                            "centers_per_zone": 1}})
     out = tmp_path / "out"
-    assert run_cli(["theorem", "--config", cfg, "--grid", "8",
+    assert run_cli(["theorem", "--config", cfg, "--grid", str(grid),
                     "--out", str(out)]) == 0
     capsys.readouterr()
-    (out / "theorem.json").rename(out / "theorem_n3.json")
-    assert_golden(out, "theorem_n3.json")
+    (out / "theorem.json").rename(out / name)
+    assert_golden(out, name)
 
 
 def test_theorem_n3_matches_golden(tmp_path, capsys):
     # every other golden is n = 2: this one pins the exp-map pullback and
     # its finite-difference norms
     assert_theorem_n3_golden(tmp_path, capsys)
+
+
+def test_theorem_n3_matches_golden_across_fd_pieces(tmp_path, capsys):
+    # at 32 points a 23,680-row FD walk crosses 27 stencil-piece
+    # boundaries, where a slip in the pieces' point layout would show
+    assert_theorem_n3_golden(tmp_path, capsys, 32, "theorem_n3_32.json")
 
 
 def test_theorem_n3_golden_holds_in_small_fd_pieces(tmp_path, capsys,

@@ -13,12 +13,16 @@ from warpforce.manifold import (
     radial_closeness,
 )
 from warpforce.model import (
+    Domain,
     DomainError,
     Field,
     GenerationError,
     GridSpec,
     RadialMetric,
     _fd_jet,
+    c2_norm,
+    difference,
+    hyperbolic_model,
 )
 from warpforce.warpcore import BumpFunction, warp_force
 
@@ -315,6 +319,123 @@ class TestPullback:
         pb = pullback(rc, m.metric)
         with pytest.raises(DomainError):
             pb(np.array([[0.0, 2.5]]))  # maps to r = 8.5 > 8.3
+
+
+def bitwise(a, b):
+    """a and b hold the same float64 bits (signed zeros and NaNs too)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def exp_map_both_branches(x, c, p0, e1, e2):
+    """manifold._exp_map as written before its series were skipped: both
+    branches of each series switch on every row, joined by np.where."""
+    rho = np.linalg.norm(x, axis=1)
+    th = c * rho
+    small = rho < 1e-6
+    safe = np.where(small, 1.0, rho)
+    s = np.where(small, c * (1.0 - th ** 2 / 6.0), np.sin(th) / safe)
+    u = x[:, 0, None] * e1 + x[:, 1, None] * e2
+    P = np.cos(th)[:, None] * p0 + s[:, None] * u
+    phi = np.arccos(np.clip(P[:, 2], -1.0, 1.0))
+    psi = np.arctan2(P[:, 1], P[:, 0])
+    small = rho < 1e-4
+    safe = np.where(small, 1.0, rho)
+    q = np.where(small, -(c ** 3) / 3.0 * (1.0 - th ** 2 / 10.0),
+                 (c * safe * np.cos(th) - np.sin(th)) / safe ** 3)
+    dP = np.empty((len(x), 2, 3))
+    for i, ei in enumerate((e1, e2)):
+        dP[:, i] = (-c * s * x[:, i])[:, None] * p0 \
+            + (q * x[:, i])[:, None] * u + s[:, None] * ei
+    sin_phi2 = np.maximum(1.0 - P[:, 2] ** 2, 1e-18)
+    dphi = -dP[:, :, 2] / np.sqrt(sin_phi2)[:, None]
+    dpsi = (P[:, 0, None] * dP[:, :, 1] - P[:, 1, None] * dP[:, :, 0]) \
+        / sin_phi2[:, None]
+    return np.stack([phi, psi], axis=1), np.stack([dphi, dpsi], axis=1)
+
+
+class TestSeriesSwitches:
+    def test_exp_map_is_bitwise_both_branches(self):
+        phi0, psi0, c = 1.2, 0.3, 2.0 * np.exp(-5.0)
+        p0 = np.array([np.sin(phi0) * np.cos(psi0),
+                       np.sin(phi0) * np.sin(psi0), np.cos(phi0)])
+        e1 = np.array([np.cos(phi0) * np.cos(psi0),
+                       np.cos(phi0) * np.sin(psi0), -np.sin(phi0)])
+        e2 = np.array([-np.sin(psi0), np.cos(psi0), 0.0])
+        # below, at and just above each switch, and chart-grid radii
+        radii = [0.0, 3e-7, np.nextafter(1e-6, 0.0), 1e-6,
+                 np.nextafter(1e-6, 1.0), 5e-5, np.nextafter(1e-4, 0.0),
+                 1e-4, np.nextafter(1e-4, 1.0), 2e-4, 0.03, 0.5, 0.96]
+        x = np.array([[r * np.cos(a), r * np.sin(a)] for r in radii
+                      for a in (0.0, 0.7)])
+        x[::2, 1] = 0.0                 # |(r, 0)| is r exactly
+        rho = np.linalg.norm(x, axis=1)
+        assert {1e-6, 1e-4} <= set(rho.tolist())
+        args = (c, p0, e1, e2)
+        # one batch mixing both sides, batches all on one side, single rows
+        batches = [x, x[rho >= 1e-4], x[rho >= 1e-6], x[rho < 1e-6]] \
+            + [x[i:i + 1] for i in range(len(x))]
+        for b in batches:
+            for got, want in zip(manifold._exp_map(b, *args),
+                                 exp_map_both_branches(b, *args)):
+                assert bitwise(got, want)
+
+
+class TestColumnMajor:
+    """The n = 3 finite-difference path stores points and k x k blocks
+    column-major; no number may depend on that layout."""
+
+    @staticmethod
+    def case():
+        m = perturbed_hyperbolic(3, amplitude=0.05,
+                                 grid=GridSpec(points_per_axis=8))
+        rc = radial_chart(m, 5.0, y0=(1.2, 0.3))
+        pb = pullback(rc, m.metric)
+        return m, rc, pb, difference(pb, hyperbolic_model(rc.chart))
+
+    def test_pullback_is_bitwise_at_either_layout(self):
+        _, rc, pb, _ = self.case()
+        pts = fd_stencil(rc)
+        assert pts.flags.f_contiguous
+        q, J = rc.map_points(pts)
+        assert q.flags.f_contiguous and J.flags.f_contiguous
+        G = pb.spatial(pts)
+        assert G.flags.f_contiguous
+        for other in (np.ascontiguousarray(pts), pts.copy(order="F")):
+            assert bitwise(pb(other), pb(pts))
+            assert bitwise(pb.spatial(other), G)
+
+    def test_fd_jet_and_norm_are_bitwise_at_either_layout(self, monkeypatch):
+        _, rc, _, f = self.case()
+        pts = rc.chart.grid_points()
+        assert pts.flags.f_contiguous
+        fd = _fd_jet(f, pts, f.grid)
+        for got, want in zip(_fd_jet(f, np.ascontiguousarray(pts), f.grid),
+                             fd):
+            assert bitwise(got, want)
+        norm = c2_norm(f)
+        grid = Domain.grid
+        monkeypatch.setattr(Domain, "grid", lambda self, spec:
+                            np.ascontiguousarray(grid(self, spec)))
+        assert c2_norm(f) == norm
+
+    def test_sandwich_is_the_row_major_computation(self):
+        m, rc, _, _ = self.case()
+        q, J = rc.map_points(fd_stencil(rc))
+        S = m.metric.spatial(q)
+        assert S.flags.f_contiguous
+        Jc, Sc = np.ascontiguousarray(J), np.ascontiguousarray(S)
+        # (J^T S) J entry by entry, on row-major stacks
+        want = np.empty(J.shape)
+        for i in range(2):
+            T = [Jc[:, 0, i] * Sc[:, 0, b] + Jc[:, 1, i] * Sc[:, 1, b]
+                 for b in range(2)]
+            for j in range(2):
+                want[:, i, j] = T[0] * Jc[:, 0, j] + T[1] * Jc[:, 1, j]
+        for a, b in ((J, S), (Jc, Sc)):
+            got = manifold._sandwich(a, b)
+            assert got.flags.f_contiguous and bitwise(got, want)
 
 
 class TestCloseness:

@@ -19,6 +19,7 @@ from warpforce.model import (
     Jet,
     _CHUNK,
     _GridJet,
+    _LastJet,
     _diag,
     _fd_jet,
     _grid_rows,
@@ -29,10 +30,11 @@ from warpforce.model import (
     hyperbolic_model,
     interval_domain,
     RadialMetric,
+    WarpforceError,
     profile_scalar,
 )
 from warpforce.verify import fd_oracle_check, measured_with_error
-from warpforce.warpcore import WarpFunction, apply_warp
+from warpforce.warpcore import WarpFunction, apply_warp, blend
 
 from memory import traced_peak_mb
 from polynomials import polynomial_scalar
@@ -148,8 +150,10 @@ class TestDomains:
         whole = meshgrid_reference(spec)
         assert np.array_equal(dom.grid(spec), whole)
         assert dom.grid_size(spec) == len(whole)
+        assert dom.grid(spec).flags.f_contiguous   # one column a coordinate
         for specs in ((spec,), (spec, spec.halved())):
             chunks = [x for x, _ in dom.grid_chunks(specs, step)]
+            assert all(c.flags.f_contiguous for c in chunks)
             assert all(len(c) == step for c in chunks[:-1])
             assert 0 < len(chunks[-1]) <= step
             assert np.array_equal(np.concatenate(chunks), np.concatenate(
@@ -393,6 +397,21 @@ class TestBlocks:
             assert np.array_equal(a, b)
             assert not a[..., off].any()
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_diag_is_column_major_and_bitwise_the_row_major_fill(self, k):
+        pts = ChartModel(n=4, grid=GridSpec(points_per_axis=5)).grid_points()
+        cols = [np.exp(2 * pts[:, -1]), -np.sin(pts[:, 0]) * pts[:, 1],
+                pts[:, 2] * pts[:, 2] - 0.3][:k]
+        want = np.zeros((len(pts), k, k))
+        for i, c in enumerate(cols):
+            want[:, i, i] = c
+        got = _diag(cols)
+        assert got.flags.f_contiguous and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # a Jet's derivative parts keep their (d, m, k, k) layout
+        jet = _diag([c * Jet.seed(pts)[:, 0] for c in cols])
+        assert jet.d2.flags.c_contiguous
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_hyperbolic_model_is_bitwise_the_eye_product(self, n):
         ch = ChartModel(n=n, grid=GridSpec(points_per_axis=8))
@@ -471,11 +490,48 @@ class TestMemo:
         measured_with_error([difference(g, hyperbolic_model(ch)), g])
         (x,) = seen
         # the seed and its memo are held by `seen` alone; the memo keeps the
-        # shared block, not the folded results of the walk's own fields
+        # shared blocks (g's, sigma's), and the walk's own fields only as
+        # markers, not their folded results
         assert isinstance(x, _GridJet) and g.block._fn in x.memo
-        assert g._fn not in x.memo and len(x.memo) == 2     # block, sigma's
+        folded = [k for k, v in x.memo.items() if v is _LastJet.FOLDED]
+        assert g._fn in folded and len(folded) == 2 and len(x.memo) == 4
         del seen[:]
         assert sys.getrefcount(x) == 2
+
+    def test_a_field_asked_for_after_its_fold_is_an_error(self):
+        # lam folded first, then asked for again by the blend containing
+        # it: without the marker it would be evaluated twice per chunk
+        ch = chart2(pts=16)
+        g1 = RadialMetric.on_chart(ch, counted([]), analytic=True)
+        g2 = hyperbolic_model(ch)
+        calls = []
+
+        def half(t):
+            calls.append(len(t))
+            return 0.5 + 0.0 * t
+
+        lam = profile_scalar(ch.domain, half)
+        sigma = hyperbolic_model(ch)
+        with pytest.raises(WarpforceError, match="'profile'.*folded"):
+            measured_with_error(
+                [lam, difference(blend(g1, g2, lam), sigma)], ch.grid)
+        # the order check_lemma_1_1 uses: the container first
+        del calls[:]
+        (full, _), (lam_c2, _) = measured_with_error(
+            [difference(blend(g1, g2, lam), sigma), lam], ch.grid)
+        assert lam_c2.value == 0.5 and full.value > 0.0
+        assert len(calls) == 1          # both grids fit one chunk
+
+    def test_fields_on_different_grids_need_an_explicit_grid(self):
+        ch = chart2(pts=16)
+        f = hyperbolic_model(ch)
+        other = dataclasses.replace(ch.grid, points_per_axis=8)
+        g = RadialMetric(ch.domain, f.block._fn.fn, analytic=True,
+                         grid=other)
+        with pytest.raises(ValueError, match="explicit grid"):
+            measured_with_error([f, g])
+        a, b = measured_with_error([f, g], ch.grid)
+        assert a[0].value == b[0].value
 
     def test_only_the_same_grid_jet_object_is_remembered(self):
         ch = chart2(pts=8)
