@@ -97,14 +97,18 @@ def _sphere_domain(n: int, r_range) -> Domain:
 
 
 def _sinh_diagonal(n: int, p) -> list:
-    """The diagonal of sinh^2(r) sigma_S at points p, as (m,) columns."""
+    """The diagonal of sinh^2(r) sigma_S at points p, as (m,) columns;
+    sin^2 phi is evaluated once per run of equal phi (see _per_run)."""
     s2 = np.sinh(p[:, -1]) ** 2
-    return [s2] if n == 2 else [s2, s2 * np.sin(p[:, 0]) ** 2]
+    return [s2] if n == 2 else [
+        s2, s2 * _per_run(lambda y: np.sin(y[:, 0]) ** 2, p[:, :1])]
 
 
 def punctured_hyperbolic(n: int = 2, r_range=(0.05, 16.0),
                          grid: Optional[GridSpec] = None) -> CenteredManifold:
-    """Hyperbolic space minus its center: sinh^2(r) sigma_S + dr^2."""
+    """Hyperbolic space minus its center: sinh^2(r) sigma_S + dr^2.  For
+    n = 3, sin^2 phi is evaluated once per run of equal phi (see
+    _sinh_diagonal)."""
     dom = _sphere_domain(n, r_range)
     metric = RadialMetric(dom, lambda p: _diag(_sinh_diagonal(n, p)),
                           analytic=True, grid=grid, name=f"punctured{n}d")
@@ -121,7 +125,8 @@ def perturbed_hyperbolic(n: int = 2, amplitude: float = 1e-3,
         spatial = (1 + A cos(m ang) exp(-((r-rc)/rw)^2)) sinh^2(r) sigma_S
 
     with ang = theta (n = 2) or the longitude psi (n = 3).  |A| < 1 keeps the
-    factor positive; anything else is refused.
+    factor positive; anything else is refused.  A cos(m ang) is evaluated
+    once per run of equal ang (see _per_run).
     """
     if not abs(amplitude) < 1.0:
         raise GenerationError(
@@ -136,7 +141,9 @@ def perturbed_hyperbolic(n: int = 2, amplitude: float = 1e-3,
 
     def fn(p):
         u = (p[:, -1] - rc) / rw
-        factor = 1.0 + A * np.cos(mm * p[:, ang_axis]) * np.exp(-u ** 2)
+        wave = _per_run(lambda y: A * np.cos(mm * y[:, 0]),
+                        p[:, ang_axis:ang_axis + 1])
+        factor = 1.0 + wave * np.exp(-u ** 2)
         return _diag([factor * c for c in _sinh_diagonal(n, p)])
 
     metric = RadialMetric(dom, fn, analytic=True, grid=grid,
@@ -214,30 +221,35 @@ def _switched(rho, cut: float, series: Callable, exact: Callable):
 
 def _exp_map(x, c: float, p0, e1, e2):
     """(phi1(x), Dphi1(x)) of phi1(x) = exp_p0(c (x1 e1 + x2 e2)) in
-    (colatitude, longitude).  Every operation acts row by row."""
-    rho = np.linalg.norm(x, axis=1)
+    (colatitude, longitude), as column-major (m, 2) and (m, 2, 2) arrays.
+    Every operation acts row by row, on (m,) columns: the ambient vectors
+    u = x1 e1 + x2 e2, P = phi1's point in R^3 and dP/dx_i are lists of
+    their three coordinates."""
+    x1, x2 = x[:, 0], x[:, 1]
+    rho = np.sqrt(x1 * x1 + x2 * x2)    # np.linalg.norm's sum, in order
     th = c * rho
     sin, cos = np.sin(th), np.cos(th)
     # s = sin(c rho)/rho, series-switched near the origin
     s = _switched(rho, 1e-6, lambda: c * (1.0 - th ** 2 / 6.0),
                   lambda r: sin / r)
-    u = x[:, 0, None] * e1 + x[:, 1, None] * e2
-    P = cos[:, None] * p0 + s[:, None] * u
-    phi = np.arccos(np.clip(P[:, 2], -1.0, 1.0))
-    psi = np.arctan2(P[:, 1], P[:, 0])
+    u = [x1 * a + x2 * b for a, b in zip(e1, e2)]
+    P = [cos * a + s * b for a, b in zip(p0, u)]
+    y = np.empty((len(x), 2), order="F")
+    np.arccos(np.minimum(np.maximum(P[2], -1.0), 1.0), out=y[:, 0])
+    np.arctan2(P[1], P[0], out=y[:, 1])
     # q = d(s)/d(rho) / rho, regular at the origin
     q = _switched(rho, 1e-4, lambda: -(c ** 3) / 3.0 * (1.0 - th ** 2 / 10.0),
                   lambda r: (c * r * cos - sin) / r ** 3)
-    dP = np.empty((len(x), 2, 3))
-    for i, ei in enumerate((e1, e2)):
-        dP[:, i] = (-c * s * x[:, i])[:, None] * p0 \
-            + (q * x[:, i])[:, None] * u + s[:, None] * ei
-    sin_phi2 = np.maximum(1.0 - P[:, 2] ** 2, 1e-18)
-    dphi = -dP[:, :, 2] / np.sqrt(sin_phi2)[:, None]
-    dpsi = (P[:, 0, None] * dP[:, :, 1] - P[:, 1, None] * dP[:, :, 0]) \
-        / sin_phi2[:, None]
+    sin_phi2 = np.maximum(1.0 - P[2] ** 2, 1e-18)
+    sin_phi = np.sqrt(sin_phi2)
     # rows: output coords (phi, psi); columns: inputs x1, x2
-    return np.stack([phi, psi], axis=1), np.stack([dphi, dpsi], axis=1)
+    J = np.empty((len(x), 2, 2), order="F")
+    for i, (xi, ei) in enumerate(((x1, e1), (x2, e2))):
+        a, b = -c * s * xi, q * xi
+        dP = [a * p + b * w + s * e for p, w, e in zip(p0, u, ei)]
+        np.divide(-dP[2], sin_phi, out=J[:, 0, i])
+        np.divide(P[0] * dP[1] - P[1] * dP[0], sin_phi2, out=J[:, 1, i])
+    return y, J
 
 
 def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,

@@ -485,3 +485,44 @@ def test_per_run_evaluates_every_row_unless_rows_repeat_with_one_row_parts():
         for a, b in zip(got, fn(x)):
             for part in ("v", "d1", "d2"):
                 assert np.array_equal(getattr(a, part), getattr(b, part))
+
+
+def rowwise(x):
+    """A row-by-row function of (m, 2) points with results of shape (m,),
+    (m, 2) and (m, 2, 2), the last two row-major."""
+    a = np.sin(x[:, 0]) * x[:, 1]
+    b = np.concatenate([(x[:, 1] * 2.0)[:, None], np.cos(x[:, :1])],
+                       axis=1)
+    return a, b, a[:, None, None] * x[:, :, None] * x[:, None, :]
+
+
+@pytest.mark.parametrize("runs", [[1] * 9, [7], [1], [3, 1, 2, 4], [1, 5, 1]],
+                         ids=["distinct", "equal", "one-row", "ends",
+                              "middle"])
+def test_per_run_is_fn_on_every_row(runs):
+    rng = np.random.default_rng(len(runs))
+    x = np.asfortranarray(np.repeat(rng.uniform(0.5, 2.0, (len(runs), 2)),
+                                    runs, axis=0))
+    calls = []
+
+    def fn(u):
+        calls.append(len(u))
+        return rowwise(u)
+
+    want = rowwise(x)
+    for one in (False, True):       # a tuple, and one array
+        got = (_per_run(lambda u: fn(u)[2], x),) if one else _per_run(fn, x)
+        assert calls.pop() == len(runs) and not calls
+        for a, b in zip(got, want[2:] if one else want):
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+            # a spread array has a contiguous batch axis
+            assert a.flags.f_contiguous or len(runs) == len(x)
+    # a Jet is split into runs only when its parts are one row wide
+    for jet, heads in ((Jet.seed(x), len(runs)),
+                       (materialised(Jet.seed(x)), len(x))):
+        got = _per_run(fn, jet)
+        assert calls.pop() == heads and not calls
+        for a, b in zip(got, rowwise(jet)):
+            for part in ("v", "d1", "d2"):
+                assert np.array_equal(getattr(a, part), getattr(b, part))

@@ -19,6 +19,7 @@ from warpforce.model import (
     GenerationError,
     GridSpec,
     RadialMetric,
+    _diag,
     _fd_jet,
     c2_norm,
     difference,
@@ -313,6 +314,43 @@ class TestPullback:
             else np.swapaxes(np.abs(J), 1, 2) @ np.abs(S) @ np.abs(J)
         assert np.all(np.abs(G - want) <= 4 * np.spacing(np.abs(scale)))
 
+    @staticmethod
+    def n3_closed_form(pts, t0, c):
+        """The punctured n = 3 pullback block in the exp-map chart:
+        c^2 sinh^2(t + t0) [beta(s) I + gamma(s) x x^T], s = |x|^2,
+        beta = sin^2(c sqrt(s))/(c^2 s), gamma = (1 - beta)/s; their series
+        in u^2 = c^2 s below 1e-6."""
+        x, t = pts[:, :2], pts[:, -1]
+        s = np.sum(x * x, axis=1)
+        u2 = c * c * s
+        small = u2 < 1e-6
+        safe = np.where(small, 1.0, s)
+        beta = np.where(small, 1.0 - u2 / 3.0 + 2.0 * u2 ** 2 / 45.0,
+                        np.sin(c * np.sqrt(safe)) ** 2 / (c * c * safe))
+        gamma = np.where(small, c * c * (1.0 / 3.0 - 2.0 * u2 / 45.0
+                                         + u2 ** 2 / 315.0),
+                         (1.0 - beta) / safe)
+        G = beta[:, None, None] * np.eye(2) \
+            + gamma[:, None, None] * x[:, :, None] * x[:, None, :]
+        return (c * c * np.sinh(t + t0) ** 2)[:, None, None] * G
+
+    @pytest.mark.parametrize("t0", [3.0, 6.0])
+    @pytest.mark.parametrize("y0", [None, (1.2, 0.3)])
+    def test_n3_punctured_pullback_is_the_closed_form(self, t0, y0):
+        m = punctured_hyperbolic(3, grid=GridSpec(points_per_axis=32))
+        rc = radial_chart(m, t0, y0=y0)
+        pb = pullback(rc, m.metric)
+        rng = np.random.default_rng(17)
+        a, r = rng.uniform(-np.pi, np.pi, 200), np.sqrt(rng.uniform(0, 1, 200))
+        seeded = np.column_stack([0.999 * r * np.cos(a), 0.999 * r * np.sin(a),
+                                  rng.uniform(-1.999, 1.999, 200)])
+        seeded[0, :2] = 0.0                 # the chart center
+        for pts in (seeded, rc.chart.grid_points()):
+            G = pb.spatial(pts)
+            want = self.n3_closed_form(pts, t0, rc.scale)
+            scale = np.abs(want).max(axis=(1, 2))
+            assert np.all(np.abs(G - want).max(axis=(1, 2)) <= 1e-13 * scale)
+
     def test_out_of_window_error(self):
         m = punctured_hyperbolic(2, r_range=(3.0, 8.3))
         rc = radial_chart(m, 6.0, xi=1.0)  # image [4, 8] fits
@@ -355,15 +393,49 @@ def exp_map_both_branches(x, c, p0, e1, e2):
     return np.stack([phi, psi], axis=1), np.stack([dphi, dpsi], axis=1)
 
 
+def exp_map_broadcast(x, c, p0, e1, e2):
+    """manifold._exp_map as written before it went column by column: (m, 3)
+    broadcasts, np.linalg.norm, np.clip and np.stack."""
+    rho = np.linalg.norm(x, axis=1)
+    th = c * rho
+    sin, cos = np.sin(th), np.cos(th)
+    s = manifold._switched(rho, 1e-6, lambda: c * (1.0 - th ** 2 / 6.0),
+                           lambda r: sin / r)
+    u = x[:, 0, None] * e1 + x[:, 1, None] * e2
+    P = cos[:, None] * p0 + s[:, None] * u
+    phi = np.arccos(np.clip(P[:, 2], -1.0, 1.0))
+    psi = np.arctan2(P[:, 1], P[:, 0])
+    q = manifold._switched(
+        rho, 1e-4, lambda: -(c ** 3) / 3.0 * (1.0 - th ** 2 / 10.0),
+        lambda r: (c * r * cos - sin) / r ** 3)
+    dP = np.empty((len(x), 2, 3))
+    for i, ei in enumerate((e1, e2)):
+        dP[:, i] = (-c * s * x[:, i])[:, None] * p0 \
+            + (q * x[:, i])[:, None] * u + s[:, None] * ei
+    sin_phi2 = np.maximum(1.0 - P[:, 2] ** 2, 1e-18)
+    dphi = -dP[:, :, 2] / np.sqrt(sin_phi2)[:, None]
+    dpsi = (P[:, 0, None] * dP[:, :, 1] - P[:, 1, None] * dP[:, :, 0]) \
+        / sin_phi2[:, None]
+    return np.stack([phi, psi], axis=1), np.stack([dphi, dpsi], axis=1)
+
+
 class TestSeriesSwitches:
-    def test_exp_map_is_bitwise_both_branches(self):
-        phi0, psi0, c = 1.2, 0.3, 2.0 * np.exp(-5.0)
+    @staticmethod
+    def frame(phi0=1.2, psi0=0.3, t0=5.0):
+        """(c, p0, e1, e2) of the chart at radius t0 centered at (phi0,
+        psi0), as radial_chart builds them."""
         p0 = np.array([np.sin(phi0) * np.cos(psi0),
                        np.sin(phi0) * np.sin(psi0), np.cos(phi0)])
         e1 = np.array([np.cos(phi0) * np.cos(psi0),
                        np.cos(phi0) * np.sin(psi0), -np.sin(phi0)])
         e2 = np.array([-np.sin(psi0), np.cos(psi0), 0.0])
-        # below, at and just above each switch, and chart-grid radii
+        return 2.0 * np.exp(-t0), p0, e1, e2
+
+    @staticmethod
+    def switch_batches():
+        """Rows below, at and just above each series switch, and chart-grid
+        radii: in one batch mixing both sides, in batches all on one side,
+        and one row at a time."""
         radii = [0.0, 3e-7, np.nextafter(1e-6, 0.0), 1e-6,
                  np.nextafter(1e-6, 1.0), 5e-5, np.nextafter(1e-4, 0.0),
                  1e-4, np.nextafter(1e-4, 1.0), 2e-4, 0.03, 0.5, 0.96]
@@ -372,13 +444,89 @@ class TestSeriesSwitches:
         x[::2, 1] = 0.0                 # |(r, 0)| is r exactly
         rho = np.linalg.norm(x, axis=1)
         assert {1e-6, 1e-4} <= set(rho.tolist())
-        args = (c, p0, e1, e2)
-        # one batch mixing both sides, batches all on one side, single rows
-        batches = [x, x[rho >= 1e-4], x[rho >= 1e-6], x[rho < 1e-6]] \
+        return [x, x[rho >= 1e-4], x[rho >= 1e-6], x[rho < 1e-6]] \
             + [x[i:i + 1] for i in range(len(x))]
-        for b in batches:
+
+    def test_exp_map_is_bitwise_both_branches(self):
+        args = self.frame()
+        for b in self.switch_batches():
             for got, want in zip(manifold._exp_map(b, *args),
                                  exp_map_both_branches(b, *args)):
+                assert bitwise(got, want)
+
+    @pytest.mark.parametrize("y0", [(np.pi / 2, 0.0), (1.2, 0.3)])
+    def test_exp_map_is_bitwise_the_broadcast_form(self, y0):
+        m = punctured_hyperbolic(3, grid=GridSpec(points_per_axis=32))
+        rc = radial_chart(m, 5.0, y0=y0)
+        seen = []
+
+        def record(p):
+            seen.append(np.array(p[:, :2]))
+            return np.zeros(len(p))
+
+        _fd_jet(Field(rc.chart.domain, record), rc.chart.grid_points(),
+                rc.chart.grid)
+        assert len(seen) > 1             # every piece of a 32-point chart
+        args = self.frame(*y0)
+        for b in self.switch_batches() + [np.concatenate(seen),
+                                          np.asfortranarray(seen[-1])]:
+            y, J = manifold._exp_map(b, *args)
+            assert y.flags.f_contiguous and J.flags.f_contiguous
+            for got, want in zip((y, J), exp_map_broadcast(b, *args)):
+                assert bitwise(got, want)
+
+
+class TestSphereFactorsPerRun:
+    """Both families evaluate their sphere-only factors (A cos(m ang),
+    sin^2 phi) once per run of equal sphere coordinates; every number is
+    the row-by-row formula's."""
+
+    A, MODE, RC, RW = 0.05, 3, 5.0, 1.5
+
+    @classmethod
+    def formula(cls, n, perturbed):
+        """The spatial block of the family, row by row, as a value
+        function."""
+        def fn(p):
+            s2 = np.sinh(p[:, -1]) ** 2
+            diag = [s2] if n == 2 else [s2, s2 * np.sin(p[:, 0]) ** 2]
+            if perturbed:
+                u = (p[:, -1] - cls.RC) / cls.RW
+                factor = 1.0 + cls.A * np.cos(cls.MODE * p[:, n - 2]) \
+                    * np.exp(-u ** 2)
+                diag = [factor * c for c in diag]
+            return _diag(diag)
+        return fn
+
+    @classmethod
+    def family(cls, n, perturbed, grid=GridSpec(points_per_axis=8)):
+        if perturbed:
+            return perturbed_hyperbolic(n, amplitude=cls.A,
+                                        sphere_mode=cls.MODE,
+                                        radial_center=cls.RC,
+                                        radial_width=cls.RW, grid=grid)
+        return punctured_hyperbolic(n, grid=grid)
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_n3_metrics_are_the_row_formula(self, perturbed):
+        m = self.family(3, perturbed)
+        rc = radial_chart(m, 5.0, y0=(1.2, 0.3))
+        stencil = rc.map_points(fd_stencil(rc))[0]
+        polar = m.metric.domain.grid(m.metric.grid)
+        for q in (stencil, polar, np.ascontiguousarray(stencil)):
+            assert bitwise(m.metric.spatial(q), self.formula(3, perturbed)(q))
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_n2_jets_are_the_row_formula(self, perturbed):
+        m = self.family(2, perturbed)
+        ref = RadialMetric(m.metric.domain, self.formula(2, perturbed),
+                           analytic=True, grid=m.metric.grid)
+        rc = radial_chart(m, 5.0, y0=0.4)
+        pts = rc.chart.grid_points()
+        polar = m.metric.domain.grid(m.metric.grid)
+        for f, g, x in ((pullback(rc, m.metric), pullback(rc, ref), pts),
+                        (m.metric, ref, polar)):
+            for got, want in zip(f.jet(x), g.jet(x)):
                 assert bitwise(got, want)
 
 

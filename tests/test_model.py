@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import sys
 import weakref
 
@@ -759,6 +760,106 @@ class TestFdPieces:
         assert rows == [3 * 32] * 3
         assert "'decay'" in str(exc.value)
         assert "(5.0005,)" in str(exc.value)
+
+
+def fd_jet_by_axis(f, pts, spec):
+    """_fd_jet as written before its differences were vectorized: the
+    whole stencil in one batch, each axis and each axis pair in turn."""
+    d = f.domain.dim
+    h = spec.fd_step * f.domain.extents
+    e = np.diag(h)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    offsets = np.array([np.zeros(d)] + [s * e[i] for i in range(d)
+                                        for s in (1, -1)]
+                       + [si * e[i] + sj * e[j] for i, j in pairs
+                          for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))])
+    m = len(pts)
+    vals = f((pts[None] + offsets[:, None]).reshape(-1, d)).reshape(
+        (len(offsets), m) + f.shape)
+    v0 = vals[0]
+    d1, d2 = np.empty((m, d) + f.shape), np.empty((m, d, d) + f.shape)
+    for i in range(d):
+        fp, fm = vals[1 + 2 * i], vals[2 + 2 * i]
+        d1[:, i] = (fp - fm) / (2.0 * h[i])
+        d2[:, i, i] = (fp - 2.0 * v0 + fm) / h[i] ** 2
+    for k, (i, j) in enumerate(pairs):
+        fpp, fpm, fmp, fmm = vals[1 + 2 * d + 4 * k: 5 + 2 * d + 4 * k]
+        d2[:, i, j] = d2[:, j, i] = (fpp - fpm - fmp + fmm) \
+            / (4.0 * h[i] * h[j])
+    return v0, d1, d2
+
+
+class TestFdDomainCheck:
+    """_fd_jet tests each piece's base rows against the domain shrunk by
+    twice the step, and every stencil point only when that cheap test
+    fails."""
+
+    @staticmethod
+    def probe(dom, shape=()):
+        k = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+        return Field(dom, lambda p: (np.exp(p[:, -1]) * np.sin(
+            p.sum(axis=1))).reshape((-1,) + (1,) * len(shape)) * k,
+            shape=shape, name="probe")
+
+    @staticmethod
+    def contains_calls(monkeypatch, dom):
+        calls = []
+        contains = Domain.contains
+        monkeypatch.setattr(Domain, "contains", lambda self, pts: (
+            calls.append(len(pts)) if self == dom else None)
+            or contains(self, pts))
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_zero_margin_names_the_first_stencil_point_outside(self, n):
+        ch = ChartModel(n=n, xi=1.0,
+                        grid=GridSpec(points_per_axis=8, boundary_margin=0.0))
+        first = "(-1.0, -2.0)" if n == 2 \
+            else "(-0.714285714286, -0.428571428571, -2.0)"
+        with pytest.raises(DomainError, match=(
+                f"stencil point {re.escape(first)} lies outside the "
+                f"domain of field 'probe'$")):
+            _fd_jet(self.probe(ch.domain), ch.domain.grid(ch.grid), ch.grid)
+
+    def test_inside_rows_never_test_stencil_points(self, monkeypatch):
+        ch = ChartModel(n=3, xi=1.0, grid=GridSpec(points_per_axis=8))
+        calls = self.contains_calls(monkeypatch, ch.domain)
+        f = self.probe(ch.domain, (2, 2))
+        pts = ch.domain.grid(ch.grid)
+        for got, want in zip(_fd_jet(f, pts, ch.grid),
+                             fd_jet_by_axis(f, pts, ch.grid)):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert calls == []
+
+    def test_stencil_crossing_the_ball_raises(self, monkeypatch):
+        ch = ChartModel(n=3, xi=1.0, grid=GridSpec(points_per_axis=8))
+        calls = self.contains_calls(monkeypatch, ch.domain)
+        # |x| = 1 - 2.1e-4 is inside, but +h along x1 and x2 (h = 2e-4),
+        # the first mixed stencil point, leaves the unit ball
+        pts = np.array([[0.2, 0.1, 0.0], [0.70696, 0.70696, 0.5]])
+        with pytest.raises(DomainError,
+                           match=re.escape("(0.70716, 0.70716, 0.5)")):
+            _fd_jet(self.probe(ch.domain), pts, ch.grid)
+        assert calls == [19 * 2]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_near_the_boundary_test_every_stencil_point(self, monkeypatch,
+                                                            n):
+        # within 2h of a bound, yet every stencil point is inside: the
+        # per-point test runs and passes, and the jets are unchanged
+        if n == 1:
+            dom = interval_domain(0.0, 5.0)
+            pts = np.array([[2.0], [5.0 - 7e-4]])    # h = 5e-4
+        else:
+            dom = ChartModel(n=n, xi=1.0).domain
+            pts = np.array([[0.3] * (n - 1) + [0.0],
+                            [1.0 - 3e-4] + [0.0] * (n - 2) + [2.0 - 5e-4]])
+        calls = self.contains_calls(monkeypatch, dom)
+        f = self.probe(dom, (2,))
+        for got, want in zip(_fd_jet(f, pts, GridSpec()),
+                             fd_jet_by_axis(f, pts, GridSpec())):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert calls == [len(pts) * (1 + 2 * n * n)]
 
 
 class TestDump:
