@@ -302,16 +302,19 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
     computed by the same numpy operation as on plain arrays, so it is
     bitwise the array result.  Plain arrays mixed in are constants.
 
-    A derivative part whose batch axis has stride 0 is constant along the
-    batch (the seed's identity gradient and zero hessian, and the parts of
-    an affine argument such as 2t): every operation but @ computes such a
-    part on one row and returns it as a read-only np.broadcast_to view, so
-    the parts of Field.jet may be read-only views.  A zero part is 0.0
-    broadcast (the seed's hessian, a constant's derivatives): a sum leaves
-    it out, and a product term with it is dropped when the other factor is
-    finite on every row.  Products and their sums are formed in the order
-    of the full-width formulas, so the numbers are those of full-width
-    parts up to the sign of a zero derivative entry.
+    A derivative part that is constant along the batch (the seed's identity
+    gradient and zero hessian, and the parts of an affine argument such as
+    2t) has a batch axis of length 1, (d, 1, *S) or (d, d, 1, *S), and
+    numpy broadcasting widens it where it meets a factor that varies.  The
+    first index of a Jet, a slice or an index array, selects rows of the
+    batch.  A zero part is 0.0 broadcast, one row long (the seed's
+    hessian, a constant's derivatives): a sum leaves it out, and a product
+    term with it is dropped when the other factor is finite on every row.
+    Products and their sums are formed in the order of the full-width
+    formulas, so the numbers are those of full-width parts up to the sign
+    of a zero derivative entry.  Field.jet widens one-row parts to
+    read-only broadcast views of the full (m, d, *S) and (m, d, d, *S)
+    shapes.
     """
 
     __slots__ = ("v", "d1", "d2")
@@ -322,9 +325,8 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
     @classmethod
     def seed(cls, pts: np.ndarray) -> "Jet":
         """The chart coordinates themselves: (m, d) points, d1 = identity."""
-        m, d = pts.shape
-        return cls(pts, np.broadcast_to(np.eye(d)[:, None, :], (d, m, d)),
-                   _zeros((d, d, m, d)))
+        d = pts.shape[1]
+        return cls(pts, np.eye(d)[:, None, :], _zeros((d, d, 1, d)))
 
     @property
     def shape(self) -> tuple:
@@ -351,26 +353,26 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
                 rows = self._take(np.flatnonzero(i) if i.dtype == bool
                                   else i)
                 return rows[(slice(None),) + key[1:]] if key[1:] else rows
-        every = slice(None)     # basic indexing keeps a stride of 0
-        return Jet(self.v[key], self.d1[(every,) + key],
-                   self.d2[(every, every) + key])
+        every = slice(None)
+        # a part one row long keeps its row under a slice of the batch
+        one = (every,) + key[1:] if isinstance(i, slice) else key
+        return Jet(self.v[key], *(p[(every,) * o + (one if p.shape[o] == 1
+                                                    else key)]
+                                  for o, p in ((1, self.d1), (2, self.d2))))
 
     def _take(self, i: np.ndarray) -> "Jet":
         """The rows i of the batch, taken part by part (np.take is faster
-        than fancy indexing); a part constant along the batch keeps its
-        one row."""
-        v, n = np.take(self.v, i, axis=0), self.ndim
-        return Jet(v, *(np.take(p, i, axis=o) if _row(p, n) is p else
-                        _wide(_row(p, n), p.shape[:o] + v.shape)
-                        for o, p in ((1, self.d1), (2, self.d2))))
+        than fancy indexing); a part one row long keeps its row."""
+        return Jet(np.take(self.v, i, axis=0),
+                   *(p if p.shape[o] == 1 else np.take(p, i, axis=o)
+                     for o, p in ((1, self.d1), (2, self.d2))))
 
     def chain(self, f, f1, f2) -> "Jet":
         """p(self) for a 1-D function p with p, p', p'' = f, f1, f2 at
         self.v: the chain rule to second order."""
-        g = _row(self.d1, self.ndim)
-        return Jet(f, _wide(f1 * g, self.d1.shape),
-                   _sum((f2 * (g[:, None] * g[None, :]),
-                         _times(self.d2, f1, self.ndim)), self.d2.shape))
+        g, d = self.d1, len(self.d1)
+        return Jet(f, f1 * g, _sum((f2 * (g[:, None] * g[None, :]),
+                                    _times(self.d2, f1)), (d, d), np.shape(f)))
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method != "__call__" or kwargs:
@@ -420,19 +422,10 @@ _UNARY = {
 }
 
 
-def _row(a, n: int):
-    """a cut to its first row when it is constant along a batch of more
-    than one row, that is when its batch axis, the n-th from last, has
-    stride 0; otherwise (a full part, a constant without a batch axis) a
-    itself."""
-    if getattr(a, "ndim", 0) < n or a.strides[-n] or a.shape[-n] < 2:
-        return a
-    return a[(slice(None),) * (a.ndim - n) + (slice(0, 1),)]
-
-
 @functools.lru_cache(maxsize=64)
 def _zeros(shape: tuple) -> np.ndarray:
-    """The zero part of `shape`: 0.0 broadcast, read-only, every stride 0."""
+    """The zero part of `shape`: 0.0 broadcast, read-only, every stride 0
+    (a Jet's is one row long)."""
     return np.broadcast_to(0.0, shape)
 
 
@@ -450,105 +443,81 @@ def _finite(q) -> bool:
         else bool(np.isfinite(q).all())
 
 
-def _wide(out: np.ndarray, shape: tuple) -> np.ndarray:
-    """out, one row wide or of the full batch, at `shape`: a one-row out
-    as a read-only broadcast view."""
-    if out.shape == shape:
-        return out
-    return _zeros(shape) if _zero(out) else np.broadcast_to(out, shape)
-
-
-def _lean(op, shape: tuple, n: int, *args) -> np.ndarray:
-    """op(*args), of shape `shape`, for jet parts and constants whose batch
-    axis is their n-th from last, computed on one row when every argument
-    is constant along the batch (see _row)."""
-    return _wide(op(*[_row(a, n) for a in args]), shape)
-
-
-def _times(p: np.ndarray, q, n: int):
-    """The term p * q of a sum (see _sum), p a jet part and q a factor, on
-    one row when both are constant along the batch (see _row).  None when
-    p is a zero part (see _zero) and q is finite on every row: that term
-    would add only signed zeros."""
-    if p.strides[-n]:               # a full part
-        return p * q
-    q = _row(q, n)
+def _times(p: np.ndarray, q):
+    """The term p * q of a sum (see _sum), p a jet part and q a factor.
+    None when p is a zero part (see _zero) and q is finite on every row:
+    that term would add only signed zeros."""
     if _zero(p) and _finite(q):
         return None
-    return _row(p, n) * q
+    return p * q
 
 
-def _sum(terms, shape: tuple) -> np.ndarray:
+def _sum(terms, lead: tuple, shape: tuple) -> np.ndarray:
     """The terms, fresh products or None for a dropped one, added up in
-    order, of shape `shape` (see _wide): in place into the first term or
-    sum once it is of that shape; zeros when every term was dropped."""
-    acc = None
+    order: the derivative part, with leading axes `lead`, of a value of
+    shape `shape`.  A term is added in place into the first term or sum
+    once that spans the whole batch and value shape; the sum is zeros
+    when every term was dropped."""
+    acc, full = None, lead + shape
     for t in terms:
         if t is None:
             continue
         if acc is None:
             acc = t
-        elif acc.shape == shape:
+        elif acc.shape == full:
             acc += t
         else:
             acc = acc + t
-    return _zeros(shape) if acc is None else _wide(acc, shape)
+    return _zeros(lead + (1,) + shape[1:]) if acc is None else acc
 
 
 def _negated(x: "Jet") -> tuple:
-    """-x.d1, -x.d2 (see _lean); a zero part stays as it is."""
-    n = x.ndim
-    return tuple(-p if p.strides[-n] else p if _zero(p) else
-                 _lean(np.negative, p.shape, n, p) for p in (x.d1, x.d2))
+    """-x.d1, -x.d2; a zero part stays as it is."""
+    return tuple(p if _zero(p) else -p for p in (x.d1, x.d2))
 
 
-def _added(op, p, q, shape: tuple, n: int) -> np.ndarray:
-    """p + q or p - q (op) for jet parts (see _lean), leaving out a zero
-    part (see _zero)."""
-    if p.strides[-n] and q.strides[-n]:     # two full parts
-        return op(p, q)
+def _added(op, p, q) -> np.ndarray:
+    """p + q or p - q (op) for jet parts, leaving out a zero part (see
+    _zero)."""
     if _zero(q):
-        return _wide(p, shape)
+        return p
     if _zero(p) and op is np.add:
-        return _wide(q, shape)
-    return _lean(op, shape, n, p, q)
+        return q
+    return op(p, q)
 
 
 def _jet_add(a, b, v, op=np.add) -> Jet:
-    d = len((a if isinstance(a, Jet) else b).d1)
     if not isinstance(a, Jet):
         d1, d2 = (b.d1, b.d2) if op is np.add else _negated(b)
     elif not isinstance(b, Jet):
         d1, d2 = a.d1, a.d2
     else:
-        d1, d2 = (_added(op, p, q, (d,) * o + v.shape, v.ndim)
-                  for o, p, q in ((1, a.d1, b.d1), (2, a.d2, b.d2)))
-    if d1.shape[1:] != v.shape:   # broadcasting widened the value
-        d1 = np.broadcast_to(d1, (d,) + v.shape)
-        d2 = np.broadcast_to(d2, (d, d) + v.shape)
-    return Jet(v, d1, d2)
+        d1, d2 = _added(op, a.d1, b.d1), _added(op, a.d2, b.d2)
+    # where broadcasting widened the value, a part left as it was is
+    # widened along the value's axes; its batch axis keeps its length
+    return Jet(v, *(p if p.shape[o + 1:] == v.shape[1:] else
+                    np.broadcast_to(p, p.shape[:o + 1] + v.shape[1:])
+                    for o, p in ((1, d1), (2, d2))))
 
 
 def _jet_mul(a, b, v) -> Jet:
     if not isinstance(a, Jet):
         a, b = b, a
-    n, d = v.ndim, len(a.d1)
-    s1, s2 = (d,) + v.shape, (d, d) + v.shape
+    d = len(a.d1)
     if not isinstance(b, Jet):
-        return Jet(v, _sum((_times(a.d1, b, n),), s1),
-                   _sum((_times(a.d2, b, n),), s2))
-    cross = _row(a.d1, n)[:, None] * _row(b.d1, n)[None, :]
-    return Jet(v, _sum((_times(a.d1, b.v, n), _times(b.d1, a.v, n)), s1),
-               _sum((_times(a.d2, b.v, n), cross,       # + its transpose
-                     cross.swapaxes(0, 1), _times(b.d2, a.v, n)), s2))
+        return Jet(v, _sum((_times(a.d1, b),), (d,), v.shape),
+                   _sum((_times(a.d2, b),), (d, d), v.shape))
+    cross = a.d1[:, None] * b.d1[None, :]
+    return Jet(v, _sum((_times(a.d1, b.v), _times(b.d1, a.v)), (d,), v.shape),
+               _sum((_times(a.d2, b.v), cross,       # + its transpose
+                     cross.swapaxes(0, 1), _times(b.d2, a.v)), (d, d),
+                    v.shape))
 
 
 def _jet_div(a, b, v) -> Jet:
     if isinstance(b, Jet):
         raise TypeError("a Jet divides only by constants")
-    d = len(a.d1)
-    return Jet(v, *(_lean(np.true_divide, (d,) * o + v.shape, v.ndim, p, b)
-                    for o, p in ((1, a.d1), (2, a.d2))))
+    return Jet(v, a.d1 / b, a.d2 / b)
 
 
 def _jet_matmul(a, b, v) -> Jet:
@@ -574,24 +543,27 @@ def _part(a, order: int, d: int) -> np.ndarray:
     if isinstance(a, Jet):
         return (a.v, a.d1, a.d2)[order]
     a = np.asarray(a)
-    return a if order == 0 else _zeros((d,) * order + a.shape)
+    return a if order == 0 else _zeros((d,) * order + (1,) + a.shape[1:])
 
 
 def _concatenate(arrays, axis=0):
     jet = next(a for a in arrays if isinstance(a, Jet))
-    d, n = len(jet.d1), jet.ndim
-    axis %= n
-    v = np.concatenate([_part(a, 0, d) for a in arrays], axis=axis)
+    d = len(jet.d1)
+    axis %= jet.ndim
+    vals = [_part(a, 0, d) for a in arrays]
+    v = np.concatenate(vals, axis=axis)
 
     def join(o):
         parts = [_part(a, o, d) for a in arrays]
         if all(map(_zero, parts)):
-            return _zeros((d,) * o + v.shape)
-        rows = [_row(p, n) for p in parts]
-        if axis and all(r.shape[o] == 1 for r in rows):
-            parts = rows        # every part is constant along the batch
-        return _wide(np.concatenate(parts, axis=axis + o),
-                     (d,) * o + v.shape)
+            return _zeros((d,) * o + (1,) + v.shape[1:])
+        if not axis or any(p.shape[o] > 1 for p in parts):
+            # rows of different arrays, or beside a full part: each part
+            # one row long is widened to the rows of its own array
+            parts = [np.broadcast_to(p, p.shape[:o] + w.shape[:1]
+                                     + p.shape[o + 1:])
+                     for p, w in zip(parts, vals)]
+        return np.concatenate(parts, axis=axis + o)
 
     return Jet(v, join(1), join(2))
 
@@ -604,9 +576,9 @@ def _per_run(fn: Callable, x):
     polar points repeat with it.  An array result is spread by np.repeat
     into a column-major array, so that its batch axis is contiguous.  A
     Jet's rows with equal values are equal rows only when its derivative
-    parts are constant along the batch."""
+    parts are one row long (constant along the batch)."""
     if isinstance(x, Jet):
-        if _row(x.d1, 2) is x.d1 or _row(x.d2, 2) is x.d2:
+        if x.d1.shape[1] > 1 or x.d2.shape[2] > 1:
             return fn(x)
         v = x.v
     else:
@@ -656,7 +628,11 @@ def _taylor(fn: Callable, x, f: "Field") -> tuple:
         x = Jet.seed(x)
     out = _at_jet(fn, x, f.name)
     if isinstance(out, Jet):
-        return out.v, np.moveaxis(out.d1, 0, 1), np.moveaxis(out.d2, 2, 0)
+        v = out.v      # one-row parts widen to read-only broadcast views
+        d1, d2 = (p if p.shape[o:] == v.shape else
+                  np.broadcast_to(p, p.shape[:o] + v.shape)
+                  for o, p in ((1, out.d1), (2, out.d2)))
+        return v, np.moveaxis(d1, 0, 1), np.moveaxis(d2, 2, 0)
     m, d = x.shape
     S = out.shape[1:]
     return out, _zeros((m, d) + S), _zeros((m, d, d) + S)
@@ -830,7 +806,9 @@ def _diag(cols):
     on its diagonal: a zero block filled part by part, as _embed fills one.
     A product with np.eye(k) would be the same values (up to the sign of
     its off-diagonal zeros), but numpy runs it as a loop over a length-k
-    axis.  A block of (m,) columns is column-major; Jet parts keep theirs."""
+    axis.  A block of (m,) columns is column-major; Jet parts keep theirs.
+    The block spans the broadcast shape of the columns: a Jet part one row
+    long beside a full one."""
     if len(cols) == 1:
         return cols[0][:, None, None]
     jet = next((c for c in cols if isinstance(c, Jet)), None)
@@ -840,7 +818,7 @@ def _diag(cols):
                      for o in range(3)))
     cols = [np.asarray(c) for c in cols]
     k = len(cols)
-    out = np.zeros(cols[0].shape + (k, k),
+    out = np.zeros(np.broadcast_shapes(*(c.shape for c in cols)) + (k, k),
                    order="F" if cols[0].ndim == 1 else "C")
     for i, c in enumerate(cols):
         out[..., i, i] = c
@@ -1044,11 +1022,17 @@ def _fold(found: list, jet, parts):
     |d1| per axis and of |d2| per axis pair of grid i, for each (i, rows)
     of parts.  A part constant along the batch is reduced on its one row."""
     for i, rows in parts:
-        got = [np.abs(_row(a[rows], a.ndim)).max(
+        got = [np.abs(_row(a[rows])).max(
                    axis=(0, *range(1 + o, a.ndim)))
                for o, a in enumerate(jet)]
         found[i] = got if found[i] is None \
             else list(map(np.maximum, found[i], got))   # keeps a NaN
+
+
+def _row(a: np.ndarray) -> np.ndarray:
+    """a cut to its first row when its batch axis, the first, has stride 0
+    (a part of Field.jet constant along the batch); otherwise a itself."""
+    return a if a.strides[0] else a[:1]
 
 
 def _norm(f: Field, maxima: list, spec: GridSpec) -> C2Norm:

@@ -16,6 +16,7 @@ from warpforce.model import (
     Jet,
     RadialMetric,
     WarpforceError,
+    _diag,
     _fd_jet,
     _per_run,
     c2_norm,
@@ -363,12 +364,15 @@ def test_warp_forced_perturbed_pullback_passes_fd_oracle(order):
 
 
 def materialised(x: Jet) -> Jet:
-    """x with every part a full array of its own."""
-    return Jet(np.array(x.v), np.array(x.d1), np.array(x.d2))
+    """x with every part a full array of its own, a part one row long
+    widened to the whole batch."""
+    return Jet(np.array(x.v), *(np.array(np.broadcast_to(p, p.shape[:o]
+                                                         + x.shape))
+                                for o, p in ((1, x.d1), (2, x.d2))))
 
 
 # each op at an affine Jet a and the seed p, with the derivative parts it
-# keeps one row wide when a and p have one-row parts
+# keeps one row long when a and p have one-row parts
 JET_OPS = {
     **{u.__name__: (lambda a, p, u=u: u(a), ()) for u in UNARY},
     **{f"pow{k}": (lambda a, p, k=k: a ** k, ()) for k in (-1, 0, 1, 2, 3)},
@@ -382,6 +386,16 @@ JET_OPS = {
         [p, a[:, None], np.full((len(p), 1), 2.5)], axis=1), ("d1", "d2")),
     "index": (lambda a, p: a[:, None, None], ("d1", "d2")),
     "index-array": (lambda a, p: a[np.arange(len(a))[::-1]], ("d1", "d2")),
+    "slice": (lambda a, p: a[2:], ("d1", "d2")),
+    "slice-of-product": (lambda a, p: (a * p[:, 1])[1:], ("d2",)),
+    "widen-trailing": (lambda a, p: a[:, None] + np.ones((1, 3)),
+                       ("d1", "d2")),
+    "concatenate-batch": (lambda a, p: np.concatenate([a, a * p[:, 1]]),
+                          ()),
+    "diag": (lambda a, p: _diag([a, a * p[:, 1]]), ("d2",)),
+    # one run of equal rows: a curved factor whose parts are one row long
+    "mul-one-run": (lambda a, p: a * _per_run(lambda u: np.sin(u[:, 0]),
+                                              p[np.zeros(len(p), int)]), ()),
 }
 
 box_points = st.integers(2, 9).flatmap(lambda m: st.lists(
@@ -399,14 +413,16 @@ def test_one_row_parts_match_full_parts(name, pts, coeffs):
     a0, b0, c0 = coeffs
     p = Jet.seed(pts)
     a = a0 * p[:, 0] + b0 * p[:, 1] + c0          # 1 <= a: powers finite
-    assert a.d1.strides[1] == 0 and a.d2.strides[2] == 0
+    assert a.d1.shape[1] == 1 and a.d2.shape[2] == 1
     got = op(a, p)
     want = op(materialised(a), materialised(p))
+    wide = materialised(got)
     for part in ("v", "d1", "d2"):
-        assert np.array_equal(getattr(got, part), getattr(want, part))
-    for part in kept:                 # the batch axis follows the d axes
+        assert np.array_equal(getattr(wide, part), getattr(want, part))
+    for part in ("d1", "d2"):         # the batch axis follows the d axes
         o = int(part[1])
-        assert getattr(got, part).strides[o] == 0, part
+        assert getattr(got, part).shape[o] == (1 if part in kept
+                                               else len(got)), part
 
 
 def test_non_finite_derivatives_propagate_as_with_full_parts():
@@ -431,6 +447,28 @@ def test_non_finite_derivatives_propagate_as_with_full_parts():
         assert np.array_equal(a, b, equal_nan=True)
     _, _, d2 = jets[0]
     assert np.isnan(d2).any() and not np.isinf(d2).any()
+
+
+@pytest.mark.parametrize("fn,shape", [
+    (hyperbolic_model(CH), (2, 2)),
+    (profile_scalar(CH.domain, lambda t: 2.0 * t - 0.5), ()),
+    (lambda p: (p[:, :1, None] - 3.0 * p[:, 1:, None]) * np.ones((1, 2, 2)),
+     (2, 2)),
+], ids=["hyperbolic", "affine-profile", "affine-block"])
+def test_field_jet_widens_one_row_parts(fn, shape):
+    lean = Field(CH.domain, fn, analytic=True, shape=shape)
+    full = Field(CH.domain, lambda p: fn(materialised(p)), analytic=True,
+                 shape=shape)
+    pts = CH.grid_points()
+    m, d = pts.shape
+    got, want = lean.jet(pts), full.jet(pts)
+    assert got[1].shape == (m, d) + shape
+    assert got[2].shape == (m, d, d) + shape
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    for n in (4, 8):
+        spec = GridSpec(points_per_axis=n)
+        assert c2_norm(lean, spec) == c2_norm(full, spec)
 
 
 def test_frozen_slice_is_evaluated_once_per_distinct_x():
@@ -476,13 +514,14 @@ def test_per_run_evaluates_every_row_unless_rows_repeat_with_one_row_parts():
         assert calls == [want_rows]
         for a, b in zip(got, fn(x)):
             assert np.array_equal(a, b)
-    # equal values are equal rows only when the derivatives are one row wide
+    # equal values are equal rows only when the derivatives are one row long
     for x, want_rows in ((Jet.seed(repeated), 4),
                          (materialised(Jet.seed(repeated)), 12)):
         calls.clear()
         got = _per_run(fn, x)
         assert calls == [want_rows]
         for a, b in zip(got, fn(x)):
+            a, b = materialised(a), materialised(b)
             for part in ("v", "d1", "d2"):
                 assert np.array_equal(getattr(a, part), getattr(b, part))
 
@@ -518,11 +557,12 @@ def test_per_run_is_fn_on_every_row(runs):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
             # a spread array has a contiguous batch axis
             assert a.flags.f_contiguous or len(runs) == len(x)
-    # a Jet is split into runs only when its parts are one row wide
+    # a Jet is split into runs only when its parts are one row long
     for jet, heads in ((Jet.seed(x), len(runs)),
                        (materialised(Jet.seed(x)), len(x))):
         got = _per_run(fn, jet)
         assert calls.pop() == heads and not calls
         for a, b in zip(got, rowwise(jet)):
+            a, b = materialised(a), materialised(b)
             for part in ("v", "d1", "d2"):
                 assert np.array_equal(getattr(a, part), getattr(b, part))
