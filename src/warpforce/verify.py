@@ -2,11 +2,14 @@
 
 Every check measures a left-hand side and a right-hand side on a grid and
 emits a BoundReport.  A report passes iff lhs < rhs (strict); the degenerate
-lhs = rhs = 0 case passes with the `marginal` flag set.  Each lhs carries a
-refinement error estimate |v_N - v_{N/2}| / 3 (plus a proportional proxy when
-derivatives come from finite differences); `marginal` is set whenever the
-margin is below three times that estimate, so grid under-resolution is always
-visible in the output.
+lhs = rhs = 0 case passes with the `marginal` flag set.  Each measured norm
+carries a refinement error estimate |v_N - v_{N/2}| / 3 (plus a proportional
+proxy when derivatives come from finite differences).  A lemma report's
+error estimate follows one rule: the lhs's estimate plus err_k |d rhs / d n_k|
+for every other norm n_k of the check, exact for the multilinear right-hand
+sides below (see _lemma_reports); a theorem report's is eta's own.
+`marginal` is set whenever the margin is below three times the report's
+estimate, so grid under-resolution is always visible in the output.
 
 Check registry (run_check / available_checks):
 
@@ -196,6 +199,35 @@ def measured_with_error(fields: Sequence[Field],
 # lemma checkers (instance level)
 
 
+def _lemma_reports(walks: Sequence[dict], grid: GridSpec,
+                   reports: Sequence[tuple], fixed: dict,
+                   shown: Sequence[str] = (),
+                   extra: Optional[dict] = None) -> list:
+    """The reports of one lemma check.
+
+    `walks` names the check's fields, one dict per domain, each walked once
+    in its order (measured_with_error: a field after the fields that
+    contain it).  `reports` holds a (name, lhs field, rhs) triple per
+    report, rhs a function of the dict of every field's norm.  Each
+    report's params are `fixed`, the norms named in `shown`, then `extra`.
+    Its error estimate is the lhs probe error plus, for every other field
+    k, err_k |rhs(n_k = 1) - rhs(n_k = 0)|: exactly err_k |d rhs / d n_k|
+    for a multilinear rhs, with none of the cancellation of
+    rhs(n + err) - rhs(n) when err << n."""
+    norms, errs = {}, {}
+    for walk in walks:
+        for key, (c2, err) in zip(walk, measured_with_error(
+                list(walk.values()), grid)):
+            norms[key], errs[key] = c2, err
+    n = {key: c2.value for key, c2 in norms.items()}
+    p = fixed | {key: n[key] for key in shown} | (extra or {})
+    return [make_report(
+        name, p, n[lhs], rhs(n), errs[lhs] + sum(
+            err * abs(rhs(n | {key: 1.0}) - rhs(n | {key: 0.0}))
+            for key, err in errs.items() if key != lhs),
+        grid, norms[lhs].derivative_source) for name, lhs, rhs in reports]
+
+
 def check_lemma_2_1(t0: float) -> BoundReport:
     """Decay profile bound on the closed ray window [0, 14 + 2 t0], sampled
     at 4001 points."""
@@ -203,11 +235,10 @@ def check_lemma_2_1(t0: float) -> BoundReport:
     window = interval_domain(0.0, hi)
     f = difference(profile_scalar(window, WarpFunction(t0)),
                    _constant_scalar(window, 1.0), name=f"decay[t0={t0:g}]")
-    grid = GridSpec(points_per_axis=4001)
-    ((full, err),) = measured_with_error([f], grid)
     rhs = 5.2 * np.exp(-2.0 * t0)
-    return make_report("lemma2.1", {"t0": t0, "window": [0.0, hi]},
-                       full.value, rhs, err, grid, full.derivative_source)
+    return _lemma_reports([{"lhs": f}], GridSpec(points_per_axis=4001),
+                          [("lemma2.1", "lhs", lambda n: rhs)],
+                          {"t0": t0, "window": [0.0, hi]})[0]
 
 
 def check_lemma_2_2(g: RadialMetric, nu, s: float = 0.0,
@@ -215,101 +246,65 @@ def check_lemma_2_2(g: RadialMetric, nu, s: float = 0.0,
     """|g - g_nu| < 4 |1 - nu| |g| for a positive warp profile nu, shifted
     by s.  A nonzero s needs nu.shifted(s), as random_warp_profile's
     profiles have; the one shifted profile serves both sides."""
-    spec = g.grid
     prof = nu.shifted(s) if s != 0.0 else nu
-    h = apply_warp(g, prof)
-    nu_diff = difference(_constant_scalar(g.domain, 1.0),
-                         profile_scalar(g.domain, prof))
-    (full, err), (nu_dev, nu_err), (g_norm, g_err) = measured_with_error(
-        [difference(g, h), nu_diff, g], spec)
-    rhs = 4.0 * nu_dev.value * g_norm.value
-    # margin uncertainty: lhs probe plus rhs sensitivity to its factors
-    err += 4.0 * (nu_err * g_norm.value + nu_dev.value * g_err)
-    p = {"xi": g.chart.xi, "s": s, "nu_dev": nu_dev.value,
-         "g_norm": g_norm.value}
-    p.update(params or {})
-    return make_report("lemma2.2", p, full.value, rhs, err, spec,
-                       full.derivative_source)
+    nu_dev = difference(_constant_scalar(g.domain, 1.0),
+                        profile_scalar(g.domain, prof))
+    return _lemma_reports(
+        [{"lhs": difference(g, apply_warp(g, prof)), "nu_dev": nu_dev,
+          "g_norm": g}], g.grid,
+        [("lemma2.2", "lhs", lambda n: 4.0 * n["nu_dev"] * n["g_norm"])],
+        {"xi": g.chart.xi, "s": s}, ("nu_dev", "g_norm"), params)[0]
 
 
 def check_lemma_2_3(g: RadialMetric, t0: float, s: float = 0.0,
                     params: Optional[dict] = None):
     """Both sinh-rewarping bounds; returns [part-1 report, part-2 report]."""
-    spec = g.grid
-    xi = g.chart.xi
-    nu = WarpFunction(t0)
-    h = apply_warp(g, nu, s=s)
+    h = apply_warp(g, WarpFunction(t0), s=s)
     sigma = hyperbolic_model(g.chart)
-    (eps, eps_err), (full1, err1), (full2, err2) = measured_with_error(
-        [difference(g, sigma), difference(h, g), difference(h, sigma)], spec)
-    scale = np.exp(2.0 * (1.0 + xi))
-    p = {"xi": xi, "t0": t0, "s": s, "eps": eps.value}
-    p.update(params or {})
-
-    rhs1 = 21.0 * (eps.value + scale) * np.exp(-2.0 * t0)
-    r1 = make_report("lemma2.3(1)", p, full1.value, rhs1,
-                     err1 + 21.0 * np.exp(-2.0 * t0) * eps_err,
-                     spec, full1.derivative_source)
-
-    rhs2 = 21.0 * scale * (np.exp(-2.0 * t0) + eps.value)
-    r2 = make_report("lemma2.3(2)", p, full2.value, rhs2,
-                     err2 + 21.0 * scale * eps_err,
-                     spec, full2.derivative_source)
-    return [r1, r2]
+    scale, decay = np.exp(2.0 * (1.0 + g.chart.xi)), np.exp(-2.0 * t0)
+    return _lemma_reports(
+        [{"eps": difference(g, sigma), "lhs1": difference(h, g),
+          "lhs2": difference(h, sigma)}], g.grid,
+        [("lemma2.3(1)", "lhs1", lambda n: 21.0 * (n["eps"] + scale) * decay),
+         ("lemma2.3(2)", "lhs2", lambda n: 21.0 * scale * (decay + n["eps"]))],
+        {"xi": g.chart.xi, "t0": t0, "s": s}, ("eps",), params)
 
 
 def check_lemma_3_1(a: Field, b: Field, s: float, chart: ChartModel,
                     params: Optional[dict] = None) -> BoundReport:
     """|ext(a,s) - ext(b,s)| < 4 e^{4(1+xi)} |a - b|_{C2(ball)}."""
-    spec = chart.grid
-    ea = warped_extension(a, s, chart)
-    eb = warped_extension(b, s, chart)
-    ((full, err),) = measured_with_error([difference(ea, eb)], spec)
-    ((eps_ab, eps_err),) = measured_with_error([difference(a, b)], spec)
+    ext = difference(warped_extension(a, s, chart),
+                     warped_extension(b, s, chart))
     factor = 4.0 * np.exp(4.0 * (1.0 + chart.xi))
-    rhs = factor * eps_ab.value
-    p = {"xi": chart.xi, "s": s, "eps_ab": eps_ab.value}
-    p.update(params or {})
-    return make_report("lemma3.1", p, full.value, rhs,
-                       err + factor * eps_err, spec,
-                       full.derivative_source)
+    return _lemma_reports(
+        [{"lhs": ext}, {"eps_ab": difference(a, b)}], chart.grid,
+        [("lemma3.1", "lhs", lambda n: factor * n["eps_ab"])],
+        {"xi": chart.xi, "s": s}, ("eps_ab",), params)[0]
 
 
 def check_lemma_3_2(g: RadialMetric, s: float,
                     params: Optional[dict] = None) -> BoundReport:
     """|ext(g_s, s) - sigma| < 4 e^{4(1+xi)} eps with measured eps."""
-    spec = g.grid
     ext = warped_extension(radial_slice(g, s), s, g.chart)
     sigma = hyperbolic_model(g.chart)
-    (eps, eps_err), (full, err) = measured_with_error(
-        [difference(g, sigma), difference(ext, sigma)], spec)
     factor = 4.0 * np.exp(4.0 * (1.0 + g.chart.xi))
-    rhs = factor * eps.value
-    p = {"xi": g.chart.xi, "s": s, "eps": eps.value}
-    p.update(params or {})
-    return make_report("lemma3.2", p, full.value, rhs,
-                       err + factor * eps_err, spec,
-                       full.derivative_source)
+    return _lemma_reports(
+        [{"eps": difference(g, sigma), "lhs": difference(ext, sigma)}],
+        g.grid, [("lemma3.2", "lhs", lambda n: factor * n["eps"])],
+        {"xi": g.chart.xi, "s": s}, ("eps",), params)[0]
 
 
 def check_lemma_1_1(g1: RadialMetric, g2: RadialMetric, lam: Field,
                     params: Optional[dict] = None) -> BoundReport:
     """|lam g1 + (1-lam) g2 - sigma| < 4 (1 + |lam|) (eps1 + eps2)."""
-    spec = g1.grid
     sigma = hyperbolic_model(g1.chart)
-    gl = blend(g1, g2, lam)
     # lam after the blend that contains it, so that it is evaluated once
-    (eps1, e1), (eps2, e2), (full, err), (lam_c2, _) = measured_with_error(
-        [difference(g1, sigma), difference(g2, sigma), difference(gl, sigma),
-         lam], spec)
-    lam_norm = lam_c2.value
-    rhs = 4.0 * (1.0 + lam_norm) * (eps1.value + eps2.value)
-    err += 4.0 * (1.0 + lam_norm) * (e1 + e2)
-    p = {"xi": g1.chart.xi, "lam_norm": lam_norm,
-         "eps1": eps1.value, "eps2": eps2.value}
-    p.update(params or {})
-    return make_report("lemma1.1", p, full.value, rhs, err, spec,
-                       full.derivative_source)
+    return _lemma_reports(
+        [{"eps1": difference(g1, sigma), "eps2": difference(g2, sigma),
+          "lhs": difference(blend(g1, g2, lam), sigma), "lam_norm": lam}],
+        g1.grid, [("lemma1.1", "lhs", lambda n: 4.0 * (1.0 + n["lam_norm"])
+                   * (n["eps1"] + n["eps2"]))],
+        {"xi": g1.chart.xi}, ("lam_norm", "eps1", "eps2"), params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,66 +394,68 @@ def _split_counts(total: int, parts: int) -> list:
     return [base + (1 if i < rest else 0) for i in range(parts)]
 
 
+def _blend_trivial(ch, rng, p):
+    sigma = hyperbolic_model(ch)
+    one = _constant_scalar(ch.domain, 1.0)
+    return [check_lemma_1_1(sigma, sigma, one, params=p)]
+
+
+def _rewarp_seeded(ch, rng, p):
+    g = random_close_metric(ch, rng)
+    s = rng.uniform(-0.8, 0.8) if rng.uniform() < 0.5 else 0.0
+    # profile argument t - s must stay above -t0 on the window
+    t0_lo = max(2.2, (1.0 + ch.xi) + max(s, 0.0) + 0.3)
+    return check_lemma_2_3(g, rng.uniform(t0_lo, 8.0), s=s, params=p)
+
+
+def _extension_trivial(ch, rng, p):
+    a = random_ball_metric(ch.k, rng)
+    return [check_lemma_3_1(a, a, 0.0, ch, params=p)]
+
+
+def _slice_shift(ch, rng) -> float:
+    return rng.uniform(-0.8 * (1 + ch.xi), 0.8 * (1 + ch.xi))
+
+
+# Per lemma suite, its trivial and its seeded instance: (chart, rng, params)
+# -> the reports of one check, the rng drawn in argument order.  Each calls
+# its check through the module's name at call time, which a tracer may wrap.
+_SUITES = {
+    "lemma1.1": (_blend_trivial, lambda ch, rng, p: [check_lemma_1_1(
+        random_close_metric(ch, rng), random_close_metric(ch, rng),
+        random_lambda(ch, rng), params=p)]),
+    "lemma2.2": (lambda ch, rng, p: [check_lemma_2_2(
+        hyperbolic_model(ch), lambda t: np.ones(len(t)), params=p)],
+        lambda ch, rng, p: [check_lemma_2_2(
+            random_close_metric(ch, rng), random_warp_profile(rng),
+            s=rng.uniform(-0.5, 0.5) if rng.uniform() < 0.5 else 0.0,
+            params=p)]),
+    "lemma2.3": (lambda ch, rng, p: check_lemma_2_3(
+        hyperbolic_model(ch), 4.0, params=p), _rewarp_seeded),
+    "lemma3.1": (_extension_trivial, lambda ch, rng, p: [check_lemma_3_1(
+        random_ball_metric(ch.k, rng),
+        random_ball_metric(ch.k, rng, base=rng.uniform(0.8, 1.3)),
+        _slice_shift(ch, rng), ch, params=p)]),
+    "lemma3.2": (lambda ch, rng, p: [check_lemma_3_2(
+        hyperbolic_model(ch), 0.0, params=p)],
+        lambda ch, rng, p: [check_lemma_3_2(
+            random_close_metric(ch, rng), _slice_shift(ch, rng), params=p)]),
+}
+
+
 def _run_lemma_suite(name: str, seed: int, instances: int,
                      xi_values, grid: Optional[GridSpec]) -> list:
-    """Trivial instance(s) first, then seeded random instances."""
-    reports = []
-    ch = _chart(1.0, grid)
-    trivial = {"instance": "trivial"}
-    if name == "lemma1.1":
-        sigma = hyperbolic_model(ch)
-        one = _constant_scalar(ch.domain, 1.0)
-        reports.append(check_lemma_1_1(sigma, sigma, one, params=trivial))
-    elif name == "lemma2.2":
-        reports.append(check_lemma_2_2(hyperbolic_model(ch),
-                                       lambda t: np.ones(len(t)),
-                                       params=trivial))
-    elif name == "lemma2.3":
-        reports.extend(check_lemma_2_3(hyperbolic_model(ch), 4.0,
-                                       params=trivial))
-    elif name == "lemma3.1":
-        rng0 = np.random.default_rng(seed)
-        a = random_ball_metric(ch.k, rng0)
-        reports.append(check_lemma_3_1(a, a, 0.0, ch, params=trivial))
-    elif name == "lemma3.2":
-        reports.append(check_lemma_3_2(hyperbolic_model(ch), 0.0,
-                                       params=trivial))
-
-    counts = _split_counts(instances, len(xi_values))
+    """The trivial instance first, then seeded random instances."""
+    trivial, seeded = _SUITES[name]
+    reports = [*trivial(_chart(1.0, grid), np.random.default_rng(seed),
+                        {"instance": "trivial"})]
+    name_key = zlib.crc32(name.encode()) & 0xFFFF
     idx = 0
-    for xi, count in zip(xi_values, counts):
+    for xi, count in zip(xi_values, _split_counts(instances, len(xi_values))):
         ch = _chart(float(xi), grid)
-        name_key = zlib.crc32(name.encode()) & 0xFFFF
         for _ in range(count):
             rng = np.random.default_rng((seed, name_key, idx))
-            p = {"instance": idx, "seed": seed}
-            if name == "lemma1.1":
-                g1 = random_close_metric(ch, rng)
-                g2 = random_close_metric(ch, rng)
-                lam = random_lambda(ch, rng)
-                reports.append(check_lemma_1_1(g1, g2, lam, params=p))
-            elif name == "lemma2.2":
-                g = random_close_metric(ch, rng)
-                nu = random_warp_profile(rng)
-                s = rng.uniform(-0.5, 0.5) if rng.uniform() < 0.5 else 0.0
-                reports.append(check_lemma_2_2(g, nu, s=s, params=p))
-            elif name == "lemma2.3":
-                g = random_close_metric(ch, rng)
-                s = rng.uniform(-0.8, 0.8) if rng.uniform() < 0.5 else 0.0
-                # profile argument t - s must stay above -t0 on the window
-                t0_lo = max(2.2, (1.0 + ch.xi) + max(s, 0.0) + 0.3)
-                t0 = rng.uniform(t0_lo, 8.0)
-                reports.extend(check_lemma_2_3(g, t0, s=s, params=p))
-            elif name == "lemma3.1":
-                a = random_ball_metric(ch.k, rng)
-                b = random_ball_metric(ch.k, rng,
-                                       base=rng.uniform(0.8, 1.3))
-                s = rng.uniform(-0.8 * (1 + ch.xi), 0.8 * (1 + ch.xi))
-                reports.append(check_lemma_3_1(a, b, s, ch, params=p))
-            elif name == "lemma3.2":
-                g = random_close_metric(ch, rng)
-                s = rng.uniform(-0.8 * (1 + ch.xi), 0.8 * (1 + ch.xi))
-                reports.append(check_lemma_3_2(g, s, params=p))
+            reports += seeded(ch, rng, {"instance": idx, "seed": seed})
             idx += 1
     return reports
 

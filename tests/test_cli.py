@@ -199,6 +199,16 @@ def test_verify_all_matches_golden_csv(tmp_path, capsys):
     assert_golden(tmp_path, "reports.csv", "reports.json")
 
 
+def test_verify_all_default_config_matches_golden_csv(tmp_path, capsys):
+    # every cell of the default campaign's 708 rows, at 64 points per axis
+    assert run_cli(["verify", "all", "--config",
+                    str(ROOT / "configs" / "default.json"),
+                    "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    (tmp_path / "reports.csv").rename(tmp_path / "default_reports.csv")
+    assert_golden(tmp_path, "default_reports.csv")
+
+
 def test_theorem_matches_golden(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"theorem": {"r0_values": [5.0],
                                            "centers_per_zone": 2}})

@@ -351,6 +351,31 @@ class TestPullback:
             scale = np.abs(want).max(axis=(1, 2))
             assert np.all(np.abs(G - want).max(axis=(1, 2)) <= 1e-13 * scale)
 
+    @pytest.mark.parametrize("t0", [2.2, 3.0, 5.0, 9.0, 13.0])
+    @pytest.mark.parametrize("y0", [None, (1.3,)])
+    def test_n2_punctured_pullback_minus_sigma_is_the_closed_form(self, t0,
+                                                                 y0):
+        # c^2 sinh^2(t + t0) - e^{2t}, c = 2 e^{-t0}, and its t-derivatives
+        # c^2 sinh(2(t + t0)) - 2 e^{2t} and 2 c^2 cosh(2(t + t0)) - 4 e^{2t}.
+        # The value cancels two terms of size e^{2t}, so the gate scales
+        # with it (about 2.5e-16 4^k e^{2t} seen at the k-th derivative).
+        m = punctured_hyperbolic(2)
+        rc = radial_chart(m, t0, y0=y0)
+        f = difference(pullback(rc, m.metric), hyperbolic_model(rc.chart))
+        pts = rc.chart.grid_points()
+        v, d1, d2 = (np.asarray(a) for a in f.jet(pts))
+        t = pts[:, 1]
+        c2, e2t = (2.0 * np.exp(-t0)) ** 2, np.exp(2.0 * t)
+        want = (c2 * np.sinh(t + t0) ** 2 - e2t,
+                c2 * np.sinh(2.0 * (t + t0)) - 2.0 * e2t,
+                2.0 * c2 * np.cosh(2.0 * (t + t0)) - 4.0 * e2t)
+        for k, (got, w) in enumerate(zip(
+                (v[:, 0, 0], d1[:, 1, 0, 0], d2[:, 1, 1, 0, 0]), want)):
+            assert np.all(np.abs(got - w) <= 2e-15 * 4 ** k * e2t), k
+        # the field does not depend on x
+        assert not d1[:, 0].any() and not d2[:, 0].any() \
+            and not d2[:, :, 0].any()
+
     def test_out_of_window_error(self):
         m = punctured_hyperbolic(2, r_range=(3.0, 8.3))
         rc = radial_chart(m, 6.0, xi=1.0)  # image [4, 8] fits

@@ -29,7 +29,7 @@ from warpforce.manifold import (
     radial_closeness,
 )
 from warpforce.warpcore import BumpFunction, WarpFunction, apply_warp, \
-    warp_force
+    blend, radial_slice, warp_force, warped_extension
 from warpforce.verify import (
     CSV_COLUMNS,
     TheoremConfig,
@@ -259,6 +259,27 @@ def test_decay_bound_rejects_small_t0():
         check_lemma_2_1(1.5)
 
 
+@pytest.mark.parametrize("t0", [2.1, 2.5, 3.0, 4.0, 6.0, 8.0])
+def test_decay_field_and_its_sup_are_the_closed_form(t0):
+    # nu = u^2 with u = (1 - a e^{-2t}) / (1 - a), a = e^{-2 t0}, is
+    # (e^{-t} sinh(t + t0) / sinh t0)^2; u' = 2 a e^{-2t} / (1 - a) and
+    # u'' = -2 u'.  Seen: at most 4.6e-16 off, sup 7.5e-17 off.
+    window = interval_domain(0.0, 14.0 + 2.0 * t0)
+    f = difference(profile_scalar(window, WarpFunction(t0)),
+                   Field(window, lambda p: np.ones(len(p)), analytic=True))
+    t = window.grid(GridSpec(points_per_axis=4001))
+    a = np.exp(-2.0 * t0)
+    e = a * np.exp(-2.0 * t[:, 0])
+    u, u1 = (1.0 - e) / (1.0 - a), 2.0 * e / (1.0 - a)
+    want = (u * u - 1.0, 2.0 * u * u1, 2.0 * (u1 * u1 - 2.0 * u * u1))
+    v, d1, d2 = f.jet(t)
+    for got, w in zip((v, d1[:, 0], d2[:, 0, 0]), want):
+        assert np.abs(got - w).max() <= 2e-15
+    sup = max(np.abs(want[0]).max(), np.abs(want[1]).max(),
+              0.5 * np.abs(want[2]).max())
+    assert abs(check_lemma_2_1(t0).lhs - sup) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # warp comparison and sinh rewarping
 
@@ -419,6 +440,103 @@ def test_suite_splits_instances_across_excess_values():
     random = [r for r in reps if r.params.get("instance") != "trivial"]
     assert len(random) == 5
     assert {r.params["xi"] for r in random} == {1.0, 1.5}
+
+
+def _probed(f, spec):
+    """f's norm on grid spec and its refinement-probe error, from two
+    c2_norm calls of their own."""
+    full = c2_norm(f, spec).value
+    return full, abs(full - c2_norm(f, spec.halved()).value) / 3.0
+
+
+def _expected_reports(check, args, kw):
+    """(lhs, error estimate, params norms) of each report of the check
+    called with args and kw: every norm and probe error measured alone,
+    the estimate the lhs error plus err_k |d rhs / d n_k| over the rhs's
+    norms n_k, the partial derivatives written out by hand."""
+    if check == "check_lemma_2_1":
+        (t0,) = args
+        window = interval_domain(0.0, 14.0 + 2.0 * t0)
+        one = Field(window, lambda p: np.ones(len(p)), analytic=True)
+        lhs, err = _probed(difference(profile_scalar(
+            window, WarpFunction(t0)), one), GridSpec(points_per_axis=4001))
+        return [(lhs, err, {})]
+    if check == "check_lemma_3_1":
+        a, b, s, chart = args
+        lhs, err = _probed(difference(warped_extension(a, s, chart),
+                                      warped_extension(b, s, chart)),
+                           chart.grid)
+        eab, e_ab = _probed(difference(a, b), chart.grid)
+        factor = 4.0 * np.exp(4.0 * (1.0 + chart.xi))
+        return [(lhs, err + factor * e_ab, {"eps_ab": eab})]
+    g = args[0]
+    spec, sigma = g.grid, hyperbolic_model(g.chart)
+    if check == "check_lemma_1_1":
+        g1, g2, lam = args
+        (e1, err1), (e2, err2), (L, err_l) = (
+            _probed(f, spec) for f in (difference(g1, sigma),
+                                      difference(g2, sigma), lam))
+        lhs, err = _probed(difference(blend(g1, g2, lam), sigma), spec)
+        return [(lhs, err + 4.0 * (1.0 + L) * (err1 + err2)
+                 + 4.0 * (e1 + e2) * err_l,
+                 {"lam_norm": L, "eps1": e1, "eps2": e2})]
+    s = args[1] if check == "check_lemma_3_2" else kw.get("s", 0.0)
+    if check == "check_lemma_2_2":
+        nu = args[1].shifted(s) if s != 0.0 else args[1]
+        one = Field(g.domain, lambda p: np.ones(len(p)), analytic=True)
+        N, err_n = _probed(difference(one, profile_scalar(g.domain, nu)),
+                           spec)
+        G, err_g = _probed(g, spec)
+        lhs, err = _probed(difference(g, apply_warp(g, nu)), spec)
+        return [(lhs, err + 4.0 * G * err_n + 4.0 * N * err_g,
+                 {"nu_dev": N, "g_norm": G})]
+    eps, err_e = _probed(difference(g, sigma), spec)
+    if check == "check_lemma_3_2":
+        ext = warped_extension(radial_slice(g, s), s, g.chart)
+        lhs, err = _probed(difference(ext, sigma), spec)
+        return [(lhs, err + 4.0 * np.exp(4.0 * (1.0 + g.chart.xi)) * err_e,
+                 {"eps": eps})]
+    t0 = args[1]
+    h = apply_warp(g, WarpFunction(t0), s=s)
+    (l1, err1), (l2, err2) = (_probed(difference(h, g), spec),
+                              _probed(difference(h, sigma), spec))
+    return [(l1, err1 + 21.0 * np.exp(-2.0 * t0) * err_e, {"eps": eps}),
+            (l2, err2 + 21.0 * np.exp(2.0 * (1.0 + g.chart.xi)) * err_e,
+             {"eps": eps})]
+
+
+@pytest.mark.parametrize("name", ["lemma1.1", "lemma2.1", "lemma2.2",
+                                  "lemma2.3", "lemma3.1", "lemma3.2"])
+def test_error_estimate_carries_every_probe_error_into_the_rhs(
+        name, monkeypatch):
+    # every rhs is multilinear in its norms, so the first-order error of
+    # the margin is the lhs probe error plus err_k |d rhs / d n_k| summed
+    # over the norms n_k the rhs reads (lam's too, in lemma1.1)
+    from warpforce import verify
+    calls = []
+
+    def recording(check, original):
+        def wrapped(*args, **kw):
+            out = original(*args, **kw)
+            calls.append((check, args, kw,
+                          out if isinstance(out, list) else [out]))
+            return out
+        return wrapped
+
+    for check in ("check_lemma_1_1", "check_lemma_2_1", "check_lemma_2_2",
+                  "check_lemma_2_3", "check_lemma_3_1", "check_lemma_3_2"):
+        monkeypatch.setattr(verify, check,
+                            recording(check, getattr(verify, check)))
+    reports = run_check(name, instances=3,
+                        grid=GridSpec(points_per_axis=8))
+    assert [r for *_, out in calls for r in out] == reports
+    for check, args, kw, out in calls:
+        want = _expected_reports(check, args, kw)
+        assert len(out) == len(want)
+        for r, (lhs, err, norms) in zip(out, want):
+            assert r.lhs == lhs
+            assert r.error_estimate == pytest.approx(err, rel=1e-12, abs=0)
+            assert {k: r.params[k] for k in norms} == norms
 
 
 def test_all_suites_pass_small():
