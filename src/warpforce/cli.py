@@ -18,10 +18,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from warpforce.model import GridSpec, WarpforceError, dump_grid_csv
+from warpforce.model import (GridSpec, WarpforceError, dump_grid_csv,
+                              read_config)
 from warpforce.manifold import manifold_from_config
 from warpforce.verify import (
     CSV_COLUMNS,
+    _LEMMA_NAMES,
     TheoremConfig,
     _cell,
     available_checks,
@@ -33,7 +35,20 @@ from warpforce.verify import (
 from warpforce.warpcore import BumpFunction, warp_force
 
 
-def _load_config(parser: argparse.ArgumentParser, path: Optional[str]) -> dict:
+# The keys of a config document, each with the default that a subcommand
+# takes when it is absent (its kind for read_config); an absent seed or
+# t0_values stays absent.  Each section is read where it is used.
+_CONFIG = {"_comment": "", "seed": 0, "instances": 100,
+           "xi_values": (1.0, 1.5), "grid": GridSpec(), "t0_values": (),
+           "theorem": {}, "manifold": {"kind": "punctured", "n": 2},
+           **{name: {} for name in _LEMMA_NAMES}}
+
+
+def _load_config(parser: argparse.ArgumentParser, path: Optional[str],
+                 theorem: bool = False) -> dict:
+    """The keys of the config document at `path`, read against _CONFIG
+    ({} without a path).  With `theorem`, a document that is itself a
+    theorem section is read as one, with its own seed and grid."""
     if path is None:
         return {}
     try:
@@ -43,27 +58,25 @@ def _load_config(parser: argparse.ArgumentParser, path: Optional[str]) -> dict:
         parser.error(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         parser.error(f"config {path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        parser.error(f"config {path} must be a JSON object")
-    return doc
+    if theorem and isinstance(doc, dict) and "theorem" not in doc and set(
+            doc) & {f.name for f in dataclasses.fields(TheoremConfig)}:
+        doc = {"theorem": doc, **{k: doc[k] for k in ["grid"] if k in doc}}
+    try:
+        return read_config(doc, _CONFIG, "top-level")
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _grid_from(parser, args, cfg: dict) -> Optional[GridSpec]:
-    base = cfg.get("grid")
-    spec = None
-    try:
-        if base is not None:
-            spec = GridSpec.read(base, "grid")
-        if args.grid is not None:
+    """The config's grid, its points per axis replaced by --grid if given."""
+    spec = cfg.get("grid")
+    if args.grid is not None:
+        try:
             spec = dataclasses.replace(spec or GridSpec(),
                                        points_per_axis=args.grid)
-    except ValueError as exc:
-        parser.error(f"bad grid: {exc}")
+        except ValueError as exc:
+            parser.error(f"bad grid: {exc}")
     return spec
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]):
@@ -124,12 +137,10 @@ def cmd_verify(parser, args) -> int:
     cfg = _load_config(parser, args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed")
     instances = (args.instances if args.instances is not None
-                 else cfg.get("instances", 100))
-    if not (_is_int(instances) and instances >= 0):
-        parser.error(f"instances must be an integer >= 0 (got {instances!r})")
-    if not (seed is None or _is_int(seed)):
-        parser.error(f"seed must be an integer (got {seed!r})")
-    xi_values = cfg.get("xi_values", (1.0, 1.5))
+                 else cfg.get("instances", _CONFIG["instances"]))
+    if instances < 0:
+        parser.error(f"instances must be >= 0 (got {instances})")
+    xi_values = cfg.get("xi_values", _CONFIG["xi_values"])
     grid = _grid_from(parser, args, cfg)
     section = cfg if args.check == "all" else cfg.get(args.check)
     if args.t0 is not None:
@@ -154,20 +165,15 @@ def cmd_theorem(parser, args) -> int:
     if args.config is None:
         parser.error("theorem requires --config with an instance spec "
                      "(manifold, r0_values, xi)")
-    doc = _load_config(parser, args.config)
-    known = {f.name for f in dataclasses.fields(TheoremConfig)}
-    if "theorem" in doc:
-        section = doc["theorem"]
-    elif set(doc) & known:
-        section = doc
-    else:
+    cfg = _load_config(parser, args.config, theorem=True)
+    if "theorem" not in cfg:
         parser.error("config has no theorem instance spec (expected a "
                      "'theorem' object or top-level instance fields)")
-    seed = args.seed if args.seed is not None else doc.get("seed")
-    grid = _grid_from(parser, args, doc)
+    seed = args.seed if args.seed is not None else cfg.get("seed")
+    grid = _grid_from(parser, args, cfg)
     try:
         instances = run_theorem_sweep(
-            TheoremConfig.from_dict(section, seed, grid))
+            TheoremConfig.from_dict(cfg["theorem"], seed, grid))
     except (ValueError, WarpforceError) as exc:
         parser.error(str(exc))
 
@@ -236,7 +242,7 @@ def cmd_demo_remark(parser, args) -> int:
 
 def cmd_dump_grid(parser, args) -> int:
     cfg = _load_config(parser, args.config)
-    spec = cfg.get("manifold", {"kind": "punctured", "n": 2})
+    spec = cfg.get("manifold", _CONFIG["manifold"])
     try:
         m = manifold_from_config(spec)
         metric = m.metric

@@ -59,12 +59,11 @@ class GridSpec:
     """Sampling resolution for norms and dumps.
 
     boundary_margin is a fraction of each axis extent; open domains are inset
-    by it on both sides before gridding.  fd_step scales with axis extent.
+    by it on both sides before gridding.
     """
 
     points_per_axis: int = 64
     boundary_margin: float = 0.02
-    fd_step: float = 1e-4
 
     def __post_init__(self):
         if (not isinstance(self.points_per_axis, (int, np.integer))
@@ -73,14 +72,6 @@ class GridSpec:
                              f"got {self.points_per_axis!r}")
         if not 0.0 <= self.boundary_margin < 0.5:
             raise ValueError("boundary_margin must be in [0, 0.5)")
-        if not 0.0 < self.fd_step < 0.1:
-            raise ValueError("fd_step must be in (0, 0.1)")
-
-    @classmethod
-    def read(cls, section, what: str) -> "GridSpec":
-        """The grid of config object `section`, its fields read against
-        GridSpec's defaults (see read_config)."""
-        return cls(**read_config(section, vars(cls()), what))
 
     def halved(self) -> "GridSpec":
         """The strictly coarser grid of the refinement probe."""
@@ -107,7 +98,8 @@ def read_config(section, defaults: dict, what: str) -> dict:
     the default of each key it may have.  A value must be of its default's
     kind: an integer for an int, a number for a float (never a bool), a
     list of numbers for a tuple (read as one, [] as ()), a config object
-    for a GridSpec (read by GridSpec.read); others pass through.
+    for a GridSpec (its keys read against GridSpec's defaults); others
+    pass through.
     ValueError, naming `what`, refuses a section that is not an object,
     the first unknown key and the first value of the wrong kind."""
     if not isinstance(section, dict):
@@ -119,7 +111,7 @@ def read_config(section, defaults: dict, what: str) -> dict:
                              f"{', '.join(defaults) or 'none'}")
         kind = type(defaults[key])
         if kind is GridSpec:
-            v = GridSpec.read(v, f"{what} {key}")
+            v = GridSpec(**read_config(v, vars(GridSpec()), f"{what} {key}"))
         elif kind is tuple:
             v = () if v == [] else _numbers(v, f"{what} {key}")
         elif kind in (int, float) and (isinstance(v, bool)
@@ -306,15 +298,15 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
     gradient and zero hessian, and the parts of an affine argument such as
     2t) has a batch axis of length 1, (d, 1, *S) or (d, d, 1, *S), and
     numpy broadcasting widens it where it meets a factor that varies.  The
-    first index of a Jet, a slice or an index array, selects rows of the
-    batch.  A zero part is 0.0 broadcast, one row long (the seed's
-    hessian, a constant's derivatives): a sum leaves it out, and a product
-    term with it is dropped when the other factor is finite on every row.
-    Products and their sums are formed in the order of the full-width
-    formulas, so the numbers are those of full-width parts up to the sign
-    of a zero derivative entry.  Field.jet widens one-row parts to
-    read-only broadcast views of the full (m, d, *S) and (m, d, d, *S)
-    shapes.
+    first index of a Jet, a slice, an integer or an index array, selects
+    rows of the batch.  A zero part is 0.0 broadcast, one row long (the
+    seed's hessian, a constant's derivatives): a sum leaves it out, and a
+    product term with it is dropped when the other factor is finite on
+    every row.  Products and their sums are formed in the order of the
+    full-width formulas, so the numbers are those of full-width parts up
+    to the sign of a zero derivative entry.  Field.jet widens one-row
+    parts to read-only broadcast views of the full (m, d, *S) and
+    (m, d, d, *S) shapes.
     """
 
     __slots__ = ("v", "d1", "d2")
@@ -354,8 +346,9 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
                                   else i)
                 return rows[(slice(None),) + key[1:]] if key[1:] else rows
         every = slice(None)
-        # a part one row long keeps its row under a slice of the batch
-        one = (every,) + key[1:] if isinstance(i, slice) else key
+        # a part one row long keeps its row under a slice or an integer
+        one = ((every if isinstance(i, slice) else 0,) + key[1:]
+               if isinstance(i, (slice, int, np.integer)) else key)
         return Jet(self.v[key], *(p[(every,) * o + (one if p.shape[o] == 1
                                                     else key)]
                                   for o, p in ((1, self.d1), (2, self.d2))))
@@ -872,6 +865,7 @@ def profile_scalar(domain: Domain, profile) -> Field:
 
 _CHUNK = 8192
 _FD_ROWS = 2 * _CHUNK   # most stencil rows one piece of an FD jet evaluates
+_FD_STEP = 1e-4         # the FD step of a norm, a fraction of each axis extent
 
 # glibc raises its mmap threshold (and, at twice it, the free heap top that
 # it keeps) only when a larger mapped block is freed, so each norm chunk and
@@ -902,8 +896,9 @@ def _reach_inside(dom: Domain, pts: np.ndarray, h: np.ndarray) -> bool:
     return bool(ok.all())
 
 
-def _fd_jet(f: Field, pts: np.ndarray, spec: GridSpec):
-    """Second-order central differences; raises DomainError, naming the
+def _fd_jet(f: Field, pts: np.ndarray, step: float):
+    """Second-order central differences at `step` times each axis extent
+    (_FD_STEP on the norm path); raises DomainError, naming the
     first stencil point outside, if any stencil point leaves the field's
     domain.  A piece tests each stencil point only when its base rows
     fail _reach_inside.
@@ -920,7 +915,7 @@ def _fd_jet(f: Field, pts: np.ndarray, spec: GridSpec):
     (m, d, d, *S) layout."""
     dom = f.domain
     d = dom.dim
-    h = spec.fd_step * dom.extents
+    h = step * dom.extents
 
     e = np.diag(h)
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
@@ -981,12 +976,11 @@ def c2_norm(f: Field, grid: Optional[GridSpec] = None) -> C2Norm:
 
 
 def _c2_norms(fields: Sequence[Field], specs: tuple) -> list:
-    """c2_norm of each field of one domain on each grid of `specs` (which
-    share fd_step), one list per field, from one walk.  The analytic fields
-    walk the grids' rows together, a chunk at a time (Domain.grid_chunks,
-    or _grid_rows for one chunk), seeded once as a _GridJet at which every
-    field takes its jet, so that a sub-field they share is evaluated once
-    per chunk.  A field's own result leaves the memo once folded, and a
+    """c2_norm of each field of one domain on each grid of `specs`, one
+    list per field, from one walk.  The analytic fields walk the grids'
+    rows together, a chunk at a time (Domain.grid_chunks, or _grid_rows
+    for one chunk), seeded once as a _GridJet at which every field takes
+    its jet, so that a sub-field they share is evaluated once per chunk.  A field's own result leaves the memo once folded, and a
     field asked for again at that chunk raises: list a field after the
     fields that contain it.  A finite-difference field walks each grid
     alone, built whole, one stencil piece (_fd_piece rows) a batch.  Each
@@ -1011,7 +1005,7 @@ def _c2_norms(fields: Sequence[Field], specs: tuple) -> list:
         pts = dom.grid(spec)
         for i in fd:
             for sl in _chunks(len(pts), _fd_piece(dom.dim)):
-                _fold(found[i], _fd_jet(fields[i], pts[sl], spec),
+                _fold(found[i], _fd_jet(fields[i], pts[sl], _FD_STEP),
                       ((g, slice(None)),))
     return [[_norm(f, m, spec) for m, spec in zip(maxima, specs)]
             for f, maxima in zip(fields, found)]

@@ -92,7 +92,7 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-_FD_PROXY = 3e-6  # relative second-order FD truncation proxy at default step
+_FD_PROXY = 3e-6  # relative second-order FD truncation proxy at model._FD_STEP
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +718,7 @@ def fd_oracle_check(f: Field, grid: Optional[GridSpec] = None) -> dict:
     errors = {}
     steps = (4e-4, 2e-4, 1e-4)
     for h in steps:
-        w, e1, e2 = _fd_jet(f, pts, dataclasses.replace(spec, fd_step=h))
+        w, e1, e2 = _fd_jet(f, pts, h)
         errors[h] = {
             "d1": float(np.abs(d1 - e1).max()),
             "d2": float(np.abs(d2 - e2).max()),

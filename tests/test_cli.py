@@ -270,6 +270,75 @@ def test_theorem_n3_golden_holds_in_small_fd_pieces(tmp_path, capsys,
 # theorem
 
 
+# ---------------------------------------------------------------------------
+# config documents
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["verify", "lemma1.1"], {}),
+    (["verify", "all"], {}),
+    (["demo-remark"], {}),
+    (["dump-grid"], {}),
+    (["theorem"], SMALL_THEOREM),
+])
+def test_unknown_top_level_key_is_a_usage_error(tmp_path, monkeypatch,
+                                                capsys, argv, doc):
+    # a misspelt key must not leave its subcommand on a default (instances
+    # 100 for {"instancez": 3}); no lemma runs and no file is written
+    from warpforce import verify
+    calls = []
+    monkeypatch.setattr(verify, "_run_lemma_suite",
+                        lambda *a, **k: calls.append(a) or [])
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, dict(doc, instancez=3))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--config", cfg, "--grid", "8"])
+    assert exc.value.code == 2 and calls == []
+    assert "unknown top-level key 'instancez'" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["verify", "lemma1.1"], {}),
+    (["demo-remark"], {}),
+    (["dump-grid"], {}),
+    (["theorem"], SMALL_THEOREM),
+    (["theorem"], SMALL_THEOREM["theorem"]),
+])
+def test_fd_step_is_not_a_grid_key(tmp_path, monkeypatch, capsys, argv, doc):
+    # the finite-difference step is a constant, not a grid key (a step of
+    # 1e-6 inflates an n=3 norm 9x)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, dict(doc, grid={"fd_step": 1e-6}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--config", cfg])
+    assert exc.value.code == 2
+    assert "grid key 'fd_step'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify", "lemma2.1"], ["theorem"],
+                                  ["demo-remark"], ["dump-grid"]],
+                         ids=lambda a: a[0])
+def test_default_config_runs_every_subcommand(tmp_path, capsys, argv):
+    assert run_cli(argv + ["--config", str(ROOT / "configs" / "default.json"),
+                           "--grid", "8", "--out", str(tmp_path)]) == 0
+
+
+def test_a_theorem_section_document_runs_as_its_section(tmp_path, capsys):
+    # the document's own grid takes --grid as a `theorem` document's does
+    section = dict(SMALL_THEOREM["theorem"],
+                   grid={"points_per_axis": 16, "boundary_margin": 0.05})
+    outs = []
+    for doc in (section, {"theorem": section, "grid": section["grid"]}):
+        assert run_cli(["theorem", "--config", write_cfg(tmp_path, doc),
+                        "--grid", "8", "--json"]) == 0
+        outs.append([dict(inst, runtime_s=0) for inst in
+                     json.loads(capsys.readouterr().out)])
+    assert outs[0] == outs[1]
+    assert {r["grid"]["boundary_margin"] for inst in outs[0]
+            for r in inst["reports"]} == {0.05}
+
+
 def test_theorem_requires_config(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["theorem"])
@@ -277,11 +346,13 @@ def test_theorem_requires_config(capsys):
     assert "--config" in capsys.readouterr().err
 
 
-def test_theorem_config_needs_instance_spec(tmp_path):
-    cfg = write_cfg(tmp_path, {"unrelated": 1})
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["theorem", "--config", cfg])
-    assert exc.value.code == 2
+def test_theorem_config_needs_instance_spec(tmp_path, capsys):
+    for doc, message in (({"unrelated": 1}, "'unrelated'"),
+                         ({"instances": 3}, "no theorem instance spec")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["theorem", "--config", write_cfg(tmp_path, doc)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_theorem_rejects_unknown_field(tmp_path):

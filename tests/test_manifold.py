@@ -20,6 +20,7 @@ from warpforce.model import (
     GridSpec,
     RadialMetric,
     _diag,
+    _FD_STEP,
     _fd_jet,
     c2_norm,
     difference,
@@ -38,7 +39,7 @@ def fd_stencil(rc):
         return np.zeros(len(p))
 
     _fd_jet(Field(rc.chart.domain, record), rc.chart.grid_points(),
-            rc.chart.grid)
+            _FD_STEP)
     assert len(seen) == 1               # a small grid is one piece
     return seen[0]
 
@@ -94,7 +95,7 @@ class TestPuncturedModel:
         bare = Field(f.domain, lambda p: f(p), shape=f.shape)
         pts = m.metric.domain.grid(GridSpec(points_per_axis=5))
         v, d1, d2 = f.jet(pts)
-        w, e1, e2 = _fd_jet(bare, pts, GridSpec(fd_step=1e-5))
+        w, e1, e2 = _fd_jet(bare, pts, 1e-5)
         assert np.abs(v - w).max() == 0.0
         assert np.abs(d1 - e1).max() < 1e-7 * np.abs(d1).max()
         assert np.abs(d2 - e2).max() < 1e-5 * np.abs(d2).max()
@@ -128,7 +129,7 @@ class TestPerturbedModel:
         bare = Field(f.domain, lambda p: f(p), shape=f.shape)
         pts = m.metric.domain.grid(GridSpec(points_per_axis=5))
         v, d1, d2 = f.jet(pts)
-        w, e1, e2 = _fd_jet(bare, pts, GridSpec(fd_step=1e-5))
+        w, e1, e2 = _fd_jet(bare, pts, 1e-5)
         assert np.abs(d1 - e1).max() < 1e-7 * np.abs(d1).max()
         assert np.abs(d2 - e2).max() < 1e-5 * np.abs(d2).max()
 
@@ -201,7 +202,7 @@ class TestRadialChart:
 
         monkeypatch.setattr(manifold, "_exp_map", counting)
         pts = rc.chart.grid_points()
-        _fd_jet(pullback(rc, m.metric), pts, rc.chart.grid)
+        _fd_jet(pullback(rc, m.metric), pts, _FD_STEP)
         # t is the fastest grid axis, so each of the 19 stencil offsets
         # passes every distinct x once, in one run
         distinct = len(np.unique(pts[:, :2], axis=0))
@@ -268,7 +269,7 @@ class TestPullback:
         bare = Field(pb.domain, lambda p: pb(p), shape=pb.shape)
         pts = rc.chart.grid_points(GridSpec(points_per_axis=6))
         v, d1, d2 = pb.jet(pts)
-        w, e1, e2 = _fd_jet(bare, pts, GridSpec())
+        w, e1, e2 = _fd_jet(bare, pts, _FD_STEP)
         assert np.abs(v - w).max() == 0.0
         assert np.abs(d1 - e1).max() < 1e-6 * max(1.0, np.abs(d1).max())
         assert np.abs(d2 - e2).max() < 1e-4 * max(1.0, np.abs(d2).max())
@@ -490,7 +491,7 @@ class TestSeriesSwitches:
             return np.zeros(len(p))
 
         _fd_jet(Field(rc.chart.domain, record), rc.chart.grid_points(),
-                rc.chart.grid)
+                _FD_STEP)
         assert len(seen) > 1             # every piece of a 32-point chart
         args = self.frame(*y0)
         for b in self.switch_batches() + [np.concatenate(seen),
@@ -583,8 +584,8 @@ class TestColumnMajor:
         _, rc, _, f = self.case()
         pts = rc.chart.grid_points()
         assert pts.flags.f_contiguous
-        fd = _fd_jet(f, pts, f.grid)
-        for got, want in zip(_fd_jet(f, np.ascontiguousarray(pts), f.grid),
+        fd = _fd_jet(f, pts, _FD_STEP)
+        for got, want in zip(_fd_jet(f, np.ascontiguousarray(pts), _FD_STEP),
                              fd):
             assert bitwise(got, want)
         norm = c2_norm(f)

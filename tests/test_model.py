@@ -22,6 +22,7 @@ from warpforce.model import (
     _GridJet,
     _LastJet,
     _diag,
+    _FD_STEP,
     _fd_jet,
     _grid_rows,
     ball_domain,
@@ -56,15 +57,16 @@ class TestGridSpec:
         g = GridSpec()
         assert g.points_per_axis == 64
         assert g.boundary_margin == 0.02
-        assert g.fd_step == 1e-4
+        assert [f.name for f in dataclasses.fields(g)] == [
+            "points_per_axis", "boundary_margin"]     # no FD step to set
 
     def test_validation(self):
         with pytest.raises(ValueError):
             GridSpec(points_per_axis=2)
         with pytest.raises(ValueError):
             GridSpec(boundary_margin=0.5)
-        with pytest.raises(ValueError):
-            GridSpec(fd_step=0.0)
+        with pytest.raises(TypeError):
+            GridSpec(fd_step=1e-6)      # the FD step is model._FD_STEP
 
     @pytest.mark.parametrize("points", [16.5, 16.0, "16", None])
     def test_points_per_axis_must_be_an_integer(self, points):
@@ -291,7 +293,7 @@ class TestJets:
         f = polynomial_scalar(dom, coeffs)
         pts = dom.grid(GridSpec(points_per_axis=8))
         v, d1, d2 = f.jet(pts)
-        w, e1, e2 = _fd_jet(f, pts, GridSpec())
+        w, e1, e2 = _fd_jet(f, pts, _FD_STEP)
         assert np.abs(v - w).max() == 0.0
         assert np.abs(d1 - e1).max() < 1e-9
         assert np.abs(d2 - e2).max() < 1e-6
@@ -627,7 +629,7 @@ def whole_grid_sups(f, spec):
     """Per-key sups of one finite-difference jet of f's whole grid, key by
     key: the reference for the norm walk's reduction by jet part."""
     names = f.domain.axis_names
-    v, d1, d2 = _fd_jet(f, f.domain.grid(spec), spec)
+    v, d1, d2 = _fd_jet(f, f.domain.grid(spec), _FD_STEP)
     s = {"1": float(np.max(np.abs(v)))}
     for i, a in enumerate(names):
         s[f"d{a}"] = float(np.max(np.abs(d1[:, i])))
@@ -669,11 +671,11 @@ class TestFdPieces:
         f = self.counting(f, rows)
         pts = f.domain.grid(f.grid)
         stencil = 1 + 2 * n + 2 * n * (n - 1)
-        whole = _fd_jet(f, pts, f.grid)
+        whole = _fd_jet(f, pts, _FD_STEP)
         assert rows == [stencil * len(pts)]
         monkeypatch.setattr(model, "_FD_ROWS", 97)
         rows.clear()
-        pieces = _fd_jet(f, pts, f.grid)
+        pieces = _fd_jet(f, pts, _FD_STEP)
         assert max(rows) == stencil * (97 // stencil)
         assert sum(rows) == stencil * len(pts)
         for a, b in zip(whole, pieces):
@@ -755,18 +757,18 @@ class TestFdPieces:
                   name="decay")
         pts = np.linspace(2.0, 5.0, 100)[:, None]    # only 5 + h is out
         with pytest.raises(DomainError) as exc:
-            _fd_jet(f, pts, GridSpec())
+            _fd_jet(f, pts, _FD_STEP)
         # the clean pieces were evaluated, the last one never reached f
         assert rows == [3 * 32] * 3
         assert "'decay'" in str(exc.value)
         assert "(5.0005,)" in str(exc.value)
 
 
-def fd_jet_by_axis(f, pts, spec):
+def fd_jet_by_axis(f, pts, step):
     """_fd_jet as written before its differences were vectorized: the
     whole stencil in one batch, each axis and each axis pair in turn."""
     d = f.domain.dim
-    h = spec.fd_step * f.domain.extents
+    h = step * f.domain.extents
     e = np.diag(h)
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     offsets = np.array([np.zeros(d)] + [s * e[i] for i in range(d)
@@ -819,15 +821,15 @@ class TestFdDomainCheck:
         with pytest.raises(DomainError, match=(
                 f"stencil point {re.escape(first)} lies outside the "
                 f"domain of field 'probe'$")):
-            _fd_jet(self.probe(ch.domain), ch.domain.grid(ch.grid), ch.grid)
+            _fd_jet(self.probe(ch.domain), ch.domain.grid(ch.grid), _FD_STEP)
 
     def test_inside_rows_never_test_stencil_points(self, monkeypatch):
         ch = ChartModel(n=3, xi=1.0, grid=GridSpec(points_per_axis=8))
         calls = self.contains_calls(monkeypatch, ch.domain)
         f = self.probe(ch.domain, (2, 2))
         pts = ch.domain.grid(ch.grid)
-        for got, want in zip(_fd_jet(f, pts, ch.grid),
-                             fd_jet_by_axis(f, pts, ch.grid)):
+        for got, want in zip(_fd_jet(f, pts, _FD_STEP),
+                             fd_jet_by_axis(f, pts, _FD_STEP)):
             assert got.shape == want.shape and np.array_equal(got, want)
         assert calls == []
 
@@ -839,7 +841,7 @@ class TestFdDomainCheck:
         pts = np.array([[0.2, 0.1, 0.0], [0.70696, 0.70696, 0.5]])
         with pytest.raises(DomainError,
                            match=re.escape("(0.70716, 0.70716, 0.5)")):
-            _fd_jet(self.probe(ch.domain), pts, ch.grid)
+            _fd_jet(self.probe(ch.domain), pts, _FD_STEP)
         assert calls == [19 * 2]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -856,8 +858,8 @@ class TestFdDomainCheck:
                             [1.0 - 3e-4] + [0.0] * (n - 2) + [2.0 - 5e-4]])
         calls = self.contains_calls(monkeypatch, dom)
         f = self.probe(dom, (2,))
-        for got, want in zip(_fd_jet(f, pts, GridSpec()),
-                             fd_jet_by_axis(f, pts, GridSpec())):
+        for got, want in zip(_fd_jet(f, pts, _FD_STEP),
+                             fd_jet_by_axis(f, pts, _FD_STEP)):
             assert got.shape == want.shape and np.array_equal(got, want)
         assert calls == [len(pts) * (1 + 2 * n * n)]
 

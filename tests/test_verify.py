@@ -21,6 +21,7 @@ from warpforce.model import (
 )
 from warpforce.manifold import (
     CenteredManifold,
+    closeness_at,
     manifold_from_config,
     perturbed_hyperbolic,
     pullback,
@@ -830,6 +831,33 @@ def test_remark_decay_rows():
     assert np.isnan(rows[0]["ratio_to_prev"])
     for row in rows[1:]:
         assert abs(row["ratio_to_prev"] - np.exp(-2.0)) < 0.01
+
+
+def test_remark_rows_are_the_closed_form():
+    # on the n=2 punctured chart (excess 1, t in [-t_max, t_max] on the
+    # inset grid) the field pullback - sigma is f = e^{-4 t0 - 2t} -
+    # 2 e^{-2 t0} whatever x is, so |f'| = |f''| / 2 = 2 e^{-4 t0 - 2t}.
+    # The norm forms f as a difference of two blocks of size e^{2t}, so the
+    # gate is absolute, in units of eps e^{2 t_max}: 8.9 seen (dt and dtdt
+    # at t0 = 9), where f' itself is 2.2e-14.
+    rows = remark_decay()
+    m = punctured_hyperbolic(2, r_range=(0.05, max(r["t0"] for r in rows)
+                                          + 2.5))
+    t_max = 2.0 * (1.0 - 2.0 * 0.02)
+    t = np.linspace(-t_max, t_max, 64)
+    unit = np.finfo(float).eps * np.exp(2.0 * t_max)
+    for row in rows:
+        t0 = row["t0"]
+        e = np.exp(-4.0 * t0 - 2.0 * t)
+        want = {"1": np.abs(e - 2.0 * np.exp(-2.0 * t0)).max(),
+                "dt": 2.0 * e.max(), "dtdt": 2.0 * e.max()}
+        got = closeness_at(m, t0)
+        assert got.value == row["eps"]
+        assert {k: v for k, v in got.per_order_sups.items()
+                if k not in want} == {"dx1": 0.0, "dx1dx1": 0.0,
+                                      "dx1dt": 0.0}
+        for key, w in want.items():
+            assert abs(got.per_order_sups[key] - w) <= 16.0 * unit, (t0, key)
 
 
 def test_fd_oracle_on_synthetic_metric():

@@ -377,7 +377,7 @@ class TestRadialOperators:
         bare = Field(f.domain, lambda p: f(p), shape=f.shape)
         pts = dom.grid(GridSpec(points_per_axis=7))
         v, d1, d2 = f.jet(pts)
-        w, e1, e2 = _fd_jet(bare, pts, GridSpec(fd_step=1e-5))
+        w, e1, e2 = _fd_jet(bare, pts, 1e-5)
         assert np.abs(v - w).max() == 0.0
         assert np.abs(d1 - e1).max() < 1e-6
         assert np.abs(d2 - e2).max() < 1e-3
