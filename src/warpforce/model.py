@@ -84,12 +84,13 @@ class GridSpec:
 
 
 def _numbers(values, what: str) -> tuple:
-    """A non-empty list of numbers as a tuple; ValueError otherwise."""
+    """A non-empty list of finite numbers as a tuple; ValueError otherwise
+    (json.load reads NaN and Infinity)."""
     if not (isinstance(values, (list, tuple)) and values and all(
             isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in values)):
-        raise ValueError(f"{what} must be a non-empty list of numbers, "
-                         f"got {values!r}")
+            and math.isfinite(v) for v in values)):
+        raise ValueError(f"{what} must be a non-empty list of finite "
+                         f"numbers, got {values!r}")
     return tuple(values)
 
 
@@ -101,7 +102,8 @@ def read_config(section, defaults: dict, what: str) -> dict:
     for a GridSpec (its keys read against GridSpec's defaults); others
     pass through.
     ValueError, naming `what`, refuses a section that is not an object,
-    the first unknown key and the first value of the wrong kind."""
+    the first unknown key and the first value of the wrong kind or not
+    finite (json.load reads NaN and Infinity)."""
     if not isinstance(section, dict):
         raise ValueError(f"{what} config must be an object, got {section!r}")
     kw = {}
@@ -118,6 +120,8 @@ def read_config(section, defaults: dict, what: str) -> dict:
                                        or not isinstance(v, (int, kind))):
             need = "an integer" if kind is int else "a number"
             raise ValueError(f"{what} {key} must be {need}, got {v!r}")
+        elif isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"{what} {key} must be finite, got {v!r}")
         kw[key] = v
     return kw
 
@@ -852,8 +856,8 @@ def profile_scalar(domain: Domain, profile) -> Field:
     """Lift a 1-D profile p to the domain: f(x, t) = p(last axis).
 
     p must evaluate on 1-D arrays and on 1-D Jets: written in Jet
-    operations, or lifting its own (p, p', p'') with Jet.chain as
-    BumpFunction and WarpFunction do.  A constant may return a plain array.
+    operations, as WarpFunction is, or lifting its own (p, p', p'') with
+    Jet.chain, as BumpFunction does.  A constant may return a plain array.
     """
     return Field(domain, lambda pts: profile(pts[:, -1]), analytic=True,
                  name="profile")
@@ -864,7 +868,7 @@ def profile_scalar(domain: Domain, profile) -> Field:
 
 
 _CHUNK = 8192
-_FD_ROWS = 2 * _CHUNK   # most stencil rows one piece of an FD jet evaluates
+_FD_ROWS = 2 * _CHUNK   # most stencil rows of one FD jet (see _fd_piece)
 _FD_STEP = 1e-4         # the FD step of a norm, a fraction of each axis extent
 
 # glibc raises its mmap threshold (and, at twice it, the free heap top that
@@ -880,7 +884,7 @@ def _chunks(m: int, step: int):
 
 
 def _fd_piece(d: int) -> int:
-    """Base rows of one FD piece: its 1 + 2d^2 stencil rows fit _FD_ROWS."""
+    """Rows of one FD piece: their 1 + 2d^2 stencil rows each fit _FD_ROWS."""
     return max(1, _FD_ROWS // (1 + 2 * d * d))
 
 
@@ -898,18 +902,16 @@ def _reach_inside(dom: Domain, pts: np.ndarray, h: np.ndarray) -> bool:
 
 def _fd_jet(f: Field, pts: np.ndarray, step: float):
     """Second-order central differences at `step` times each axis extent
-    (_FD_STEP on the norm path); raises DomainError, naming the
-    first stencil point outside, if any stencil point leaves the field's
-    domain.  A piece tests each stencil point only when its base rows
-    fail _reach_inside.
+    (_FD_STEP on the norm path), at the rows pts, in one evaluation of
+    their stencil; raises DomainError, naming the first stencil point
+    outside, if any stencil point leaves the field's domain.  The stencil
+    points are tested only when the rows fail _reach_inside.
 
-    The stencil is evaluated in pieces of consecutive base rows, at most
-    _FD_ROWS stencil rows each, so that its temporaries fit in the cache.
-    For value functions that act row by row, as all of this package's do,
-    the numbers are bitwise those of one evaluation.  A piece's stencil is
-    written column by column into a column-major array; its values, read
-    as a (stencil, row, *S) view, and the v, d1, d2 buffers have a
-    contiguous batch axis.  The differences of all axes (and of all axis
+    Callers hand it _fd_piece rows at a time (the norm walk and
+    fd_oracle_check), so that the stencil's temporaries fit in the cache.
+    The stencil is written column by column into a column-major array;
+    its values, read as a (stencil, row, *S) view, and the jet parts have
+    a contiguous batch axis.  The differences of all axes (and of all axis
     pairs) are formed together, each with the operations and divisors of
     its own formula.  d1 and d2 are returned as views in the (m, d, *S),
     (m, d, d, *S) layout."""
@@ -931,32 +933,28 @@ def _fd_jet(f: Field, pts: np.ndarray, step: float):
     hh4 = np.array([4.0 * h[i] * h[j] for i, j in pairs])[col]
     pi, pj = np.array(pairs, dtype=int).reshape(-1, 2).T
 
-    m = len(pts)
-    v, d1, d2 = (np.moveaxis(np.empty(lead + f.shape + (m,)), -1, len(lead))
-                 for lead in ((), (d,), (d, d)))     # (*lead, m, *S)
-    for rows in _chunks(m, _fd_piece(d)):
-        n = rows.stop - rows.start
-        flat = np.empty((len(offsets) * n, d), order="F")
-        for j in range(d):      # stencil s, row r at flat row s * n + r
-            np.add(pts[rows, j], offsets[:, j, None],
-                   out=flat[:, j].reshape(-1, n))
-        if not _reach_inside(dom, pts[rows], h):
-            inside = dom.contains(flat)
-            if not inside.all():
-                bad = flat[~inside][0]
-                raise DomainError(
-                    f"finite-difference stencil point {tuple(round(float(c), 12) for c in bad)} "
-                    f"lies outside the domain of field {f.name!r}"
-                )
-        vals = f(flat).reshape((len(offsets), n) + f.shape)   # a view
+    n = len(pts)
+    flat = np.empty((len(offsets) * n, d), order="F")
+    for j in range(d):          # stencil s, row r at flat row s * n + r
+        np.add(pts[:, j], offsets[:, j, None], out=flat[:, j].reshape(-1, n))
+    if not _reach_inside(dom, pts, h):
+        inside = dom.contains(flat)
+        if not inside.all():
+            bad = flat[~inside][0]
+            raise DomainError(
+                f"finite-difference stencil point {tuple(round(float(c), 12) for c in bad)} "
+                f"lies outside the domain of field {f.name!r}"
+            )
+    vals = f(flat).reshape((len(offsets), n) + f.shape)     # a view
 
-        v[rows] = v0 = vals[0]
-        fp, fm = vals[1:1 + 2 * d:2], vals[2:1 + 2 * d:2]
-        d1[:, rows] = (fp - fm) / two_h
-        d2[range(d), range(d), rows] = (fp - 2.0 * v0 + fm) / h2
-        fpp, fpm, fmp, fmm = (vals[1 + 2 * d + k::4] for k in range(4))
-        d2[pi, pj, rows] = d2[pj, pi, rows] = (fpp - fpm - fmp + fmm) / hh4
-    return v, np.moveaxis(d1, 0, 1), np.moveaxis(d2, 2, 0)
+    v0 = vals[0]
+    fp, fm = vals[1:1 + 2 * d:2], vals[2:1 + 2 * d:2]
+    d1 = (fp - fm) / two_h
+    d2 = np.moveaxis(np.empty((d, d) + f.shape + (n,)), -1, 2)  # (d, d, n, *S)
+    d2[range(d), range(d)] = (fp - 2.0 * v0 + fm) / h2
+    fpp, fpm, fmp, fmm = (vals[1 + 2 * d + k::4] for k in range(4))
+    d2[pi, pj] = d2[pj, pi] = (fpp - fpm - fmp + fmm) / hh4
+    return v0, np.moveaxis(d1, 0, 1), np.moveaxis(d2, 2, 0)
 
 
 @dataclass(frozen=True)
@@ -977,14 +975,17 @@ def c2_norm(f: Field, grid: Optional[GridSpec] = None) -> C2Norm:
 
 def _c2_norms(fields: Sequence[Field], specs: tuple) -> list:
     """c2_norm of each field of one domain on each grid of `specs`, one
-    list per field, from one walk.  The analytic fields walk the grids'
-    rows together, a chunk at a time (Domain.grid_chunks, or _grid_rows
-    for one chunk), seeded once as a _GridJet at which every field takes
-    its jet, so that a sub-field they share is evaluated once per chunk.  A field's own result leaves the memo once folded, and a
-    field asked for again at that chunk raises: list a field after the
-    fields that contain it.  A finite-difference field walks each grid
-    alone, built whole, one stencil piece (_fd_piece rows) a batch.  Each
-    batch is folded before the next one is evaluated."""
+    list per field, from one walk.  Every field walks the grids' rows
+    together, a step at a time (Domain.grid_chunks, or _grid_rows when
+    all rows fit one step): _CHUNK rows, or _fd_piece rows when some
+    field has no jet, so that the finite-difference stencil of a step
+    fits the cache.  A step is seeded once as a _GridJet at which every
+    analytic field takes its jet, so that a sub-field they share is
+    evaluated once per step; a finite-difference field takes _fd_jet of
+    the step's rows.  A field's own result leaves the memo once folded,
+    and a field asked for again at that step raises: list a field after
+    the fields that contain it.  Each step is folded before the next one
+    is built."""
     dom = fields[0].domain
     if any(f.domain != dom for f in fields):
         raise ValueError("the fields of one norm walk must share a domain")
@@ -992,21 +993,17 @@ def _c2_norms(fields: Sequence[Field], specs: tuple) -> list:
     if 0 in sizes:
         raise DomainError(f"empty sampling grid for field {fields[0].name!r}")
     found = [[None] * len(specs) for _ in fields]   # per grid: the maxima
-    fd = [i for i, f in enumerate(fields) if not f.has_jet]
-    if len(fd) < len(fields):
-        for x, parts in [chunk] if chunk else dom.grid_chunks(specs, _CHUNK):
-            seed = _GridJet.seed(x)
-            for f, maxima in zip(fields, found):
-                if f.has_jet:
-                    _fold(maxima, f.jet(seed), parts)
-                    seed.memo[f._fn] = _LastJet.FOLDED
-            del seed                # and with it the chunk's memo
-    for g, spec in enumerate(specs if fd else ()):
-        pts = dom.grid(spec)
-        for i in fd:
-            for sl in _chunks(len(pts), _fd_piece(dom.dim)):
-                _fold(found[i], _fd_jet(fields[i], pts[sl], _FD_STEP),
-                      ((g, slice(None)),))
+    step = _CHUNK if all(f.has_jet for f in fields) else _fd_piece(dom.dim)
+    for x, parts in [chunk] if chunk and sum(sizes) <= step \
+            else dom.grid_chunks(specs, step):
+        seed = _GridJet.seed(x)
+        for f, maxima in zip(fields, found):
+            if f.has_jet:
+                _fold(maxima, f.jet(seed), parts)
+                seed.memo[f._fn] = _LastJet.FOLDED
+            else:
+                _fold(maxima, _fd_jet(f, x, _FD_STEP), parts)
+        del seed                # and with it the step's memo
     return [[_norm(f, m, spec) for m, spec in zip(maxima, specs)]
             for f, maxima in zip(fields, found)]
 

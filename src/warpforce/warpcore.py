@@ -159,7 +159,9 @@ class WarpFunction:
     """nu(t) = e^{-2t} (sinh(t+t0)/sinh t0)^2, evaluated cancellation-free.
 
     With q(t) = 1 - e^{-2(t+t0)} and q0 = q(0), nu = (q/q0)^2; nu(0) = 1
-    exactly and nu(t) -> 1/q0^2 as t -> infinity.  Requires t0 > 2 and
+    exactly and nu(t) -> 1/q0^2 as t -> infinity.  One formula serves
+    arrays and Jets; on a Jet, q' is formed as 2 e^{-2(t+t0)} by the chain
+    rule, not as 2(1 - q), which would cancel.  Requires t0 > 2 and
     evaluation points with t + t0 > 0.
     """
 
@@ -169,30 +171,17 @@ class WarpFunction:
         self.t0 = float(t0)
         self._c = 1.0 / (1.0 - np.exp(-2.0 * self.t0)) ** 2     # 1 / q0^2
 
-    def _q(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t + self.t0 <= 0.0):
-            bad = float(t[np.argmin(t + self.t0)] if t.ndim else t)
+    def __call__(self, t):
+        if not isinstance(t, Jet):
+            t = np.asarray(t, dtype=float)
+        v = t.v if isinstance(t, Jet) else t
+        if np.any(v + self.t0 <= 0.0):
+            bad = float(v[np.argmin(v + self.t0)] if v.ndim else v)
             raise DomainError(
                 f"warp function with t0={self.t0:g} evaluated at t={bad:g} "
                 f"(requires t + t0 > 0)"
             )
-        return 1.0 - np.exp(-2.0 * (t + self.t0))
-
-    def __call__(self, t):
-        if isinstance(t, Jet):
-            return t.chain(*self.jet(t.v))
-        return self.jet(t)[0]
-
-    def jet(self, t):
-        q = self._q(t)
-        qp = 2.0 * (1.0 - q)           # d/dt e^{-2(t+t0)} = -2 e^{...}
-        qpp = -2.0 * qp
-        c = self._c
-        v = c * q ** 2
-        d1 = c * 2.0 * q * qp
-        d2 = c * 2.0 * (qp ** 2 + q * qpp)
-        return v, d1, d2
+        return self._c * (1.0 - np.exp(-2.0 * (t + self.t0))) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -49,14 +49,17 @@ def test_verify_single_point_passes(capsys):
 
 
 def test_verify_rejects_small_t0(tmp_path, capsys):
-    # the flag and the config section obey one rule
+    # the flag and the config section obey one rule; a non-finite t0 is
+    # refused as a number before it is compared with 2
     cfg = write_cfg(tmp_path, {"lemma2.1": {"t0_values": [3.0, float("inf")]}})
-    for argv in (["--t0", "1"], ["--t0", "nan"], ["--t0", "inf"],
-                 ["--config", cfg]):
+    finite = "t0_values must be a non-empty list of finite numbers"
+    for argv, err in ((["--t0", "1"], "must exceed 2"),
+                      (["--t0", "nan"], finite), (["--t0", "inf"], finite),
+                      (["--config", cfg], finite)):
         with pytest.raises(SystemExit) as exc:
             run_cli(["verify", "lemma2.1"] + argv)
         assert exc.value.code == 2
-        assert "must exceed 2" in capsys.readouterr().err
+        assert err in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,cfg", [
@@ -101,6 +104,30 @@ def test_bad_numeric_flags_are_usage_errors(tmp_path, monkeypatch, argv, cfg):
         run_cli(argv)
     assert exc.value.code == 2
     assert not (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.parametrize("argv,cfg,key", [
+    (["theorem", "--grid", "8"],
+     {"theorem": dict(SMALL_THEOREM["theorem"], guard_constant=float("nan"))},
+     "theorem guard_constant"),
+    (["dump-grid", "--grid", "8"],
+     {"manifold": {"kind": "perturbed", "radial_width": float("nan")}},
+     "manifold radial_width"),
+    (["verify", "lemma1.1", "--grid", "8"], {"xi_values": [1.0, float("inf")]},
+     "top-level xi_values"),
+], ids=["guard-nan", "width-nan", "xi-inf"])
+def test_non_finite_config_numbers_are_usage_errors(tmp_path, monkeypatch,
+                                                    capsys, argv, cfg, key):
+    # json.load reads NaN and Infinity: a NaN guard passed every center
+    # ("guard 0.9213 <= nan: EXCEEDED"), a NaN width wrote nan in every
+    # g11 cell; now each is refused, naming its key, before any output
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--config", write_cfg(tmp_path, cfg), "--out",
+                        str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"{key} must be " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_rejects_unknown_check():

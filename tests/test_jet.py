@@ -193,12 +193,23 @@ def test_chain_lifts_a_profile_jet():
 _WARP, _BUMP = WarpFunction(3.0), BumpFunction()
 
 
+def lifted_jet(profile):
+    """(p, p', p'') of a 1-D profile at an array t, from the jet of its
+    lift by profile_scalar."""
+    def jet(t):
+        v, d1, d2 = profile_scalar(interval_domain(0.0, 2.0),
+                                   profile).jet(t[:, None])
+        return v, d1[:, 0], d2[:, 0, 0]
+    return jet
+
+
 @pytest.mark.parametrize("profile,jet", [
-    (_WARP, _WARP.jet),
+    (_WARP, lifted_jet(_WARP)),
     (lambda t: _BUMP(t - 1.0), lambda t: _BUMP.jet(t - 1.0)),
 ], ids=["warp", "shifted-bump"])
 def test_hand_jet_profiles_lift_themselves(profile, jet):
-    # called directly inside a value function, not only via profile_scalar
+    # called directly inside a value function, not only via profile_scalar;
+    # the warp profile is one Jet expression, the bump lifts its hand jet
     f = scalar(lambda p: profile(p[:, 1]) * p[:, 0])
     v, d1, d2 = f.jet(PTS)
     p, p1, p2 = jet(PTS[:, 1])

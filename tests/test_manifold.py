@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from warpforce import manifold
+from warpforce import manifold, model
 from warpforce.manifold import (
     CenteredManifold,
     closeness_at,
@@ -40,7 +40,7 @@ def fd_stencil(rc):
 
     _fd_jet(Field(rc.chart.domain, record), rc.chart.grid_points(),
             _FD_STEP)
-    assert len(seen) == 1               # a small grid is one piece
+    assert len(seen) == 1               # one evaluation of the stencil
     return seen[0]
 
 
@@ -490,8 +490,7 @@ class TestSeriesSwitches:
             seen.append(np.array(p[:, :2]))
             return np.zeros(len(p))
 
-        _fd_jet(Field(rc.chart.domain, record), rc.chart.grid_points(),
-                _FD_STEP)
+        c2_norm(Field(rc.chart.domain, record), rc.chart.grid)
         assert len(seen) > 1             # every piece of a 32-point chart
         args = self.frame(*y0)
         for b in self.switch_batches() + [np.concatenate(seen),
@@ -589,9 +588,13 @@ class TestColumnMajor:
                              fd):
             assert bitwise(got, want)
         norm = c2_norm(f)
-        grid = Domain.grid
-        monkeypatch.setattr(Domain, "grid", lambda self, spec:
-                            np.ascontiguousarray(grid(self, spec)))
+        # 100 rows a piece: the walk takes its rows from grid_chunks, not
+        # from the cached one-chunk grid
+        monkeypatch.setattr(model, "_FD_ROWS", 19 * 100)
+        chunks = Domain.grid_chunks
+        monkeypatch.setattr(Domain, "grid_chunks", lambda self, specs, step: (
+            (np.ascontiguousarray(x), parts)
+            for x, parts in chunks(self, specs, step)))
         assert c2_norm(f) == norm
 
     def test_sandwich_is_the_row_major_computation(self):

@@ -660,6 +660,8 @@ class TestFdPieces:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_small_pieces_are_bitwise_one_piece(self, monkeypatch, n):
+        # a walk in pieces of 97 // stencil rows folds the sups of one
+        # _fd_jet of the whole grid, bit for bit
         if n == 3:
             f = difference(*pullback_pair(3))
         else:
@@ -669,17 +671,14 @@ class TestFdPieces:
                       grid=ch.grid)
         rows = []
         f = self.counting(f, rows)
-        pts = f.domain.grid(f.grid)
         stencil = 1 + 2 * n + 2 * n * (n - 1)
-        whole = _fd_jet(f, pts, _FD_STEP)
-        assert rows == [stencil * len(pts)]
         monkeypatch.setattr(model, "_FD_ROWS", 97)
-        rows.clear()
-        pieces = _fd_jet(f, pts, _FD_STEP)
+        got = c2_norm(f).per_order_sups
         assert max(rows) == stencil * (97 // stencil)
-        assert sum(rows) == stencil * len(pts)
-        for a, b in zip(whole, pieces):
-            assert a.shape == b.shape and np.array_equal(a, b)
+        assert sum(rows) == stencil * f.domain.grid_size(f.grid)
+        want = whole_grid_sups(f, f.grid)
+        assert list(got) == list(want)
+        assert np.array_equal(list(got.values()), list(want.values()))
 
     def test_fd_oracle_check_is_unchanged_by_small_pieces(self,
                                                           monkeypatch):
@@ -698,21 +697,47 @@ class TestFdPieces:
         assert max(rows) <= model._FD_ROWS
         assert sum(rows) == 19 * m
 
-    def test_fd_grids_walk_alone_one_piece_at_a_time(self, monkeypatch):
-        # N and N/2 fit one chunk together (4096 + 1024 rows), yet an FD
-        # field walks each grid alone, in order, one stencil piece a batch
+    @staticmethod
+    def fd_jet_rows(monkeypatch, at=model):
+        """The rows of every _fd_jet call through the binding in `at`."""
+        pieces = []
+        fd_jet = at._fd_jet
+        monkeypatch.setattr(at, "_fd_jet", lambda f, pts, step: (
+            pieces.append(np.array(pts)) or fd_jet(f, pts, step)))
+        return pieces
+
+    def test_fd_grids_walk_the_chunk_stream_one_piece_at_a_time(
+            self, monkeypatch):
+        # N and N/2 (4096 + 1024 rows) are walked together, as analytic
+        # grids are, one stencil piece a step: the third piece ends N and
+        # begins N/2.  No grid is built whole.
         f = self.n2_field(lambda v, p: v)
         specs = (f.grid, f.grid.halved())
-        pieces = []
-        fd_jet = model._fd_jet
-        monkeypatch.setattr(model, "_fd_jet", lambda f, pts, spec: (
-            pieces.append(pts) or fd_jet(f, pts, spec)))
+        rows = np.concatenate([f.domain.grid(spec) for spec in specs])
+        pieces = self.fd_jet_rows(monkeypatch)
+        monkeypatch.setattr(Domain, "grid", None)
         model._c2_norms([f], specs)
         piece = model._FD_ROWS // 9
-        assert [len(x) for x in pieces] == [piece, piece, 4096 - 2 * piece,
-                                            1024]
-        assert np.array_equal(np.concatenate(pieces), np.concatenate(
-            [f.domain.grid(spec) for spec in specs]))
+        assert [len(x) for x in pieces] == [piece, piece, 5120 - 2 * piece]
+        assert np.array_equal(np.concatenate(pieces), rows)
+
+    def test_a_piece_across_the_grid_boundary_keeps_each_grids_sups(
+            self, monkeypatch):
+        # 10 rows a piece: the 410th holds the last 6 rows of N and the
+        # first 4 of N/2, and each grid's sups are still its own
+        monkeypatch.setattr(model, "_FD_ROWS", 97)
+        f = self.n2_field(lambda v, p: v)
+        specs = (f.grid, f.grid.halved())
+        pieces = self.fd_jet_rows(monkeypatch)
+        norms = model._c2_norms([f], specs)[0]
+        assert len(pieces) == 512 and len(pieces[409]) == 10
+        assert np.array_equal(pieces[409], np.concatenate(
+            [f.domain.grid(specs[0])[-6:], f.domain.grid(specs[1])[:4]]))
+        for norm, spec in zip(norms, specs):
+            want = whole_grid_sups(f, spec)
+            assert list(norm.per_order_sups) == list(want)
+            assert np.array_equal(list(norm.per_order_sups.values()),
+                                  list(want.values()))
 
     @pytest.mark.parametrize("nan", [False, True])
     def test_piece_sups_are_the_whole_grid_sups(self, nan):
@@ -729,13 +754,11 @@ class TestFdPieces:
     def test_norm_jets_are_one_piece(self, monkeypatch):
         # every FD jet of a norm is one stencil piece (862 rows at d = 3),
         # and every row of both grids is in one of them
-        sizes = []
-        fd_jet = model._fd_jet
-        monkeypatch.setattr(model, "_fd_jet", lambda f, pts, spec: (
-            sizes.append(len(pts)) or fd_jet(f, pts, spec)))
+        pieces = self.fd_jet_rows(monkeypatch)
         g = difference(*pullback_pair(3))
         spec = dataclasses.replace(g.grid, points_per_axis=32)
         measured_with_error([g], spec)
+        sizes = list(map(len, pieces))
         assert max(sizes) <= model._FD_ROWS // 19
         assert sum(sizes) == sum(len(g.domain.grid(s))
                                  for s in (spec, spec.halved()))
@@ -747,21 +770,42 @@ class TestFdPieces:
         g = difference(*pullback_pair(3))
         spec = dataclasses.replace(g.grid, points_per_axis=32)
         _, mb = traced_peak_mb(measured_with_error, [g], spec)
-        assert mb < 6.0
+        assert mb < 3.3
+
+    def test_fd_oracle_walks_in_pieces(self, monkeypatch):
+        # the 64-point n = 2 pullback: one _fd_jet call on the whole grid
+        # would take 5.94 MB, and the whole grid cut into pieces inside
+        # _fd_jet took 4.68 MB
+        from warpforce import verify
+        from warpforce.manifold import (perturbed_hyperbolic, pullback,
+                                        radial_chart)
+        m = perturbed_hyperbolic(2, amplitude=0.05,
+                                 grid=GridSpec(points_per_axis=64))
+        pb = pullback(radial_chart(m, 5.0), m.metric)
+        want = fd_oracle_check(pb)
+        pieces = self.fd_jet_rows(monkeypatch, verify)
+        got, mb = traced_peak_mb(fd_oracle_check, pb)
+        assert got == want and got["passed"] and mb < 3.5
+        assert max(map(len, pieces)) == model._fd_piece(2)
+        assert sum(map(len, pieces)) == 3 * 4096    # three steps h
 
     def test_bad_point_in_the_last_piece_raises(self, monkeypatch):
-        monkeypatch.setattr(model, "_FD_ROWS", 97)      # 32 base rows
+        monkeypatch.setattr(model, "_FD_ROWS", 97)      # 32 rows a piece
         rows = []
-        f = Field(interval_domain(0.0, 5.0),
+        f = Field(Domain(bounds=((0.0, 5.0),), axis_names=("t",)),
                   lambda p: rows.append(len(p)) or np.exp(-p[:, 0]),
                   name="decay")
-        pts = np.linspace(2.0, 5.0, 100)[:, None]    # only 5 + h is out
+        # the inset grid's 100 rows are inside; the last piece ends it and
+        # begins a grid without inset, whose first row, t = 0, lies on the
+        # bound of the open domain
+        specs = (GridSpec(points_per_axis=100),
+                 GridSpec(points_per_axis=4, boundary_margin=0.0))
         with pytest.raises(DomainError) as exc:
-            _fd_jet(f, pts, _FD_STEP)
+            model._c2_norms([f], specs)
         # the clean pieces were evaluated, the last one never reached f
         assert rows == [3 * 32] * 3
         assert "'decay'" in str(exc.value)
-        assert "(5.0005,)" in str(exc.value)
+        assert "point (0.0,) lies" in str(exc.value)
 
 
 def fd_jet_by_axis(f, pts, step):

@@ -138,9 +138,9 @@ def test_merged_probe_is_bitwise_two_norms_on_an_n2_chart():
 
 
 def test_merged_probe_is_bitwise_one_field_walks_of_mixed_fields():
-    # analytic fields that share g walk together, across a chunk that ends
-    # the N grid and begins the N/2 grid (8281 + 2025 rows); the FD field
-    # walks each grid alone
+    # analytic fields that share g walk together with an FD field, one
+    # stencil piece (1,820 rows) a step, across a piece that ends the N
+    # grid and begins the N/2 grid (8281 + 2025 rows)
     g = random_close_metric(CH, np.random.default_rng(5))
     sigma = hyperbolic_model(CH)
     fd = Field(CH.domain, lambda p: np.exp(2.0 * p[:, 1]) * np.cos(p[:, 0]),
@@ -279,6 +279,26 @@ def test_decay_field_and_its_sup_are_the_closed_form(t0):
     sup = max(np.abs(want[0]).max(), np.abs(want[1]).max(),
               0.5 * np.abs(want[2]).max())
     assert abs(check_lemma_2_1(t0).lhs - sup) <= 1e-15
+
+
+@pytest.mark.parametrize("t0", [2.1, 2.5, 3.0, 4.0, 6.0, 8.0])
+def test_decay_derivatives_are_the_closed_form_to_rounding(t0):
+    # relative gates: far out in the window nu' = 2 u u' and
+    # nu'' = 2 u' (u' - 2 u) are tiny, and forming q' as 2 (1 - q) from
+    # q = 1 - e^{-2(t + t0)} cancelled (nu' read exactly 0 there, and the
+    # sup 4a / (1 - a), at t = 0, was 1.3e-10 off for t0 = 8).  Seen: at
+    # most 7.6e-15 off, the sup 2.3e-16 off.
+    window = interval_domain(0.0, 14.0 + 2.0 * t0)
+    t = window.grid(GridSpec(points_per_axis=4001))
+    a = np.exp(-2.0 * t0)
+    e = a * np.exp(-2.0 * t[:, 0])
+    u, u1 = (1.0 - e) / (1.0 - a), 2.0 * e / (1.0 - a)
+    _, d1, d2 = profile_scalar(window, WarpFunction(t0)).jet(t)
+    for got, w in ((d1[:, 0], 2.0 * u * u1),
+                   (d2[:, 0, 0], 2.0 * u1 * (u1 - 2.0 * u))):
+        assert np.abs(got / w - 1.0).max() <= 1e-14
+    assert abs(check_lemma_2_1(t0).lhs / (4.0 * a / (1.0 - a)) - 1.0) \
+        <= 1e-15
 
 
 # ---------------------------------------------------------------------------

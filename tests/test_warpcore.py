@@ -150,7 +150,9 @@ class TestWarpFunction:
         nu = WarpFunction(4.0)
         t = np.linspace(-2.0, 6.0, 81)
         h = 1e-5
-        v, d1, d2 = nu.jet(t)
+        v, d1, d2 = profile_scalar(interval_domain(-2.0, 6.0),
+                                   nu).jet(t[:, None])
+        d1, d2 = d1[:, 0], d2[:, 0, 0]
         fd1 = (nu(t + h) - nu(t - h)) / (2 * h)
         fd2 = (nu(t + h) - 2 * nu(t) + nu(t - h)) / h ** 2
         assert np.abs(d1 - fd1).max() < 1e-8
