@@ -48,7 +48,7 @@ def _load_config(parser: argparse.ArgumentParser, path: Optional[str],
                  theorem: bool = False) -> dict:
     """The keys of the config document at `path`, read against _CONFIG
     ({} without a path).  With `theorem`, a document that is itself a
-    theorem section is read as one, with its own seed and grid."""
+    theorem section is read as the `theorem` object."""
     if path is None:
         return {}
     try:
@@ -60,23 +60,28 @@ def _load_config(parser: argparse.ArgumentParser, path: Optional[str],
         parser.error(f"config {path} is not valid JSON: {exc}")
     if theorem and isinstance(doc, dict) and "theorem" not in doc and set(
             doc) & {f.name for f in dataclasses.fields(TheoremConfig)}:
-        doc = {"theorem": doc, **{k: doc[k] for k in ["grid"] if k in doc}}
+        doc = {"theorem": doc}
     try:
         return read_config(doc, _CONFIG, "top-level")
     except ValueError as exc:
         parser.error(str(exc))
 
 
-def _grid_from(parser, args, cfg: dict) -> Optional[GridSpec]:
-    """The config's grid, its points per axis replaced by --grid if given."""
+def _grid_from(parser, args, cfg: dict,
+               theorem: bool = False) -> Optional[GridSpec]:
+    """The config's top-level grid.  --grid N replaces the points per axis
+    of the grid the run would use without it: the top-level grid, else,
+    for a run of the `theorem` object, that object's, else the default."""
     spec = cfg.get("grid")
-    if args.grid is not None:
-        try:
-            spec = dataclasses.replace(spec or GridSpec(),
-                                       points_per_axis=args.grid)
-        except ValueError as exc:
-            parser.error(f"bad grid: {exc}")
-    return spec
+    if args.grid is None:
+        return spec
+    try:
+        if spec is None and theorem:
+            spec = TheoremConfig.from_dict(cfg.get("theorem", {})).grid
+        return dataclasses.replace(spec or GridSpec(),
+                                   points_per_axis=args.grid)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]):
@@ -141,7 +146,7 @@ def cmd_verify(parser, args) -> int:
     if instances < 0:
         parser.error(f"instances must be >= 0 (got {instances})")
     xi_values = cfg.get("xi_values", _CONFIG["xi_values"])
-    grid = _grid_from(parser, args, cfg)
+    grid = _grid_from(parser, args, cfg, args.check in ("all", "theorem"))
     section = cfg if args.check == "all" else cfg.get(args.check)
     if args.t0 is not None:
         if args.check != "lemma2.1":
@@ -170,7 +175,7 @@ def cmd_theorem(parser, args) -> int:
         parser.error("config has no theorem instance spec (expected a "
                      "'theorem' object or top-level instance fields)")
     seed = args.seed if args.seed is not None else cfg.get("seed")
-    grid = _grid_from(parser, args, cfg)
+    grid = _grid_from(parser, args, cfg, theorem=True)
     try:
         instances = run_theorem_sweep(
             TheoremConfig.from_dict(cfg["theorem"], seed, grid))
@@ -213,7 +218,11 @@ def cmd_demo_remark(parser, args) -> int:
         hi = args.t0_max if args.t0_max is not None else 9.0
         if not 0 < lo < hi < np.inf:
             parser.error(f"need 0 < t0-min < t0-max (got {lo:g}, {hi:g})")
-        t0s = [float(t) for t in np.arange(lo, hi + 1e-9, args.step)]
+        try:
+            t0s = [float(t) for t in np.arange(lo, hi + 1e-9, args.step)]
+        except ValueError as exc:
+            parser.error(f"--t0-min {lo:g} to --t0-max {hi:g} by --step "
+                         f"{args.step:g} gives too many t0 values: {exc}")
     else:
         t0s = cfg.get("t0_values")
     grid = _grid_from(parser, args, cfg)
@@ -254,7 +263,7 @@ def cmd_dump_grid(parser, args) -> int:
     out = Path(args.out) if args.out is not None else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "grid.csv"
-    rows = dump_grid_csv(metric, path, grid=grid)
+    rows = dump_grid_csv(metric, path, grid or GridSpec())
     print(f"wrote {rows} rows to {path}")
     return 0
 

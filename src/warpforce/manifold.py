@@ -61,11 +61,13 @@ _POLE_PAD = 0.05
 
 @dataclass(frozen=True)
 class CenteredManifold:
-    """A polar-form metric around a center, plus its construction params."""
+    """A polar-form metric around a center, its construction params, and
+    the grid its radial charts sample on by default."""
 
     metric: RadialMetric
     kind: str
     params: dict = field(default_factory=dict)
+    grid: GridSpec = field(default_factory=GridSpec)
 
     @property
     def n(self) -> int:
@@ -111,9 +113,10 @@ def punctured_hyperbolic(n: int = 2, r_range=(0.05, 16.0),
     _sinh_diagonal)."""
     dom = _sphere_domain(n, r_range)
     metric = RadialMetric(dom, lambda p: _diag(_sinh_diagonal(n, p)),
-                          analytic=True, grid=grid, name=f"punctured{n}d")
+                          analytic=True, name=f"punctured{n}d")
     return CenteredManifold(metric=metric, kind="punctured",
-                            params={"n": n, "r_range": list(map(float, r_range))})
+                            params={"n": n, "r_range": list(map(float, r_range))},
+                            grid=grid or GridSpec())
 
 
 def perturbed_hyperbolic(n: int = 2, amplitude: float = 1e-3,
@@ -146,12 +149,12 @@ def perturbed_hyperbolic(n: int = 2, amplitude: float = 1e-3,
         factor = 1.0 + wave * np.exp(-u ** 2)
         return _diag([factor * c for c in _sinh_diagonal(n, p)])
 
-    metric = RadialMetric(dom, fn, analytic=True, grid=grid,
-                          name=f"perturbed{n}d")
+    metric = RadialMetric(dom, fn, analytic=True, name=f"perturbed{n}d")
     params = {"n": n, "amplitude": A, "sphere_mode": mm,
               "radial_center": rc, "radial_width": rw,
               "r_range": list(map(float, r_range))}
-    return CenteredManifold(metric=metric, kind="perturbed", params=params)
+    return CenteredManifold(metric=metric, kind="perturbed", params=params,
+                            grid=grid or GridSpec())
 
 
 _KINDS = {"punctured": punctured_hyperbolic, "perturbed": perturbed_hyperbolic}
@@ -254,7 +257,8 @@ def _exp_map(x, c: float, p0, e1, e2):
 
 def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
                  y0=None, grid: Optional[GridSpec] = None) -> RadialChart:
-    """Chart of excess xi centered at sphere point y0, radius t0.
+    """Chart of excess xi centered at sphere point y0, radius t0, sampling
+    on `grid` (by default the manifold's).
 
     The map scale is c = 2 e^{-t0}, which sends the hyperbolic model onto
     sigma up to O(e^{-2 t0}).  Raises DomainError when the chart image does
@@ -262,7 +266,7 @@ def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
     """
     n = manifold.n
     g = manifold.metric
-    chart = ChartModel(n=n, xi=xi, grid=grid or g.grid)
+    chart = ChartModel(n=n, xi=xi, grid=grid or manifold.grid)
     c = 2.0 * np.exp(-t0)
     r_lo, r_hi = manifold.r_range
     _check_window("radial", t0 - (1.0 + xi), t0 + (1.0 + xi), r_lo, r_hi)
@@ -354,7 +358,8 @@ def pullback(rc: RadialChart, g: RadialMetric) -> RadialMetric:
 
 def radial_closeness(rc: RadialChart, g: RadialMetric) -> C2Norm:
     """|pullback(g) - sigma|_C2 on the chart grid."""
-    return c2_norm(difference(pullback(rc, g), hyperbolic_model(rc.chart)))
+    return c2_norm(difference(pullback(rc, g), hyperbolic_model(rc.chart)),
+                   rc.chart.grid)
 
 
 def closeness_at(manifold: CenteredManifold, t0: float, xi: float = 1.0,

@@ -3,10 +3,10 @@
 A chart carries coordinates (x_1, ..., x_{n-1}, t): spatial coordinates in the
 unit ball of R^{n-1} and a radial coordinate t in (-(1+xi), 1+xi), where xi > 0
 is the chart excess.  A Field maps (m, d) batches of points to values of one
-trailing shape (scalars, spatial blocks) and samples on its own GridSpec.  It
-writes its value function once; when that function also evaluates on a Jet (a
-second-order Taylor value), the field has analytic jets (value, gradient,
-hessian) for free; other fields fall back to central differences.
+trailing shape (scalars, spatial blocks); each measurement is handed a grid.
+It writes its value function once; when that function also evaluates on a
+Jet (a second-order Taylor value), the field has analytic jets (value,
+gradient, hessian) for free; other fields fall back to central differences.
 
 Every metric in the package is a RadialMetric, the one Field subclass: a
 spatial block over the leading axes plus d(last axis)^2, on a chart (last
@@ -694,8 +694,7 @@ def _as_points(pts, d: int):
 
 
 class Field:
-    """A map from domain points to arrays of a fixed trailing shape, sampled
-    on `grid` by default.
+    """A map from domain points to arrays of a fixed trailing shape.
 
     `analytic` says that fn also evaluates on a Jet (see Jet), which gives
     the field exact jets; without it, norms use finite differences.  fn must
@@ -705,12 +704,10 @@ class Field:
     """
 
     def __init__(self, domain: Domain, fn: Callable, analytic: bool = False,
-                 shape: tuple = (), name: str = "field",
-                 grid: Optional[GridSpec] = None):
+                 shape: tuple = (), name: str = "field"):
         self.domain = domain
         self.shape = tuple(shape)
         self.name = name
-        self.grid = grid or GridSpec()
         self.has_jet = bool(analytic)
         self._fn = _LastJet(fn, self.shape, name)
 
@@ -764,18 +761,18 @@ class RadialMetric(Field):
     """
 
     def __init__(self, domain: Domain, spatial: Callable,
-                 analytic: bool = False, grid: Optional[GridSpec] = None,
-                 name: str = "metric", chart: Optional[ChartModel] = None):
+                 analytic: bool = False, name: str = "metric",
+                 chart: Optional[ChartModel] = None):
         d = domain.dim
         block = Field(domain, spatial, analytic=analytic,
-                      shape=(d - 1, d - 1), name=name, grid=grid)
+                      shape=(d - 1, d - 1), name=name)
 
         def fn(pts):
             # the block first: its temporaries are freed before `out` exists
             return _embed(block._fn(pts), len(pts), d)
 
         super().__init__(domain, fn, analytic=analytic, shape=(d, d),
-                         name=name, grid=grid)
+                         name=name)
         self.chart = chart
         self.block = block
 
@@ -783,8 +780,7 @@ class RadialMetric(Field):
     def on_chart(cls, chart: ChartModel, spatial: Callable,
                  analytic: bool = False,
                  name: str = "metric") -> "RadialMetric":
-        return cls(chart.domain, spatial, analytic, grid=chart.grid,
-                   name=name, chart=chart)
+        return cls(chart.domain, spatial, analytic, name=name, chart=chart)
 
     def spatial(self, pts):
         """(m, k, k) spatial block; at a Jet, its Taylor value."""
@@ -849,7 +845,7 @@ def difference(f: Field, g: Field, name: Optional[str] = None) -> Field:
             return f(pts) - g(pts)
 
     return Field(f.domain, fn, analytic=f.has_jet and g.has_jet,
-                 shape=shape, name=name or f"{f.name}-{g.name}", grid=f.grid)
+                 shape=shape, name=name or f"{f.name}-{g.name}")
 
 
 def profile_scalar(domain: Domain, profile) -> Field:
@@ -874,7 +870,9 @@ _FD_STEP = 1e-4         # the FD step of a norm, a fraction of each axis extent
 # glibc raises its mmap threshold (and, at twice it, the free heap top that
 # it keeps) only when a larger mapped block is freed, so each norm chunk and
 # FD piece faulted its working set in afresh (100k minor faults a theorem_n3
-# pass); freeing one untouched 4 MiB block raises it for the process.
+# pass); freeing one untouched 4 MiB block raises it for the process.  The
+# 1.6 MB linspace that warpcore's bump sampler frees at import raises it too:
+# while that sampler exists, a fault count cannot show this free needless.
 np.empty(1 << 19)
 
 
@@ -968,9 +966,9 @@ class C2Norm:
     derivative_source: str
 
 
-def c2_norm(f: Field, grid: Optional[GridSpec] = None) -> C2Norm:
-    """Taylor-weighted C2 norm of a field over its own (or the given) grid."""
-    return _c2_norms([f], (grid or f.grid,))[0][0]
+def c2_norm(f: Field, grid: GridSpec) -> C2Norm:
+    """Taylor-weighted C2 norm of a field over `grid`."""
+    return _c2_norms([f], (grid,))[0][0]
 
 
 def _c2_norms(fields: Sequence[Field], specs: tuple) -> list:
@@ -1057,11 +1055,10 @@ def _grid_rows(domain: Domain, specs: tuple) -> tuple:
 # dumps
 
 
-def dump_grid_csv(f: Field, path, grid: Optional[GridSpec] = None) -> int:
-    """Write the sampled field to CSV (one row per grid point), returning the
+def dump_grid_csv(f: Field, path, grid: GridSpec) -> int:
+    """Write f on `grid` to CSV (one row per grid point), returning the
     row count.  Matrix fields emit row-major component columns g11, g12, ...
     Each chunk of rows is built, evaluated and written before the next."""
-    spec = grid or f.grid
     header = list(f.domain.axis_names)
     if f.shape == ():
         header.append("value")
@@ -1073,7 +1070,7 @@ def dump_grid_csv(f: Field, path, grid: Optional[GridSpec] = None) -> int:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         rows = 0
-        for pts, _ in f.domain.grid_chunks((spec,), _CHUNK):
+        for pts, _ in f.domain.grid_chunks((grid,), _CHUNK):
             cols = f(pts).reshape(len(pts), -1)
             for p, row in zip(pts, cols):
                 w.writerow([f"{x:.17g}" for x in p]

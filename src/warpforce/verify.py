@@ -181,19 +181,15 @@ def reports_to_csv_rows(reports: Sequence[BoundReport]) -> list:
     } for r in reports]
 
 
-def measured_with_error(fields: Sequence[Field],
-                        grid: Optional[GridSpec] = None) -> list:
+def measured_with_error(fields: Sequence[Field], grid: GridSpec) -> list:
     """(C2 norm, refinement-probe error estimate) of each field of one
-    domain, in order, on `grid` (by default the grid all of them share):
-    the N-grid norms and N/2-grid probes of all the fields come from one
-    walk of both grids (see model._c2_norms)."""
-    spec = grid or fields[0].grid
-    if grid is None and any(f.grid != spec for f in fields):
-        raise ValueError("fields on different grids need an explicit grid")
+    domain, in order, on `grid`: the N-grid norms and N/2-grid probes of
+    all the fields come from one walk of both grids (see
+    model._c2_norms)."""
     return [(full, abs(full.value - half.value) / 3.0 + (
         _FD_PROXY * full.value
         if full.derivative_source == "finite-difference" else 0.0))
-        for full, half in _c2_norms(fields, (spec, spec.halved()))]
+        for full, half in _c2_norms(fields, (grid, grid.halved()))]
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +248,7 @@ def check_lemma_2_2(g: RadialMetric, nu, s: float = 0.0,
                         profile_scalar(g.domain, prof))
     return _lemma_reports(
         [{"lhs": difference(g, apply_warp(g, prof)), "nu_dev": nu_dev,
-          "g_norm": g}], g.grid,
+          "g_norm": g}], g.chart.grid,
         [("lemma2.2", "lhs", lambda n: 4.0 * n["nu_dev"] * n["g_norm"])],
         {"xi": g.chart.xi, "s": s}, ("nu_dev", "g_norm"), params)[0]
 
@@ -265,7 +261,7 @@ def check_lemma_2_3(g: RadialMetric, t0: float, s: float = 0.0,
     scale, decay = np.exp(2.0 * (1.0 + g.chart.xi)), np.exp(-2.0 * t0)
     return _lemma_reports(
         [{"eps": difference(g, sigma), "lhs1": difference(h, g),
-          "lhs2": difference(h, sigma)}], g.grid,
+          "lhs2": difference(h, sigma)}], g.chart.grid,
         [("lemma2.3(1)", "lhs1", lambda n: 21.0 * (n["eps"] + scale) * decay),
          ("lemma2.3(2)", "lhs2", lambda n: 21.0 * scale * (decay + n["eps"]))],
         {"xi": g.chart.xi, "t0": t0, "s": s}, ("eps",), params)
@@ -291,7 +287,7 @@ def check_lemma_3_2(g: RadialMetric, s: float,
     factor = 4.0 * np.exp(4.0 * (1.0 + g.chart.xi))
     return _lemma_reports(
         [{"eps": difference(g, sigma), "lhs": difference(ext, sigma)}],
-        g.grid, [("lemma3.2", "lhs", lambda n: factor * n["eps"])],
+        g.chart.grid, [("lemma3.2", "lhs", lambda n: factor * n["eps"])],
         {"xi": g.chart.xi, "s": s}, ("eps",), params)[0]
 
 
@@ -303,8 +299,8 @@ def check_lemma_1_1(g1: RadialMetric, g2: RadialMetric, lam: Field,
     return _lemma_reports(
         [{"eps1": difference(g1, sigma), "eps2": difference(g2, sigma),
           "lhs": difference(blend(g1, g2, lam), sigma), "lam_norm": lam}],
-        g1.grid, [("lemma1.1", "lhs", lambda n: 4.0 * (1.0 + n["lam_norm"])
-                   * (n["eps1"] + n["eps2"]))],
+        g1.chart.grid, [("lemma1.1", "lhs", lambda n: 4.0
+                         * (1.0 + n["lam_norm"]) * (n["eps1"] + n["eps2"]))],
         {"xi": g1.chart.xi}, ("lam_norm", "eps1", "eps2"), params)[0]
 
 
@@ -385,10 +381,6 @@ def random_warp_profile(rng) -> _SineProfile:
 _DEFAULT_T0S = (2.1, 2.5, 3.0, 4.0, 6.0, 8.0)
 
 
-def _chart(xi: float, grid: Optional[GridSpec]) -> ChartModel:
-    return ChartModel(n=2, xi=xi, grid=grid or GridSpec())
-
-
 def _split_counts(total: int, parts: int) -> list:
     base = total // parts
     rest = total - base * parts
@@ -446,14 +438,16 @@ _SUITES = {
 
 def _run_lemma_suite(name: str, seed: int, instances: int,
                      xi_values, grid: Optional[GridSpec]) -> list:
-    """The trivial instance first, then seeded random instances."""
+    """The trivial instance first, then seeded random instances, on n = 2
+    charts of `grid` (by default the default grid)."""
     trivial, seeded = _SUITES[name]
-    reports = [*trivial(_chart(1.0, grid), np.random.default_rng(seed),
-                        {"instance": "trivial"})]
+    grid = grid or GridSpec()
+    reports = [*trivial(ChartModel(n=2, xi=1.0, grid=grid),
+                        np.random.default_rng(seed), {"instance": "trivial"})]
     name_key = zlib.crc32(name.encode()) & 0xFFFF
     idx = 0
     for xi, count in zip(xi_values, _split_counts(instances, len(xi_values))):
-        ch = _chart(float(xi), grid)
+        ch = ChartModel(n=2, xi=float(xi), grid=grid)
         for _ in range(count):
             rng = np.random.default_rng((seed, name_key, idx))
             reports += seeded(ch, rng, {"instance": idx, "seed": seed})
@@ -566,11 +560,10 @@ def theorem_centers(r0: float, xi: float, r_range, per_zone: int,
     return out
 
 
-def check_main_theorem(manifold: CenteredManifold, r0: float, xi: float,
-                       centers_per_zone: int = 8, seed: int = 0,
-                       bump_delta: float = 0.05,
-                       guard_constant: float = 1e3) -> TheoremInstance:
-    """Audit W_{r0} g on the annulus outside B_{r0-(1+xi)}.
+def check_main_theorem(cfg: TheoremConfig, manifold: CenteredManifold,
+                       r0: float) -> TheoremInstance:
+    """Audit W_{r0} g on the annulus outside B_{r0-(1+xi)}, with cfg's
+    excess xi, centers per zone, seed, bump delta and guard constant.
 
     Measures eps (closeness of g, excess-xi charts where they fit), deforms,
     then at every center measures eta with the excess-(xi-1) chart and checks
@@ -578,14 +571,14 @@ def check_main_theorem(manifold: CenteredManifold, r0: float, xi: float,
     closeness on the same chart: eta itself where the chart lies beyond the
     bump, where W is g.  A per-sweep decay constant
     max eta/(e^{-2 r0} + eps) is recorded and compared against the
-    regression guard.  Every norm samples on the manifold metric's grid.
+    regression guard.  Every norm samples on cfg.grid.
     """
     t_start = time.perf_counter()
-    g = manifold.metric
-    spec = g.grid
-    rng = np.random.default_rng((seed, int(r0 * 8)))
-    centers = theorem_centers(r0, xi, manifold.r_range, centers_per_zone, rng)
-    bump = BumpFunction(delta=bump_delta)
+    g, xi, spec = manifold.metric, cfg.xi, cfg.grid
+    rng = np.random.default_rng((cfg.seed, int(r0 * 8)))
+    centers = theorem_centers(r0, xi, manifold.r_range, cfg.centers_per_zone,
+                              rng)
+    bump = BumpFunction(delta=cfg.bump_delta)
     W = warp_force(g, r0, bump)
     xi_m = xi - 1.0
     r_lo = manifold.r_range[0]
@@ -634,12 +627,12 @@ def check_main_theorem(manifold: CenteredManifold, r0: float, xi: float,
     decay_c = eta_max / denom
     passed = all(r.passed for r in reports) and eta_max < bound
     notes = (f"eps from {len(eps_vals)} full-excess charts; "
-             f"guard {decay_c:.4g} <= {guard_constant:g}: "
-             f"{'ok' if decay_c <= guard_constant else 'EXCEEDED'}")
+             f"guard {decay_c:.4g} <= {cfg.guard_constant:g}: "
+             f"{'ok' if decay_c <= cfg.guard_constant else 'EXCEEDED'}")
     return TheoremInstance(
         r0=float(r0), xi=float(xi), eps=float(eps), eta_max=float(eta_max),
         bound=float(bound), decay_constant=float(decay_c),
-        guard_constant=float(guard_constant), passed=bool(passed),
+        guard_constant=float(cfg.guard_constant), passed=bool(passed),
         reports=tuple(reports), case_counts=case_counts,
         runtime_s=time.perf_counter() - t_start, notes=notes,
     )
@@ -653,7 +646,7 @@ def _sweep_manifold(cfg: TheoremConfig) -> CenteredManifold:
     manifold = perturbed_hyperbolic(
         n=cfg.n, amplitude=cfg.amplitude, sphere_mode=cfg.sphere_mode,
         radial_center=cfg.radial_center, radial_width=cfg.radial_width,
-        r_range=cfg.r_range, grid=cfg.grid)
+        r_range=cfg.r_range)
     for r0 in cfg.r0_values:    # its draws are discarded
         theorem_centers(r0, cfg.xi, manifold.r_range, cfg.centers_per_zone,
                         np.random.default_rng(0))
@@ -663,13 +656,7 @@ def _sweep_manifold(cfg: TheoremConfig) -> CenteredManifold:
 def run_theorem_sweep(cfg: Optional[TheoremConfig] = None) -> list:
     cfg = cfg or TheoremConfig()
     manifold = _sweep_manifold(cfg)
-    return [
-        check_main_theorem(manifold, r0, cfg.xi,
-                           centers_per_zone=cfg.centers_per_zone,
-                           seed=cfg.seed, bump_delta=cfg.bump_delta,
-                           guard_constant=cfg.guard_constant)
-        for r0 in cfg.r0_values
-    ]
+    return [check_main_theorem(cfg, manifold, r0) for r0 in cfg.r0_values]
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +691,9 @@ def remark_decay(t0_values: Optional[Sequence[float]] = None,
     return rows
 
 
-def fd_oracle_check(f: Field, grid: Optional[GridSpec] = None) -> dict:
-    """Finite differences vs analytic jets at the steps 4e-4, 2e-4, 1e-4.
+def fd_oracle_check(f: Field, grid: GridSpec) -> dict:
+    """Finite differences vs analytic jets at the steps 4e-4, 2e-4, 1e-4,
+    on `grid`.
 
     Fits err ~ C h^2 from the coarsest step and checks the finer steps stay
     within 1.5 C h^2 + a roundoff floor.  Returns measured errors and C.
@@ -717,7 +705,7 @@ def fd_oracle_check(f: Field, grid: Optional[GridSpec] = None) -> dict:
     steps = (4e-4, 2e-4, 1e-4)
     scale, errors = 1.0, {h: {"d1": 0.0, "d2": 0.0} for h in steps}
     dom = f.domain
-    for x, _ in dom.grid_chunks((grid or f.grid,), _fd_piece(dom.dim)):
+    for x, _ in dom.grid_chunks((grid,), _fd_piece(dom.dim)):
         _, d1, d2 = f.jet(x)
         scale = float(np.maximum(scale, np.abs(d2).max()))
         for h in steps:

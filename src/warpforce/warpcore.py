@@ -40,7 +40,6 @@ from warpforce.model import (
     Domain,
     DomainError,
     Field,
-    GridSpec,
     Jet,
     RadialMetric,
     _CHUNK,
@@ -218,12 +217,11 @@ def apply_warp(g: RadialMetric, nu, s: float = 0.0,
         return w(pts)[:, None, None] * g.spatial(pts)
 
     return RadialMetric(g.domain, spatial, analytic=g.has_jet and w.has_jet,
-                        grid=g.grid, name=name or f"warp[{g.name}]",
-                        chart=g.chart)
+                        name=name or f"warp[{g.name}]", chart=g.chart)
 
 
-def _rewarp(a: Field, w, domain: Domain, grid: GridSpec,
-            chart: Optional[ChartModel], name: str) -> RadialMetric:
+def _rewarp(a: Field, w, domain: Domain, chart: Optional[ChartModel],
+            name: str) -> RadialMetric:
     """w(last axis) a + d(last axis)^2: the frozen slice a, extended
     constantly along the last axis (evaluated once per run of equal leading
     axes), then warped by the 1-D profile w."""
@@ -231,15 +229,14 @@ def _rewarp(a: Field, w, domain: Domain, grid: GridSpec,
     if a.domain.dim != k:
         raise ValueError("spatial metric dimension does not match chart")
     frozen = RadialMetric(domain, lambda pts: _per_run(a, pts[:, :k]),
-                          analytic=a.has_jet, grid=grid, name=a.name,
-                          chart=chart)
+                          analytic=a.has_jet, name=a.name, chart=chart)
     return apply_warp(frozen, w, name=name)
 
 
 def warped_extension(a: Field, s: float, chart: ChartModel) -> RadialMetric:
     """The warped metric e^{2(t-s)} a + dt^2 on the chart."""
     return _rewarp(a, lambda t: np.exp(2.0 * (t - s)),
-                   chart.domain, chart.grid, chart, f"ext[{a.name};s={s:g}]")
+                   chart.domain, chart, f"ext[{a.name};s={s:g}]")
 
 
 def blend(g1: RadialMetric, g2: RadialMetric, lam: Field,
@@ -265,16 +262,16 @@ def blend(g1: RadialMetric, g2: RadialMetric, lam: Field,
 
     return RadialMetric(g1.domain, spatial,
                         analytic=g1.has_jet and g2.has_jet and lam.has_jet,
-                        grid=g1.grid,
                         name=name or f"blend[{g1.name},{g2.name}]",
                         chart=g1.chart)
 
 
 def sinh_warped_cut(g: RadialMetric, r0: float) -> RadialMetric:
     """bar_g_{r0} = sinh^2(r) ghat_{r0} + dr^2 = (sinh^2 r / sinh^2 r0) g_{r0} + dr^2."""
+    cut = radial_slice(g, r0)       # refuses r0 outside before sinh overflows
     s2 = np.sinh(r0) ** 2
-    return _rewarp(radial_slice(g, r0), lambda r: np.sinh(r) ** 2 / s2,
-                   g.domain, g.grid, g.chart, f"bar[{g.name};r0={r0:g}]")
+    return _rewarp(cut, lambda r: np.sinh(r) ** 2 / s2,
+                   g.domain, g.chart, f"bar[{g.name};r0={r0:g}]")
 
 
 def warp_force(g: RadialMetric, r0: float, rho: BumpFunction) -> RadialMetric:

@@ -95,6 +95,7 @@ def test_verify_rejects_small_t0(tmp_path, capsys):
     (["demo-remark"], {"grid": {"points_per_axis": 16.5}}),
     (["verify", "lemma1.1"], {"grid": {"points_per_axis": 16.5}}),
     (["verify", "lemma2.1"], {"lemma2.1": {"t0_values": []}}),
+    (["demo-remark", "--t0-max", "1e300"], None),    # too many t0 values
 ])
 def test_bad_numeric_flags_are_usage_errors(tmp_path, monkeypatch, argv, cfg):
     monkeypatch.chdir(tmp_path)
@@ -364,6 +365,27 @@ def test_a_theorem_section_document_runs_as_its_section(tmp_path, capsys):
     assert outs[0] == outs[1]
     assert {r["grid"]["boundary_margin"] for inst in outs[0]
             for r in inst["reports"]} == {0.05}
+
+
+def test_grid_flag_keeps_the_theorem_objects_margin(tmp_path, capsys):
+    # --grid N replaces the points per axis of the grid the run would use
+    # without it; a `theorem` object's margin was dropped (0.02) unless the
+    # document was a bare theorem section
+    section = {"r0_values": [5.0], "centers_per_zone": 1,
+               "grid": {"points_per_axis": 16, "boundary_margin": 0.1}}
+    outs = []
+    for argv, doc in ((["theorem"], section),
+                      (["theorem"], {"theorem": section}),
+                      (["verify", "theorem"], {"theorem": section})):
+        assert run_cli(argv + ["--config", write_cfg(tmp_path, doc),
+                               "--grid", "8", "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        if argv == ["theorem"]:
+            assert [inst["eps"] for inst in out] == [0.0036970253939472286]
+            out = [r for inst in out for r in inst["reports"]]
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    assert {tuple(r["grid"].values()) for r in outs[0]} == {(8, 0.1)}
 
 
 def test_theorem_requires_config(capsys):

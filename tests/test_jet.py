@@ -454,7 +454,7 @@ def test_non_finite_derivatives_propagate_as_with_full_parts():
     lean = Field(ch.domain, fn, analytic=True)
     full = Field(ch.domain, lambda p: fn(materialised(p)), analytic=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        got, want = c2_norm(lean), c2_norm(full)
+        got, want = c2_norm(lean, ch.grid), c2_norm(full, ch.grid)
         pts = ch.grid_points()
         jets = lean.jet(pts), full.jet(pts)
     assert np.isnan(got.value) and got.per_order_sups["1"] == np.inf
@@ -504,7 +504,7 @@ def test_frozen_slice_is_evaluated_once_per_distinct_x():
         s, ch)
     pts = ch.grid_points()
     distinct = len(np.unique(pts[:, 0]))
-    got = c2_norm(ext)
+    got = c2_norm(ext, ch.grid)
     assert rows == [distinct]
     rows.clear()
     ext.spatial(pts)
@@ -514,7 +514,7 @@ def test_frozen_slice_is_evaluated_once_per_distinct_x():
     whole = apply_warp(RadialMetric.on_chart(ch, lambda p: a(p[:, :1]),
                                              analytic=True),
                        lambda t: np.exp(2.0 * (t - s)))
-    assert got == c2_norm(whole)
+    assert got == c2_norm(whole, ch.grid)
 
 
 def test_per_run_evaluates_every_row_unless_rows_repeat_with_one_row_parts():

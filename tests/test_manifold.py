@@ -537,7 +537,7 @@ class TestSphereFactorsPerRun:
         m = self.family(3, perturbed)
         rc = radial_chart(m, 5.0, y0=(1.2, 0.3))
         stencil = rc.map_points(fd_stencil(rc))[0]
-        polar = m.metric.domain.grid(m.metric.grid)
+        polar = m.metric.domain.grid(m.grid)
         for q in (stencil, polar, np.ascontiguousarray(stencil)):
             assert bitwise(m.metric.spatial(q), self.formula(3, perturbed)(q))
 
@@ -545,10 +545,10 @@ class TestSphereFactorsPerRun:
     def test_n2_jets_are_the_row_formula(self, perturbed):
         m = self.family(2, perturbed)
         ref = RadialMetric(m.metric.domain, self.formula(2, perturbed),
-                           analytic=True, grid=m.metric.grid)
+                           analytic=True)
         rc = radial_chart(m, 5.0, y0=0.4)
         pts = rc.chart.grid_points()
-        polar = m.metric.domain.grid(m.metric.grid)
+        polar = m.metric.domain.grid(m.grid)
         for f, g, x in ((pullback(rc, m.metric), pullback(rc, ref), pts),
                         (m.metric, ref, polar)):
             for got, want in zip(f.jet(x), g.jet(x)):
@@ -587,7 +587,7 @@ class TestColumnMajor:
         for got, want in zip(_fd_jet(f, np.ascontiguousarray(pts), _FD_STEP),
                              fd):
             assert bitwise(got, want)
-        norm = c2_norm(f)
+        norm = c2_norm(f, rc.chart.grid)
         # 100 rows a piece: the walk takes its rows from grid_chunks, not
         # from the cached one-chunk grid
         monkeypatch.setattr(model, "_FD_ROWS", 19 * 100)
@@ -595,7 +595,7 @@ class TestColumnMajor:
         monkeypatch.setattr(Domain, "grid_chunks", lambda self, specs, step: (
             (np.ascontiguousarray(x), parts)
             for x, parts in chunks(self, specs, step)))
-        assert c2_norm(f) == norm
+        assert c2_norm(f, rc.chart.grid) == norm
 
     def test_sandwich_is_the_row_major_computation(self):
         m, rc, _, _ = self.case()

@@ -1,8 +1,12 @@
 import dataclasses
 import gc
+import os
+import platform
 import re
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,28 +178,30 @@ class TestC2Norm:
     def test_hyperbolic_norm_oracle(self):
         for xi in (1.0, 0.5):
             ch = chart2(xi=xi)
-            nrm = c2_norm(hyperbolic_model(ch))
+            nrm = c2_norm(hyperbolic_model(ch), ch.grid)
             assert nrm.derivative_source == "analytic"
             assert nrm.value == pytest.approx(sigma_norm_oracle(xi), rel=1e-12)
 
     def test_value_is_max_of_per_order(self):
-        nrm = c2_norm(hyperbolic_model(chart2()))
+        ch = chart2()
+        nrm = c2_norm(hyperbolic_model(ch), ch.grid)
         assert nrm.value == max(nrm.per_order_sups.values())
         assert set(nrm.per_order_sups) == {"1", "dx1", "dt",
                                            "dx1dx1", "dx1dt", "dtdt"}
 
     def test_pure_second_weight_is_half(self):
-        nrm = c2_norm(hyperbolic_model(chart2()))
+        ch = chart2()
+        nrm = c2_norm(hyperbolic_model(ch), ch.grid)
         # d2/dt2 e^{2t} = 4 e^{2t}; stored weighted contribution is half that
         assert nrm.per_order_sups["dtdt"] == pytest.approx(
             nrm.per_order_sups["dt"], rel=1e-12)
 
     def test_fd_matches_jet(self):
-        sig = hyperbolic_model(chart2())
-        fd = Field(sig.domain, lambda p: sig(p), shape=sig.shape, name="fd",
-                   grid=sig.grid)
-        n_fd = c2_norm(fd)
-        n_jet = c2_norm(sig)
+        ch = chart2()
+        sig = hyperbolic_model(ch)
+        fd = Field(sig.domain, lambda p: sig(p), shape=sig.shape, name="fd")
+        n_fd = c2_norm(fd, ch.grid)
+        n_jet = c2_norm(sig, ch.grid)
         assert n_fd.derivative_source == "finite-difference"
         assert n_fd.value == pytest.approx(n_jet.value, rel=1e-5)
 
@@ -208,7 +214,7 @@ class TestC2Norm:
                 lambda p: 1.01 * np.exp(2 * p[:, -1])[:, None, None] * np.eye(1),
                 name="pert",
             )
-            dev = c2_norm(difference(pert, sig))
+            dev = c2_norm(difference(pert, sig), ch.grid)
             assert dev.value == pytest.approx(0.01 * sigma_norm_oracle(xi),
                                               rel=1e-5)
 
@@ -220,7 +226,7 @@ class TestC2Norm:
             lambda p: 1.01 * np.exp(2 * p[:, -1])[:, None, None] * np.eye(1),
         )
         oracle = 0.01 * sigma_norm_oracle(0.5)
-        dev = c2_norm(difference(pert, sig))
+        dev = c2_norm(difference(pert, sig), ch.grid)
         assert dev.value < 2.0 * oracle and isinstance(dev, C2Norm)
         assert not dev.value < 0.5 * oracle
 
@@ -228,7 +234,7 @@ class TestC2Norm:
         w = interval_domain(0.0, 5.0)
         f = Field(w, lambda p: np.exp(-p[:, 0]), name="decay")
         with pytest.raises(DomainError) as exc:
-            c2_norm(f)
+            c2_norm(f, GridSpec())
         assert "decay" in str(exc.value)
         assert "(" in str(exc.value)  # names the offending point
 
@@ -336,7 +342,7 @@ class TestJets:
         sig = hyperbolic_model(ch)
         d = difference(sig, sig)
         assert d.has_jet
-        assert c2_norm(d).value == 0.0
+        assert c2_norm(d, ch.grid).value == 0.0
 
 
 def eye_product(cols):
@@ -359,7 +365,7 @@ def embedded(f, g):
     """f - g of two RadialMetrics as the full d x d difference."""
     d = f.domain.dim
     return Field(f.domain, lambda p: f(p) - g(p),
-                 analytic=f.has_jet and g.has_jet, shape=(d, d), grid=f.grid)
+                 analytic=f.has_jet and g.has_jet, shape=(d, d))
 
 
 def nan_metric(ch, analytic):
@@ -439,14 +445,15 @@ class TestBlocks:
         block, full = difference(f, g), embedded(f, g)
         assert block.shape == (n - 1, n - 1)
         assert block.has_jet == full.has_jet == (n == 2)
-        a, b = c2_norm(block), c2_norm(full)
+        spec = f.chart.grid
+        a, b = c2_norm(block, spec), c2_norm(full, spec)
         assert a.derivative_source == b.derivative_source
         assert same(a.value, b.value)
         assert a.per_order_sups.keys() == b.per_order_sups.keys()
         assert all(same(a.per_order_sups[key], b.per_order_sups[key])
                    for key in a.per_order_sups)
-        ((a, a_err),), ((b, b_err),) = (measured_with_error([block]),
-                                        measured_with_error([full]))
+        ((a, a_err),), ((b, b_err),) = (measured_with_error([block], spec),
+                                        measured_with_error([full], spec))
         assert same(a.value, b.value) and same(a_err, b_err)
         assert all(same(a.per_order_sups[key], b.per_order_sups[key])
                    for key in a.per_order_sups)
@@ -473,12 +480,12 @@ class TestMemo:
         n_full = len(ch.grid_points())
         n_half = len(ch.grid_points(spec.halved()))
 
-        c2_norm(difference(apply_warp(g, WarpFunction(3.0)), g))
+        c2_norm(difference(apply_warp(g, WarpFunction(3.0)), g), spec)
         assert calls == [n_full]
         # the N and N/2 grids of several fields: one evaluation for all
         measured_with_error([
             difference(apply_warp(g, WarpFunction(4.0)), g),
-            difference(g, hyperbolic_model(ch)), g])
+            difference(g, hyperbolic_model(ch)), g], spec)
         assert calls == [n_full, n_full + n_half]
 
     def test_no_jet_outlives_its_walk(self):
@@ -490,7 +497,7 @@ class TestMemo:
             return counted([])(p)
 
         g = RadialMetric.on_chart(ch, spatial, analytic=True)
-        measured_with_error([difference(g, hyperbolic_model(ch)), g])
+        measured_with_error([difference(g, hyperbolic_model(ch)), g], ch.grid)
         (x,) = seen
         # the seed and its memo are held by `seen` alone; the memo keeps the
         # shared blocks (g's, sigma's), and the walk's own fields only as
@@ -525,17 +532,6 @@ class TestMemo:
         assert lam_c2.value == 0.5 and full.value > 0.0
         assert len(calls) == 1          # both grids fit one chunk
 
-    def test_fields_on_different_grids_need_an_explicit_grid(self):
-        ch = chart2(pts=16)
-        f = hyperbolic_model(ch)
-        other = dataclasses.replace(ch.grid, points_per_axis=8)
-        g = RadialMetric(ch.domain, f.block._fn.fn, analytic=True,
-                         grid=other)
-        with pytest.raises(ValueError, match="explicit grid"):
-            measured_with_error([f, g])
-        a, b = measured_with_error([f, g], ch.grid)
-        assert a[0].value == b[0].value
-
     def test_only_the_same_grid_jet_object_is_remembered(self):
         ch = chart2(pts=8)
         calls = []
@@ -566,9 +562,9 @@ class TestMemo:
         f(pts)
         f(pts)
         assert len(seen) == 2
-        c2_norm(f)
+        c2_norm(f, ch.grid)
         once = len(seen) - 2            # one call per piece of the stencil
-        c2_norm(f)
+        c2_norm(f, ch.grid)
         assert once >= 1 and len(seen) == 2 + 2 * once
         assert all(t is np.ndarray for t in seen)
 
@@ -579,7 +575,7 @@ class TestMemo:
             g = RadialMetric.on_chart(ch, counted([]), analytic=True)
             f = Field(ch.domain, lambda p: 0.0 * g(p), analytic=True,
                       shape=(2, 2))
-            c2_norm(f)                      # fills both memos
+            c2_norm(f, ch.grid)             # fills both memos
             refs = weakref.ref(g), weakref.ref(f)
             del g, f
             assert [r() for r in refs] == [None, None]
@@ -609,20 +605,47 @@ class TestMemo:
     def test_large_grid_norm_builds_one_chunk_at_a_time(self):
         # the N and N/2 grids at 1024 points per axis (16.8 and 4.2 MB of
         # points) took 33.6 MB when each was built whole before its walk
-        sig = hyperbolic_model(chart2(pts=1024))
-        _, mb = traced_peak_mb(measured_with_error, [sig])
+        ch = chart2(pts=1024)
+        _, mb = traced_peak_mb(measured_with_error, [hyperbolic_model(ch)],
+                               ch.grid)
         assert mb < 10.0
 
     def test_seed_cache_is_bounded(self):
         # the points cache keeps read-only grid rows, a bounded number
         size = _grid_rows.cache_info().maxsize
         for xi in np.linspace(0.5, 2.0, 2 * size):
-            c2_norm(hyperbolic_model(chart2(xi=float(xi), pts=8)))
+            ch = chart2(xi=float(xi), pts=8)
+            c2_norm(hyperbolic_model(ch), ch.grid)
         assert _grid_rows.cache_info().currsize == size
         spec = GridSpec(points_per_axis=8)
         sizes, (x, parts) = _grid_rows(chart2().domain, (spec,))
         assert type(x) is np.ndarray and not x.flags.writeable
         assert sizes == (64,) and parts == ((0, slice(0, 64)),)
+
+
+_SECOND_PASS_FAULTS = """
+import resource
+from warpforce.verify import run_check
+run_check("lemma2.3", instances=4)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_check("lemma2.3", instances=4)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="glibc's dynamic mmap threshold")
+def test_a_second_pass_reuses_the_heap():
+    # importing warpforce raises glibc's mmap threshold (model frees an
+    # untouched 4 MiB block; warpcore's bump sampler frees 1.6 MB), so a
+    # second pass finds its chunks' pages on the heap: 0-1 minor faults,
+    # about 1,800 without both frees
+    src = Path(model.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", _SECOND_PASS_FAULTS],
+                          capture_output=True, text=True, env=env, check=True)
+    assert int(proc.stdout) < 100
 
 
 def whole_grid_sups(f, spec):
@@ -648,49 +671,51 @@ class TestFdPieces:
     def counting(f, rows):
         """f as a finite-difference field that records its batch sizes."""
         return Field(f.domain, lambda p: rows.append(len(p)) or f(p),
-                     shape=f.shape, name=f.name, grid=f.grid)
+                     shape=f.shape, name=f.name)
+
+    N2 = (GridSpec(points_per_axis=64), GridSpec(points_per_axis=32))
 
     @staticmethod
     def n2_field(edit):
-        """An n = 2 FD field on a 64-point chart; edit(values, points)
-        returns its values."""
-        ch = chart2(pts=64)
-        return Field(ch.domain, lambda p: edit(
-            np.exp(2 * p[:, -1]) * np.sin(3 * p[:, 0]), p), grid=ch.grid)
+        """An n = 2 FD field on a chart, sampled on the grids N2;
+        edit(values, points) returns its values."""
+        return Field(chart2().domain, lambda p: edit(
+            np.exp(2 * p[:, -1]) * np.sin(3 * p[:, 0]), p))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_small_pieces_are_bitwise_one_piece(self, monkeypatch, n):
         # a walk in pieces of 97 // stencil rows folds the sups of one
         # _fd_jet of the whole grid, bit for bit
         if n == 3:
-            f = difference(*pullback_pair(3))
+            pb, sigma = pullback_pair(3)
+            f, spec = difference(pb, sigma), pb.chart.grid
         else:
             ch = chart2(pts=16)
             f = Field(ch.domain,
-                      lambda p: np.exp(2 * p[:, -1]) * np.sin(3 * p[:, 0]),
-                      grid=ch.grid)
+                      lambda p: np.exp(2 * p[:, -1]) * np.sin(3 * p[:, 0]))
+            spec = ch.grid
         rows = []
         f = self.counting(f, rows)
         stencil = 1 + 2 * n + 2 * n * (n - 1)
         monkeypatch.setattr(model, "_FD_ROWS", 97)
-        got = c2_norm(f).per_order_sups
+        got = c2_norm(f, spec).per_order_sups
         assert max(rows) == stencil * (97 // stencil)
-        assert sum(rows) == stencil * f.domain.grid_size(f.grid)
-        want = whole_grid_sups(f, f.grid)
+        assert sum(rows) == stencil * f.domain.grid_size(spec)
+        want = whole_grid_sups(f, spec)
         assert list(got) == list(want)
         assert np.array_equal(list(got.values()), list(want.values()))
 
     def test_fd_oracle_check_is_unchanged_by_small_pieces(self,
                                                           monkeypatch):
         f = pullback_pair(2)[0]
-        whole = fd_oracle_check(f)
+        whole = fd_oracle_check(f, f.chart.grid)
         monkeypatch.setattr(model, "_FD_ROWS", 97)
-        assert fd_oracle_check(f) == whole
+        assert fd_oracle_check(f, f.chart.grid) == whole
 
     def test_n3_norm_calls_stay_within_the_budget(self):
         rows = []
         g = difference(*pullback_pair(3))
-        spec = dataclasses.replace(g.grid, points_per_axis=32)
+        spec = GridSpec(points_per_axis=32)
         m = len(g.domain.grid(spec))
         assert m == 23680                   # three norm chunks
         c2_norm(self.counting(g, rows), spec)
@@ -711,8 +736,7 @@ class TestFdPieces:
         # N and N/2 (4096 + 1024 rows) are walked together, as analytic
         # grids are, one stencil piece a step: the third piece ends N and
         # begins N/2.  No grid is built whole.
-        f = self.n2_field(lambda v, p: v)
-        specs = (f.grid, f.grid.halved())
+        f, specs = self.n2_field(lambda v, p: v), self.N2
         rows = np.concatenate([f.domain.grid(spec) for spec in specs])
         pieces = self.fd_jet_rows(monkeypatch)
         monkeypatch.setattr(Domain, "grid", None)
@@ -726,8 +750,7 @@ class TestFdPieces:
         # 10 rows a piece: the 410th holds the last 6 rows of N and the
         # first 4 of N/2, and each grid's sups are still its own
         monkeypatch.setattr(model, "_FD_ROWS", 97)
-        f = self.n2_field(lambda v, p: v)
-        specs = (f.grid, f.grid.halved())
+        f, specs = self.n2_field(lambda v, p: v), self.N2
         pieces = self.fd_jet_rows(monkeypatch)
         norms = model._c2_norms([f], specs)[0]
         assert len(pieces) == 512 and len(pieces[409]) == 10
@@ -743,7 +766,7 @@ class TestFdPieces:
     def test_piece_sups_are_the_whole_grid_sups(self, nan):
         f = self.n2_field(lambda v, p: np.where(p[:, 0] > 0.5, np.nan, v)
                           if nan else v)
-        specs = (f.grid, f.grid.halved())
+        specs = self.N2
         for norm, spec in zip(model._c2_norms([f], specs)[0], specs):
             want = whole_grid_sups(f, spec)
             assert list(norm.per_order_sups) == list(want)
@@ -756,7 +779,7 @@ class TestFdPieces:
         # and every row of both grids is in one of them
         pieces = self.fd_jet_rows(monkeypatch)
         g = difference(*pullback_pair(3))
-        spec = dataclasses.replace(g.grid, points_per_axis=32)
+        spec = GridSpec(points_per_axis=32)
         measured_with_error([g], spec)
         sizes = list(map(len, pieces))
         assert max(sizes) <= model._FD_ROWS // 19
@@ -768,7 +791,7 @@ class TestFdPieces:
         # 2,752 rows) took 10.3 MB when each FD jet was a whole 8,192-row
         # chunk
         g = difference(*pullback_pair(3))
-        spec = dataclasses.replace(g.grid, points_per_axis=32)
+        spec = GridSpec(points_per_axis=32)
         _, mb = traced_peak_mb(measured_with_error, [g], spec)
         assert mb < 3.3
 
@@ -782,9 +805,9 @@ class TestFdPieces:
         m = perturbed_hyperbolic(2, amplitude=0.05,
                                  grid=GridSpec(points_per_axis=64))
         pb = pullback(radial_chart(m, 5.0), m.metric)
-        want = fd_oracle_check(pb)
+        want = fd_oracle_check(pb, m.grid)
         pieces = self.fd_jet_rows(monkeypatch, verify)
-        got, mb = traced_peak_mb(fd_oracle_check, pb)
+        got, mb = traced_peak_mb(fd_oracle_check, pb, m.grid)
         assert got == want and got["passed"] and mb < 3.5
         assert max(map(len, pieces)) == model._fd_piece(2)
         assert sum(map(len, pieces)) == 3 * 4096    # three steps h
@@ -913,8 +936,8 @@ class TestDump:
         ch = chart2(pts=8)
         sig = hyperbolic_model(ch)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        n1 = dump_grid_csv(sig, p1)
-        n2 = dump_grid_csv(sig, p2)
+        n1 = dump_grid_csv(sig, p1, ch.grid)
+        n2 = dump_grid_csv(sig, p2, ch.grid)
         assert n1 == n2 == 64
         b1, b2 = p1.read_bytes(), p2.read_bytes()
         assert b1 == b2
@@ -923,15 +946,16 @@ class TestDump:
 
     def test_chunked_dump_is_the_one_chunk_dump(self, tmp_path,
                                                 monkeypatch):
-        sig = hyperbolic_model(chart2(pts=8))
+        ch = chart2(pts=8)
+        sig = hyperbolic_model(ch)
         rows = []
         f = Field(sig.domain, lambda p: rows.append(len(p)) or sig(p),
-                  shape=sig.shape, grid=sig.grid)
+                  shape=sig.shape)
         one, small = tmp_path / "one.csv", tmp_path / "small.csv"
-        dump_grid_csv(f, one)
+        dump_grid_csv(f, one, ch.grid)
         monkeypatch.setattr(model, "_CHUNK", 7)
         rows.clear()
-        dump_grid_csv(f, small)
+        dump_grid_csv(f, small, ch.grid)
         assert rows == [7] * 9 + [1]
         assert small.read_bytes() == one.read_bytes()
 

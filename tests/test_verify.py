@@ -105,10 +105,10 @@ def test_csv_rows_columns_and_params_roundtrip():
 def test_measured_with_error_fd_proxy():
     sigma = hyperbolic_model(CH)
     bare = Field(CH.domain, lambda p: np.exp(2.0 * p[:, 1]))
-    ((full, err),) = measured_with_error([bare])
+    ((full, err),) = measured_with_error([bare], CH.grid)
     assert full.derivative_source == "finite-difference"
     assert err >= 3e-6 * full.value
-    ((_, err_jet),) = measured_with_error([difference(sigma, sigma)])
+    ((_, err_jet),) = measured_with_error([difference(sigma, sigma)], CH.grid)
     assert err_jet == 0.0
 
 
@@ -429,7 +429,7 @@ def test_blend_evaluates_lambda_once_per_grid():
                 or 0.5 + 0.5 * np.sin(0.3 + p[:, 0] - p[:, 1]), analytic=True)
     r = check_lemma_1_1(g1, g2, lam)
     assert calls == [64 * 64 + 32 * 32]
-    assert r.params["lam_norm"] == c2_norm(lam).value
+    assert r.params["lam_norm"] == c2_norm(lam, CH.grid).value
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +491,7 @@ def _expected_reports(check, args, kw):
         factor = 4.0 * np.exp(4.0 * (1.0 + chart.xi))
         return [(lhs, err + factor * e_ab, {"eps_ab": eab})]
     g = args[0]
-    spec, sigma = g.grid, hyperbolic_model(g.chart)
+    spec, sigma = g.chart.grid, hyperbolic_model(g.chart)
     if check == "check_lemma_1_1":
         g1, g2, lam = args
         (e1, err1), (e2, err2), (L, err_l) = (
@@ -573,7 +573,8 @@ def test_all_suites_pass_small():
 @pytest.fixture(scope="module")
 def small_audit():
     m = perturbed_hyperbolic(n=2, amplitude=1e-3, r_range=(0.05, 16.0))
-    return check_main_theorem(m, 4.0, 1.5, centers_per_zone=3, seed=2)
+    return check_main_theorem(
+        TheoremConfig(xi=1.5, centers_per_zone=3, seed=2), m, 4.0)
 
 
 def test_audit_passes_and_counts_zones(small_audit):
@@ -598,13 +599,12 @@ def test_audit_case1_eta_equals_eps_exactly(small_audit):
         assert r.lhs == r.params["eps_center"]
 
 
-def assert_eps_center_is_closeness(inst, manifold, bump_delta=0.05):
-    """Every report's eps_center equals g's closeness on its chart, computed
-    here.  Where the chart lies beyond the bump, eta's norm (recomputed as
+def assert_eps_center_is_closeness(inst, manifold, spec, bump_delta=0.05):
+    """Every report's eps_center equals g's closeness on its chart of grid
+    spec, computed here.  Where the chart lies beyond the bump, eta's norm (recomputed as
     the audit takes it) equals that closeness key by key.  Returns how many
     charts lay beyond it."""
     g = manifold.metric
-    spec = g.grid
     bump = BumpFunction(delta=bump_delta)
     W = warp_force(g, inst.r0, bump)
     beyond = 0
@@ -630,14 +630,15 @@ def assert_eps_center_is_closeness(inst, manifold, bump_delta=0.05):
 
 def test_eps_center_is_closeness_of_g_at_every_center(small_audit):
     m = perturbed_hyperbolic(n=2, amplitude=1e-3, r_range=(0.05, 16.0))
-    assert assert_eps_center_is_closeness(small_audit, m) >= 6
+    assert assert_eps_center_is_closeness(small_audit, m, GridSpec()) >= 6
 
 
 def test_eps_center_is_closeness_of_g_on_the_n3_golden_sweep():
     cfg = TheoremConfig(n=3, r0_values=(5.0,), centers_per_zone=1,
                         grid=GridSpec(points_per_axis=8))
     (inst,) = run_theorem_sweep(cfg)
-    assert assert_eps_center_is_closeness(inst, _sweep_manifold(cfg)) == 2
+    assert assert_eps_center_is_closeness(inst, _sweep_manifold(cfg),
+                                          cfg.grid) == 2
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["edge", "one-below"])
@@ -661,11 +662,13 @@ def test_eps_center_at_the_edge_of_the_bump(monkeypatch, below):
     calls = []
     monkeypatch.setattr(verify, "radial_closeness",
                         lambda *a: calls.append(a) or radial_closeness(*a))
-    m = perturbed_hyperbolic(n=2, grid=GridSpec(points_per_axis=16))
-    inst = check_main_theorem(m, r0, xi, centers_per_zone=1)
+    m = perturbed_hyperbolic(n=2)
+    cfg = TheoremConfig(xi=xi, centers_per_zone=1,
+                        grid=GridSpec(points_per_axis=16))
+    inst = check_main_theorem(cfg, m, r0)
     assert len(calls) == below
     (r,) = inst.reports
-    rc = radial_chart(m, t0, xi=xi - 1.0, y0=(0.25,), grid=m.metric.grid)
+    rc = radial_chart(m, t0, xi=xi - 1.0, y0=(0.25,), grid=cfg.grid)
     assert r.params["eps_center"] == radial_closeness(rc, m.metric).value
 
 
@@ -741,28 +744,30 @@ def test_audit_zone_classification():
 def test_audit_rejects_bad_geometry():
     m = punctured_hyperbolic(2, r_range=(0.05, 9.0))
     with pytest.raises(DomainError):
-        check_main_theorem(m, 4.0, 1.5, centers_per_zone=2, seed=0)
+        check_main_theorem(TheoremConfig(xi=1.5, centers_per_zone=2), m, 4.0)
     with pytest.raises(ValueError):
-        check_main_theorem(m, 4.0, 1.0, centers_per_zone=2, seed=0)
+        check_main_theorem(TheoremConfig(xi=1.0, centers_per_zone=2), m, 4.0)
     with pytest.raises(ValueError):
-        check_main_theorem(m, 2.0, 1.5, centers_per_zone=2, seed=0)
+        check_main_theorem(TheoremConfig(xi=1.5, centers_per_zone=2), m, 2.0)
 
 
 def test_audit_refuses_a_vacuous_sweep():
-    m = perturbed_hyperbolic(2, grid=GridSpec(points_per_axis=8))
+    m = perturbed_hyperbolic(2)
     with pytest.raises(ValueError, match="centers_per_zone"):
-        check_main_theorem(m, 5.0, 1.5, centers_per_zone=0)
+        check_main_theorem(TheoremConfig(
+            xi=1.5, centers_per_zone=0, grid=GridSpec(points_per_axis=8)),
+            m, 5.0)
     with pytest.raises(ValueError, match="r0 value"):
         run_theorem_sweep(TheoremConfig(r0_values=()))
 
 
 def test_nan_samples_make_the_norm_nan_and_the_check_fail():
     # Python's max(sup, nan) keeps sup, which read this field as 0.0
-    f = Field(ChartModel(n=2).domain,
-              lambda p: np.where(p[:, 1] > 0, np.nan, 5.0))
+    ch = ChartModel(n=2)
+    f = Field(ch.domain, lambda p: np.where(p[:, 1] > 0, np.nan, 5.0))
     with np.errstate(invalid="ignore"):
-        nrm = c2_norm(f)
-        ((full, err),) = measured_with_error([f])
+        nrm = c2_norm(f, ch.grid)
+        ((full, err),) = measured_with_error([f], ch.grid)
     assert np.isnan(nrm.value)
     assert all(np.isnan(v) for v in nrm.per_order_sups.values())
     assert np.isnan(full.value)
@@ -772,15 +777,16 @@ def test_nan_samples_make_the_norm_nan_and_the_check_fail():
 
 
 def test_audit_nan_closeness_fails_the_sweep():
-    g = perturbed_hyperbolic(2, grid=GridSpec(points_per_axis=8)).metric
+    g = perturbed_hyperbolic(2).metric
 
     def spatial(p):
         return np.where(p[:, -1, None, None] > 6.5, np.nan, g.spatial(p))
 
-    m = CenteredManifold(RadialMetric(g.domain, spatial, grid=g.grid),
-                         kind="perturbed")
+    m = CenteredManifold(RadialMetric(g.domain, spatial), kind="perturbed")
+    cfg = TheoremConfig(xi=1.5, centers_per_zone=1,
+                        grid=GridSpec(points_per_axis=8))
     with np.errstate(invalid="ignore"):
-        inst = check_main_theorem(m, 5.0, 1.5, centers_per_zone=1)
+        inst = check_main_theorem(cfg, m, 5.0)
     assert np.isnan(inst.eps) and np.isnan(inst.eta_max)
     assert np.isnan(inst.decay_constant) and not inst.passed
     assert not any(r.passed or r.marginal for r in inst.reports)
@@ -797,7 +803,8 @@ def test_audit_chart_misfit_becomes_error_entry(monkeypatch):
 
     monkeypatch.setattr(V, "radial_chart", flaky)
     m = perturbed_hyperbolic(n=2, amplitude=1e-3, r_range=(0.05, 16.0))
-    inst = check_main_theorem(m, 4.0, 1.5, centers_per_zone=3, seed=2)
+    inst = check_main_theorem(
+        TheoremConfig(xi=1.5, centers_per_zone=3, seed=2), m, 4.0)
     errs = [r for r in inst.reports if "synthetic misfit" in r.notes]
     assert errs and not inst.passed
     assert len(inst.reports) == 9  # instance still reports every center
@@ -809,8 +816,10 @@ def test_main_theorem_n3_end_to_end():
     # every n = 3 norm is a finite-difference norm of an exp-map pullback;
     # eps and eta_max were recorded from the einsum sandwich that ran the
     # exp map at every stencil point
-    m = perturbed_hyperbolic(n=3, grid=GridSpec(points_per_axis=8))
-    inst = check_main_theorem(m, 5.0, 1.5, centers_per_zone=1)
+    m = perturbed_hyperbolic(n=3)
+    inst = check_main_theorem(TheoremConfig(
+        n=3, xi=1.5, centers_per_zone=1, grid=GridSpec(points_per_axis=8)),
+        m, 5.0)
     assert inst.passed and len(inst.reports) == 3
     assert all(r.derivative_source == "finite-difference"
                for r in inst.reports)
@@ -882,21 +891,21 @@ def test_remark_rows_are_the_closed_form():
 
 def test_fd_oracle_on_synthetic_metric():
     g = random_close_metric(CH, np.random.default_rng(7))
-    rep = fd_oracle_check(g)
+    rep = fd_oracle_check(g, CH.grid)
     assert rep["passed"]
     assert rep["errors"][1e-4]["d2"] < rep["errors"][4e-4]["d2"]
 
 
 def test_fd_oracle_on_generator_fields():
     rng = np.random.default_rng(13)
-    assert fd_oracle_check(random_lambda(CH, rng))["passed"]
-    assert fd_oracle_check(random_ball_metric(1, rng))["passed"]
+    assert fd_oracle_check(random_lambda(CH, rng), CH.grid)["passed"]
+    assert fd_oracle_check(random_ball_metric(1, rng), GridSpec())["passed"]
 
 
 def test_fd_oracle_requires_jet():
     bare = Field(CH.domain, lambda p: np.exp(p[:, 1]))
     with pytest.raises(WarpforceError):
-        fd_oracle_check(bare)
+        fd_oracle_check(bare, CH.grid)
 
 
 def test_generators_refuse_blocks_of_the_wrong_shape():
@@ -905,7 +914,7 @@ def test_generators_refuse_blocks_of_the_wrong_shape():
     rng = np.random.default_rng(0)
     g = random_close_metric(ChartModel(n=3, grid=GridSpec(points_per_axis=8)),
                             rng)
-    pts = g.domain.grid(g.grid)
+    pts = g.domain.grid(g.chart.grid)
     at_jet = Jet.seed(pts)
     for call in (lambda: g(pts), lambda: g(at_jet), lambda: g.jet(pts),
                  lambda: g.spatial(pts), lambda: g.spatial(at_jet),

@@ -34,7 +34,7 @@ from warpforce.warpcore import (
 from memory import traced_peak_mb
 
 
-def sinh_squared_radial(H, r_lo=1.0, r_hi=4.0, k=2, pts=16):
+def sinh_squared_radial(H, r_lo=1.0, r_hi=4.0, k=2):
     """spatial(y, r) = sinh^2(r) H with exact jets."""
     H = np.asarray(H, dtype=float)
     names = tuple(f"y{i + 1}" for i in range(k)) + ("r",)
@@ -43,8 +43,7 @@ def sinh_squared_radial(H, r_lo=1.0, r_hi=4.0, k=2, pts=16):
     def spatial(p):
         return (np.sinh(p[:, -1]) ** 2)[:, None, None] * H
 
-    return RadialMetric(dom, spatial, analytic=True,
-                        grid=GridSpec(points_per_axis=pts), name="sinh2H")
+    return RadialMetric(dom, spatial, analytic=True, name="sinh2H")
 
 
 class TestBump:
@@ -313,6 +312,17 @@ class TestRadialOperators:
         with pytest.raises(DomainError):
             radial_slice(g, 9.0)
 
+    @pytest.mark.parametrize("op", [sinh_warped_cut,
+                                    lambda g, r0: warp_force(
+                                        g, r0, BumpFunction())],
+                             ids=["sinh_warped_cut", "warp_force"])
+    def test_cut_radius_guard_comes_before_sinh(self, op):
+        # sinh(1e300) overflows; the window check must refuse r0 first,
+        # not let the RuntimeWarning (an error under pytest) escape
+        g = sinh_squared_radial(np.eye(2))
+        with pytest.raises(DomainError, match="outside radial window"):
+            op(g, 1e300)
+
     def test_radial_metric_rejects_negative_window(self):
         with pytest.raises(ValueError):
             punctured_hyperbolic(2, r_range=(-1.0, 2.0))
@@ -372,7 +382,7 @@ class TestRadialOperators:
             d2[:, 0, 0, 0, 0] = -0.3 * np.sin(p[:, 0])
             return v, d1, d2
 
-        g = RadialMetric(dom, spatial, sjet, grid=GridSpec(points_per_axis=16))
+        g = RadialMetric(dom, spatial, sjet)
         W = warp_force(g, 2.2, BumpFunction())
         f = W
         from warpforce.model import Field, _fd_jet
