@@ -160,6 +160,12 @@ def perturbed_hyperbolic(n: int = 2, amplitude: float = 1e-3,
 _KINDS = {"punctured": punctured_hyperbolic, "perturbed": perturbed_hyperbolic}
 
 
+def _keyword_defaults(build) -> dict:
+    """A manifold constructor's keyword defaults, except grid."""
+    return {k: p.default for k, p in inspect.signature(build).parameters.items()
+            if k != "grid"}
+
+
 def manifold_from_config(cfg: dict) -> CenteredManifold:
     """The manifold of a config object: its "kind" (default "punctured")
     and the keyword arguments of that kind's constructor, except grid, read
@@ -168,9 +174,7 @@ def manifold_from_config(cfg: dict) -> CenteredManifold:
     build = _KINDS.get(kind) if isinstance(kind, str) else None
     if build is None:
         raise ValueError(f"unknown manifold kind {kind!r}")
-    defaults = {"kind": kind} | {
-        k: p.default for k, p in inspect.signature(build).parameters.items()
-        if k != "grid"}
+    defaults = {"kind": kind} | _keyword_defaults(build)
     kw = read_config(cfg, defaults, "manifold")
     kw.pop("kind", None)
     return build(**kw)

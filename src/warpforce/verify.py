@@ -8,8 +8,8 @@ proxy when derivatives come from finite differences).  A lemma report's
 error estimate follows one rule: the lhs's estimate plus err_k |d rhs / d n_k|
 for every other norm n_k of the check, exact for the multilinear right-hand
 sides below (see _lemma_reports); a theorem report's is eta's own.
-`marginal` is set whenever the margin is below three times the report's
-estimate, so grid under-resolution is always visible in the output.
+`marginal` is set whenever |margin| is below three times the report's
+estimate, so a verdict that grid refinement could overturn always shows.
 
 Check registry (run_check / available_checks):
 
@@ -55,6 +55,7 @@ from warpforce.model import (
 )
 from warpforce.manifold import (
     CenteredManifold,
+    _keyword_defaults,
     closeness_at,
     perturbed_hyperbolic,
     pullback,
@@ -133,7 +134,7 @@ def make_report(name: str, params: dict, lhs: float, rhs: float,
     exact_zero = lhs == 0.0 and rhs == 0.0
     passed = (lhs < rhs) or exact_zero
     margin = rhs - lhs
-    marginal = exact_zero or (margin < 3.0 * error_estimate)
+    marginal = exact_zero or abs(margin) < 3.0 * error_estimate
     return BoundReport(name=name, params=params, lhs=float(lhs),
                        rhs=float(rhs), passed=bool(passed),
                        margin=float(margin),
@@ -198,15 +199,14 @@ def measured_with_error(fields: Sequence[Field], grid: GridSpec) -> list:
 
 def _lemma_reports(walks: Sequence[dict], grid: GridSpec,
                    reports: Sequence[tuple], fixed: dict,
-                   shown: Sequence[str] = (),
-                   extra: Optional[dict] = None) -> list:
+                   shown: Sequence[str] = ()) -> list:
     """The reports of one lemma check.
 
     `walks` names the check's fields, one dict per domain, each walked once
     in its order (measured_with_error: a field after the fields that
     contain it).  `reports` holds a (name, lhs field, rhs) triple per
     report, rhs a function of the dict of every field's norm.  Each
-    report's params are `fixed`, the norms named in `shown`, then `extra`.
+    report's params are `fixed`, then the norms named in `shown`.
     Its error estimate is the lhs probe error plus, for every other field
     k, err_k |rhs(n_k = 1) - rhs(n_k = 0)|: exactly err_k |d rhs / d n_k|
     for a multilinear rhs, with none of the cancellation of
@@ -217,7 +217,7 @@ def _lemma_reports(walks: Sequence[dict], grid: GridSpec,
                 list(walk.values()), grid)):
             norms[key], errs[key] = c2, err
     n = {key: c2.value for key, c2 in norms.items()}
-    p = fixed | {key: n[key] for key in shown} | (extra or {})
+    p = fixed | {key: n[key] for key in shown}
     return [make_report(
         name, p, n[lhs], rhs(n), errs[lhs] + sum(
             err * abs(rhs(n | {key: 1.0}) - rhs(n | {key: 0.0}))
@@ -238,8 +238,7 @@ def check_lemma_2_1(t0: float) -> BoundReport:
                           {"t0": t0, "window": [0.0, hi]})[0]
 
 
-def check_lemma_2_2(g: RadialMetric, nu, s: float = 0.0,
-                    params: Optional[dict] = None) -> BoundReport:
+def check_lemma_2_2(g: RadialMetric, nu, s: float = 0.0) -> BoundReport:
     """|g - g_nu| < 4 |1 - nu| |g| for a positive warp profile nu, shifted
     by s.  A nonzero s needs nu.shifted(s), as random_warp_profile's
     profiles have; the one shifted profile serves both sides."""
@@ -250,11 +249,10 @@ def check_lemma_2_2(g: RadialMetric, nu, s: float = 0.0,
         [{"lhs": difference(g, apply_warp(g, prof)), "nu_dev": nu_dev,
           "g_norm": g}], g.chart.grid,
         [("lemma2.2", "lhs", lambda n: 4.0 * n["nu_dev"] * n["g_norm"])],
-        {"xi": g.chart.xi, "s": s}, ("nu_dev", "g_norm"), params)[0]
+        {"xi": g.chart.xi, "s": s}, ("nu_dev", "g_norm"))[0]
 
 
-def check_lemma_2_3(g: RadialMetric, t0: float, s: float = 0.0,
-                    params: Optional[dict] = None):
+def check_lemma_2_3(g: RadialMetric, t0: float, s: float = 0.0):
     """Both sinh-rewarping bounds; returns [part-1 report, part-2 report]."""
     h = apply_warp(g, WarpFunction(t0), s=s)
     sigma = hyperbolic_model(g.chart)
@@ -264,11 +262,11 @@ def check_lemma_2_3(g: RadialMetric, t0: float, s: float = 0.0,
           "lhs2": difference(h, sigma)}], g.chart.grid,
         [("lemma2.3(1)", "lhs1", lambda n: 21.0 * (n["eps"] + scale) * decay),
          ("lemma2.3(2)", "lhs2", lambda n: 21.0 * scale * (decay + n["eps"]))],
-        {"xi": g.chart.xi, "t0": t0, "s": s}, ("eps",), params)
+        {"xi": g.chart.xi, "t0": t0, "s": s}, ("eps",))
 
 
-def check_lemma_3_1(a: Field, b: Field, s: float, chart: ChartModel,
-                    params: Optional[dict] = None) -> BoundReport:
+def check_lemma_3_1(a: Field, b: Field, s: float,
+                    chart: ChartModel) -> BoundReport:
     """|ext(a,s) - ext(b,s)| < 4 e^{4(1+xi)} |a - b|_{C2(ball)}."""
     ext = difference(warped_extension(a, s, chart),
                      warped_extension(b, s, chart))
@@ -276,11 +274,10 @@ def check_lemma_3_1(a: Field, b: Field, s: float, chart: ChartModel,
     return _lemma_reports(
         [{"lhs": ext}, {"eps_ab": difference(a, b)}], chart.grid,
         [("lemma3.1", "lhs", lambda n: factor * n["eps_ab"])],
-        {"xi": chart.xi, "s": s}, ("eps_ab",), params)[0]
+        {"xi": chart.xi, "s": s}, ("eps_ab",))[0]
 
 
-def check_lemma_3_2(g: RadialMetric, s: float,
-                    params: Optional[dict] = None) -> BoundReport:
+def check_lemma_3_2(g: RadialMetric, s: float) -> BoundReport:
     """|ext(g_s, s) - sigma| < 4 e^{4(1+xi)} eps with measured eps."""
     ext = warped_extension(radial_slice(g, s), s, g.chart)
     sigma = hyperbolic_model(g.chart)
@@ -288,11 +285,11 @@ def check_lemma_3_2(g: RadialMetric, s: float,
     return _lemma_reports(
         [{"eps": difference(g, sigma), "lhs": difference(ext, sigma)}],
         g.chart.grid, [("lemma3.2", "lhs", lambda n: factor * n["eps"])],
-        {"xi": g.chart.xi, "s": s}, ("eps",), params)[0]
+        {"xi": g.chart.xi, "s": s}, ("eps",))[0]
 
 
-def check_lemma_1_1(g1: RadialMetric, g2: RadialMetric, lam: Field,
-                    params: Optional[dict] = None) -> BoundReport:
+def check_lemma_1_1(g1: RadialMetric, g2: RadialMetric,
+                    lam: Field) -> BoundReport:
     """|lam g1 + (1-lam) g2 - sigma| < 4 (1 + |lam|) (eps1 + eps2)."""
     sigma = hyperbolic_model(g1.chart)
     # lam after the blend that contains it, so that it is evaluated once
@@ -301,7 +298,7 @@ def check_lemma_1_1(g1: RadialMetric, g2: RadialMetric, lam: Field,
           "lhs": difference(blend(g1, g2, lam), sigma), "lam_norm": lam}],
         g1.chart.grid, [("lemma1.1", "lhs", lambda n: 4.0
                          * (1.0 + n["lam_norm"]) * (n["eps1"] + n["eps2"]))],
-        {"xi": g1.chart.xi}, ("lam_norm", "eps1", "eps2"), params)[0]
+        {"xi": g1.chart.xi}, ("lam_norm", "eps1", "eps2"))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -387,93 +384,97 @@ def _split_counts(total: int, parts: int) -> list:
     return [base + (1 if i < rest else 0) for i in range(parts)]
 
 
-def _blend_trivial(ch, rng, p):
+def _blend_trivial(ch, rng):
     sigma = hyperbolic_model(ch)
     one = _constant_scalar(ch.domain, 1.0)
-    return [check_lemma_1_1(sigma, sigma, one, params=p)]
+    return [check_lemma_1_1(sigma, sigma, one)]
 
 
-def _rewarp_seeded(ch, rng, p):
+def _rewarp_seeded(ch, rng):
     g = random_close_metric(ch, rng)
     s = rng.uniform(-0.8, 0.8) if rng.uniform() < 0.5 else 0.0
     # profile argument t - s must stay above -t0 on the window
     t0_lo = max(2.2, (1.0 + ch.xi) + max(s, 0.0) + 0.3)
-    return check_lemma_2_3(g, rng.uniform(t0_lo, 8.0), s=s, params=p)
+    return check_lemma_2_3(g, rng.uniform(t0_lo, 8.0), s=s)
 
 
-def _extension_trivial(ch, rng, p):
+def _extension_trivial(ch, rng):
     a = random_ball_metric(ch.k, rng)
-    return [check_lemma_3_1(a, a, 0.0, ch, params=p)]
+    return [check_lemma_3_1(a, a, 0.0, ch)]
 
 
 def _slice_shift(ch, rng) -> float:
     return rng.uniform(-0.8 * (1 + ch.xi), 0.8 * (1 + ch.xi))
 
 
-# Per lemma suite, its trivial and its seeded instance: (chart, rng, params)
-# -> the reports of one check, the rng drawn in argument order.  Each calls
-# its check through the module's name at call time, which a tracer may wrap.
+# Per lemma suite, its trivial and its seeded instance: (chart, rng) -> the
+# reports of one check, the rng drawn in argument order.  Each calls its
+# check through the module's name at call time, which a tracer may wrap.
 _SUITES = {
-    "lemma1.1": (_blend_trivial, lambda ch, rng, p: [check_lemma_1_1(
+    "lemma1.1": (_blend_trivial, lambda ch, rng: [check_lemma_1_1(
         random_close_metric(ch, rng), random_close_metric(ch, rng),
-        random_lambda(ch, rng), params=p)]),
-    "lemma2.2": (lambda ch, rng, p: [check_lemma_2_2(
-        hyperbolic_model(ch), lambda t: np.ones(len(t)), params=p)],
-        lambda ch, rng, p: [check_lemma_2_2(
+        random_lambda(ch, rng))]),
+    "lemma2.2": (lambda ch, rng: [check_lemma_2_2(
+        hyperbolic_model(ch), lambda t: np.ones(len(t)))],
+        lambda ch, rng: [check_lemma_2_2(
             random_close_metric(ch, rng), random_warp_profile(rng),
-            s=rng.uniform(-0.5, 0.5) if rng.uniform() < 0.5 else 0.0,
-            params=p)]),
-    "lemma2.3": (lambda ch, rng, p: check_lemma_2_3(
-        hyperbolic_model(ch), 4.0, params=p), _rewarp_seeded),
-    "lemma3.1": (_extension_trivial, lambda ch, rng, p: [check_lemma_3_1(
+            s=rng.uniform(-0.5, 0.5) if rng.uniform() < 0.5 else 0.0)]),
+    "lemma2.3": (lambda ch, rng: check_lemma_2_3(hyperbolic_model(ch), 4.0),
+                 _rewarp_seeded),
+    "lemma3.1": (_extension_trivial, lambda ch, rng: [check_lemma_3_1(
         random_ball_metric(ch.k, rng),
         random_ball_metric(ch.k, rng, base=rng.uniform(0.8, 1.3)),
-        _slice_shift(ch, rng), ch, params=p)]),
-    "lemma3.2": (lambda ch, rng, p: [check_lemma_3_2(
-        hyperbolic_model(ch), 0.0, params=p)],
-        lambda ch, rng, p: [check_lemma_3_2(
-            random_close_metric(ch, rng), _slice_shift(ch, rng), params=p)]),
+        _slice_shift(ch, rng), ch)]),
+    "lemma3.2": (lambda ch, rng: [check_lemma_3_2(hyperbolic_model(ch), 0.0)],
+                 lambda ch, rng: [check_lemma_3_2(
+                     random_close_metric(ch, rng), _slice_shift(ch, rng))]),
 }
 
 
 def _run_lemma_suite(name: str, seed: int, instances: int,
                      xi_values, grid: Optional[GridSpec]) -> list:
     """The trivial instance first, then seeded random instances, on n = 2
-    charts of `grid` (by default the default grid)."""
+    charts of `grid` (by default the default grid).  Each report's params
+    name its instance (and seed) after the check's own keys."""
     trivial, seeded = _SUITES[name]
     grid = grid or GridSpec()
-    reports = [*trivial(ChartModel(n=2, xi=1.0, grid=grid),
-                        np.random.default_rng(seed), {"instance": "trivial"})]
+    tagged = [(trivial(ChartModel(n=2, xi=1.0, grid=grid),
+                       np.random.default_rng(seed)), {"instance": "trivial"})]
     name_key = zlib.crc32(name.encode()) & 0xFFFF
     idx = 0
     for xi, count in zip(xi_values, _split_counts(instances, len(xi_values))):
         ch = ChartModel(n=2, xi=float(xi), grid=grid)
         for _ in range(count):
             rng = np.random.default_rng((seed, name_key, idx))
-            reports += seeded(ch, rng, {"instance": idx, "seed": seed})
+            tagged.append((seeded(ch, rng), {"instance": idx, "seed": seed}))
             idx += 1
-    return reports
+    return [dataclasses.replace(r, params=r.params | tag)
+            for reports, tag in tagged for r in reports]
 
 
 # ---------------------------------------------------------------------------
 # main theorem
 
 
+# the settings of the manifold a TheoremConfig audits, with their defaults
+_MANIFOLD = _keyword_defaults(perturbed_hyperbolic)
+
+
 @dataclass(frozen=True)
 class TheoremConfig:
-    """Desk-scale deformation audit configuration."""
+    """Desk-scale deformation audit: the manifold it audits, and settings."""
 
-    n: int = 2
+    n: int = _MANIFOLD["n"]
     xi: float = 1.5
-    amplitude: float = 1e-3
-    sphere_mode: int = 3
-    radial_center: float = 5.0
-    radial_width: float = 1.5
-    r_range: tuple = (0.05, 16.0)
+    amplitude: float = _MANIFOLD["amplitude"]
+    sphere_mode: int = _MANIFOLD["sphere_mode"]
+    radial_center: float = _MANIFOLD["radial_center"]
+    radial_width: float = _MANIFOLD["radial_width"]
+    r_range: tuple = _MANIFOLD["r_range"]
     r0_values: tuple = (4.0, 5.0, 6.0, 7.0)
     centers_per_zone: int = 8
     seed: int = 0
-    bump_delta: float = 0.05
+    bump_delta: float = BumpFunction().delta
     guard_constant: float = 1e3
     grid: GridSpec = field(default_factory=GridSpec)
 
@@ -490,6 +491,11 @@ class TheoremConfig:
         if grid is not None:
             kw["grid"] = grid
         return cls(**kw)
+
+    def manifold(self) -> CenteredManifold:
+        """The manifold this config audits: perturbed_hyperbolic with the
+        config's fields of the same names."""
+        return perturbed_hyperbolic(**{k: getattr(self, k) for k in _MANIFOLD})
 
 
 @dataclass(frozen=True)
@@ -560,10 +566,10 @@ def theorem_centers(r0: float, xi: float, r_range, per_zone: int,
     return out
 
 
-def check_main_theorem(cfg: TheoremConfig, manifold: CenteredManifold,
-                       r0: float) -> TheoremInstance:
-    """Audit W_{r0} g on the annulus outside B_{r0-(1+xi)}, with cfg's
-    excess xi, centers per zone, seed, bump delta and guard constant.
+def check_main_theorem(cfg: TheoremConfig, r0: float) -> TheoremInstance:
+    """Audit W_{r0} g on the annulus outside B_{r0-(1+xi)}, g the metric of
+    cfg.manifold(), with cfg's excess xi, centers per zone, seed, bump delta
+    and guard constant.
 
     Measures eps (closeness of g, excess-xi charts where they fit), deforms,
     then at every center measures eta with the excess-(xi-1) chart and checks
@@ -574,6 +580,7 @@ def check_main_theorem(cfg: TheoremConfig, manifold: CenteredManifold,
     regression guard.  Every norm samples on cfg.grid.
     """
     t_start = time.perf_counter()
+    manifold = cfg.manifold()
     g, xi, spec = manifold.metric, cfg.xi, cfg.grid
     rng = np.random.default_rng((cfg.seed, int(r0 * 8)))
     centers = theorem_centers(r0, xi, manifold.r_range, cfg.centers_per_zone,
@@ -638,25 +645,12 @@ def check_main_theorem(cfg: TheoremConfig, manifold: CenteredManifold,
     )
 
 
-def _sweep_manifold(cfg: TheoremConfig) -> CenteredManifold:
-    """The manifold of cfg's sweep, once theorem_centers has accepted every
-    r0 of the sweep on it: ValueError or WarpforceError otherwise."""
+def run_theorem_sweep(cfg: Optional[TheoremConfig] = None) -> list:
+    """check_main_theorem at each of cfg's r0 values; ValueError for none."""
+    cfg = cfg or TheoremConfig()
     if not cfg.r0_values:
         raise ValueError("theorem sweep needs at least one r0 value")
-    manifold = perturbed_hyperbolic(
-        n=cfg.n, amplitude=cfg.amplitude, sphere_mode=cfg.sphere_mode,
-        radial_center=cfg.radial_center, radial_width=cfg.radial_width,
-        r_range=cfg.r_range)
-    for r0 in cfg.r0_values:    # its draws are discarded
-        theorem_centers(r0, cfg.xi, manifold.r_range, cfg.centers_per_zone,
-                        np.random.default_rng(0))
-    return manifold
-
-
-def run_theorem_sweep(cfg: Optional[TheoremConfig] = None) -> list:
-    cfg = cfg or TheoremConfig()
-    manifold = _sweep_manifold(cfg)
-    return [check_main_theorem(cfg, manifold, r0) for r0 in cfg.r0_values]
+    return [check_main_theorem(cfg, r0) for r0 in cfg.r0_values]
 
 
 # ---------------------------------------------------------------------------
@@ -740,19 +734,20 @@ def run_check(name: str, seed: Optional[int] = None, instances: int = 100,
               config: Optional[dict] = None) -> list:
     """Run a registry check and return its BoundReports.  A given seed or
     grid overrides the theorem section's own; the lemma suites default to
-    seed 0.  `all` checks its whole theorem sweep before any lemma runs."""
+    seed 0.  `all` reads every section, then runs its theorem sweep before
+    any lemma (a sweep it cannot audit stops it) but lists it last."""
     if config is not None and not isinstance(config, dict):
         raise ValueError(f"{name} config must be an object, got {config!r}")
     if name in ("all", "theorem"):
         doc = config or {}
         theorem = TheoremConfig.from_dict(
             doc.get("theorem", {}) if name == "all" else doc, seed, grid)
-        _sweep_manifold(theorem)    # refuses a bad sweep before any lemma
         lemmas = [] if name == "theorem" else [
             _lemma_run(nm, doc.get(nm), seed, instances, xi_values, grid)
             for nm in _LEMMA_NAMES]
+        sweep = run_theorem_sweep(theorem)
         return [r for run in lemmas for r in run()] + [
-            r for inst in run_theorem_sweep(theorem) for r in inst.reports]
+            r for inst in sweep for r in inst.reports]
     if name in _LEMMA_NAMES:
         return _lemma_run(name, config, seed, instances, xi_values, grid)()
     raise ValueError(

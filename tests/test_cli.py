@@ -48,6 +48,26 @@ def test_verify_single_point_passes(capsys):
     assert "PASS" in out and "0.0128895" in out
 
 
+@pytest.mark.parametrize("argv,doc", [
+    (["verify", "lemma2.1", "--t0", "3"], {}),
+    (["theorem", "--grid", "8"], SMALL_THEOREM),
+], ids=["verify", "theorem"])
+@pytest.mark.parametrize("estimate,code", [(0.0, 1), (0.4, 0)],
+                         ids=["clear", "within-3x"])
+def test_a_clear_fail_exits_1(tmp_path, monkeypatch, argv, doc, estimate,
+                              code):
+    # lhs 2 against rhs 1: a clear FAIL is not marginal and exits 1; within
+    # 3x its estimate it stays marginal and exits 0
+    from warpforce import verify
+    failed = make_report("lemma2.1", {}, 2.0, 1.0, estimate, GridSpec(),
+                         "analytic")
+    audit = verify.check_main_theorem
+    monkeypatch.setattr(verify, "check_lemma_2_1", lambda t0: failed)
+    monkeypatch.setattr(verify, "check_main_theorem", lambda cfg, r0: (
+        dataclasses.replace(audit(cfg, r0), reports=(failed,))))
+    assert run_cli(argv + ["--config", write_cfg(tmp_path, doc)]) == code
+
+
 def test_verify_rejects_small_t0(tmp_path, capsys):
     # the flag and the config section obey one rule; a non-finite t0 is
     # refused as a number before it is compared with 2

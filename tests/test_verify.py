@@ -35,7 +35,6 @@ from warpforce.verify import (
     CSV_COLUMNS,
     TheoremConfig,
     _angular_center,
-    _sweep_manifold,
     check_lemma_1_1,
     check_lemma_2_1,
     check_lemma_2_2,
@@ -87,6 +86,11 @@ def test_report_marginal_threshold():
     g = GridSpec()
     assert make_report("x", {}, 1.0, 1.1, 0.05, g, "jet").marginal
     assert not make_report("x", {}, 1.0, 2.0, 0.05, g, "jet").marginal
+    # |margin| decides: a FAIL within 3x its estimate is marginal, a clear
+    # FAIL is not (every finite FAIL was, its margin being negative)
+    assert make_report("x", {}, 2.0, 1.0, 0.4, g, "jet").marginal
+    clear = make_report("lemma1.1", {}, 2.0, 1.0, 0.0, g, "analytic")
+    assert not clear.passed and not clear.marginal
 
 
 def test_error_report_schema():
@@ -550,7 +554,10 @@ def test_error_estimate_carries_every_probe_error_into_the_rhs(
                             recording(check, getattr(verify, check)))
     reports = run_check(name, instances=3,
                         grid=GridSpec(points_per_axis=8))
-    assert [r for *_, out in calls for r in out] == reports
+    # the suite runner adds the instance (and seed) to the check's params
+    assert [r for *_, out in calls for r in out] == [dataclasses.replace(
+        r, params={k: v for k, v in r.params.items()
+                   if k not in ("instance", "seed")}) for r in reports]
     for check, args, kw, out in calls:
         want = _expected_reports(check, args, kw)
         assert len(out) == len(want)
@@ -572,9 +579,9 @@ def test_all_suites_pass_small():
 
 @pytest.fixture(scope="module")
 def small_audit():
-    m = perturbed_hyperbolic(n=2, amplitude=1e-3, r_range=(0.05, 16.0))
-    return check_main_theorem(
-        TheoremConfig(xi=1.5, centers_per_zone=3, seed=2), m, 4.0)
+    return check_main_theorem(TheoremConfig(
+        xi=1.5, amplitude=1e-3, r_range=(0.05, 16.0), centers_per_zone=3,
+        seed=2), 4.0)
 
 
 def test_audit_passes_and_counts_zones(small_audit):
@@ -637,7 +644,7 @@ def test_eps_center_is_closeness_of_g_on_the_n3_golden_sweep():
     cfg = TheoremConfig(n=3, r0_values=(5.0,), centers_per_zone=1,
                         grid=GridSpec(points_per_axis=8))
     (inst,) = run_theorem_sweep(cfg)
-    assert assert_eps_center_is_closeness(inst, _sweep_manifold(cfg),
+    assert assert_eps_center_is_closeness(inst, cfg.manifold(),
                                           cfg.grid) == 2
 
 
@@ -665,7 +672,7 @@ def test_eps_center_at_the_edge_of_the_bump(monkeypatch, below):
     m = perturbed_hyperbolic(n=2)
     cfg = TheoremConfig(xi=xi, centers_per_zone=1,
                         grid=GridSpec(points_per_axis=16))
-    inst = check_main_theorem(cfg, m, r0)
+    inst = check_main_theorem(cfg, r0)
     assert len(calls) == below
     (r,) = inst.reports
     rc = radial_chart(m, t0, xi=xi - 1.0, y0=(0.25,), grid=cfg.grid)
@@ -742,21 +749,23 @@ def test_audit_zone_classification():
 
 
 def test_audit_rejects_bad_geometry():
-    m = punctured_hyperbolic(2, r_range=(0.05, 9.0))
+    r_range = (0.05, 9.0)
     with pytest.raises(DomainError):
-        check_main_theorem(TheoremConfig(xi=1.5, centers_per_zone=2), m, 4.0)
+        check_main_theorem(TheoremConfig(
+            xi=1.5, r_range=r_range, centers_per_zone=2), 4.0)
     with pytest.raises(ValueError):
-        check_main_theorem(TheoremConfig(xi=1.0, centers_per_zone=2), m, 4.0)
+        check_main_theorem(TheoremConfig(
+            xi=1.0, r_range=r_range, centers_per_zone=2), 4.0)
     with pytest.raises(ValueError):
-        check_main_theorem(TheoremConfig(xi=1.5, centers_per_zone=2), m, 2.0)
+        check_main_theorem(TheoremConfig(
+            xi=1.5, r_range=r_range, centers_per_zone=2), 2.0)
 
 
 def test_audit_refuses_a_vacuous_sweep():
-    m = perturbed_hyperbolic(2)
     with pytest.raises(ValueError, match="centers_per_zone"):
         check_main_theorem(TheoremConfig(
             xi=1.5, centers_per_zone=0, grid=GridSpec(points_per_axis=8)),
-            m, 5.0)
+            5.0)
     with pytest.raises(ValueError, match="r0 value"):
         run_theorem_sweep(TheoremConfig(r0_values=()))
 
@@ -776,17 +785,18 @@ def test_nan_samples_make_the_norm_nan_and_the_check_fail():
     assert not r.passed and not r.marginal
 
 
-def test_audit_nan_closeness_fails_the_sweep():
+def test_audit_nan_closeness_fails_the_sweep(monkeypatch):
     g = perturbed_hyperbolic(2).metric
 
     def spatial(p):
         return np.where(p[:, -1, None, None] > 6.5, np.nan, g.spatial(p))
 
     m = CenteredManifold(RadialMetric(g.domain, spatial), kind="perturbed")
+    monkeypatch.setattr(TheoremConfig, "manifold", lambda cfg: m)
     cfg = TheoremConfig(xi=1.5, centers_per_zone=1,
                         grid=GridSpec(points_per_axis=8))
     with np.errstate(invalid="ignore"):
-        inst = check_main_theorem(cfg, m, 5.0)
+        inst = check_main_theorem(cfg, 5.0)
     assert np.isnan(inst.eps) and np.isnan(inst.eta_max)
     assert np.isnan(inst.decay_constant) and not inst.passed
     assert not any(r.passed or r.marginal for r in inst.reports)
@@ -802,9 +812,9 @@ def test_audit_chart_misfit_becomes_error_entry(monkeypatch):
         return real(manifold, t0, **kw)
 
     monkeypatch.setattr(V, "radial_chart", flaky)
-    m = perturbed_hyperbolic(n=2, amplitude=1e-3, r_range=(0.05, 16.0))
-    inst = check_main_theorem(
-        TheoremConfig(xi=1.5, centers_per_zone=3, seed=2), m, 4.0)
+    inst = check_main_theorem(TheoremConfig(
+        xi=1.5, amplitude=1e-3, r_range=(0.05, 16.0), centers_per_zone=3,
+        seed=2), 4.0)
     errs = [r for r in inst.reports if "synthetic misfit" in r.notes]
     assert errs and not inst.passed
     assert len(inst.reports) == 9  # instance still reports every center
@@ -813,18 +823,32 @@ def test_audit_chart_misfit_becomes_error_entry(monkeypatch):
 
 
 def test_main_theorem_n3_end_to_end():
-    # every n = 3 norm is a finite-difference norm of an exp-map pullback;
-    # eps and eta_max were recorded from the einsum sandwich that ran the
-    # exp map at every stencil point
-    m = perturbed_hyperbolic(n=3)
+    # the config alone names the n = 3 manifold, and every n = 3 norm is a
+    # finite-difference norm of an exp-map pullback; eps and eta_max were
+    # recorded from the einsum sandwich that ran the exp map at every
+    # stencil point
     inst = check_main_theorem(TheoremConfig(
         n=3, xi=1.5, centers_per_zone=1, grid=GridSpec(points_per_axis=8)),
-        m, 5.0)
+        5.0)
     assert inst.passed and len(inst.reports) == 3
     assert all(r.derivative_source == "finite-difference"
                for r in inst.reports)
     assert inst.eps == pytest.approx(0.009297131953189819, rel=1e-9)
     assert inst.eta_max == pytest.approx(0.0013963645055052134, rel=1e-9)
+
+
+def test_the_config_describes_the_manifold_it_audits():
+    # cfg.manifold() is the one place a config becomes a manifold, and the
+    # constructors' signatures hold the defaults of its fields
+    fields = {"n": 3, "amplitude": 0.01, "sphere_mode": 2,
+              "radial_center": 6.0, "radial_width": 1.0,
+              "r_range": (0.1, 15.0)}
+    m = TheoremConfig(**fields).manifold()
+    assert m.kind == "perturbed" and m.n == 3
+    assert m.params == fields | {"r_range": [0.1, 15.0]}
+    cfg = TheoremConfig()
+    assert cfg.manifold().params == perturbed_hyperbolic().params
+    assert cfg.bump_delta == BumpFunction().delta
 
 
 def test_theorem_config_from_dict():
