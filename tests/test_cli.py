@@ -458,6 +458,58 @@ def test_vacuous_theorem_is_a_usage_error(tmp_path, capsys, argv, theorem):
     assert "centers_per_zone" in err or "r0 value" in err
 
 
+def no_work(monkeypatch):
+    """The audits and lemma suites started, a list that stays empty while
+    the run is refused before any of them."""
+    from warpforce import verify
+    calls = []
+    for name in ("check_main_theorem", "_run_lemma_suite", "check_lemma_2_1"):
+        monkeypatch.setattr(verify, name, lambda *a, **k: calls.append(a))
+    return calls
+
+
+@pytest.mark.parametrize("argv", [["theorem"], ["verify", "all"]],
+                         ids=["theorem", "verify-all"])
+def test_a_bad_r0_anywhere_refuses_the_sweep_before_any_audit(
+        tmp_path, monkeypatch, capsys, argv):
+    # r0 = 5 can be audited, r0 = 2 cannot: nothing runs
+    calls = no_work(monkeypatch)
+    cfg = write_cfg(tmp_path, {"theorem": {"r0_values": [5.0, 2.0],
+                                           "centers_per_zone": 1}})
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--config", cfg, "--grid", "8"])
+    assert exc.value.code == 2 and calls == []
+    assert "r0 must exceed 1 + xi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,doc", [
+    (["--seed", "-1"], {}),
+    ([], {"seed": -1}),
+    ([], {"theorem": {"seed": -1}}),
+], ids=["flag", "top-level", "theorem-section"])
+@pytest.mark.parametrize("argv", [["theorem"], ["verify", "all"]],
+                         ids=["theorem", "verify-all"])
+def test_a_negative_seed_is_refused_by_name(tmp_path, monkeypatch, capsys,
+                                            argv, flag, doc):
+    # numpy refuses it too, but with "expected non-negative integer"
+    calls = no_work(monkeypatch)
+    doc = doc | {"theorem": {"r0_values": [5.0], "centers_per_zone": 1}
+                 | doc.get("theorem", {})}
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + flag + ["--config", write_cfg(tmp_path, doc),
+                               "--grid", "8"])
+    assert exc.value.code == 2 and calls == []
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+
+
+def test_a_lemma_run_refuses_a_negative_seed(monkeypatch, capsys):
+    calls = no_work(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "lemma1.1", "--seed", "-1"])
+    assert exc.value.code == 2 and calls == []
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
 def test_theorem_writes_sweep_and_centers(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_THEOREM)
     assert run_cli(["theorem", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -247,6 +247,28 @@ def test_lemma_2_3_evaluates_g_once_per_row_of_its_walk():
     assert sum(rows) == 128 ** 2 + 64 ** 2 == 20480
 
 
+def test_reports_walk_a_field_named_under_two_keys_once(monkeypatch):
+    # a finite-difference field, which no chunk memo shares: named twice,
+    # it still takes one stencil per piece, and both keys get its norm
+    from warpforce import verify
+    rows = []
+    fd_jet = model._fd_jet
+    monkeypatch.setattr(model, "_fd_jet", lambda f, pts, h: (
+        rows.append(len(pts)) or fd_jet(f, pts, h)))
+    spec = GridSpec(points_per_axis=16)
+    f = Field(CH.domain, lambda p: np.sin(p[:, 0]) * np.exp(p[:, 1]))
+    (alone,) = verify._reports([{"a": f}], spec,
+                               [("x", "a", lambda n: 1e3)], {}, ("a",))
+    once = list(rows)
+    assert sum(once) == 16 ** 2 + 8 ** 2
+    rows.clear()
+    (twice,) = verify._reports([{"a": f, "b": f}], spec,
+                               [("x", "a", lambda n: 1e3)], {}, ("a", "b"))
+    assert rows == once
+    assert twice.params == {"a": alone.lhs, "b": alone.lhs}
+    assert twice.error_estimate == alone.error_estimate
+
+
 # ---------------------------------------------------------------------------
 # decay profile bound
 
@@ -648,11 +670,21 @@ def test_eps_center_is_closeness_of_g_on_the_n3_golden_sweep():
                                           cfg.grid) == 2
 
 
+def count_walks(monkeypatch):
+    """The fields of each norm walk of verify's report runner, a list per
+    walk, as the audit goes on."""
+    from warpforce import verify
+    walks, measured = [], verify.measured_with_error
+    monkeypatch.setattr(verify, "measured_with_error", lambda fields, spec: (
+        walks.append(list(fields)) or measured(fields, spec)))
+    return walks
+
+
 @pytest.mark.parametrize("below", [False, True], ids=["edge", "one-below"])
 def test_eps_center_at_the_edge_of_the_bump(monkeypatch, below):
     # the chart's lowest radius exactly at r0 + support_end, or one float
-    # below it: the audit reuses eta at the first and measures g at the
-    # second, and both give g's closeness
+    # below it: the audit's one walk takes eta alone at the first and eta
+    # and g at the second, and both give g's closeness
     from warpforce import verify
     r0, xi = 4.0, 1.5
     bump = BumpFunction()
@@ -666,37 +698,34 @@ def test_eps_center_at_the_edge_of_the_bump(monkeypatch, below):
     assert bump.vanishes_from(lo + t0 - r0) != below
     monkeypatch.setattr(verify, "theorem_centers",
                         lambda *a: [(float(t0), 0.25, 3)])
-    calls = []
-    monkeypatch.setattr(verify, "radial_closeness",
-                        lambda *a: calls.append(a) or radial_closeness(*a))
+    walks = count_walks(monkeypatch)
     m = perturbed_hyperbolic(n=2)
     cfg = TheoremConfig(xi=xi, centers_per_zone=1,
                         grid=GridSpec(points_per_axis=16))
     inst = check_main_theorem(cfg, r0)
-    assert len(calls) == below
+    assert [len(fields) for fields in walks] == [1 + below]
     (r,) = inst.reports
     rc = radial_chart(m, t0, xi=xi - 1.0, y0=(0.25,), grid=cfg.grid)
     assert r.params["eps_center"] == radial_closeness(rc, m.metric).value
 
 
 def test_n3_golden_sweep_walks_g_once(monkeypatch):
-    # only the zone-3 chart, which reaches into the bump, measures g
-    # again; the others take eps_center from eta (2,352 FD base rows and
-    # three radial_closeness calls before)
-    from warpforce import verify
-    calls, rows = [], []
-    monkeypatch.setattr(verify, "radial_closeness",
-                        lambda *a: calls.append(a) or radial_closeness(*a))
+    # every center is one walk; only the zone-3 chart, which reaches into
+    # the bump, walks g beside eta, and the others take eps_center from
+    # eta (2,352 FD base rows in six walks before PR 17 reused eta, and
+    # 1,840 in four while g's zone-3 field took no N/2 probe)
+    rows = []
+    walks = count_walks(monkeypatch)
     fd_jet = model._fd_jet
     monkeypatch.setattr(model, "_fd_jet", lambda f, pts, spec: (
         rows.append(len(pts)) or fd_jet(f, pts, spec)))
     (inst,) = run_theorem_sweep(TheoremConfig(
         n=3, r0_values=(5.0,), centers_per_zone=1,
         grid=GridSpec(points_per_axis=8)))
-    assert [rc.t0 for rc, _ in calls] == [
-        r.params["t0"] for r in inst.reports if r.params["case"] == 3]
-    assert len(calls) == 1
-    assert sum(rows) == 1840
+    assert [len(fields) for fields in walks] == [
+        2 if r.params["case"] == 3 else 1 for r in inst.reports]
+    assert len(walks) == 3
+    assert sum(rows) == 1856
 
 
 def test_audit_case3_actually_blends(small_audit):
