@@ -20,7 +20,7 @@ import numpy as np
 
 from warpforce.model import (GridSpec, WarpforceError, dump_grid_csv,
                               read_config)
-from warpforce.manifold import manifold_from_config
+from warpforce.manifold import manifold_from_config, polar_form
 from warpforce.verify import (
     CSV_COLUMNS,
     _LEMMA_NAMES,
@@ -67,21 +67,22 @@ def _load_config(parser: argparse.ArgumentParser, path: Optional[str],
         parser.error(str(exc))
 
 
-def _grid_from(parser, args, cfg: dict,
-               theorem: bool = False) -> Optional[GridSpec]:
-    """The config's top-level grid.  --grid N replaces the points per axis
-    of the grid the run would use without it: the top-level grid, else,
-    for a run of the `theorem` object, that object's, else the default."""
-    spec = cfg.get("grid")
+def _grid_from(parser, args, spec: Optional[GridSpec]) -> Optional[GridSpec]:
+    """spec, with --grid N as its points per axis (GridSpec()'s for None)."""
     if args.grid is None:
         return spec
     try:
-        if spec is None and theorem:
-            spec = TheoremConfig.from_dict(cfg.get("theorem", {})).grid
         return dataclasses.replace(spec or GridSpec(),
                                    points_per_axis=args.grid)
     except ValueError as exc:
         parser.error(str(exc))
+
+
+def _theorem_from(parser, args, cfg: dict, seed) -> TheoremConfig:
+    """The config's `theorem` section, read once for the run: a given seed
+    and the top-level grid replace its own, and --grid N its grid's points."""
+    th = TheoremConfig.from_dict(cfg.get("theorem", {}), seed, cfg.get("grid"))
+    return dataclasses.replace(th, grid=_grid_from(parser, args, th.grid))
 
 
 def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]):
@@ -146,13 +147,18 @@ def cmd_verify(parser, args) -> int:
     if instances < 0:
         parser.error(f"instances must be >= 0 (got {instances})")
     xi_values = cfg.get("xi_values", _CONFIG["xi_values"])
-    grid = _grid_from(parser, args, cfg, args.check in ("all", "theorem"))
+    grid = _grid_from(parser, args, cfg.get("grid"))
     section = cfg if args.check == "all" else cfg.get(args.check)
     if args.t0 is not None:
         if args.check != "lemma2.1":
             parser.error("--t0 only applies to the lemma2.1 check")
         section = {"t0_values": [args.t0]}
     try:
+        if args.check in ("all", "theorem"):   # its grid is the lemmas' too
+            theorem = _theorem_from(parser, args, cfg, seed)
+            grid = theorem.grid if args.grid is not None else grid
+            section = theorem if args.check == "theorem" \
+                else cfg | {"theorem": theorem}
         reports = run_check(args.check, seed=seed, instances=instances,
                             xi_values=xi_values, grid=grid, config=section)
     except (ValueError, WarpforceError) as exc:
@@ -175,10 +181,8 @@ def cmd_theorem(parser, args) -> int:
         parser.error("config has no theorem instance spec (expected a "
                      "'theorem' object or top-level instance fields)")
     seed = args.seed if args.seed is not None else cfg.get("seed")
-    grid = _grid_from(parser, args, cfg, theorem=True)
     try:
-        instances = run_theorem_sweep(
-            TheoremConfig.from_dict(cfg["theorem"], seed, grid))
+        instances = run_theorem_sweep(_theorem_from(parser, args, cfg, seed))
     except (ValueError, WarpforceError) as exc:
         parser.error(str(exc))
 
@@ -225,7 +229,7 @@ def cmd_demo_remark(parser, args) -> int:
                          f"{args.step:g} gives too many t0 values: {exc}")
     else:
         t0s = cfg.get("t0_values")
-    grid = _grid_from(parser, args, cfg)
+    grid = _grid_from(parser, args, cfg.get("grid"))
     try:
         rows = remark_decay(t0s, grid=grid)
     except (ValueError, WarpforceError) as exc:
@@ -259,11 +263,12 @@ def cmd_dump_grid(parser, args) -> int:
             metric = warp_force(metric, args.r0, BumpFunction())
     except (ValueError, WarpforceError) as exc:
         parser.error(str(exc))
-    grid = _grid_from(parser, args, cfg)
+    grid = _grid_from(parser, args, cfg.get("grid"))
     out = Path(args.out) if args.out is not None else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "grid.csv"
-    rows = dump_grid_csv(metric, path, grid or GridSpec())
+    # the polar columns: f sigma_S + dr^2 of the block f (see polar_form)
+    rows = dump_grid_csv(polar_form(metric), path, grid or GridSpec())
     print(f"wrote {rows} rows to {path}")
     return 0
 

@@ -1,21 +1,22 @@
 """Synthetic centered manifolds, radial charts, and pullbacks.
 
-A centered manifold is given in polar form around its center: a RadialMetric
-spatial(y, r) + dr^2 over sphere coordinates y, on a radial window inside
-r >= 0.  Two families are built here:
+A centered manifold is given in polar form around its center: a metric
+f(y, r) sigma_S + dr^2 over sphere coordinates y, on a radial window inside
+r >= 0, with sigma_S the round metric of y (1 for the circle coordinate
+theta, diag(1, sin^2 phi) for colatitude/longitude).  Its RadialMetric's
+block is the conformal factor f alone, 1 x 1 for every n (polar_form is the
+full metric); warp forcing keeps that form.  Two families, n = 2 and 3:
 
-* punctured_hyperbolic: sinh^2(r) sigma_S + dr^2 for n = 2 (circle coordinate
-  theta) and n = 3 (colatitude/longitude, sigma_S = diag(1, sin^2 phi));
-* perturbed_hyperbolic: the same with a conformal factor
-  1 + A cos(m ang) exp(-((r - rc)/rw)^2) on the spatial block.
+* punctured_hyperbolic: f = sinh^2(r);
+* perturbed_hyperbolic: f = (1 + A cos(m ang) exp(-((r - rc)/rw)^2)) sinh^2 r.
 
 A radial chart at radius t0 maps the product model B^{n-1} x I_xi into polar
 coordinates by (x, t) |-> (phi1(x), t + t0) with scale c = 2 e^{-t0}, so that
 the hyperbolic pullback lands near sigma = e^{2t} dx^2 + dt^2.  Its sphere
-map returns phi1(x) and the Jacobian Dphi1(x) from one evaluation.  For n = 2
-it is affine (theta = theta0 + c x) and pullbacks carry analytic jets; for
-n = 3 it is the sphere exponential map and pullbacks fall back to finite
-differences.
+map returns phi1(x) and M(x) = Dphi1^T sigma_S Dphi1, and a pullback is
+f(phi1(x), t + t0) M(x).  For n = 2 the map is affine (theta = theta0 + c x)
+and pullbacks carry analytic jets; for n = 3 it is the sphere exponential
+map, M in closed form, and pullbacks fall back to finite differences.
 """
 
 from __future__ import annotations
@@ -32,11 +33,13 @@ from warpforce.model import (
     ChartModel,
     Domain,
     DomainError,
+    Field,
     GenerationError,
     GridSpec,
     Jet,
     RadialMetric,
     _diag,
+    _embed,
     _per_run,
     c2_norm,
     difference,
@@ -52,6 +55,7 @@ __all__ = [
     "manifold_from_config",
     "radial_chart",
     "pullback",
+    "polar_form",
     "radial_closeness",
     "closeness_at",
 ]
@@ -98,22 +102,13 @@ def _sphere_domain(n: int, r_range) -> Domain:
     raise ValueError("only n = 2 and n = 3 manifolds are implemented")
 
 
-def _sinh_diagonal(n: int, p) -> list:
-    """The diagonal of sinh^2(r) sigma_S at points p, as (m,) columns;
-    sin^2 phi is evaluated once per run of equal phi (see _per_run)."""
-    s2 = np.sinh(p[:, -1]) ** 2
-    return [s2] if n == 2 else [
-        s2, s2 * _per_run(lambda y: np.sin(y[:, 0]) ** 2, p[:, :1])]
-
-
 def punctured_hyperbolic(n: int = 2, r_range=(0.05, 16.0),
                          grid: Optional[GridSpec] = None) -> CenteredManifold:
-    """Hyperbolic space minus its center: sinh^2(r) sigma_S + dr^2.  For
-    n = 3, sin^2 phi is evaluated once per run of equal phi (see
-    _sinh_diagonal)."""
+    """Hyperbolic space minus its center: sinh^2(r) sigma_S + dr^2, the
+    block sinh^2(r)."""
     dom = _sphere_domain(n, r_range)
-    metric = RadialMetric(dom, lambda p: _diag(_sinh_diagonal(n, p)),
-                          analytic=True, name=f"punctured{n}d")
+    metric = RadialMetric(dom, lambda p: _diag([np.sinh(p[:, -1]) ** 2]),
+                          analytic=True, name=f"punctured{n}d", k=1)
     return CenteredManifold(metric=metric, kind="punctured",
                             params={"n": n, "r_range": list(map(float, r_range))},
                             grid=grid or GridSpec())
@@ -123,9 +118,9 @@ def perturbed_hyperbolic(n: int = 2, amplitude: float = 1e-3,
                          sphere_mode: int = 3, radial_center: float = 5.0,
                          radial_width: float = 1.5, r_range=(0.05, 16.0),
                          grid: Optional[GridSpec] = None) -> CenteredManifold:
-    """Conformal perturbation of the punctured model:
+    """Conformal perturbation of the punctured model, the block
 
-        spatial = (1 + A cos(m ang) exp(-((r-rc)/rw)^2)) sinh^2(r) sigma_S
+        f = (1 + A cos(m ang) exp(-((r-rc)/rw)^2)) sinh^2(r)
 
     with ang = theta (n = 2) or the longitude psi (n = 3).  |A| < 1 keeps the
     factor positive; anything else is refused.  A cos(m ang) is evaluated
@@ -147,14 +142,29 @@ def perturbed_hyperbolic(n: int = 2, amplitude: float = 1e-3,
         wave = _per_run(lambda y: A * np.cos(mm * y[:, 0]),
                         p[:, ang_axis:ang_axis + 1])
         factor = 1.0 + wave * np.exp(-u ** 2)
-        return _diag([factor * c for c in _sinh_diagonal(n, p)])
+        return _diag([factor * np.sinh(p[:, -1]) ** 2])
 
-    metric = RadialMetric(dom, fn, analytic=True, name=f"perturbed{n}d")
+    metric = RadialMetric(dom, fn, analytic=True, name=f"perturbed{n}d", k=1)
     params = {"n": n, "amplitude": A, "sphere_mode": mm,
               "radial_center": rc, "radial_width": rw,
               "r_range": list(map(float, r_range))}
     return CenteredManifold(metric=metric, kind="perturbed", params=params,
                             grid=grid or GridSpec())
+
+
+def polar_form(g: RadialMetric) -> Field:
+    """The n x n polar metric f sigma_S + dr^2 of a polar metric g with block
+    f (g itself for n = 2); sin^2 phi is evaluated once per run of phi."""
+    n = g.domain.dim
+    if n == 2:
+        return g
+
+    def fn(p):
+        f = g.spatial(p)[:, 0, 0]
+        sin2 = _per_run(lambda y: np.sin(y[:, 0]) ** 2, p[:, :1])
+        return _embed(_diag([f, f * sin2]), len(p), n)
+
+    return Field(g.domain, fn, shape=(n, n), name=g.name)
 
 
 _KINDS = {"punctured": punctured_hyperbolic, "perturbed": perturbed_hyperbolic}
@@ -188,9 +198,9 @@ def manifold_from_config(cfg: dict) -> CenteredManifold:
 class RadialChart:
     """Product chart (x, t) |-> (phi1(x), t + t0) into polar coordinates.
 
-    sphere(x) returns (phi1(x), Dphi1(x)) for (m, k) points x: the sphere
-    coordinates (m, k) and the Jacobian (m, k, k), rows the outputs.
-    """
+    sphere(x) returns (phi1(x), M(x)) at (m, k) points x, row by row: the
+    sphere coordinates (m, k) and Dphi1^T sigma_S Dphi1 (m, k, k), or the
+    affine chart's Jacobian J = c (see pullback)."""
 
     t0: float
     scale: float
@@ -198,16 +208,36 @@ class RadialChart:
     affine: bool
     chart: ChartModel
 
-    def map_points(self, pts):
-        """(q, J): the polar points (m, n) of chart points (m, n) and the
-        sphere map's Jacobian at them; at arrays, q is column-major."""
-        y, J = self.sphere(pts[:, :self.chart.k])
-        r = pts[:, -1] + self.t0
+    def map_points(self, pts, within: Optional[Field] = None):
+        """(q, M) at chart points (m, n): the polar points, column-major at
+        arrays, and M; sphere runs once per run of equal x on the exp-map
+        chart.  A q outside the (box) window of the polar field `within`
+        raises DomainError naming it, tested on the extremes of r and of
+        the sphere coordinates that sphere evaluates."""
+        k, seen = self.chart.k, []
+
+        def sphere(x):
+            seen.append(self.sphere(x))
+            return seen[-1]
+
+        x, r = pts[:, :k], pts[:, -1] + self.t0
+        y, M = sphere(x) if self.affine else _per_run(sphere, x)
         if isinstance(y, Jet):
-            return np.concatenate([y, r[:, None]], axis=1), J
-        q = np.empty((len(r), self.chart.n), order="F")
-        q[:, :-1], q[:, -1] = y, r
-        return q, J
+            q = np.concatenate([y, r[:, None]], axis=1)
+        else:
+            q = np.empty((len(r), self.chart.n), order="F")
+            q[:, :-1], q[:, -1] = y, r
+        if within is not None and len(q):
+            h, r = np.asarray(seen[0][0]), np.asarray(r)  # h: sphere's rows
+            ends = np.column_stack([[h.min(0), h.max(0)], [r.min(), r.max()]])
+            if not within.domain.contains(ends).all():
+                at = np.asarray(q)
+                bad = at[~within.domain.contains(at)][0]
+                raise DomainError(
+                    f"pullback of {within.name!r} hit coordinates "
+                    f"{tuple(round(float(v), 6) for v in bad)} outside its "
+                    f"window")
+        return q, M
 
 
 def _check_window(name: str, lo: float, hi: float, wlo: float, whi: float):
@@ -227,11 +257,13 @@ def _switched(rho, cut: float, series: Callable, exact: Callable):
 
 
 def _exp_map(x, c: float, p0, e1, e2):
-    """(phi1(x), Dphi1(x)) of phi1(x) = exp_p0(c (x1 e1 + x2 e2)) in
+    """(phi1(x), M(x)) of phi1(x) = exp_p0(c (x1 e1 + x2 e2)) in
     (colatitude, longitude), as column-major (m, 2) and (m, 2, 2) arrays.
-    Every operation acts row by row, on (m,) columns: the ambient vectors
-    u = x1 e1 + x2 e2, P = phi1's point in R^3 and dP/dx_i are lists of
-    their three coordinates."""
+    M = Dphi1^T sigma_S Dphi1 = c^2 [beta I + gamma x x^T], the round metric
+    in normal coordinates (do Carmo, Riemannian Geometry, ch. 5), with
+    beta = (sin(c rho)/(c rho))^2, gamma = (1 - beta)/rho^2.  Every operation
+    acts row by row, on (m,) columns: the ambient vectors u = x1 e1 + x2 e2
+    and P = phi1's point in R^3 are lists of their three coordinates."""
     x1, x2 = x[:, 0], x[:, 1]
     rho = np.sqrt(x1 * x1 + x2 * x2)    # np.linalg.norm's sum, in order
     th = c * rho
@@ -244,19 +276,17 @@ def _exp_map(x, c: float, p0, e1, e2):
     y = np.empty((len(x), 2), order="F")
     np.arccos(np.minimum(np.maximum(P[2], -1.0), 1.0), out=y[:, 0])
     np.arctan2(P[1], P[0], out=y[:, 1])
-    # q = d(s)/d(rho) / rho, regular at the origin
-    q = _switched(rho, 1e-4, lambda: -(c ** 3) / 3.0 * (1.0 - th ** 2 / 10.0),
-                  lambda r: (c * r * cos - sin) / r ** 3)
-    sin_phi2 = np.maximum(1.0 - P[2] ** 2, 1e-18)
-    sin_phi = np.sqrt(sin_phi2)
-    # rows: output coords (phi, psi); columns: inputs x1, x2
-    J = np.empty((len(x), 2, 2), order="F")
-    for i, (xi, ei) in enumerate(((x1, e1), (x2, e2))):
-        a, b = -c * s * xi, q * xi
-        dP = [a * p + b * w + s * e for p, w, e in zip(p0, u, ei)]
-        np.divide(-dP[2], sin_phi, out=J[:, 0, i])
-        np.divide(P[0] * dP[1] - P[1] * dP[0], sin_phi2, out=J[:, 1, i])
-    return y, J
+    # c^2 beta = s^2; c^2 gamma = (c^2 - s^2)/rho^2 cancels below th = 0.3,
+    # where it is its series in w = th^2 to w^6 (the rest < 1e-17 of it)
+    w = th * th
+    cg = _switched(rho, 0.3 / c, lambda: c ** 4 * (1 / 3 - w * (
+        2 / 45 - w * (1 / 315 - w * (2 / 14175 - w * (
+            2 / 467775 - w * (4 / 42567525 - w / 638512875)))))),
+        lambda r: (c * c - s * s) / (r * r))
+    M = np.empty((len(x), 2, 2), order="F")
+    M[:, 0, 0], M[:, 1, 1] = s * s + cg * x1 * x1, s * s + cg * x2 * x2
+    M[:, 0, 1] = M[:, 1, 0] = cg * x1 * x2
+    return y, M
 
 
 def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
@@ -279,13 +309,9 @@ def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
         theta0 = 0.0 if y0 is None else float(np.atleast_1d(y0)[0])
         (tlo, thi) = g.domain.bounds[0]
         _check_window("angular", theta0 - c, theta0 + c, tlo, thi)
-        J0 = np.array([[c]])
-
-        def sphere(x):
-            return theta0 + c * x, np.tile(J0, (len(x), 1, 1))
-
-        return RadialChart(t0=float(t0), scale=float(c), sphere=sphere,
-                           affine=True, chart=chart)
+        return RadialChart(t0=float(t0), scale=float(c), sphere=lambda x: (
+            theta0 + c * x, np.full((len(x), 1, 1), c)), affine=True,
+            chart=chart)
 
     if n != 3:
         raise ValueError("only n = 2 and n = 3 charts are implemented")
@@ -297,63 +323,29 @@ def radial_chart(manifold: CenteredManifold, t0: float, xi: float = 1.0,
     span = 1.05 * np.arcsin(np.sin(c) / np.sin(phi0))   # the disc's half-span
     _check_window("longitude", psi0 - span, psi0 + span, qlo, qhi)
 
-    p0 = np.array([np.sin(phi0) * np.cos(psi0),
-                   np.sin(phi0) * np.sin(psi0),
-                   np.cos(phi0)])
-    e1 = np.array([np.cos(phi0) * np.cos(psi0),
-                   np.cos(phi0) * np.sin(psi0),
-                   -np.sin(phi0)])
-    e2 = np.array([-np.sin(psi0), np.cos(psi0), 0.0])
-
-    def sphere(x):
-        return _per_run(lambda u: _exp_map(u, c, p0, e1, e2), x)
-
-    return RadialChart(t0=float(t0), scale=float(c), sphere=sphere,
+    sf, cf, sq, cq = np.sin(phi0), np.cos(phi0), np.sin(psi0), np.cos(psi0)
+    p0, e2 = np.array([sf * cq, sf * sq, cf]), np.array([-sq, cq, 0.0])
+    e1 = np.array([cf * cq, cf * sq, -sf])     # p0 and its tangent frame
+    return RadialChart(t0=float(t0), scale=float(c),
+                       sphere=lambda x: _exp_map(x, c, p0, e1, e2),
                        affine=False, chart=chart)
 
 
-def _sandwich(J, S):
-    """J^T S J of (m, k, k) stacks, entry by entry from (m,) columns, in the
-    order of (J^T S) J: `@` would call BLAS once per k x k matrix.  out,
-    like J (_per_run) and S (_diag), is column-major: each column is
-    contiguous."""
-    k = J.shape[1]
-    out = np.empty(J.shape, order="F")
-    T = np.empty((k, len(J)))      # a row of J^T S
-    tmp = np.empty(len(J))
-
-    def dot(us, vs, acc):          # acc = sum_a us[a] * vs[a], in order
-        np.multiply(us[0], vs[0], out=acc)
-        for u, v in zip(us[1:], vs[1:]):
-            acc += np.multiply(u, v, out=tmp)
-
-    for i in range(k):
-        for b in range(k):
-            dot(J[:, :, i].T, S[:, :, b].T, T[b])
-        for j in range(k):
-            dot(T, J[:, :, j].T, out[:, i, j])
-    return out
-
-
 def pullback(rc: RadialChart, g: RadialMetric) -> RadialMetric:
-    """Chart pullback (Dphi1^T spatial Dphi1)(phi1(x), t+t0) + dt^2.
+    """Chart pullback f(phi1(x), t + t0) M(x) + dt^2 of a polar metric
+    g = f sigma_S + dr^2 whose block is its conformal factor f.
 
     Carries analytic jets when the sphere map is affine and g has a jet;
     otherwise derivatives come from finite differences at norm time.
     """
+    if g.block.shape != (1, 1):
+        raise ValueError(f"pullback of {g.name!r} needs a conformal block")
+
     def spatial(pts):
-        q, J = rc.map_points(pts)
-        at = np.asarray(q)     # the points themselves, also when q is a Jet
-        ok = g.domain.contains(at)
-        if not ok.all():
-            bad = at[~ok][0]
-            raise DomainError(
-                f"pullback of {g.name!r} hit coordinates "
-                f"{tuple(round(float(v), 6) for v in bad)} outside its window")
-        S = g.spatial(q)
-        # n = 2 has 1 x 1 blocks: the broadcast product is bitwise the
-        # matmul (and carries jets)
-        return J * S * J if J.shape[1:] == (1, 1) else _sandwich(J, S)
+        q, M = rc.map_points(pts, g)
+        f = g.spatial(q)
+        # affine: M is the Jacobian J, and J f J keeps n = 2's values (jets)
+        return M * f * M if rc.affine else f * M
 
     return RadialMetric.on_chart(rc.chart, spatial,
                                  analytic=rc.affine and g.has_jet,

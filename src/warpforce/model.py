@@ -751,19 +751,19 @@ def _embed(S, m: int, d: int, unit: float = 1.0):
 class RadialMetric(Field):
     """Split metric spatial(p) + d(last axis)^2, the one metric type.
 
-    The leading k = d - 1 domain axes carry the spatial block and the last
-    axis is radial: t on a chart, r in polar form around a center.  spatial
-    maps (m, d) points to (m, k, k) matrices (when `analytic`, Jets too);
-    the Field `block` holds it.  The full d x d value embeds the block with
-    a unit last-axis entry.  Metrics built on a ChartModel keep it as
-    `chart` (its excess xi and hyperbolic model feed the lemma checks);
-    polar metrics have chart None.
+    The leading d - 1 domain axes are spatial and the last axis is radial:
+    t on a chart, r in polar form around a center.  spatial maps (m, d)
+    points to (m, k, k) blocks, k = d - 1 unless given (a centered
+    manifold's is its 1 x 1 conformal factor), Jets too when `analytic`;
+    the Field `block` holds it.  The full value embeds it with a unit
+    last-axis entry.  Metrics built on a ChartModel keep it as `chart` (its
+    excess xi and hyperbolic model feed the lemma checks), polar ones None.
     """
 
     def __init__(self, domain: Domain, spatial: Callable,
                  analytic: bool = False, name: str = "metric",
-                 chart: Optional[ChartModel] = None):
-        d = domain.dim
+                 chart: Optional[ChartModel] = None, k: Optional[int] = None):
+        d = domain.dim if k is None else k + 1
         block = Field(domain, spatial, analytic=analytic,
                       shape=(d - 1, d - 1), name=name)
 

@@ -755,14 +755,16 @@ def run_check(name: str, seed: Optional[int] = None, instances: int = 100,
               config: Optional[dict] = None) -> list:
     """Run a registry check and return its BoundReports.  A given seed or
     grid overrides the theorem section's own; the lemma suites default to
-    seed 0.  `all` reads every section, then runs its theorem sweep before
-    any lemma (a sweep it cannot audit stops it) but lists it last."""
-    if config is not None and not isinstance(config, dict):
+    seed 0; a theorem section that is a TheoremConfig runs as it is.  `all`
+    reads every section, then runs its theorem sweep before any lemma (a
+    sweep it cannot audit stops it) but lists it last."""
+    if config is not None and not isinstance(config, (dict, TheoremConfig)):
         raise ValueError(f"{name} config must be an object, got {config!r}")
     if name in ("all", "theorem"):
         doc = config or {}
-        theorem = TheoremConfig.from_dict(
-            doc.get("theorem", {}) if name == "all" else doc, seed, grid)
+        section = doc.get("theorem", {}) if name == "all" else doc
+        theorem = section if isinstance(section, TheoremConfig) \
+            else TheoremConfig.from_dict(section, seed, grid)
         lemmas = [] if name == "theorem" else [
             _lemma_run(nm, doc.get(nm), seed, instances, xi_values, grid)
             for nm in _LEMMA_NAMES]

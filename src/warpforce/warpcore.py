@@ -10,7 +10,7 @@ Two 1-D profiles drive everything:
   for large t and satisfies nu(0) = 1 exactly.
 
 The operators act on RadialMetric (g = spatial + d(last axis)^2), on charts
-and in polar form alike, and compose on the spatial block:
+and in polar form alike, and compose on the spatial block, of any size:
 
 * radial_slice(g, s): the spatial block frozen at last-axis value s;
 * apply_warp(g, nu): nu(last axis) g_spatial + d(last axis)^2;
@@ -203,9 +203,8 @@ def radial_slice(g: RadialMetric, s: float) -> Field:
     def fn(y):
         return g.spatial(np.concatenate([y, np.full((len(y), 1), s)], axis=1))
 
-    k = g.domain.dim - 1
-    return Field(_sphere_part(g.domain), fn, analytic=g.has_jet, shape=(k, k),
-                 name=f"{g.name}|{axis}={s:g}")
+    return Field(_sphere_part(g.domain), fn, analytic=g.has_jet,
+                 shape=g.block.shape, name=f"{g.name}|{axis}={s:g}")
 
 
 def apply_warp(g: RadialMetric, nu, s: float = 0.0,
@@ -217,19 +216,21 @@ def apply_warp(g: RadialMetric, nu, s: float = 0.0,
         return w(pts)[:, None, None] * g.spatial(pts)
 
     return RadialMetric(g.domain, spatial, analytic=g.has_jet and w.has_jet,
-                        name=name or f"warp[{g.name}]", chart=g.chart)
+                        name=name or f"warp[{g.name}]", chart=g.chart,
+                        k=g.block.shape[0])
 
 
 def _rewarp(a: Field, w, domain: Domain, chart: Optional[ChartModel],
             name: str) -> RadialMetric:
     """w(last axis) a + d(last axis)^2: the frozen slice a, extended
     constantly along the last axis (evaluated once per run of equal leading
-    axes), then warped by the 1-D profile w."""
-    k = domain.dim - 1
-    if a.domain.dim != k:
+    axes), then warped by the 1-D profile w.  The block is a's."""
+    lead = domain.dim - 1
+    if a.domain.dim != lead:
         raise ValueError("spatial metric dimension does not match chart")
-    frozen = RadialMetric(domain, lambda pts: _per_run(a, pts[:, :k]),
-                          analytic=a.has_jet, name=a.name, chart=chart)
+    frozen = RadialMetric(domain, lambda pts: _per_run(a, pts[:, :lead]),
+                          analytic=a.has_jet, name=a.name, chart=chart,
+                          k=a.shape[0])
     return apply_warp(frozen, w, name=name)
 
 
@@ -247,7 +248,7 @@ def blend(g1: RadialMetric, g2: RadialMetric, lam: Field,
     0.0) the blend reproduces g1 (resp. g2) bitwise; on a batch where it is
     so on every row, the other metric is not evaluated.
     """
-    if g1.domain.dim != g2.domain.dim:
+    if (g1.domain.dim, g1.block.shape) != (g2.domain.dim, g2.block.shape):
         raise ValueError("metric dimensions differ")
 
     def spatial(pts):
@@ -263,7 +264,7 @@ def blend(g1: RadialMetric, g2: RadialMetric, lam: Field,
     return RadialMetric(g1.domain, spatial,
                         analytic=g1.has_jet and g2.has_jet and lam.has_jet,
                         name=name or f"blend[{g1.name},{g2.name}]",
-                        chart=g1.chart)
+                        chart=g1.chart, k=g1.block.shape[0])
 
 
 def sinh_warped_cut(g: RadialMetric, r0: float) -> RadialMetric:

@@ -235,7 +235,42 @@ def assert_golden(outdir, *names):
 # tests/data holds the outputs of the exact commands of the golden tests.
 # The CSVs print 12 significant digits; the JSON's repr floats pin every
 # bit.  Only a declared numerical fix may regenerate them, logged in
-# CHANGES.md.
+# CHANGES.md.  From the repository root, with D an empty scratch
+# directory, these commands write every file of tests/data (sed drops the
+# run-time lines that assert_golden skips):
+#
+#   wf() { PYTHONPATH=src python -m warpforce.cli "$@"; }
+#   T=tests/data
+#   wf verify all --config configs/default.json --grid 8 --instances 2 \
+#       --seed 0 --out $T                      # reports.csv, reports.json
+#   wf verify all --config configs/default.json --out $D
+#   mv $D/reports.csv $T/default_reports.csv
+#   echo '{"theorem": {"r0_values": [5.0], "centers_per_zone": 2}}' \
+#       > $D/t.json
+#   wf theorem --config $D/t.json --grid 8 --out $D
+#   cp $D/theorem_centers.csv $D/theorem_sweep.csv $T
+#   sed '/"runtime_s"/d' $D/theorem.json > $T/theorem.json
+#   echo '{"theorem": {"n": 3, "r0_values": [5.0], "centers_per_zone": 1}}' \
+#       > $D/t3.json
+#   wf theorem --config $D/t3.json --grid 8 --out $D
+#   sed '/"runtime_s"/d' $D/theorem.json > $T/theorem_n3.json
+#   wf theorem --config $D/t3.json --grid 32 --out $D
+#   sed '/"runtime_s"/d' $D/theorem.json > $T/theorem_n3_32.json
+#   wf demo-remark --grid 8 --out $T           # remark.csv, remark.json
+#   wf dump-grid --config configs/default.json --grid 8 --r0 5 --out $T
+#   for kind in punctured perturbed; do
+#       echo "{\"manifold\": {\"kind\": \"$kind\", \"n\": 3}}" > $D/$kind.json
+#   done
+#   wf dump-grid --config $D/punctured.json --grid 4 --out $D
+#   mv $D/grid.csv $T/grid_n3_punctured.csv
+#   wf dump-grid --config $D/perturbed.json --grid 4 --out $D
+#   mv $D/grid.csv $T/grid_n3.csv
+#   wf dump-grid --config $D/perturbed.json --grid 4 --r0 5 --out $D
+#   mv $D/grid.csv $T/grid_n3_r0.csv
+#
+# The three grid_n3 files hold the dumps of the code before the n = 3 block
+# became its conformal factor (see test_dump_grid_n3_keeps_its_polar_columns):
+# regenerate them only at the commit that wrote them.
 
 
 def test_verify_all_matches_golden_csv(tmp_path, capsys):
@@ -615,6 +650,32 @@ def test_verify_all_reads_the_theorem_section_first(tmp_path, monkeypatch,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["theorem"], ["verify", "theorem"],
+                                  ["verify", "all"]])
+def test_the_theorem_section_is_read_once(tmp_path, monkeypatch, capsys,
+                                          argv):
+    # --grid takes the points of the section's grid from the one read the
+    # run then uses
+    from warpforce import cli, verify
+    reads, runs = [], []
+    from_dict = verify.TheoremConfig.from_dict.__func__
+    monkeypatch.setattr(verify.TheoremConfig, "from_dict", classmethod(
+        lambda cls, *a: reads.append(a) or from_dict(cls, *a)))
+    for mod in (cli, verify):
+        monkeypatch.setattr(mod, "run_theorem_sweep",
+                            lambda cfg: runs.append(cfg) or [])
+    monkeypatch.setattr(verify, "_lemma_run", lambda *a: lambda: [])
+    cfg = write_cfg(tmp_path, {"theorem": {
+        "r0_values": [5.0], "seed": 4,
+        "grid": {"points_per_axis": 16, "boundary_margin": 0.03}}})
+    assert run_cli(argv + ["--config", cfg, "--grid", "8"]) == 0
+    capsys.readouterr()
+    assert len(reads) == 1
+    (run,) = runs
+    assert run.r0_values == (5.0,) and run.seed == 4
+    assert run.grid == GridSpec(points_per_axis=8, boundary_margin=0.03)
+
+
 @pytest.mark.parametrize("argv,cfg", [
     (["verify", "theorem"], {"theorem": {"r0_values": [5.0],
                                          "centers_per_zone": 1,
@@ -784,6 +845,35 @@ def test_dump_grid_default(tmp_path, capsys, monkeypatch):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 64
     assert set(rows[0].keys()) == {"theta", "r", "g11", "g12", "g21", "g22"}
+
+
+@pytest.mark.parametrize("kind,r0,name", [
+    ("punctured", None, "grid_n3_punctured.csv"),
+    ("perturbed", None, "grid_n3.csv"),
+    ("perturbed", "5", "grid_n3_r0.csv"),
+])
+def test_dump_grid_n3_keeps_its_polar_columns(tmp_path, capsys, kind, r0,
+                                              name):
+    # the goldens were written when the n = 3 block was diag(f, f sin^2
+    # phi), g22 formed as F (sinh^2 r sin^2 phi); polar_form forms it as
+    # (F sinh^2 r) sin^2 phi, so a g22 with F != 1 may move by 2 ulps.
+    # Every other cell is byte-identical.
+    cfg = write_cfg(tmp_path, {"manifold": {"kind": kind, "n": 3}})
+    assert run_cli(["dump-grid", "--config", cfg, "--grid", "4",
+                    "--out", str(tmp_path)]
+                   + (["--r0", r0] if r0 else [])) == 0
+    capsys.readouterr()
+    got = (tmp_path / "grid.csv").read_text().splitlines()
+    want = (Path(__file__).parent / "data" / name).read_text().splitlines()
+    assert got[0] == want[0] and len(got) == len(want) == 65
+    if kind == "punctured":
+        assert got == want
+    col = want[0].split(",").index("g22")
+    for g, w in zip(got[1:], want[1:]):
+        g, w = g.split(","), w.split(",")
+        assert g[:col] == w[:col] and g[col + 1:] == w[col + 1:]
+        assert abs(float(g[col]) - float(w[col])) \
+            <= 2 * np.spacing(float(w[col]))
 
 
 def test_dump_grid_warp_forced(tmp_path):

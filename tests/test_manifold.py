@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from warpforce.manifold import (
     closeness_at,
     manifold_from_config,
     perturbed_hyperbolic,
+    polar_form,
     pullback,
     punctured_hyperbolic,
     radial_chart,
@@ -53,23 +56,25 @@ class TestPuncturedModel:
         assert S[1, 0, 0] == pytest.approx(np.sinh(2.0) ** 2, rel=1e-15)
 
     def test_spatial_values_n3(self):
+        # the block is the conformal factor; polar_form carries sigma_S
         m = punctured_hyperbolic(3)
         pts = np.array([[0.7, 0.2, 2.0]])
-        S = m.metric.spatial(pts)
         s2 = np.sinh(2.0) ** 2
-        assert S[0, 0, 0] == pytest.approx(s2, rel=1e-15)
-        assert S[0, 1, 1] == pytest.approx(s2 * np.sin(0.7) ** 2, rel=1e-15)
-        assert S[0, 0, 1] == 0.0
+        assert m.metric.spatial(pts).shape == (1, 1, 1)
+        assert m.metric.spatial(pts)[0, 0, 0] == pytest.approx(s2, rel=1e-15)
+        G = polar_form(m.metric)(pts)
+        assert G.shape == (1, 3, 3)
+        assert G[0, 0, 0] == pytest.approx(s2, rel=1e-15)
+        assert G[0, 1, 1] == pytest.approx(s2 * np.sin(0.7) ** 2, rel=1e-15)
+        assert G[0, 2, 2] == 1.0
+        assert not G[0][~np.eye(3, dtype=bool)].any()
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_blocks_are_bitwise_the_eye_product(self, n):
+        # the 1 x 1 block f, and f sigma_S as the product of its diagonal
+        # with np.eye (polar_form)
         def old(p):
-            s2 = np.sinh(p[:, -1]) ** 2
-            if n == 2:
-                return s2[:, None, None]
-            f = s2 * np.sin(p[:, 0]) ** 2
-            return np.concatenate([s2[:, None], f[:, None]], axis=1)[
-                :, :, None] * np.eye(2)
+            return (np.sinh(p[:, -1]) ** 2)[:, None, None]
 
         def old_perturbed(p):
             u = (p[:, -1] - 5.0) / 1.5
@@ -77,16 +82,25 @@ class TestPuncturedModel:
             factor = 1.0 + 0.05 * np.cos(3 * ang) * np.exp(-u ** 2)
             return factor[:, None, None] * old(p)
 
+        def polar(ref):
+            def fn(p):
+                f = ref(p)[:, 0, 0]
+                diag = [f] if n == 2 else [f, f * np.sin(p[:, 0]) ** 2]
+                full = np.stack(diag + [np.ones(len(p))], axis=1)
+                return full[:, :, None] * np.eye(n)
+            return fn
+
         pts = punctured_hyperbolic(n).metric.domain.grid(
             GridSpec(points_per_axis=6))
         for m, ref in ((punctured_hyperbolic(n), old),
                        (perturbed_hyperbolic(n, amplitude=0.05),
                         old_perturbed)):
-            want = RadialMetric(m.metric.domain, ref, analytic=True)
+            want = RadialMetric(m.metric.domain, ref, analytic=True, k=1)
             assert np.array_equal(m.metric.spatial(pts), want.spatial(pts))
             for got, exp in zip(m.metric.spatial_jet(pts),
                                 want.spatial_jet(pts)):
                 assert np.array_equal(got, exp)
+            assert np.array_equal(polar_form(m.metric)(pts), polar(ref)(pts))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_jets_match_fd(self, n):
@@ -224,18 +238,29 @@ class TestRadialChart:
         assert np.abs(dist - rc.scale * np.linalg.norm(x, axis=1)).max() < 1e-12
 
     def test_exp_map_jacobian_matches_fd(self):
+        # M = Dphi1^T sigma_S Dphi1, Dphi1 from central differences of
+        # phi1; at t0 = 1.2 rows lie on both sides of the gamma series
+        # switch, at t0 = 4 all below it
         m = punctured_hyperbolic(3)
-        rc = radial_chart(m, 4.0, y0=(1.3, -0.4))
         rng = np.random.default_rng(5)
-        x = rng.uniform(-0.8, 0.8, size=(25, 2))
+        x = rng.uniform(-0.7, 0.7, size=(25, 2))
         x = np.vstack([x, [[0.0, 0.0]]])  # include the center point
-        _, J = rc.sphere(x)
-        h = 1e-6
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            fd = (rc.sphere(x + e)[0] - rc.sphere(x - e)[0]) / (2 * h)
-            assert np.abs(J[:, :, i] - fd).max() < 1e-7
+        for t0 in (1.2, 4.0):
+            rc = radial_chart(m, t0, xi=0.1, y0=(1.3, -0.4))
+            y, M = rc.sphere(x)
+            assert (rc.scale * np.linalg.norm(x, axis=1) > 0.3).any() == \
+                (t0 < 2.0)
+            h = 1e-6
+            J = np.empty((len(x), 2, 2))
+            for i in range(2):
+                e = np.zeros(2)
+                e[i] = h
+                J[:, :, i] = (rc.sphere(x + e)[0]
+                              - rc.sphere(x - e)[0]) / (2 * h)
+            sigma = np.zeros((len(x), 2, 2))
+            sigma[:, 0, 0], sigma[:, 1, 1] = 1.0, np.sin(y[:, 0]) ** 2
+            want = np.einsum("mai,mab,mbj->mij", J, sigma, J)
+            assert np.abs(M - want).max() < 1e-7 * rc.scale
 
 
 class TestPullback:
@@ -275,14 +300,23 @@ class TestPullback:
         assert np.abs(d2 - e2).max() < 1e-4 * max(1.0, np.abs(d2).max())
 
     def test_n3_sandwich_matches_einsum(self):
+        # the pullback is Dphi1^T (f sigma_S) Dphi1, Dphi1 from central
+        # differences of phi1 and f sigma_S from polar_form
         m = perturbed_hyperbolic(3, amplitude=0.05,
                                  grid=GridSpec(points_per_axis=8))
         rc = radial_chart(m, 5.0, y0=(1.2, 0.3))
-        pts = fd_stencil(rc)
-        q, J = rc.map_points(pts)
-        want = np.einsum("mab,mac,mcd->mbd", J, m.metric.spatial(q), J)
+        pts = fd_stencil(rc)[::7]
+        q, _ = rc.map_points(pts)
+        h, J = 1e-6, np.empty((len(pts), 2, 2))
+        for i in range(2):
+            e = np.zeros(3)
+            e[i] = h
+            J[:, :, i] = (rc.map_points(pts + e)[0][:, :2]
+                          - rc.map_points(pts - e)[0][:, :2]) / (2 * h)
+        S = polar_form(m.metric)(q)[:, :2, :2]
+        want = np.einsum("mab,mac,mcd->mbd", J, S, J)
         G = pullback(rc, m.metric)(pts)[:, :2, :2]
-        assert np.abs(G - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(G - want).max() <= 1e-7 * np.abs(want).max()
 
     def test_n2_sandwich_is_bitwise_the_matmul(self):
         m = perturbed_hyperbolic(2)
@@ -301,19 +335,18 @@ class TestPullback:
 
     @pytest.mark.parametrize("y0", [None, (1.2, 0.3)])
     def test_n3_sandwich_within_4_ulps_of_the_matmul(self, y0):
+        # the perturbed pullback is F(phi1(x), t + t0) times the punctured
+        # closed form, F = f / sinh^2 r the conformal perturbation
         m = perturbed_hyperbolic(3, amplitude=0.05,
                                  grid=GridSpec(points_per_axis=8))
         rc = radial_chart(m, 5.0, y0=y0)
-        q, J = rc.map_points(fd_stencil(rc))
-        S = m.metric.spatial(q)
-        want = np.swapaxes(J, 1, 2) @ S @ J
-        G = pullback(rc, m.metric).spatial(fd_stencil(rc))
-        # an entry's rounding scale is that of its terms: off the equator
-        # the off-diagonal entries cancel, and FMA in the matmul moves them
-        # by many of their own ulps
-        scale = want if y0 is None \
-            else np.swapaxes(np.abs(J), 1, 2) @ np.abs(S) @ np.abs(J)
-        assert np.all(np.abs(G - want) <= 4 * np.spacing(np.abs(scale)))
+        pts = fd_stencil(rc)
+        q, _ = rc.map_points(pts)
+        F = m.metric.spatial(q)[:, 0, 0] / np.sinh(q[:, -1]) ** 2
+        want = F[:, None, None] * self.n3_closed_form(pts, rc.t0, rc.scale)
+        G = pullback(rc, m.metric).spatial(pts)
+        scale = np.abs(want).max(axis=(1, 2))
+        assert np.all(np.abs(G - want).max(axis=(1, 2)) <= 1e-13 * scale)
 
     @staticmethod
     def n3_closed_form(pts, t0, c):
@@ -384,6 +417,33 @@ class TestPullback:
         with pytest.raises(DomainError):
             pb(np.array([[0.0, 2.5]]))  # maps to r = 8.5 > 8.3
 
+    @pytest.mark.parametrize("leave", ["r", "phi"])
+    def test_a_chart_whose_stencil_leaves_the_window_raises(self, leave):
+        # the window is tested on the sphere rows the exp map evaluates and
+        # by r's extremes; the error names the first stencil point outside
+        m = punctured_hyperbolic(3, r_range=(3.0, 8.3),
+                                 grid=GridSpec(points_per_axis=6))
+        rc = radial_chart(m, 6.0, xi=1.0, y0=(1.2, 0.3))  # image [4, 8]
+        if leave == "r":
+            rc = dataclasses.replace(rc, t0=6.4)          # r up to 8.4
+        else:                   # phi near 0.052 +- c, across the pole pad
+            def sphere(x, inner=rc.sphere):
+                y, M = inner(x)
+                return y - [1.148, 0.0], M
+            rc = dataclasses.replace(rc, sphere=sphere)
+        pts = fd_stencil(rc)
+        q = rc.map_points(pts)[0]
+        bad = q[~m.metric.domain.contains(q)]
+        assert 0 < len(bad) < len(q)
+        point = tuple(round(float(v), 6) for v in bad[0])
+        pb = pullback(rc, m.metric)
+        with pytest.raises(DomainError) as exc:
+            pb.spatial(pts)
+        assert str(exc.value) == (f"pullback of 'punctured3d' hit "
+                                  f"coordinates {point} outside its window")
+        with pytest.raises(DomainError, match="'punctured3d' hit"):
+            c2_norm(pb, rc.chart.grid)
+
 
 def bitwise(a, b):
     """a and b hold the same float64 bits (signed zeros and NaNs too)."""
@@ -392,9 +452,23 @@ def bitwise(a, b):
                                                  b.view(np.int64))
 
 
+def gamma_branches(rho, c):
+    """Both branches of the exp map's c^2 gamma at every row: its series
+    in w = (c rho)^2 and (c^2 - s^2)/rho^2, s = sin(c rho)/rho (nan at
+    rho = 0)."""
+    w = (c * rho) ** 2
+    series = c ** 4 * (1 / 3 - w * (2 / 45 - w * (1 / 315 - w * (
+        2 / 14175 - w * (2 / 467775 - w * (4 / 42567525
+                                           - w / 638512875))))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sin(c * rho) / rho
+        exact = (c * c - s * s) / (rho * rho)
+    return series, exact
+
+
 def exp_map_both_branches(x, c, p0, e1, e2):
-    """manifold._exp_map as written before its series were skipped: both
-    branches of each series switch on every row, joined by np.where."""
+    """manifold._exp_map with both branches of each series switch on every
+    row, joined by np.where."""
     rho = np.linalg.norm(x, axis=1)
     th = c * rho
     small = rho < 1e-6
@@ -404,24 +478,19 @@ def exp_map_both_branches(x, c, p0, e1, e2):
     P = np.cos(th)[:, None] * p0 + s[:, None] * u
     phi = np.arccos(np.clip(P[:, 2], -1.0, 1.0))
     psi = np.arctan2(P[:, 1], P[:, 0])
-    small = rho < 1e-4
-    safe = np.where(small, 1.0, rho)
-    q = np.where(small, -(c ** 3) / 3.0 * (1.0 - th ** 2 / 10.0),
-                 (c * safe * np.cos(th) - np.sin(th)) / safe ** 3)
-    dP = np.empty((len(x), 2, 3))
-    for i, ei in enumerate((e1, e2)):
-        dP[:, i] = (-c * s * x[:, i])[:, None] * p0 \
-            + (q * x[:, i])[:, None] * u + s[:, None] * ei
-    sin_phi2 = np.maximum(1.0 - P[:, 2] ** 2, 1e-18)
-    dphi = -dP[:, :, 2] / np.sqrt(sin_phi2)[:, None]
-    dpsi = (P[:, 0, None] * dP[:, :, 1] - P[:, 1, None] * dP[:, :, 0]) \
-        / sin_phi2[:, None]
-    return np.stack([phi, psi], axis=1), np.stack([dphi, dpsi], axis=1)
+    safe = np.where(rho < 0.3 / c, 1.0, rho)
+    cg = np.where(rho < 0.3 / c, gamma_branches(rho, c)[0],
+                  (c * c - s * s) / (safe * safe))
+    M = np.empty((len(x), 2, 2))
+    M[:, 0, 0] = s * s + cg * x[:, 0] * x[:, 0]
+    M[:, 0, 1] = M[:, 1, 0] = cg * x[:, 0] * x[:, 1]
+    M[:, 1, 1] = s * s + cg * x[:, 1] * x[:, 1]
+    return np.stack([phi, psi], axis=1), M
 
 
 def exp_map_broadcast(x, c, p0, e1, e2):
-    """manifold._exp_map as written before it went column by column: (m, 3)
-    broadcasts, np.linalg.norm, np.clip and np.stack."""
+    """phi1 of manifold._exp_map as written before it went column by
+    column: (m, 3) broadcasts, np.linalg.norm, np.clip and np.stack."""
     rho = np.linalg.norm(x, axis=1)
     th = c * rho
     sin, cos = np.sin(th), np.cos(th)
@@ -431,18 +500,7 @@ def exp_map_broadcast(x, c, p0, e1, e2):
     P = cos[:, None] * p0 + s[:, None] * u
     phi = np.arccos(np.clip(P[:, 2], -1.0, 1.0))
     psi = np.arctan2(P[:, 1], P[:, 0])
-    q = manifold._switched(
-        rho, 1e-4, lambda: -(c ** 3) / 3.0 * (1.0 - th ** 2 / 10.0),
-        lambda r: (c * r * cos - sin) / r ** 3)
-    dP = np.empty((len(x), 2, 3))
-    for i, ei in enumerate((e1, e2)):
-        dP[:, i] = (-c * s * x[:, i])[:, None] * p0 \
-            + (q * x[:, i])[:, None] * u + s[:, None] * ei
-    sin_phi2 = np.maximum(1.0 - P[:, 2] ** 2, 1e-18)
-    dphi = -dP[:, :, 2] / np.sqrt(sin_phi2)[:, None]
-    dpsi = (P[:, 0, None] * dP[:, :, 1] - P[:, 1, None] * dP[:, :, 0]) \
-        / sin_phi2[:, None]
-    return np.stack([phi, psi], axis=1), np.stack([dphi, dpsi], axis=1)
+    return np.stack([phi, psi], axis=1)
 
 
 class TestSeriesSwitches:
@@ -458,27 +516,52 @@ class TestSeriesSwitches:
         return 2.0 * np.exp(-t0), p0, e1, e2
 
     @staticmethod
-    def switch_batches():
-        """Rows below, at and just above each series switch, and chart-grid
-        radii: in one batch mixing both sides, in batches all on one side,
-        and one row at a time."""
+    def switch_batches(c):
+        """Rows below, at and just above each series switch (rho = 1e-6
+        for s, c rho = 0.3 for gamma where it lies in the ball), and
+        chart-grid radii: in one batch mixing both sides, in batches all
+        on one side, and one row at a time."""
+        cut = 0.3 / c
         radii = [0.0, 3e-7, np.nextafter(1e-6, 0.0), 1e-6,
-                 np.nextafter(1e-6, 1.0), 5e-5, np.nextafter(1e-4, 0.0),
-                 1e-4, np.nextafter(1e-4, 1.0), 2e-4, 0.03, 0.5, 0.96]
+                 np.nextafter(1e-6, 1.0), 5e-5, 1e-4, 2e-4, 0.03, 0.5, 0.96]
+        if cut < 1.0:
+            radii += [0.5 * cut, np.nextafter(cut, 0.0), cut,
+                      np.nextafter(cut, 1.0), 0.5 + 0.5 * cut]
         x = np.array([[r * np.cos(a), r * np.sin(a)] for r in radii
                       for a in (0.0, 0.7)])
         x[::2, 1] = 0.0                 # |(r, 0)| is r exactly
         rho = np.linalg.norm(x, axis=1)
-        assert {1e-6, 1e-4} <= set(rho.tolist())
-        return [x, x[rho >= 1e-4], x[rho >= 1e-6], x[rho < 1e-6]] \
+        assert 1e-6 in set(rho.tolist()) and (cut > 1.0 or cut in rho)
+        return [x, x[rho >= cut], x[rho >= 1e-6], x[rho < 1e-6]] \
             + [x[i:i + 1] for i in range(len(x))]
 
     def test_exp_map_is_bitwise_both_branches(self):
-        args = self.frame()
-        for b in self.switch_batches():
-            for got, want in zip(manifold._exp_map(b, *args),
-                                 exp_map_both_branches(b, *args)):
-                assert bitwise(got, want)
+        # at t0 = 1.2 the gamma switch lies in the ball
+        for t0 in (5.0, 1.2):
+            args = self.frame(t0=t0)
+            for b in self.switch_batches(args[0]):
+                for got, want in zip(manifold._exp_map(b, *args),
+                                     exp_map_both_branches(b, *args)):
+                    assert bitwise(got, want)
+
+    @pytest.mark.parametrize("c", [0.6, 0.05])
+    def test_gamma_branches_agree_at_the_switch(self, c):
+        # within 5e-14 of each other across the switch at c rho = 0.3;
+        # the series alone is good to 1e-16 below it
+        cut = 0.3 / c
+        rho = cut * np.linspace(0.5, 1.5, 101)
+        series, exact = gamma_branches(rho, c)
+        assert np.all(np.abs(series - exact) <= 5e-14 * series)
+        args = self.frame(t0=-np.log(c / 2.0))
+        assert args[0] == pytest.approx(c, rel=1e-15)
+        # _exp_map itself, on either side of its switch (rows 0 and 1)
+        rho = np.array([np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0)])
+        x = np.column_stack([rho, np.zeros(3)])
+        assert np.array_equal(np.linalg.norm(x, axis=1), rho)
+        x = np.vstack([x, x @ [[0.6, 0.8], [-0.8, 0.6]]])
+        _, M = manifold._exp_map(x, *args)
+        cg = (M[:, 0, 0] - M[:, 1, 1]) / (x[:, 0] ** 2 - x[:, 1] ** 2)
+        assert np.all(np.abs(cg - cg[1]) <= 5e-14 * cg[1])
 
     @pytest.mark.parametrize("y0", [(np.pi / 2, 0.0), (1.2, 0.3)])
     def test_exp_map_is_bitwise_the_broadcast_form(self, y0):
@@ -493,18 +576,18 @@ class TestSeriesSwitches:
         c2_norm(Field(rc.chart.domain, record), rc.chart.grid)
         assert len(seen) > 1             # every piece of a 32-point chart
         args = self.frame(*y0)
-        for b in self.switch_batches() + [np.concatenate(seen),
-                                          np.asfortranarray(seen[-1])]:
-            y, J = manifold._exp_map(b, *args)
-            assert y.flags.f_contiguous and J.flags.f_contiguous
-            for got, want in zip((y, J), exp_map_broadcast(b, *args)):
-                assert bitwise(got, want)
+        for b in self.switch_batches(args[0]) + [
+                np.concatenate(seen), np.asfortranarray(seen[-1])]:
+            y, M = manifold._exp_map(b, *args)
+            assert y.flags.f_contiguous and M.flags.f_contiguous
+            assert bitwise(y, exp_map_broadcast(b, *args))
+            assert bitwise(M, exp_map_both_branches(b, *args)[1])
 
 
 class TestSphereFactorsPerRun:
-    """Both families evaluate their sphere-only factors (A cos(m ang),
-    sin^2 phi) once per run of equal sphere coordinates; every number is
-    the row-by-row formula's."""
+    """Both families evaluate their sphere-only factors (A cos(m ang), and
+    sin^2 phi in polar_form) once per run of equal sphere coordinates;
+    every number is the row-by-row formula's."""
 
     A, MODE, RC, RW = 0.05, 3, 5.0, 1.5
 
@@ -513,14 +596,12 @@ class TestSphereFactorsPerRun:
         """The spatial block of the family, row by row, as a value
         function."""
         def fn(p):
-            s2 = np.sinh(p[:, -1]) ** 2
-            diag = [s2] if n == 2 else [s2, s2 * np.sin(p[:, 0]) ** 2]
+            f = np.sinh(p[:, -1]) ** 2
             if perturbed:
                 u = (p[:, -1] - cls.RC) / cls.RW
-                factor = 1.0 + cls.A * np.cos(cls.MODE * p[:, n - 2]) \
-                    * np.exp(-u ** 2)
-                diag = [factor * c for c in diag]
-            return _diag(diag)
+                f = (1.0 + cls.A * np.cos(cls.MODE * p[:, n - 2])
+                     * np.exp(-u ** 2)) * f
+            return _diag([f])
         return fn
 
     @classmethod
@@ -539,7 +620,12 @@ class TestSphereFactorsPerRun:
         stencil = rc.map_points(fd_stencil(rc))[0]
         polar = m.metric.domain.grid(m.grid)
         for q in (stencil, polar, np.ascontiguousarray(stencil)):
-            assert bitwise(m.metric.spatial(q), self.formula(3, perturbed)(q))
+            f = self.formula(3, perturbed)(q)
+            assert bitwise(m.metric.spatial(q), f)
+            want = np.zeros((len(q), 3, 3))
+            want[:, 0, 0], want[:, 2, 2] = f[:, 0, 0], 1.0
+            want[:, 1, 1] = f[:, 0, 0] * np.sin(q[:, 0]) ** 2
+            assert bitwise(polar_form(m.metric)(q), want)
 
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_n2_jets_are_the_row_formula(self, perturbed):
@@ -598,21 +684,15 @@ class TestColumnMajor:
         assert c2_norm(f, rc.chart.grid) == norm
 
     def test_sandwich_is_the_row_major_computation(self):
-        m, rc, _, _ = self.case()
-        q, J = rc.map_points(fd_stencil(rc))
-        S = m.metric.spatial(q)
-        assert S.flags.f_contiguous
-        Jc, Sc = np.ascontiguousarray(J), np.ascontiguousarray(S)
-        # (J^T S) J entry by entry, on row-major stacks
-        want = np.empty(J.shape)
-        for i in range(2):
-            T = [Jc[:, 0, i] * Sc[:, 0, b] + Jc[:, 1, i] * Sc[:, 1, b]
-                 for b in range(2)]
-            for j in range(2):
-                want[:, i, j] = T[0] * Jc[:, 0, j] + T[1] * Jc[:, 1, j]
-        for a, b in ((J, S), (Jc, Sc)):
-            got = manifold._sandwich(a, b)
-            assert got.flags.f_contiguous and bitwise(got, want)
+        # f M on row-major stacks: the conformal block times the chart's M
+        m, rc, pb, _ = self.case()
+        pts = fd_stencil(rc)
+        q, M = rc.map_points(pts)
+        f = m.metric.spatial(q)
+        assert M.flags.f_contiguous and f.flags.f_contiguous
+        want = np.ascontiguousarray(f) * np.ascontiguousarray(M)
+        got = pb.spatial(pts)
+        assert got.flags.f_contiguous and bitwise(got, want)
 
 
 class TestCloseness:

@@ -866,6 +866,25 @@ def test_main_theorem_n3_end_to_end():
     assert inst.eta_max == pytest.approx(0.0013963645055052134, rel=1e-9)
 
 
+def test_n3_eta_holds_when_the_fd_step_doubles(monkeypatch):
+    # the zone-1 chart of this sweep (t0 = 9.635) read eta = 7.105e-7 at
+    # model._FD_STEP and 5.894e-7 at twice and four times the step when the
+    # pullback was a Jacobian sandwich: a one-ulp event divided by h^2.
+    # The closed-form pullback reads 5.894e-7 at all three steps.
+    cfg = TheoremConfig(n=3, centers_per_zone=1, seed=17,
+                        grid=GridSpec(points_per_axis=32))
+
+    def zone_1():
+        (r,) = [r for r in check_main_theorem(cfg, 5.0).reports
+                if r.params["case"] == 1]
+        return r
+
+    at_h = zone_1()
+    assert at_h.params["t0"] == pytest.approx(9.635, abs=1e-3)
+    monkeypatch.setattr(model, "_FD_STEP", 2 * model._FD_STEP)
+    assert zone_1().lhs == pytest.approx(at_h.lhs, rel=0.01)
+
+
 def test_the_config_describes_the_manifold_it_audits():
     # cfg.manifold() is the one place a config becomes a manifold, and the
     # constructors' signatures hold the defaults of its fields
