@@ -61,6 +61,7 @@ from warpforce.verify import (
     remark_decay,
     run_check,
     run_theorem_sweep,
+    theorem_config,
 )
 
 __version__ = "0.1.0"

@@ -18,71 +18,55 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from warpforce.model import (GridSpec, WarpforceError, dump_grid_csv,
-                              read_config)
+from warpforce.model import WarpforceError, dump_grid_csv, read_config
 from warpforce.manifold import manifold_from_config, polar_form
 from warpforce.verify import (
+    CONFIG,
     CSV_COLUMNS,
-    _LEMMA_NAMES,
     TheoremConfig,
     _cell,
     available_checks,
+    grid_spec,
     remark_decay,
     reports_to_csv_rows,
     run_check,
     run_theorem_sweep,
+    theorem_config,
 )
 from warpforce.warpcore import BumpFunction, warp_force
 
 
-# The keys of a config document, each with the default that a subcommand
-# takes when it is absent (its kind for read_config); an absent seed or
-# t0_values stays absent.  Each section is read where it is used.
-_CONFIG = {"_comment": "", "seed": 0, "instances": 100,
-           "xi_values": (1.0, 1.5), "grid": GridSpec(), "t0_values": (),
-           "theorem": {}, "manifold": {"kind": "punctured", "n": 2},
-           **{name: {} for name in _LEMMA_NAMES}}
-
-
-def _load_config(parser: argparse.ArgumentParser, path: Optional[str],
-                 theorem: bool = False) -> dict:
-    """The keys of the config document at `path`, read against _CONFIG
-    ({} without a path).  With `theorem`, a document that is itself a
-    theorem section is read as the `theorem` object."""
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        parser.error(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        parser.error(f"config {path} is not valid JSON: {exc}")
+def _document(parser: argparse.ArgumentParser, path: Optional[str],
+              theorem: bool = False, **flags) -> dict:
+    """The config document at `path` ({} without a path), each flag given
+    (not None) folded in as its key, so that one reader checks flags and
+    keys alike.  With `theorem`, a document that is itself a theorem
+    section stands for its `theorem` object."""
+    doc = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            parser.error(f"cannot read config {path}: {exc}")
+        except json.JSONDecodeError as exc:
+            parser.error(f"config {path} is not valid JSON: {exc}")
     if theorem and isinstance(doc, dict) and "theorem" not in doc and set(
             doc) & {f.name for f in dataclasses.fields(TheoremConfig)}:
         doc = {"theorem": doc}
+    if isinstance(doc, dict):       # the reader refuses any other document
+        doc |= {k: v for k, v in flags.items() if v is not None}
+    return doc
+
+
+def _load_config(parser: argparse.ArgumentParser, path: Optional[str],
+                 theorem: bool = False, **flags) -> dict:
+    """The keys of _document(...), read against verify.CONFIG."""
     try:
-        return read_config(doc, _CONFIG, "top-level")
+        return read_config(_document(parser, path, theorem, **flags),
+                           CONFIG, "top-level")
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def _grid_from(parser, args, spec: Optional[GridSpec]) -> Optional[GridSpec]:
-    """spec, with --grid N as its points per axis (GridSpec()'s for None)."""
-    if args.grid is None:
-        return spec
-    try:
-        return dataclasses.replace(spec or GridSpec(),
-                                   points_per_axis=args.grid)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _theorem_from(parser, args, cfg: dict, seed) -> TheoremConfig:
-    """The config's `theorem` section, read once for the run: a given seed
-    and the top-level grid replace its own, and --grid N its grid's points."""
-    th = TheoremConfig.from_dict(cfg.get("theorem", {}), seed, cfg.get("grid"))
-    return dataclasses.replace(th, grid=_grid_from(parser, args, th.grid))
 
 
 def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]):
@@ -140,27 +124,13 @@ def _print_reports(reports, as_json: bool):
 
 
 def cmd_verify(parser, args) -> int:
-    cfg = _load_config(parser, args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    instances = (args.instances if args.instances is not None
-                 else cfg.get("instances", _CONFIG["instances"]))
-    if instances < 0:
-        parser.error(f"instances must be >= 0 (got {instances})")
-    xi_values = cfg.get("xi_values", _CONFIG["xi_values"])
-    grid = _grid_from(parser, args, cfg.get("grid"))
-    section = cfg if args.check == "all" else cfg.get(args.check)
-    if args.t0 is not None:
-        if args.check != "lemma2.1":
-            parser.error("--t0 only applies to the lemma2.1 check")
-        section = {"t0_values": [args.t0]}
+    if args.t0 is not None and args.check != "lemma2.1":
+        parser.error("--t0 only applies to the lemma2.1 check")
+    t0 = None if args.t0 is None else {"t0_values": [args.t0]}
+    doc = _document(parser, args.config, seed=args.seed,
+                    instances=args.instances, **{"lemma2.1": t0})
     try:
-        if args.check in ("all", "theorem"):   # its grid is the lemmas' too
-            theorem = _theorem_from(parser, args, cfg, seed)
-            grid = theorem.grid if args.grid is not None else grid
-            section = theorem if args.check == "theorem" \
-                else cfg | {"theorem": theorem}
-        reports = run_check(args.check, seed=seed, instances=instances,
-                            xi_values=xi_values, grid=grid, config=section)
+        reports = run_check(args.check, doc, args.grid)
     except (ValueError, WarpforceError) as exc:
         parser.error(str(exc))
     _write_reports(args.out, reports)
@@ -176,13 +146,12 @@ def cmd_theorem(parser, args) -> int:
     if args.config is None:
         parser.error("theorem requires --config with an instance spec "
                      "(manifold, r0_values, xi)")
-    cfg = _load_config(parser, args.config, theorem=True)
+    cfg = _load_config(parser, args.config, theorem=True, seed=args.seed)
     if "theorem" not in cfg:
         parser.error("config has no theorem instance spec (expected a "
                      "'theorem' object or top-level instance fields)")
-    seed = args.seed if args.seed is not None else cfg.get("seed")
     try:
-        instances = run_theorem_sweep(_theorem_from(parser, args, cfg, seed))
+        instances = run_theorem_sweep(theorem_config(cfg, args.grid))
     except (ValueError, WarpforceError) as exc:
         parser.error(str(exc))
 
@@ -229,9 +198,8 @@ def cmd_demo_remark(parser, args) -> int:
                          f"{args.step:g} gives too many t0 values: {exc}")
     else:
         t0s = cfg.get("t0_values")
-    grid = _grid_from(parser, args, cfg.get("grid"))
     try:
-        rows = remark_decay(t0s, grid=grid)
+        rows = remark_decay(t0s, grid=grid_spec(cfg, args.grid))
     except (ValueError, WarpforceError) as exc:
         parser.error(str(exc))
     if args.out is not None:
@@ -255,20 +223,19 @@ def cmd_demo_remark(parser, args) -> int:
 
 def cmd_dump_grid(parser, args) -> int:
     cfg = _load_config(parser, args.config)
-    spec = cfg.get("manifold", _CONFIG["manifold"])
     try:
-        m = manifold_from_config(spec)
-        metric = m.metric
+        metric = manifold_from_config(
+            cfg.get("manifold", CONFIG["manifold"])).metric
         if args.r0 is not None:
             metric = warp_force(metric, args.r0, BumpFunction())
+        grid = grid_spec(cfg, args.grid)
     except (ValueError, WarpforceError) as exc:
         parser.error(str(exc))
-    grid = _grid_from(parser, args, cfg.get("grid"))
     out = Path(args.out) if args.out is not None else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "grid.csv"
     # the polar columns: f sigma_S + dr^2 of the block f (see polar_form)
-    rows = dump_grid_csv(polar_form(metric), path, grid or GridSpec())
+    rows = dump_grid_csv(polar_form(metric), path, grid)
     print(f"wrote {rows} rows to {path}")
     return 0
 

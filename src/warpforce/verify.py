@@ -89,6 +89,10 @@ __all__ = [
     "fd_oracle_check",
     "available_checks",
     "run_check",
+    "theorem_config",
+    "grid_spec",
+    "seeded_reports",
+    "CONFIG",
     "reports_to_csv_rows",
     "CSV_COLUMNS",
 ]
@@ -386,12 +390,6 @@ def _seed(seed: int) -> int:
     return seed
 
 
-def _split_counts(total: int, parts: int) -> list:
-    base = total // parts
-    rest = total - base * parts
-    return [base + (1 if i < rest else 0) for i in range(parts)]
-
-
 def _blend_trivial(ch, rng):
     sigma = hyperbolic_model(ch)
     one = _constant_scalar(ch.domain, 1.0)
@@ -440,24 +438,32 @@ _SUITES = {
 
 
 def _run_lemma_suite(name: str, seed: int, instances: int,
-                     xi_values, grid: Optional[GridSpec]) -> list:
-    """The trivial instance first, then seeded random instances, on n = 2
-    charts of `grid` (by default the default grid).  Each report's params
-    name its instance (and seed) after the check's own keys."""
-    trivial, seeded = _SUITES[name]
-    grid = grid or GridSpec()
-    tagged = [(trivial(ChartModel(n=2, xi=1.0, grid=grid),
-                       np.random.default_rng(seed)), {"instance": "trivial"})]
-    name_key = zlib.crc32(name.encode()) & 0xFFFF
-    idx = 0
-    for xi, count in zip(xi_values, _split_counts(instances, len(xi_values))):
-        ch = ChartModel(n=2, xi=float(xi), grid=grid)
-        for _ in range(count):
-            rng = np.random.default_rng((seed, name_key, idx))
-            tagged.append((seeded(ch, rng), {"instance": idx, "seed": seed}))
-            idx += 1
-    return [dataclasses.replace(r, params=r.params | tag)
-            for reports, tag in tagged for r in reports]
+                     xi_values, grid: GridSpec) -> list:
+    """The trivial instance first, then seeded random instances on n = 2
+    charts of `grid`, split over the excess values (the first parts one
+    instance longer when they do not divide evenly)."""
+    reports = _SUITES[name][0](ChartModel(n=2, xi=1.0, grid=grid),
+                               np.random.default_rng(seed))
+    xis = [xi for xi, part in zip(xi_values, np.array_split(
+        range(instances), len(xi_values))) for _ in part]
+    return [dataclasses.replace(r, params=r.params | {"instance": "trivial"})
+            for r in reports] + [r for idx, xi in enumerate(xis)
+                                 for r in seeded_reports(name, seed, idx, xi,
+                                                         grid)]
+
+
+def seeded_reports(name: str, seed: int, instance: int, xi: float,
+                   grid: GridSpec) -> list:
+    """The reports of seeded instance `instance` of lemma suite `name`, on
+    the n = 2 chart of excess xi and `grid`; each report's params name the
+    instance and seed after the check's own keys, so a row rebuilds from
+    its report alone."""
+    rng = np.random.default_rng(
+        (seed, zlib.crc32(name.encode()) & 0xFFFF, instance))
+    reports = _SUITES[name][1](ChartModel(n=2, xi=float(xi), grid=grid), rng)
+    return [dataclasses.replace(r, params=r.params | {"instance": instance,
+                                                      "seed": seed})
+            for r in reports]
 
 
 # ---------------------------------------------------------------------------
@@ -490,18 +496,10 @@ class TheoremConfig:
         _seed(self.seed)
 
     @classmethod
-    def from_dict(cls, section: dict, seed: Optional[int] = None,
-                  grid: Optional[GridSpec] = None) -> "TheoremConfig":
-        """The config a `theorem` section describes; a given seed or grid
-        replaces the section's own.  ValueError names an unknown key or a
-        malformed value (see read_config)."""
-        defaults = vars(cls())      # every field with its default value
-        kw = read_config(section, defaults, "theorem")
-        if seed is not None:
-            kw |= read_config({"seed": seed}, defaults, "theorem")
-        if grid is not None:
-            kw["grid"] = grid
-        return cls(**kw)
+    def from_dict(cls, section: dict) -> "TheoremConfig":
+        """The config a `theorem` section describes.  ValueError names an
+        unknown key or a malformed value (see read_config)."""
+        return cls(**read_config(section, vars(cls()), "theorem"))
 
     def manifold(self) -> CenteredManifold:
         """The manifold this config audits: perturbed_hyperbolic with the
@@ -746,47 +744,78 @@ _LEMMA_NAMES = ("lemma1.1", "lemma2.1", "lemma2.2", "lemma2.3",
                 "lemma3.1", "lemma3.2")
 
 
+# The keys of a config document, each with the default that a run takes
+# when it is absent (its kind for read_config); an absent seed leaves the
+# theorem section's own.  Every subcommand reads its whole document
+# against this one table.
+CONFIG = {"_comment": "", "seed": 0, "instances": 100,
+          "xi_values": (1.0, 1.5), "grid": GridSpec(), "t0_values": (),
+          "theorem": {}, "manifold": {"kind": "punctured", "n": 2},
+          **{name: {} for name in _LEMMA_NAMES}}
+
+
 def available_checks() -> list:
     return list(_LEMMA_NAMES) + ["theorem", "all"]
 
 
-def run_check(name: str, seed: Optional[int] = None, instances: int = 100,
-              xi_values=(1.0, 1.5), grid: Optional[GridSpec] = None,
-              config: Optional[dict] = None) -> list:
-    """Run a registry check and return its BoundReports.  A given seed or
-    grid overrides the theorem section's own; the lemma suites default to
-    seed 0; a theorem section that is a TheoremConfig runs as it is.  `all`
-    reads every section, then runs its theorem sweep before any lemma (a
-    sweep it cannot audit stops it) but lists it last."""
-    if config is not None and not isinstance(config, (dict, TheoremConfig)):
-        raise ValueError(f"{name} config must be an object, got {config!r}")
-    if name in ("all", "theorem"):
-        doc = config or {}
-        section = doc.get("theorem", {}) if name == "all" else doc
-        theorem = section if isinstance(section, TheoremConfig) \
-            else TheoremConfig.from_dict(section, seed, grid)
-        lemmas = [] if name == "theorem" else [
-            _lemma_run(nm, doc.get(nm), seed, instances, xi_values, grid)
-            for nm in _LEMMA_NAMES]
-        sweep = run_theorem_sweep(theorem)
-        return [r for run in lemmas for r in run()] + [
-            r for inst in sweep for r in inst.reports]
-    if name in _LEMMA_NAMES:
-        return _lemma_run(name, config, seed, instances, xi_values, grid)()
-    raise ValueError(
-        f"unknown check {name!r}; available: {', '.join(available_checks())}")
+def grid_spec(doc: dict, points: Optional[int] = None) -> GridSpec:
+    """The grid of a document read against CONFIG (the default grid when
+    it has none), with `points` per axis when given (--grid N)."""
+    grid = doc.get("grid", CONFIG["grid"])
+    return grid if points is None else dataclasses.replace(
+        grid, points_per_axis=points)
 
 
-def _lemma_run(name: str, section, seed: Optional[int], instances: int,
-               xi_values, grid: Optional[GridSpec]) -> Callable:
+def theorem_config(doc: dict, points: Optional[int] = None) -> TheoremConfig:
+    """The theorem settings of a document read against CONFIG, the one
+    place where they meet the top level: the `theorem` section, whose seed
+    and grid give way to the document's own, the grid then taking `points`
+    per axis when given (--grid N)."""
+    th = TheoremConfig.from_dict(doc.get("theorem", {}))
+    top = {"seed": th.seed, "grid": th.grid} | doc
+    return dataclasses.replace(th, seed=top["seed"],
+                               grid=grid_spec(top, points))
+
+
+def run_check(name: str, doc: Optional[dict] = None,
+              points: Optional[int] = None) -> list:
+    """Run a registry check on config document `doc` and return its
+    BoundReports.  Whatever the check, the whole document is read against
+    CONFIG, and every setting the run uses is checked before any check
+    runs (ValueError).  `points` (--grid N) sets the points per axis of
+    the grids the run samples on; under `all` the lemma suites then sample
+    on the theorem's grid.  `all` runs its theorem sweep before any lemma
+    (a sweep it cannot audit stops it) but lists it last."""
+    if name not in available_checks():
+        raise ValueError(f"unknown check {name!r}; available: "
+                         f"{', '.join(available_checks())}")
+    doc = read_config({} if doc is None else doc, CONFIG, "top-level")
+    instances = doc.get("instances", CONFIG["instances"])
+    if instances < 0:
+        raise ValueError(f"instances must be >= 0 (got {instances})")
+    theorem = theorem_config(doc, points) if name in ("all", "theorem") \
+        else None
+    grid = theorem.grid if theorem and points is not None \
+        else grid_spec(doc, points)
+    lemmas = [_lemma_run(nm, doc.get(nm, {}), doc.get("seed", CONFIG["seed"]),
+                         instances, doc.get("xi_values", CONFIG["xi_values"]),
+                         grid)
+              for nm in _LEMMA_NAMES if name in (nm, "all")]
+    sweep = run_theorem_sweep(theorem) if theorem else []
+    return [r for run in lemmas for r in run()] + [
+        r for inst in sweep for r in inst.reports]
+
+
+def _lemma_run(name: str, section: dict, seed: int, instances: int,
+               xi_values, grid: GridSpec) -> Callable:
     """The run of lemma suite `name` on its config section and seed,
     checked now: a negative seed is refused (see _seed), lemma2.1 reads
     `t0_values` and the other suites take no keys (see read_config).  The
     other suites read `xi_values`, a non-empty list of positive, finite
     numbers."""
-    seed = _seed(0 if seed is None else seed)
+    seed = _seed(seed)
     known = {"t0_values": _DEFAULT_T0S} if name == "lemma2.1" else {}
-    section = read_config({} if section is None else section, known, name)
+    section = read_config(section, known, name)
     if name != "lemma2.1":
         xi_values = _numbers(xi_values, "xi_values")
         for xi in xi_values:

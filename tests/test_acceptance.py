@@ -84,7 +84,8 @@ def test_criterion_02_lemma_suites():
     exact_zero_trivials = {"lemma1.1", "lemma2.2", "lemma3.1", "lemma3.2"}
     counts = {}
     for name in ("lemma1.1", "lemma2.2", "lemma2.3", "lemma3.1", "lemma3.2"):
-        reps = run_check(name, seed=0, instances=100, xi_values=(1.0, 1.5))
+        reps = run_check(name, {"seed": 0, "instances": 100,
+                                "xi_values": [1.0, 1.5]})
         for r in reps:
             counts[r.name] = counts.get(r.name, 0) + 1
             if not r.passed:

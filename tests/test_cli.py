@@ -381,6 +381,19 @@ def test_unknown_top_level_key_is_a_usage_error(tmp_path, monkeypatch,
     assert not (tmp_path / "grid.csv").exists()
 
 
+def test_the_readme_error_example_is_what_the_cli_prints(tmp_path, capsys):
+    # the README's typo.json case, run: its `known:` list is the one table's
+    lines = (ROOT / "README.md").read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if "typo.json" in line)
+    command, doc = lines[i].split("#", 1)
+    argv = command.split()[2:]          # after "$ warpforce"
+    argv[argv.index("typo.json")] = write_cfg(tmp_path, json.loads(doc))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == lines[i + 1]
+
+
 @pytest.mark.parametrize("argv,doc", [
     (["verify", "lemma1.1"], {}),
     (["demo-remark"], {}),

@@ -626,9 +626,9 @@ class TestMemo:
 _SECOND_PASS_FAULTS = """
 import resource
 from warpforce.verify import run_check
-run_check("lemma2.3", instances=4)
+run_check("lemma2.3", {"instances": 4})
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-run_check("lemma2.3", instances=4)
+run_check("lemma2.3", {"instances": 4})
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 

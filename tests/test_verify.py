@@ -55,6 +55,7 @@ from warpforce.verify import (
     run_check,
     run_theorem_sweep,
     available_checks,
+    seeded_reports,
     theorem_centers,
 )
 
@@ -99,7 +100,7 @@ def test_error_report_schema():
 
 
 def test_csv_rows_columns_and_params_roundtrip():
-    reps = run_check("lemma2.1", config={"t0_values": [3.0]})
+    reps = run_check("lemma2.1", {"lemma2.1": {"t0_values": [3.0]}})
     rows = reports_to_csv_rows(reps)
     assert list(rows[0].keys()) == CSV_COLUMNS
     assert json.loads(rows[0]["params"])["t0"] == 3.0
@@ -332,7 +333,7 @@ def test_decay_derivatives_are_the_closed_form_to_rounding(t0):
 
 
 def test_warp_comparison_trivial_exact_zero():
-    reps = run_check("lemma2.2", instances=0)
+    reps = run_check("lemma2.2", {"instances": 0})
     assert reps[0].lhs == 0.0 and reps[0].rhs == 0.0
     assert reps[0].passed and reps[0].marginal
 
@@ -374,7 +375,7 @@ def test_rewarping_rejects_slice_shift_outside_profile_domain():
 
 
 def test_extension_trivial_exact_zero():
-    reps = run_check("lemma3.1", instances=0)
+    reps = run_check("lemma3.1", {"instances": 0})
     assert reps[0].lhs == 0.0 and reps[0].passed and reps[0].marginal
 
 
@@ -474,16 +475,66 @@ def test_registry_rejects_unknown():
         run_check("lemma9.9")
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"centers_per_zone": 2}, "unknown top-level key 'centers_per_zone'"),
+    ({"bogus_key": 1}, "unknown top-level key 'bogus_key'"),
+    ({"instances": -3}, "instances must be >= 0 (got -3)"),
+    ({"instances": True}, "top-level instances must be an integer, got True"),
+    ({"instances": 2.5}, "top-level instances must be an integer, got 2.5"),
+    ({"xi_values": []}, "xi_values must be a non-empty list"),
+], ids=["theorem-key", "bogus-key", "negative", "bool", "float", "no-xi"])
+def test_run_check_refuses_what_the_cli_refuses(monkeypatch, doc, message):
+    # the library reads the whole document as the CLI does: a misplaced
+    # or unknown key ran the default 96-center sweep, -3 instances ran only
+    # the trivial ones, and [] excess values would divide by zero
+    from warpforce import verify
+    calls = []
+    for name in ("check_main_theorem", "_run_lemma_suite", "check_lemma_2_1"):
+        monkeypatch.setattr(verify, name, lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError) as exc:
+        run_check("all", doc)
+    assert message in str(exc.value) and calls == []
+
+
+def test_run_check_refuses_the_old_keywords():
+    # a top-level {"t0_values": [3.0]} is demo-remark's key, so a config=
+    # that meant the lemma2.1 section must not run its six default t0s
+    with pytest.raises(TypeError):
+        run_check("lemma2.1", config={"t0_values": [3.0]})
+
+
+def test_seeded_lemma_rows_rebuild_from_their_reports(tmp_path, capsys):
+    # a seeded row is a function of its suite, seed, instance, excess and
+    # grid, all in its report: five rows per suite (both lemma2.3 parts)
+    # rebuild bitwise from reports.json alone
+    from warpforce.cli import main
+    assert main(["verify", "all", "--grid", "8", "--instances", "10",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rows = {}
+    for row in json.loads((tmp_path / "reports.json").read_text()):
+        idx = row["params"].get("instance", "trivial")
+        if idx != "trivial" and idx % 2 == 0:      # both excess values
+            rows.setdefault((row["name"].split("(")[0], idx), []).append(row)
+    assert sorted(len(want) for want in rows.values()) == [1] * 20 + [2] * 5
+    for (suite, idx), want in rows.items():
+        p = want[0]["params"]
+        got = seeded_reports(suite, p["seed"], idx, p["xi"],
+                             GridSpec(**want[0]["grid"]))
+        assert json.dumps([r.to_json() for r in got]) == json.dumps(want)
+
+
 def test_suites_deterministic_under_seed():
-    a = run_check("lemma1.1", seed=3, instances=4)
-    b = run_check("lemma1.1", seed=3, instances=4)
-    c = run_check("lemma1.1", seed=4, instances=4)
+    a = run_check("lemma1.1", {"seed": 3, "instances": 4})
+    b = run_check("lemma1.1", {"seed": 3, "instances": 4})
+    c = run_check("lemma1.1", {"seed": 4, "instances": 4})
     assert [r.lhs for r in a] == [r.lhs for r in b]
     assert [r.lhs for r in a] != [r.lhs for r in c]
 
 
 def test_suite_splits_instances_across_excess_values():
-    reps = run_check("lemma3.2", seed=0, instances=5, xi_values=(1.0, 1.5))
+    reps = run_check("lemma3.2", {"seed": 0, "instances": 5,
+                                  "xi_values": [1.0, 1.5]})
     random = [r for r in reps if r.params.get("instance") != "trivial"]
     assert len(random) == 5
     assert {r.params["xi"] for r in random} == {1.0, 1.5}
@@ -574,8 +625,8 @@ def test_error_estimate_carries_every_probe_error_into_the_rhs(
                   "check_lemma_2_3", "check_lemma_3_1", "check_lemma_3_2"):
         monkeypatch.setattr(verify, check,
                             recording(check, getattr(verify, check)))
-    reports = run_check(name, instances=3,
-                        grid=GridSpec(points_per_axis=8))
+    reports = run_check(name, {"instances": 3,
+                               "grid": {"points_per_axis": 8}})
     # the suite runner adds the instance (and seed) to the check's params
     assert [r for *_, out in calls for r in out] == [dataclasses.replace(
         r, params={k: v for k, v in r.params.items()
@@ -590,9 +641,11 @@ def test_error_estimate_carries_every_probe_error_into_the_rhs(
 
 
 def test_all_suites_pass_small():
-    reps = run_check("all", seed=1, instances=6,
-                     config={"centers_per_zone": 2})
+    # centers_per_zone is a theorem key: 4 r0 x 3 zones x 2 centers
+    reps = run_check("all", {"seed": 1, "instances": 6,
+                             "theorem": {"centers_per_zone": 2}})
     assert all(r.passed for r in reps)
+    assert sum(r.name == "theorem" for r in reps) == 24
 
 
 # ---------------------------------------------------------------------------
@@ -908,8 +961,8 @@ def test_theorem_config_from_dict():
 @pytest.mark.parametrize("read,what", [
     (manifold_from_config, "manifold"),
     (TheoremConfig.from_dict, "theorem"),
-    (lambda sec: run_check("lemma2.1", config=sec), "lemma2.1"),
-    (lambda sec: run_check("lemma3.2", config=sec), "lemma3.2"),
+    (lambda sec: run_check("lemma2.1", {"lemma2.1": sec}), "lemma2.1"),
+    (lambda sec: run_check("lemma3.2", {"lemma3.2": sec}), "lemma3.2"),
 ], ids=["manifold", "theorem", "lemma2.1", "lemma3.2"])
 def test_config_objects_refuse_unknown_keys_alike(read, what):
     # one reader: the same message names the object, the key and the keys
