@@ -58,10 +58,10 @@ from warpforce.verify import (
     check_main_theorem,
     fd_oracle_check,
     measured_with_error,
+    read_document,
     remark_decay,
     run_check,
     run_theorem_sweep,
-    theorem_config,
 )
 
 __version__ = "0.1.0"

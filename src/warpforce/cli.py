@@ -18,20 +18,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from warpforce.model import WarpforceError, dump_grid_csv, read_config
-from warpforce.manifold import manifold_from_config, polar_form
+from warpforce.model import WarpforceError, dump_grid_csv
+from warpforce.manifold import polar_form
 from warpforce.verify import (
-    CONFIG,
     CSV_COLUMNS,
     TheoremConfig,
     _cell,
     available_checks,
-    grid_spec,
+    read_document,
     remark_decay,
     reports_to_csv_rows,
     run_check,
     run_theorem_sweep,
-    theorem_config,
 )
 from warpforce.warpcore import BumpFunction, warp_force
 
@@ -40,8 +38,8 @@ def _document(parser: argparse.ArgumentParser, path: Optional[str],
               theorem: bool = False, **flags) -> dict:
     """The config document at `path` ({} without a path), each flag given
     (not None) folded in as its key, so that one reader checks flags and
-    keys alike.  With `theorem`, a document that is itself a theorem
-    section stands for its `theorem` object."""
+    keys alike (verify.read_document).  With `theorem`, a document that is
+    itself a theorem section stands for its `theorem` object."""
     doc = {}
     if path is not None:
         try:
@@ -57,16 +55,6 @@ def _document(parser: argparse.ArgumentParser, path: Optional[str],
     if isinstance(doc, dict):       # the reader refuses any other document
         doc |= {k: v for k, v in flags.items() if v is not None}
     return doc
-
-
-def _load_config(parser: argparse.ArgumentParser, path: Optional[str],
-                 theorem: bool = False, **flags) -> dict:
-    """The keys of _document(...), read against verify.CONFIG."""
-    try:
-        return read_config(_document(parser, path, theorem, **flags),
-                           CONFIG, "top-level")
-    except ValueError as exc:
-        parser.error(str(exc))
 
 
 def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]):
@@ -126,9 +114,12 @@ def _print_reports(reports, as_json: bool):
 def cmd_verify(parser, args) -> int:
     if args.t0 is not None and args.check != "lemma2.1":
         parser.error("--t0 only applies to the lemma2.1 check")
-    t0 = None if args.t0 is None else {"t0_values": [args.t0]}
     doc = _document(parser, args.config, seed=args.seed,
-                    instances=args.instances, **{"lemma2.1": t0})
+                    instances=args.instances)
+    section = doc.get("lemma2.1", {}) if isinstance(doc, dict) else None
+    if args.t0 is not None and isinstance(section, dict):
+        # --t0 X sets the section's t0_values; its other keys are still read
+        doc["lemma2.1"] = section | {"t0_values": [args.t0]}
     try:
         reports = run_check(args.check, doc, args.grid)
     except (ValueError, WarpforceError) as exc:
@@ -146,12 +137,13 @@ def cmd_theorem(parser, args) -> int:
     if args.config is None:
         parser.error("theorem requires --config with an instance spec "
                      "(manifold, r0_values, xi)")
-    cfg = _load_config(parser, args.config, theorem=True, seed=args.seed)
-    if "theorem" not in cfg:
-        parser.error("config has no theorem instance spec (expected a "
-                     "'theorem' object or top-level instance fields)")
+    doc = _document(parser, args.config, theorem=True, seed=args.seed)
     try:
-        instances = run_theorem_sweep(theorem_config(cfg, args.grid))
+        cfg = read_document(doc, args.grid)
+        if "theorem" not in doc:
+            parser.error("config has no theorem instance spec (expected a "
+                         "'theorem' object or top-level instance fields)")
+        instances = run_theorem_sweep(cfg["theorem"])
     except (ValueError, WarpforceError) as exc:
         parser.error(str(exc))
 
@@ -183,9 +175,10 @@ _REMARK_COLUMNS = ["t0", "eps", "ratio_to_prev", "derivative_source"]
 
 
 def cmd_demo_remark(parser, args) -> int:
-    cfg = _load_config(parser, args.config)
+    doc = _document(parser, args.config)
     if not 0 < args.step < np.inf:
         parser.error(f"--step must be positive and finite (got {args.step:g})")
+    t0s = None
     if args.t0_min is not None or args.t0_max is not None:
         lo = args.t0_min if args.t0_min is not None else 2.2
         hi = args.t0_max if args.t0_max is not None else 9.0
@@ -196,10 +189,10 @@ def cmd_demo_remark(parser, args) -> int:
         except ValueError as exc:
             parser.error(f"--t0-min {lo:g} to --t0-max {hi:g} by --step "
                          f"{args.step:g} gives too many t0 values: {exc}")
-    else:
-        t0s = cfg.get("t0_values")
     try:
-        rows = remark_decay(t0s, grid=grid_spec(cfg, args.grid))
+        cfg = read_document(doc, args.grid)
+        rows = remark_decay(cfg["t0_values"] if t0s is None else t0s,
+                            grid=cfg["grid"])
     except (ValueError, WarpforceError) as exc:
         parser.error(str(exc))
     if args.out is not None:
@@ -222,20 +215,19 @@ def cmd_demo_remark(parser, args) -> int:
 
 
 def cmd_dump_grid(parser, args) -> int:
-    cfg = _load_config(parser, args.config)
+    doc = _document(parser, args.config)
     try:
-        metric = manifold_from_config(
-            cfg.get("manifold", CONFIG["manifold"])).metric
+        cfg = read_document(doc, args.grid)
+        metric = cfg["manifold"].metric
         if args.r0 is not None:
             metric = warp_force(metric, args.r0, BumpFunction())
-        grid = grid_spec(cfg, args.grid)
     except (ValueError, WarpforceError) as exc:
         parser.error(str(exc))
     out = Path(args.out) if args.out is not None else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "grid.csv"
     # the polar columns: f sigma_S + dr^2 of the block f (see polar_form)
-    rows = dump_grid_csv(polar_form(metric), path, grid)
+    rows = dump_grid_csv(polar_form(metric), path, cfg["grid"])
     print(f"wrote {rows} rows to {path}")
     return 0
 

@@ -30,7 +30,7 @@ import json
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from warpforce.manifold import (
     CenteredManifold,
     _keyword_defaults,
     closeness_at,
+    manifold_from_config,
     perturbed_hyperbolic,
     pullback,
     punctured_hyperbolic,
@@ -89,8 +90,7 @@ __all__ = [
     "fd_oracle_check",
     "available_checks",
     "run_check",
-    "theorem_config",
-    "grid_spec",
+    "read_document",
     "seeded_reports",
     "CONFIG",
     "reports_to_csv_rows",
@@ -231,8 +231,11 @@ def _reports(walks: Sequence[dict], grid: GridSpec, reports: Sequence[tuple],
 
 def check_lemma_2_1(t0: float) -> BoundReport:
     """Decay profile bound on the closed ray window [0, 14 + 2 t0], sampled
-    at 4001 points."""
-    hi = 14.0 + 2.0 * t0
+    at 4001 points; ValueError names a t0 whose window is not finite."""
+    hi = 14.0 + 2.0 * float(t0)
+    if not np.isfinite(hi):
+        raise ValueError(f"lemma2.1 t0 must keep the window [0, 14 + 2 t0] "
+                         f"finite (got {t0:g})")
     window = interval_domain(0.0, hi)
     f = difference(profile_scalar(window, WarpFunction(t0)),
                    _constant_scalar(window, 1.0), name=f"decay[t0={t0:g}]")
@@ -659,16 +662,21 @@ def check_main_theorem(cfg: TheoremConfig, r0: float) -> TheoremInstance:
     )
 
 
-def run_theorem_sweep(cfg: Optional[TheoremConfig] = None) -> list:
-    """check_main_theorem at each of cfg's r0 values.  A sweep with no r0,
-    or with a manifold or an r0 that cannot be audited (see theorem_zones),
-    is refused before any audit."""
-    cfg = cfg or TheoremConfig()
+def _auditable(cfg: TheoremConfig) -> TheoremConfig:
+    """cfg, refused when its sweep has no r0, or a manifold or an r0 that
+    cannot be audited (ValueError or DomainError, see theorem_zones)."""
     if not cfg.r0_values:
         raise ValueError("theorem sweep needs at least one r0 value")
     r_range = cfg.manifold().r_range
     for r0 in cfg.r0_values:
         theorem_zones(r0, cfg.xi, r_range, cfg.centers_per_zone)
+    return cfg
+
+
+def run_theorem_sweep(cfg: Optional[TheoremConfig] = None) -> list:
+    """check_main_theorem at each of cfg's r0 values, a sweep that cannot
+    be audited refused before any audit (see _auditable)."""
+    cfg = _auditable(cfg or TheoremConfig())
     return [check_main_theorem(cfg, r0) for r0 in cfg.r0_values]
 
 
@@ -746,8 +754,7 @@ _LEMMA_NAMES = ("lemma1.1", "lemma2.1", "lemma2.2", "lemma2.3",
 
 # The keys of a config document, each with the default that a run takes
 # when it is absent (its kind for read_config); an absent seed leaves the
-# theorem section's own.  Every subcommand reads its whole document
-# against this one table.
+# theorem section's own.  read_document reads every document against it.
 CONFIG = {"_comment": "", "seed": 0, "instances": 100,
           "xi_values": (1.0, 1.5), "grid": GridSpec(), "t0_values": (),
           "theorem": {}, "manifold": {"kind": "punctured", "n": 2},
@@ -758,77 +765,73 @@ def available_checks() -> list:
     return list(_LEMMA_NAMES) + ["theorem", "all"]
 
 
-def grid_spec(doc: dict, points: Optional[int] = None) -> GridSpec:
-    """The grid of a document read against CONFIG (the default grid when
-    it has none), with `points` per axis when given (--grid N)."""
-    grid = doc.get("grid", CONFIG["grid"])
-    return grid if points is None else dataclasses.replace(
-        grid, points_per_axis=points)
+def read_document(doc: Optional[dict] = None,
+                  points: Optional[int] = None) -> dict:
+    """Config document `doc` ({} for the defaults) read whole, whatever
+    runs next: every key of CONFIG, at its default when absent, read and
+    range-checked by its own section's reader.  The first bad key or value
+    is a ValueError that names it (a DomainError for theorem zones that do
+    not fit the manifold, see theorem_zones).
 
-
-def theorem_config(doc: dict, points: Optional[int] = None) -> TheoremConfig:
-    """The theorem settings of a document read against CONFIG, the one
-    place where they meet the top level: the `theorem` section, whose seed
-    and grid give way to the document's own, the grid then taking `points`
-    per axis when given (--grid N)."""
-    th = TheoremConfig.from_dict(doc.get("theorem", {}))
-    top = {"seed": th.seed, "grid": th.grid} | doc
-    return dataclasses.replace(th, seed=top["seed"],
-                               grid=grid_spec(top, points))
+    In the result, "theorem" is the section's TheoremConfig, whose seed and
+    grid give way to the document's own, and "manifold" the section's
+    CenteredManifold; "lemma2.1" holds its t0_values, the other lemma
+    sections nothing, and "t0_values" is None when absent.  `points`
+    (--grid N) sets the points per axis of both grids."""
+    given = read_config({} if doc is None else doc, CONFIG, "top-level")
+    out = CONFIG | given
+    if out["instances"] < 0:
+        raise ValueError(f"instances must be >= 0 (got {out['instances']})")
+    out["seed"] = _seed(out["seed"])
+    out["xi_values"] = _numbers(out["xi_values"], "xi_values")
+    for xi in out["xi_values"]:
+        if not 0.0 < xi < np.inf:
+            raise ValueError(f"xi_values must be positive and finite "
+                             f"(got {xi:g})")
+    out["t0_values"] = _numbers(given["t0_values"], "t0_values") \
+        if "t0_values" in given else None
+    th = TheoremConfig.from_dict(out["theorem"])
+    top = {"seed": th.seed, "grid": th.grid} | given
+    theorem_grid = top["grid"]
+    if points is not None:          # --grid N
+        out["grid"] = dataclasses.replace(out["grid"], points_per_axis=points)
+        theorem_grid = dataclasses.replace(theorem_grid,
+                                           points_per_axis=points)
+    out["theorem"] = _auditable(dataclasses.replace(
+        th, seed=top["seed"], grid=theorem_grid))
+    out["manifold"] = manifold_from_config(out["manifold"])
+    for name in _LEMMA_NAMES:
+        known = {"t0_values": _DEFAULT_T0S} if name == "lemma2.1" else {}
+        out[name] = known | read_config(out[name], known, name)
+    if not out["lemma2.1"]["t0_values"]:
+        raise ValueError("lemma2.1 needs at least one t0 value")
+    for t0 in out["lemma2.1"]["t0_values"]:
+        if not (2.0 < t0 and np.isfinite(14.0 + 2.0 * t0)):
+            raise ValueError(f"lemma2.1 t0 must exceed 2 and keep the window "
+                             f"[0, 14 + 2 t0] finite (got {t0:g})")
+    return out
 
 
 def run_check(name: str, doc: Optional[dict] = None,
               points: Optional[int] = None) -> list:
     """Run a registry check on config document `doc` and return its
-    BoundReports.  Whatever the check, the whole document is read against
-    CONFIG, and every setting the run uses is checked before any check
-    runs (ValueError).  `points` (--grid N) sets the points per axis of
-    the grids the run samples on; under `all` the lemma suites then sample
-    on the theorem's grid.  `all` runs its theorem sweep before any lemma
-    (a sweep it cannot audit stops it) but lists it last."""
+    BoundReports.  Whatever the check, the whole document is read first
+    (read_document), so a bad section is refused before any check runs,
+    whether or not the check uses it.  `points` (--grid N) sets the points
+    per axis of the grids the run samples on; under `all` the lemma suites
+    then sample on the theorem's grid.  `all` runs its theorem sweep
+    before any lemma but lists it last."""
     if name not in available_checks():
         raise ValueError(f"unknown check {name!r}; available: "
                          f"{', '.join(available_checks())}")
-    doc = read_config({} if doc is None else doc, CONFIG, "top-level")
-    instances = doc.get("instances", CONFIG["instances"])
-    if instances < 0:
-        raise ValueError(f"instances must be >= 0 (got {instances})")
-    theorem = theorem_config(doc, points) if name in ("all", "theorem") \
-        else None
-    grid = theorem.grid if theorem and points is not None \
-        else grid_spec(doc, points)
-    lemmas = [_lemma_run(nm, doc.get(nm, {}), doc.get("seed", CONFIG["seed"]),
-                         instances, doc.get("xi_values", CONFIG["xi_values"]),
-                         grid)
-              for nm in _LEMMA_NAMES if name in (nm, "all")]
-    sweep = run_theorem_sweep(theorem) if theorem else []
-    return [r for run in lemmas for r in run()] + [
+    cfg = read_document(doc, points)
+    grid = cfg["theorem"].grid if name == "all" and points is not None \
+        else cfg["grid"]
+    sweep = run_theorem_sweep(cfg["theorem"]) \
+        if name in ("all", "theorem") else []
+    lemmas = [nm for nm in _LEMMA_NAMES if name in (nm, "all")]
+    return [r for nm in lemmas for r in (
+        [check_lemma_2_1(t0) for t0 in cfg[nm]["t0_values"]]
+        if nm == "lemma2.1" else _run_lemma_suite(
+            nm, cfg["seed"], cfg["instances"], cfg["xi_values"], grid))] + [
         r for inst in sweep for r in inst.reports]
-
-
-def _lemma_run(name: str, section: dict, seed: int, instances: int,
-               xi_values, grid: GridSpec) -> Callable:
-    """The run of lemma suite `name` on its config section and seed,
-    checked now: a negative seed is refused (see _seed), lemma2.1 reads
-    `t0_values` and the other suites take no keys (see read_config).  The
-    other suites read `xi_values`, a non-empty list of positive, finite
-    numbers."""
-    seed = _seed(seed)
-    known = {"t0_values": _DEFAULT_T0S} if name == "lemma2.1" else {}
-    section = read_config(section, known, name)
-    if name != "lemma2.1":
-        xi_values = _numbers(xi_values, "xi_values")
-        for xi in xi_values:
-            if not 0.0 < xi < np.inf:
-                raise ValueError(f"xi_values must be positive and finite "
-                                 f"(got {xi:g})")
-        return lambda: _run_lemma_suite(name, seed, instances, xi_values,
-                                        grid)
-    t0s = section.get("t0_values", _DEFAULT_T0S)
-    if not t0s:
-        raise ValueError("lemma2.1 needs at least one t0 value")
-    for t0 in t0s:
-        if not 2.0 < t0 < np.inf:
-            raise ValueError(f"lemma2.1 t0 must exceed 2 and be finite "
-                             f"(got {t0:g})")
-    return lambda: [check_lemma_2_1(t0) for t0 in t0s]

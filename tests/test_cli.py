@@ -11,7 +11,8 @@ import pytest
 
 from warpforce.cli import _write_reports, main
 from warpforce.model import GridSpec
-from warpforce.verify import CSV_COLUMNS, make_report, remark_decay
+from warpforce.verify import (CSV_COLUMNS, available_checks, make_report,
+                              remark_decay)
 
 from memory import traced_peak_mb
 
@@ -80,6 +81,72 @@ def test_verify_rejects_small_t0(tmp_path, capsys):
             run_cli(["verify", "lemma2.1"] + argv)
         assert exc.value.code == 2
         assert err in capsys.readouterr().err
+
+
+def test_a_t0_whose_window_overflows_is_a_usage_error(tmp_path, monkeypatch,
+                                                      capsys):
+    # 14 + 2 t0 = inf built the window [0, inf] and printed FAIL lhs=nan
+    # (exit 1); the reader refuses it before the first t0 runs
+    from warpforce import verify
+    calls = []
+    monkeypatch.setattr(verify, "check_lemma_2_1",
+                        lambda *a: calls.append(a))
+    cfg = write_cfg(tmp_path, {"lemma2.1": {"t0_values": [3.0, 1e308]}})
+    for argv in (["--t0", "1e308"], ["--config", cfg]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "lemma2.1"] + argv)
+        assert exc.value.code == 2 and calls == []
+        assert "lemma2.1 t0 must exceed 2 and keep the window" in \
+            capsys.readouterr().err
+
+
+def test_the_t0_flag_sets_one_key_of_the_section(tmp_path, capsys):
+    # --t0 replaces the section's t0_values and leaves its other keys to
+    # the reader (a misspelt section ran the flag's t0 alone, and passed)
+    cfg = write_cfg(tmp_path, {"lemma2.1": {"t0_values": [5.0, 6.0]}})
+    assert run_cli(["verify", "lemma2.1", "--t0", "3", "--config", cfg]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "1 checks: 1 passed, 0 failed (0 marginal)"
+    cfg = write_cfg(tmp_path, {"lemma2.1": {"t0_value": [5.0]}})
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "lemma2.1", "--t0", "3", "--config", cfg])
+    assert exc.value.code == 2
+    assert "unknown lemma2.1 key 't0_value'" in capsys.readouterr().err
+
+
+# Documents with one bad section each, and the key their refusal names;
+# every subcommand read them through a path that skipped that section.
+BAD_SECTIONS = [
+    ({"theorem": {"warp_speed": 9}}, "'warp_speed'"),
+    ({"manifold": {"kind": "nope"}}, "'nope'"),
+    ({"lemma3.2": {"bogus": 1}}, "'bogus'"),
+    ({"lemma2.1": {"t0_value": [5.0]}}, "'t0_value'"),
+    ({"xi_values": []}, "xi_values"),
+    ({"t0_values": []}, "t0_values"),
+    ({"theorem": {"r0_values": [2.0]}}, "r0 must exceed 1 + xi"),
+]
+
+
+@pytest.mark.parametrize("doc,key", BAD_SECTIONS, ids=[
+    "theorem-key", "manifold-kind", "lemma3.2-key", "lemma2.1-key", "no-xi",
+    "no-t0", "theorem-r0"])
+@pytest.mark.parametrize("argv", [
+    *[["verify", name] for name in available_checks()],
+    ["verify", "lemma2.1", "--t0", "3"], ["theorem"], ["demo-remark"],
+    ["dump-grid"]], ids=" ".join)
+def test_a_bad_section_is_refused_by_every_subcommand(
+        tmp_path, monkeypatch, capsys, argv, doc, key):
+    # the whole document is read before anything runs, whether or not the
+    # run uses the section
+    from warpforce import cli
+    calls = no_work(monkeypatch)
+    for name in ("remark_decay", "dump_grid_csv"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--config", write_cfg(tmp_path, doc), "--grid", "8"])
+    assert exc.value.code == 2 and calls == []
+    assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,cfg", [
@@ -381,17 +448,23 @@ def test_unknown_top_level_key_is_a_usage_error(tmp_path, monkeypatch,
     assert not (tmp_path / "grid.csv").exists()
 
 
-def test_the_readme_error_example_is_what_the_cli_prints(tmp_path, capsys):
-    # the README's typo.json case, run: its `known:` list is the one table's
+def test_the_readme_error_example_is_what_the_cli_prints(tmp_path,
+                                                        monkeypatch, capsys):
+    # the README's typo.json cases, run: a `known:` list is its table's, and
+    # dump-grid refuses a theorem section that it does not use
+    monkeypatch.chdir(tmp_path)
     lines = (ROOT / "README.md").read_text().splitlines()
-    i = next(i for i, line in enumerate(lines) if "typo.json" in line)
-    command, doc = lines[i].split("#", 1)
-    argv = command.split()[2:]          # after "$ warpforce"
-    argv[argv.index("typo.json")] = write_cfg(tmp_path, json.loads(doc))
-    with pytest.raises(SystemExit) as exc:
-        run_cli(argv)
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == lines[i + 1]
+    examples = [i for i, line in enumerate(lines) if "typo.json" in line]
+    assert len(examples) == 2
+    for i in examples:
+        command, doc = lines[i].split("#", 1)
+        argv = command.split()[2:]          # after "$ warpforce"
+        argv[argv.index("typo.json")] = write_cfg(tmp_path, json.loads(doc))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == lines[i + 1]
+    assert not (tmp_path / "grid.csv").exists()
 
 
 @pytest.mark.parametrize("argv,doc", [
@@ -677,7 +750,7 @@ def test_the_theorem_section_is_read_once(tmp_path, monkeypatch, capsys,
     for mod in (cli, verify):
         monkeypatch.setattr(mod, "run_theorem_sweep",
                             lambda cfg: runs.append(cfg) or [])
-    monkeypatch.setattr(verify, "_lemma_run", lambda *a: lambda: [])
+    monkeypatch.setattr(verify, "_run_lemma_suite", lambda *a: [])
     cfg = write_cfg(tmp_path, {"theorem": {
         "r0_values": [5.0], "seed": 4,
         "grid": {"points_per_axis": 16, "boundary_margin": 0.03}}})

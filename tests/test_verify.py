@@ -52,6 +52,7 @@ from warpforce.verify import (
     random_warp_profile,
     remark_decay,
     reports_to_csv_rows,
+    read_document,
     run_check,
     run_theorem_sweep,
     available_checks,
@@ -287,6 +288,14 @@ def test_decay_bound_rejects_small_t0():
         check_lemma_2_1(1.5)
 
 
+@pytest.mark.parametrize("t0", [1e308, float("inf"), float("nan")])
+def test_decay_bound_refuses_a_window_that_is_not_finite(t0):
+    # 14 + 2e308 built the window [0, inf], warned "invalid value
+    # encountered in multiply" and measured lhs = nan
+    with pytest.raises(ValueError, match="lemma2.1 t0 must keep the window"):
+        check_lemma_2_1(t0)
+
+
 @pytest.mark.parametrize("t0", [2.1, 2.5, 3.0, 4.0, 6.0, 8.0])
 def test_decay_field_and_its_sup_are_the_closed_form(t0):
     # nu = u^2 with u = (1 - a e^{-2t}) / (1 - a), a = e^{-2 t0}, is
@@ -494,6 +503,46 @@ def test_run_check_refuses_what_the_cli_refuses(monkeypatch, doc, message):
     with pytest.raises(ValueError) as exc:
         run_check("all", doc)
     assert message in str(exc.value) and calls == []
+
+
+@pytest.mark.parametrize("doc", [
+    {"theorem": {"warp_speed": 9}}, {"manifold": {"kind": "nope"}},
+    {"lemma3.2": {"bogus": 1}}, {"lemma2.1": {"t0_value": [5.0]}},
+    {"xi_values": []}, {"t0_values": []}, {"lemma2.1": {"t0_values": [1e308]}},
+], ids=["theorem-key", "manifold-kind", "lemma3.2-key", "lemma2.1-key",
+        "no-xi", "no-t0", "t0-overflow"])
+def test_every_check_refuses_a_bad_section_alike(monkeypatch, doc):
+    # one read of the whole document: lemma2.1 ran its six passing reports
+    # on each of these, which no part of that run read
+    from warpforce import verify
+    calls = []
+    for name in ("check_main_theorem", "_run_lemma_suite", "check_lemma_2_1"):
+        monkeypatch.setattr(verify, name, lambda *a, **k: calls.append(a))
+    messages = set()
+    for name in available_checks():
+        with pytest.raises(ValueError) as exc:
+            run_check(name, doc)
+        messages.add(str(exc.value))
+    assert len(messages) == 1 and calls == []
+
+
+def test_read_document_reads_every_section():
+    # each section becomes what its reader makes of it; the theorem's seed
+    # and grid give way to the document's own, and `points` sets both grids
+    doc = read_document({})
+    assert doc["theorem"] == TheoremConfig() and doc["grid"] == GridSpec()
+    assert doc["manifold"].kind == "punctured" and doc["manifold"].n == 2
+    assert doc["lemma2.1"] == {"t0_values": (2.1, 2.5, 3.0, 4.0, 6.0, 8.0)}
+    assert doc["lemma3.2"] == {} and doc["t0_values"] is None
+    doc = read_document({"seed": 4, "grid": {"boundary_margin": 0.1},
+                         "theorem": {"seed": 2, "r0_values": [5.0]}},
+                        points=8)
+    assert doc["theorem"].seed == 4 and doc["theorem"].r0_values == (5.0,)
+    assert doc["theorem"].grid == doc["grid"] == GridSpec(8, 0.1)
+    doc = read_document({"theorem": {"seed": 2,
+                                     "grid": {"points_per_axis": 16}}})
+    assert doc["seed"] == 0 and doc["grid"] == GridSpec()
+    assert doc["theorem"].seed == 2 and doc["theorem"].grid == GridSpec(16)
 
 
 def test_run_check_refuses_the_old_keywords():
