@@ -1,6 +1,11 @@
 """Command-line front end: bound-check campaigns, deformation audits,
 decay tables, and grid dumps.
 
+`verify CHECK` runs a registered check (verify.run_check); `theorem` is
+`verify theorem` under a shorter name.  Under `verify theorem` and `verify
+all`, --out also writes the sweep that the run audited: theorem_sweep.csv,
+a row per r0, and theorem.json, its TheoremInstances.
+
 Exit status: 0 when every check passed (marginal entries included), 1 when
 any non-marginal check failed or an error entry exists, 2 for usage and
 configuration errors.  Identical config + seed produce byte-identical CSV.
@@ -10,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -22,24 +26,21 @@ from warpforce.model import WarpforceError, dump_grid_csv
 from warpforce.manifold import polar_form
 from warpforce.verify import (
     CSV_COLUMNS,
-    TheoremConfig,
     _cell,
     available_checks,
     read_document,
     remark_decay,
     reports_to_csv_rows,
     run_check,
-    run_theorem_sweep,
 )
 from warpforce.warpcore import BumpFunction, warp_force
 
 
 def _document(parser: argparse.ArgumentParser, path: Optional[str],
-              theorem: bool = False, **flags) -> dict:
+              **flags) -> dict:
     """The config document at `path` ({} without a path), each flag given
     (not None) folded in as its key, so that one reader checks flags and
-    keys alike (verify.read_document).  With `theorem`, a document that is
-    itself a theorem section stands for its `theorem` object."""
+    keys alike (verify.read_document)."""
     doc = {}
     if path is not None:
         try:
@@ -49,9 +50,6 @@ def _document(parser: argparse.ArgumentParser, path: Optional[str],
             parser.error(f"cannot read config {path}: {exc}")
         except json.JSONDecodeError as exc:
             parser.error(f"config {path} is not valid JSON: {exc}")
-    if theorem and isinstance(doc, dict) and "theorem" not in doc and set(
-            doc) & {f.name for f in dataclasses.fields(TheoremConfig)}:
-        doc = {"theorem": doc}
     if isinstance(doc, dict):       # the reader refuses any other document
         doc |= {k: v for k, v in flags.items() if v is not None}
     return doc
@@ -76,20 +74,33 @@ def _write_json(path: Path, doc):
         _dump_json(doc, fh)
 
 
-def _write_reports(outdir: Optional[str], reports):
+_SWEEP_COLUMNS = ["r0", "xi", "eps", "eta_max", "bound", "decay_constant",
+                  "guard_constant", "passed"]
+
+
+def _write_reports(outdir: Optional[str], reports, sweep=()):
+    """reports.csv and reports.json in outdir (nothing without one), and
+    theorem_sweep.csv and theorem.json when the run audited a sweep."""
     if outdir is None:
         return
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "reports.csv", CSV_COLUMNS, reports_to_csv_rows(reports))
     _write_json(out / "reports.json", [r.to_json() for r in reports])
+    if sweep:
+        _write_csv(out / "theorem_sweep.csv", _SWEEP_COLUMNS, [
+            {c: _cell(getattr(inst, c)) for c in _SWEEP_COLUMNS}
+            for inst in sweep])
+        _write_json(out / "theorem.json", [inst.to_json() for inst in sweep])
 
 
 def _exit_code(reports) -> int:
     return 1 if any(not r.passed and not r.marginal for r in reports) else 0
 
 
-def _print_reports(reports, as_json: bool):
+def _print_reports(reports, as_json: bool, sweep=()):
+    """A line per report, then two per r0 of the sweep, then the counts;
+    with `as_json`, the reports' JSON alone."""
     if as_json:
         _dump_json([r.to_json() for r in reports], sys.stdout)
         return
@@ -101,6 +112,12 @@ def _print_reports(reports, as_json: bool):
             continue
         print(f"{status}{flag} {r.name} lhs={r.lhs:.6g} rhs={r.rhs:.6g} "
               f"margin={r.margin:.6g}")
+    for inst in sweep:
+        print(f"{'PASS' if inst.passed else 'FAIL'} r0={inst.r0:g} "
+              f"eps={inst.eps:.6g} eta_max={inst.eta_max:.6g} "
+              f"bound={inst.bound:.6g} "
+              f"decay_constant={inst.decay_constant:.4g}")
+        print(f"  cases {inst.case_counts}  {inst.notes}")
     n_pass = sum(r.passed for r in reports)
     n_marg = sum(r.marginal for r in reports)
     print(f"{len(reports)} checks: {n_pass} passed, "
@@ -120,54 +137,13 @@ def cmd_verify(parser, args) -> int:
     if args.t0 is not None and isinstance(section, dict):
         # --t0 X sets the section's t0_values; its other keys are still read
         doc["lemma2.1"] = section | {"t0_values": [args.t0]}
+    sweep = []
     try:
-        reports = run_check(args.check, doc, args.grid)
+        reports = run_check(args.check, doc, args.grid, sweep)
     except (ValueError, WarpforceError) as exc:
         parser.error(str(exc))
-    _write_reports(args.out, reports)
-    _print_reports(reports, args.json)
-    return _exit_code(reports)
-
-
-_SWEEP_COLUMNS = ["r0", "xi", "eps", "eta_max", "bound", "decay_constant",
-                  "guard_constant", "passed"]
-
-
-def cmd_theorem(parser, args) -> int:
-    if args.config is None:
-        parser.error("theorem requires --config with an instance spec "
-                     "(manifold, r0_values, xi)")
-    doc = _document(parser, args.config, theorem=True, seed=args.seed)
-    try:
-        cfg = read_document(doc, args.grid)
-        if "theorem" not in doc:
-            parser.error("config has no theorem instance spec (expected a "
-                         "'theorem' object or top-level instance fields)")
-        instances = run_theorem_sweep(cfg["theorem"])
-    except (ValueError, WarpforceError) as exc:
-        parser.error(str(exc))
-
-    reports = [r for inst in instances for r in inst.reports]
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "theorem_centers.csv", CSV_COLUMNS,
-                   reports_to_csv_rows(reports))
-        _write_csv(out / "theorem_sweep.csv", _SWEEP_COLUMNS, [
-            {c: _cell(getattr(inst, c)) for c in _SWEEP_COLUMNS}
-            for inst in instances
-        ])
-        _write_json(out / "theorem.json",
-                    [inst.to_json() for inst in instances])
-    if args.json:
-        _dump_json([inst.to_json() for inst in instances], sys.stdout)
-    else:
-        for inst in instances:
-            status = "PASS" if inst.passed else "FAIL"
-            print(f"{status} r0={inst.r0:g} eps={inst.eps:.6g} "
-                  f"eta_max={inst.eta_max:.6g} bound={inst.bound:.6g} "
-                  f"decay_constant={inst.decay_constant:.4g}")
-            print(f"  cases {inst.case_counts}  {inst.notes}")
+    _write_reports(args.out, reports, sweep)
+    _print_reports(reports, args.json, sweep)
     return _exit_code(reports)
 
 
@@ -268,10 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(pv, "seed", "json")
     pv.set_defaults(fn=cmd_verify)
 
-    pt = sub.add_parser("theorem",
-                        help="audit the warp-forcing deformation bound")
+    pt = sub.add_parser("theorem", help="the same as `verify theorem`: "
+                        "audit the warp-forcing deformation bound")
     common(pt, "seed", "json")
-    pt.set_defaults(fn=cmd_theorem)
+    pt.set_defaults(fn=cmd_verify, check="theorem", t0=None, instances=None)
 
     pr = sub.add_parser("demo-remark",
                         help="closeness decay table for the punctured model")

@@ -870,9 +870,8 @@ _FD_STEP = 1e-4         # the FD step of a norm, a fraction of each axis extent
 # glibc raises its mmap threshold (and, at twice it, the free heap top that
 # it keeps) only when a larger mapped block is freed, so each norm chunk and
 # FD piece faulted its working set in afresh (100k minor faults a theorem_n3
-# pass); freeing one untouched 4 MiB block raises it for the process.  The
-# 1.6 MB linspace that warpcore's bump sampler frees at import raises it too:
-# while that sampler exists, a fault count cannot show this free needless.
+# pass); freeing one untouched 4 MiB block raises it for the process.  No
+# other import frees a mapped block, so this free alone raises it.
 np.empty(1 << 19)
 
 

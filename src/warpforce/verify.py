@@ -813,25 +813,30 @@ def read_document(doc: Optional[dict] = None,
 
 
 def run_check(name: str, doc: Optional[dict] = None,
-              points: Optional[int] = None) -> list:
+              points: Optional[int] = None,
+              sweep: Optional[list] = None) -> list:
     """Run a registry check on config document `doc` and return its
     BoundReports.  Whatever the check, the whole document is read first
     (read_document), so a bad section is refused before any check runs,
     whether or not the check uses it.  `points` (--grid N) sets the points
     per axis of the grids the run samples on; under `all` the lemma suites
     then sample on the theorem's grid.  `all` runs its theorem sweep
-    before any lemma but lists it last."""
+    before any lemma but lists it last.  Under `theorem` and `all` the
+    sweep's TheoremInstances, whose reports the run returns, are appended
+    to the list `sweep` when one is given."""
     if name not in available_checks():
         raise ValueError(f"unknown check {name!r}; available: "
                          f"{', '.join(available_checks())}")
     cfg = read_document(doc, points)
     grid = cfg["theorem"].grid if name == "all" and points is not None \
         else cfg["grid"]
-    sweep = run_theorem_sweep(cfg["theorem"]) \
+    instances = run_theorem_sweep(cfg["theorem"]) \
         if name in ("all", "theorem") else []
+    if sweep is not None:
+        sweep.extend(instances)
     lemmas = [nm for nm in _LEMMA_NAMES if name in (nm, "all")]
     return [r for nm in lemmas for r in (
         [check_lemma_2_1(t0) for t0 in cfg[nm]["t0_values"]]
         if nm == "lemma2.1" else _run_lemma_suite(
             nm, cfg["seed"], cfg["instances"], cfg["xi_values"], grid))] + [
-        r for inst in sweep for r in inst.reports]
+        r for inst in instances for r in inst.reports]

@@ -4,7 +4,7 @@ Two 1-D profiles drive everything:
 
 * BumpFunction: a smooth cutoff rho with rho = 1 below delta and rho = 0 above
   1/2 - delta, built from the standard exp-quotient smoothstep.  Its weighted
-  C2 norm is measured at construction and certified below 48.
+  C2 norm follows from the smoothstep's exact sups and is certified below 48.
 * WarpFunction: nu(t) = e^{-2t} (sinh(t+t0) / sinh t0)^2 for t0 > 2, evaluated
   in the cancelled form ((1 - e^{-2(t+t0)}) / (1 - e^{-2t0}))^2 which is stable
   for large t and satisfies nu(0) = 1 exactly.
@@ -42,8 +42,6 @@ from warpforce.model import (
     Field,
     Jet,
     RadialMetric,
-    _CHUNK,
-    _chunks,
     _per_run,
     profile_scalar,
 )
@@ -87,22 +85,12 @@ def _step_jet(v):
     return s, d1, d2
 
 
-def _measure_step_sups(samples: int = 200001):
-    """sup |S'| and sup |S''| over `samples` evenly spaced v in [0, 1],
-    evaluated _CHUNK samples at a time (_step_jet acts sample by sample, so
-    the sups are bitwise those of one evaluation)."""
-    v = np.linspace(0.0, 1.0, samples)
-    sup1 = sup2 = 0.0
-    for sl in _chunks(samples, _CHUNK):
-        _, d1, d2 = _step_jet(v[sl])
-        sup1 = max(sup1, float(np.abs(d1).max()))
-        sup2 = max(sup2, float(np.abs(d2).max()))
-    return sup1, sup2
-
-
-# measured once on a fixed dense grid (resolution 5e-6; the quadratic
-# refinement error of these sups is ~1e-9)
-_STEP_SUP_D1, _STEP_SUP_D2 = _measure_step_sups()
+# sup |S'| and sup |S''| over [0, 1], exact.  S' = -g' S (1 - S) peaks at
+# v = 1/2, where S = 1/2 and g' = -8: sup |S'| = 2.  sup |S''| =
+# 9.84104230183114470521... at the root v = 0.21825582918606862... of S'''
+# on (0, 1/2) (mpmath, 50 digits; |S''| is symmetric about 1/2), written
+# rounded up, 3 ulps above, so that the certified C2 norm bounds the bump's.
+_STEP_SUP_D1, _STEP_SUP_D2 = 2.0, 9.84104230183115
 
 _BUMP_BOUND = 48.0    # the C2 norm every bump must certify below
 
@@ -112,8 +100,8 @@ class BumpFunction:
 
     The transition runs over (delta, 1/2 - delta) via the exp-quotient
     smoothstep.  The weighted C2 norm (value 1, sup|rho'|, sup|rho''|/2) is
-    measured at construction; a CertificationError is raised if it does not
-    stay below 48.
+    formed at construction from the step's sups, an upper bound; a
+    CertificationError is raised if it does not stay below 48.
     """
 
     def __init__(self, delta: float = 0.05):

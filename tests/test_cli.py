@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import shlex
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from warpforce.cli import _write_reports, main
+from warpforce.cli import _write_reports, build_parser, main
 from warpforce.model import GridSpec
 from warpforce.verify import (CSV_COLUMNS, available_checks, make_report,
                               remark_decay)
@@ -309,19 +310,21 @@ def assert_golden(outdir, *names):
 #   wf() { PYTHONPATH=src python -m warpforce.cli "$@"; }
 #   T=tests/data
 #   wf verify all --config configs/default.json --grid 8 --instances 2 \
-#       --seed 0 --out $T                      # reports.csv, reports.json
+#       --seed 0 --out $D
+#   mv $D/reports.csv $D/reports.json $T
 #   wf verify all --config configs/default.json --out $D
 #   mv $D/reports.csv $T/default_reports.csv
 #   echo '{"theorem": {"r0_values": [5.0], "centers_per_zone": 2}}' \
 #       > $D/t.json
-#   wf theorem --config $D/t.json --grid 8 --out $D
-#   cp $D/theorem_centers.csv $D/theorem_sweep.csv $T
+#   wf verify theorem --config $D/t.json --grid 8 --out $D
+#   mv $D/reports.csv $T/theorem_centers.csv
+#   mv $D/theorem_sweep.csv $T
 #   sed '/"runtime_s"/d' $D/theorem.json > $T/theorem.json
 #   echo '{"theorem": {"n": 3, "r0_values": [5.0], "centers_per_zone": 1}}' \
 #       > $D/t3.json
-#   wf theorem --config $D/t3.json --grid 8 --out $D
+#   wf verify theorem --config $D/t3.json --grid 8 --out $D
 #   sed '/"runtime_s"/d' $D/theorem.json > $T/theorem_n3.json
-#   wf theorem --config $D/t3.json --grid 32 --out $D
+#   wf verify theorem --config $D/t3.json --grid 32 --out $D
 #   sed '/"runtime_s"/d' $D/theorem.json > $T/theorem_n3_32.json
 #   wf demo-remark --grid 8 --out $T           # remark.csv, remark.json
 #   wf dump-grid --config configs/default.json --grid 8 --r0 5 --out $T
@@ -360,14 +363,41 @@ def test_verify_all_default_config_matches_golden_csv(tmp_path, capsys):
 
 
 def test_theorem_matches_golden(tmp_path, capsys):
+    # verify theorem's reports.csv is the centers' table, one row a center
     cfg = write_cfg(tmp_path, {"theorem": {"r0_values": [5.0],
                                            "centers_per_zone": 2}})
     out = tmp_path / "out"
-    assert run_cli(["theorem", "--config", cfg, "--grid", "8",
+    assert run_cli(["verify", "theorem", "--config", cfg, "--grid", "8",
                     "--out", str(out)]) == 0
     capsys.readouterr()
+    (out / "reports.csv").rename(out / "theorem_centers.csv")
     assert_golden(out, "theorem_centers.csv", "theorem_sweep.csv",
                   "theorem.json")
+
+
+def test_one_audit_per_r0_writes_every_file(tmp_path, monkeypatch, capsys):
+    # the sweep files are written from the instances whose reports the run
+    # returned: no r0 is audited twice
+    from warpforce import verify
+    audit, calls = verify.check_main_theorem, []
+    monkeypatch.setattr(verify, "check_main_theorem",
+                        lambda cfg, r0: calls.append(r0) or audit(cfg, r0))
+    cfg = write_cfg(tmp_path, {"theorem": {"r0_values": [5.0, 6.0],
+                                           "centers_per_zone": 1}})
+    assert run_cli(["verify", "theorem", "--config", cfg, "--grid", "8",
+                    "--out", str(tmp_path)]) == 0
+    assert calls == [5.0, 6.0]
+    blob = json.loads((tmp_path / "theorem.json").read_text())
+    assert [inst["r0"] for inst in blob] == calls
+    assert [r for inst in blob for r in inst["reports"]] == json.loads(
+        (tmp_path / "reports.json").read_text())
+    with open(tmp_path / "theorem_sweep.csv") as fh:
+        assert [float(row["r0"]) for row in csv.DictReader(fh)] == calls
+    with open(tmp_path / "reports.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 6
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in out if " r0=" in line] == \
+        ["r0=5", "r0=6"]
 
 
 def test_demo_remark_matches_golden(tmp_path, capsys):
@@ -389,7 +419,7 @@ def assert_theorem_n3_golden(tmp_path, capsys, grid=8,
     cfg = write_cfg(tmp_path, {"theorem": {"n": 3, "r0_values": [5.0],
                                            "centers_per_zone": 1}})
     out = tmp_path / "out"
-    assert run_cli(["theorem", "--config", cfg, "--grid", str(grid),
+    assert run_cli(["verify", "theorem", "--config", cfg, "--grid", str(grid),
                     "--out", str(out)]) == 0
     capsys.readouterr()
     (out / "theorem.json").rename(out / name)
@@ -467,12 +497,24 @@ def test_the_readme_error_example_is_what_the_cli_prints(tmp_path,
     assert not (tmp_path / "grid.csv").exists()
 
 
+def test_the_readme_command_list_parses():
+    # a renamed or aliased subcommand cannot leave a stale line in the list
+    text = (ROOT / "README.md").read_text().split("\n## Command line\n")[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.splitlines()]
+    assert len(commands) == 6
+    for argv in commands:
+        assert argv[0] == "warpforce"
+        build_parser().parse_args(argv[1:])
+
+
 @pytest.mark.parametrize("argv,doc", [
     (["verify", "lemma1.1"], {}),
     (["demo-remark"], {}),
     (["dump-grid"], {}),
     (["theorem"], SMALL_THEOREM),
-    (["theorem"], SMALL_THEOREM["theorem"]),
+    (["verify", "theorem"], SMALL_THEOREM),
 ])
 def test_fd_step_is_not_a_grid_key(tmp_path, monkeypatch, capsys, argv, doc):
     # the finite-difference step is a constant, not a grid key (a step of
@@ -493,56 +535,87 @@ def test_default_config_runs_every_subcommand(tmp_path, capsys, argv):
                            "--grid", "8", "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("doc", [
+    {"seed": 3, "instances": 5}, {"instances": 3},
+    {"grid": {"points_per_axis": 8}}], ids=["seed-instances", "instances",
+                                          "grid"])
+def test_theorem_reads_a_document_as_verify_theorem_does(tmp_path, capsys,
+                                                         doc):
+    # `theorem` refused the first two documents and ran the third as a bare
+    # theorem section; each runs as a campaign document does everywhere
+    cfg = write_cfg(tmp_path, doc)
+    outs = []
+    for argv in (["theorem"], ["verify", "theorem"]):
+        out = tmp_path / argv[-1]
+        outs.append((run_cli(argv + ["--config", cfg, "--grid", "8",
+                                     "--out", str(out)]),
+                     (out / "reports.csv").read_bytes(),
+                     (out / "theorem_sweep.csv").read_bytes()))
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert outs[0][1].count(b"\n") == 1 + 4 * 3 * 8      # the default sweep
+    assert capsys.readouterr().out.count("PASS r0=") == 2 * 4
+
+
+def test_theorem_without_config_runs_the_default_document(capsys):
+    # `theorem` required --config; it now runs what `verify theorem` runs
+    outs = []
+    for argv in (["theorem"], ["verify", "theorem"]):
+        assert run_cli(argv + ["--grid", "8", "--json"]) == 0
+        outs.append(json.loads(capsys.readouterr().out))
+    assert outs[0] == outs[1] and len(outs[0]) == 4 * 3 * 8
+
+
+def test_theorem_top_level_fields_accepted(tmp_path, capsys):
+    # `theorem` accepts the top-level fields every subcommand accepts; the
+    # fields of a theorem section are not among them, so a document that is
+    # itself a theorem section is refused by its keys under `theorem` and
+    # `verify theorem` alike
+    cfg = write_cfg(tmp_path, dict(SMALL_THEOREM, seed=3,
+                                   grid={"points_per_axis": 8}))
+    assert run_cli(["theorem", "--config", cfg]) == 0
+    capsys.readouterr()
+    section = dict(SMALL_THEOREM["theorem"])
+    for argv in (["theorem"], ["verify", "theorem"]):
+        for doc, key in ((section, "'n'"), ({"unrelated": 1}, "'unrelated'")):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(argv + ["--config", write_cfg(tmp_path, doc)])
+            assert exc.value.code == 2
+            assert f"unknown top-level key {key}" in capsys.readouterr().err
+
+
 def test_a_theorem_section_document_runs_as_its_section(tmp_path, capsys):
-    # the document's own grid takes --grid as a `theorem` document's does
+    # a document's `theorem` object runs as its section under `theorem` and
+    # `verify theorem` alike; the section's own grid takes --grid, its
+    # margin kept
     section = dict(SMALL_THEOREM["theorem"],
                    grid={"points_per_axis": 16, "boundary_margin": 0.05})
     outs = []
-    for doc in (section, {"theorem": section, "grid": section["grid"]}):
-        assert run_cli(["theorem", "--config", write_cfg(tmp_path, doc),
-                        "--grid", "8", "--json"]) == 0
-        outs.append([dict(inst, runtime_s=0) for inst in
-                     json.loads(capsys.readouterr().out)])
+    for argv in (["theorem"], ["verify", "theorem"]):
+        assert run_cli(argv + ["--config",
+                               write_cfg(tmp_path, {"theorem": section}),
+                               "--grid", "8", "--json"]) == 0
+        outs.append(json.loads(capsys.readouterr().out))
     assert outs[0] == outs[1]
-    assert {r["grid"]["boundary_margin"] for inst in outs[0]
-            for r in inst["reports"]} == {0.05}
+    assert {(r["grid"]["points_per_axis"], r["grid"]["boundary_margin"])
+            for r in outs[0]} == {(8, 0.05)}
 
 
 def test_grid_flag_keeps_the_theorem_objects_margin(tmp_path, capsys):
     # --grid N replaces the points per axis of the grid the run would use
-    # without it; a `theorem` object's margin was dropped (0.02) unless the
-    # document was a bare theorem section
-    section = {"r0_values": [5.0], "centers_per_zone": 1,
-               "grid": {"points_per_axis": 16, "boundary_margin": 0.1}}
+    # without it; a `theorem` object's margin was dropped (0.02)
+    cfg = write_cfg(tmp_path, {"theorem": {
+        "r0_values": [5.0], "centers_per_zone": 1,
+        "grid": {"points_per_axis": 16, "boundary_margin": 0.1}}})
     outs = []
-    for argv, doc in ((["theorem"], section),
-                      (["theorem"], {"theorem": section}),
-                      (["verify", "theorem"], {"theorem": section})):
-        assert run_cli(argv + ["--config", write_cfg(tmp_path, doc),
-                               "--grid", "8", "--json"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        if argv == ["theorem"]:
-            assert [inst["eps"] for inst in out] == [0.0036970253939472286]
-            out = [r for inst in out for r in inst["reports"]]
-        outs.append(out)
-    assert outs[0] == outs[1] == outs[2]
+    for argv in (["theorem"], ["verify", "theorem"]):
+        out = tmp_path / argv[-1]
+        assert run_cli(argv + ["--config", cfg, "--grid", "8", "--json",
+                               "--out", str(out)]) == 0
+        outs.append(json.loads(capsys.readouterr().out))
+        blob = json.loads((out / "theorem.json").read_text())
+        assert [inst["eps"] for inst in blob] == [0.0036970253939472286]
+    assert outs[0] == outs[1]
     assert {tuple(r["grid"].values()) for r in outs[0]} == {(8, 0.1)}
-
-
-def test_theorem_requires_config(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["theorem"])
-    assert exc.value.code == 2
-    assert "--config" in capsys.readouterr().err
-
-
-def test_theorem_config_needs_instance_spec(tmp_path, capsys):
-    for doc, message in (({"unrelated": 1}, "'unrelated'"),
-                         ({"instances": 3}, "no theorem instance spec")):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["theorem", "--config", write_cfg(tmp_path, doc)])
-        assert exc.value.code == 2
-        assert message in capsys.readouterr().err
 
 
 def test_theorem_rejects_unknown_field(tmp_path):
@@ -638,7 +711,7 @@ def test_theorem_writes_sweep_and_centers(tmp_path, capsys):
         sweep = list(csv.DictReader(fh))
     assert len(sweep) == 1 and sweep[0]["passed"] == "true"
     assert float(sweep[0]["eta_max"]) <= float(sweep[0]["bound"])
-    with open(tmp_path / "theorem_centers.csv") as fh:
+    with open(tmp_path / "reports.csv") as fh:
         centers = list(csv.DictReader(fh))
     assert len(centers) == 6
     cases = {json.loads(r["params"])["case"] for r in centers}
@@ -657,28 +730,21 @@ def test_theorem_fixed_point_eta_equals_eps(tmp_path):
         assert r["lhs"] == r["params"]["eps_center"]
 
 
-def test_theorem_top_level_fields_accepted(tmp_path):
-    cfg = write_cfg(tmp_path, dict(SMALL_THEOREM["theorem"]))
-    assert run_cli(["theorem", "--config", cfg]) == 0
-
-
 def test_theorem_seed_flag_overrides(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_THEOREM)
     run_cli(["theorem", "--config", cfg, "--json"])
     first = json.loads(capsys.readouterr().out)
     run_cli(["theorem", "--config", cfg, "--json", "--seed", "77"])
     second = json.loads(capsys.readouterr().out)
-    t0_a = [r["params"]["t0"] for r in first[0]["reports"]]
-    t0_b = [r["params"]["t0"] for r in second[0]["reports"]]
+    t0_a = [r["params"]["t0"] for r in first]
+    t0_b = [r["params"]["t0"] for r in second]
     assert t0_a != t0_b
 
 
 def center_t0s(argv, cfg, capsys):
     """The t0 of every center a theorem run checks, in report order."""
     assert run_cli(argv + ["--config", cfg, "--grid", "8", "--json"]) == 0
-    blob = json.loads(capsys.readouterr().out)
-    reports = blob[0]["reports"] if argv[0] == "theorem" else blob
-    return [r["params"]["t0"] for r in reports]
+    return [r["params"]["t0"] for r in json.loads(capsys.readouterr().out)]
 
 
 def test_theorem_and_verify_theorem_draw_the_same_centers(tmp_path, capsys):
@@ -742,14 +808,13 @@ def test_the_theorem_section_is_read_once(tmp_path, monkeypatch, capsys,
                                           argv):
     # --grid takes the points of the section's grid from the one read the
     # run then uses
-    from warpforce import cli, verify
+    from warpforce import verify
     reads, runs = [], []
     from_dict = verify.TheoremConfig.from_dict.__func__
     monkeypatch.setattr(verify.TheoremConfig, "from_dict", classmethod(
         lambda cls, *a: reads.append(a) or from_dict(cls, *a)))
-    for mod in (cli, verify):
-        monkeypatch.setattr(mod, "run_theorem_sweep",
-                            lambda cfg: runs.append(cfg) or [])
+    monkeypatch.setattr(verify, "run_theorem_sweep",
+                        lambda cfg: runs.append(cfg) or [])
     monkeypatch.setattr(verify, "_run_lemma_suite", lambda *a: [])
     cfg = write_cfg(tmp_path, {"theorem": {
         "r0_values": [5.0], "seed": 4,

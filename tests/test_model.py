@@ -637,9 +637,8 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
                     reason="glibc's dynamic mmap threshold")
 def test_a_second_pass_reuses_the_heap():
     # importing warpforce raises glibc's mmap threshold (model frees an
-    # untouched 4 MiB block; warpcore's bump sampler frees 1.6 MB), so a
-    # second pass finds its chunks' pages on the heap: 0-1 minor faults,
-    # about 1,800 without both frees
+    # untouched 4 MiB block), so a second pass finds its chunks' pages on
+    # the heap: 0-1 minor faults, about 1,800 without that free
     src = Path(model.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))

@@ -18,7 +18,8 @@ from warpforce.model import (
 )
 from warpforce.manifold import punctured_hyperbolic
 from warpforce.warpcore import (
-    _measure_step_sups,
+    _STEP_SUP_D1,
+    _STEP_SUP_D2,
     _step_jet,
     BumpFunction,
     RadialMetric,
@@ -30,8 +31,6 @@ from warpforce.warpcore import (
     warp_force,
     warped_extension,
 )
-
-from memory import traced_peak_mb
 
 
 def sinh_squared_radial(H, r_lo=1.0, r_hi=4.0, k=2):
@@ -106,14 +105,15 @@ class TestBump:
         assert abs(s - b.support_end) < 1e-15
         assert not b.vanishes_from(b.plateau_end)
 
-    def test_step_sups_are_one_sample_in_small_pieces(self):
-        # the import-time sample is taken a chunk at a time: bitwise the
-        # sups of one _step_jet over all 200,001 samples, in a tenth of
-        # that one evaluation's memory (23 MB)
+    def test_step_sups_bound_the_sampled_sups(self):
+        # the constants against 200,001 evenly spaced samples of [0, 1]:
+        # sup|S'| = S'(1/2) is a sample, and the closest sample of
+        # sup|S''| lies 5e-11 relative below it
         _, d1, d2 = _step_jet(np.linspace(0.0, 1.0, 200001))
-        sups, mb = traced_peak_mb(_measure_step_sups)
-        assert sups == (float(np.abs(d1).max()), float(np.abs(d2).max()))
-        assert mb < 5.0
+        sup1, sup2 = float(np.abs(d1).max()), float(np.abs(d2).max())
+        assert _STEP_SUP_D1 == sup1 == 2.0
+        assert _STEP_SUP_D2 >= sup2
+        assert _STEP_SUP_D2 == pytest.approx(sup2, rel=1e-9, abs=0.0)
 
     def test_measured_profile_norm_matches_certificate(self):
         b = BumpFunction()
