@@ -8,7 +8,8 @@ a row per r0, and theorem.json, its TheoremInstances.
 
 Exit status: 0 when every check passed (marginal entries included), 1 when
 any non-marginal check failed or an error entry exists, 2 for usage and
-configuration errors.  Identical config + seed produce byte-identical CSV.
+configuration errors, a grid too large to allocate included.  Identical
+config + seed produce byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -192,18 +193,18 @@ def cmd_demo_remark(parser, args) -> int:
 
 def cmd_dump_grid(parser, args) -> int:
     doc = _document(parser, args.config)
+    out = Path(args.out) if args.out is not None else Path(".")
+    path = out / "grid.csv"
     try:
         cfg = read_document(doc, args.grid)
         metric = cfg["manifold"].metric
         if args.r0 is not None:
             metric = warp_force(metric, args.r0, BumpFunction())
+        out.mkdir(parents=True, exist_ok=True)
+        # the polar columns: f sigma_S + dr^2 of the block f (see polar_form)
+        rows = dump_grid_csv(polar_form(metric), path, cfg["grid"])
     except (ValueError, WarpforceError) as exc:
         parser.error(str(exc))
-    out = Path(args.out) if args.out is not None else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "grid.csv"
-    # the polar columns: f sigma_S + dr^2 of the block f (see polar_form)
-    rows = dump_grid_csv(polar_form(metric), path, cfg["grid"])
     print(f"wrote {rows} rows to {path}")
     return 0
 
@@ -269,7 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(parser, args)
+    try:
+        return args.fn(parser, args)
+    except MemoryError as exc:
+        # numpy could not allocate the grid's arrays; a grid past numpy's
+        # own size limit is a ValueError, refused by the subcommand
+        grid = ("the config's grid" if args.grid is None
+                else f"--grid {args.grid}")
+        parser.error(f"{grid} is too large to sample: "
+                     f"{str(exc) or 'out of memory'}")
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -312,6 +313,67 @@ def check_lemma_1_1(g1: RadialMetric, g2: RadialMetric,
 # seeded synthetic instances (n = 2 charts with analytic jets)
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _hashed(words, h: int, mult: int) -> tuple:
+    """SeedSequence's hash of each 32-bit word in turn, under a running
+    constant h multiplied by mult at each word: (the hashed words, h)."""
+    out = []
+    for w in words:
+        w, h = (w ^ h) * (h * mult & _M32) & _M32, h * mult & _M32
+        out.append(w ^ w >> 16)
+    return out, h
+
+
+class _Stream:
+    """The draws of numpy's default_rng(seed).uniform, bit for bit, without
+    importing numpy.random: SeedSequence -> PCG64 (O'Neill, HMC-CS-2014-0905)
+    -> (u >> 11) 2^-53 scaled to [low, high).  The seed is a non-negative
+    int or a tuple of them, each split into little-endian 32-bit words."""
+
+    def __init__(self, seed):
+        words = []
+        for v in map(operator.index,
+                     seed if isinstance(seed, tuple) else (seed,)):
+            if v < 0:
+                raise ValueError(f"seed must be non-negative, got {seed!r}")
+            words += [v >> s & _M32 for s in range(0, v.bit_length() or 1, 32)]
+        pool, h = _hashed((words + [0] * 4)[:4], 0x43b0d7e5, 0x931e8875)
+
+        def mix(dst, w):                # mix pool[dst] with hashed word w
+            nonlocal h
+            (w,), h = _hashed([w], h, 0x931e8875)
+            r = 0xca01f9dd * pool[dst] - 0x4973f715 * w & _M32
+            pool[dst] = r ^ r >> 16
+        for src in range(4):
+            for dst in range(4):
+                if dst != src:
+                    mix(dst, pool[src])
+        for w in words[4:]:             # words past the pool's 4
+            for dst in range(4):
+                mix(dst, w)
+        state, _ = _hashed(pool * 2, 0x8b51f9dd, 0x58f38ded)
+        u = [state[i] | state[i + 1] << 32 for i in (0, 2, 4, 6)]
+        self._inc, self._state = (u[2] << 64 | u[3]) << 1 & _M128 | 1, 0
+        self._next()
+        self._state = self._state + (u[0] << 64 | u[1]) & _M128
+        self._next()
+
+    def _next(self) -> int:
+        """Step the 128-bit LCG and return the XSL-RR output of its state."""
+        s = self._state = (self._state * 0x2360ED051FC65DA44385DF649FCCF645
+                           + self._inc) & _M128
+        x, rot = (s >> 64 ^ s) & _M64, s >> 122
+        return (x >> rot | x << (64 - rot)) & _M64
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        """A draw from [low, high), or a list of `size` draws in order."""
+        if size is not None:
+            return [self.uniform(low, high) for _ in range(size)]
+        return low + (high - low) * ((self._next() >> 11) * 2.0 ** -53)
+
+
 class _SineProfile:
     """c0 + c1 sin(om t + ph); evaluates on arrays and on Jets."""
 
@@ -332,7 +394,9 @@ def _constant_scalar(domain, c: float) -> Field:
 
 def random_close_metric(chart: ChartModel, rng,
                         amplitude: float = 0.3) -> RadialMetric:
-    """e^{2t} (1 + a sin(al x + be) sin(ga t + de)) dx^2 + dt^2, a < amplitude."""
+    """e^{2t} (1 + a sin(al x + be) sin(ga t + de)) dx^2 + dt^2, a < amplitude;
+    rng, any object with numpy's uniform(low, high, size=None) (a _Stream
+    or a numpy Generator), draws a, al, ga, be, de in that order."""
     a = rng.uniform(0.02, amplitude)
     al, ga = rng.uniform(0.5, 2.0, size=2)
     be, de = rng.uniform(-np.pi, np.pi, size=2)
@@ -347,7 +411,8 @@ def random_close_metric(chart: ChartModel, rng,
 
 
 def random_lambda(chart: ChartModel, rng) -> Field:
-    """Smooth [0,1]-valued field 0.5 + 0.5 sin(c0 + c1 x + c2 t)."""
+    """Smooth [0,1]-valued field 0.5 + 0.5 sin(c0 + c1 x + c2 t); rng (as for
+    random_close_metric) draws c0, c1, c2."""
     c0 = rng.uniform(-np.pi, np.pi)
     c1, c2 = rng.uniform(-1.5, 1.5, size=2)
 
@@ -358,7 +423,8 @@ def random_lambda(chart: ChartModel, rng) -> Field:
 
 
 def random_ball_metric(k: int, rng, base: float = 1.0) -> Field:
-    """(base + u sin(p x + q)) dx^2 on the ball, u < base/2."""
+    """(base + u sin(p x + q)) dx^2 on the ball, u < base/2; rng (as for
+    random_close_metric) draws u, p, q."""
     u = rng.uniform(0.0, 0.5 * base)
     pc = rng.uniform(0.5, 2.0)
     q = rng.uniform(-np.pi, np.pi)
@@ -371,7 +437,8 @@ def random_ball_metric(k: int, rng, base: float = 1.0) -> Field:
 
 
 def random_warp_profile(rng) -> _SineProfile:
-    """Positive profile 1 + c1 sin(om t + ph) with floor >= 0.4."""
+    """Positive profile 1 + c1 sin(om t + ph) with floor >= 0.4; rng (as for
+    random_close_metric) draws c1, om, ph."""
     c1 = rng.uniform(-0.6, 0.6)
     om = rng.uniform(0.4, 1.5)
     ph = rng.uniform(-np.pi, np.pi)
@@ -386,8 +453,9 @@ _DEFAULT_T0S = (2.1, 2.5, 3.0, 4.0, 6.0, 8.0)
 
 
 def _seed(seed: int) -> int:
-    """seed itself; ValueError naming it when negative, which numpy's
-    generators refuse without naming anything."""
+    """seed itself; ValueError naming it when negative, so that a config
+    refuses it before any check runs (_Stream refuses it only when the
+    first instance is built)."""
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed!r}")
     return seed
@@ -446,7 +514,7 @@ def _run_lemma_suite(name: str, seed: int, instances: int,
     charts of `grid`, split over the excess values (the first parts one
     instance longer when they do not divide evenly)."""
     reports = _SUITES[name][0](ChartModel(n=2, xi=1.0, grid=grid),
-                               np.random.default_rng(seed))
+                               _Stream(seed))
     xis = [xi for xi, part in zip(xi_values, np.array_split(
         range(instances), len(xi_values))) for _ in part]
     return [dataclasses.replace(r, params=r.params | {"instance": "trivial"})
@@ -461,7 +529,7 @@ def seeded_reports(name: str, seed: int, instance: int, xi: float,
     the n = 2 chart of excess xi and `grid`; each report's params name the
     instance and seed after the check's own keys, so a row rebuilds from
     its report alone."""
-    rng = np.random.default_rng(
+    rng = _Stream(
         (seed, zlib.crc32(name.encode()) & 0xFFFF, instance))
     reports = _SUITES[name][1](ChartModel(n=2, xi=float(xi), grid=grid), rng)
     return [dataclasses.replace(r, params=r.params | {"instance": instance,
@@ -577,8 +645,7 @@ def theorem_centers(r0: float, xi: float, r_range, per_zone: int,
     theorem_zones, which refuses arguments that cannot be audited."""
     out = []
     for case, lo, hi in theorem_zones(r0, xi, r_range, per_zone):
-        t0s = np.sort(rng.uniform(lo, hi, size=per_zone))
-        for t0 in t0s:
+        for t0 in sorted(rng.uniform(lo, hi, size=per_zone)):
             out.append((float(t0), float(rng.uniform(-1.0, 1.0)), case))
     return out
 
@@ -599,7 +666,7 @@ def check_main_theorem(cfg: TheoremConfig, r0: float) -> TheoremInstance:
     t_start = time.perf_counter()
     manifold = cfg.manifold()
     g, xi, spec = manifold.metric, cfg.xi, cfg.grid
-    rng = np.random.default_rng((cfg.seed, int(r0 * 8)))
+    rng = _Stream((cfg.seed, int(r0 * 8)))
     centers = theorem_centers(r0, xi, manifold.r_range, cfg.centers_per_zone,
                               rng)
     bump = BumpFunction(delta=cfg.bump_delta)

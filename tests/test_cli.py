@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from warpforce import cli
 from warpforce.cli import _write_reports, build_parser, main
 from warpforce.model import GridSpec
 from warpforce.verify import (CSV_COLUMNS, available_checks, make_report,
@@ -139,7 +140,6 @@ def test_a_bad_section_is_refused_by_every_subcommand(
         tmp_path, monkeypatch, capsys, argv, doc, key):
     # the whole document is read before anything runs, whether or not the
     # run uses the section
-    from warpforce import cli
     calls = no_work(monkeypatch)
     for name in ("remark_decay", "dump_grid_csv"):
         monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
@@ -193,6 +193,43 @@ def test_bad_numeric_flags_are_usage_errors(tmp_path, monkeypatch, argv, cfg):
         run_cli(argv)
     assert exc.value.code == 2
     assert not (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.parametrize("argv,name,grid", [
+    (["theorem", "--grid", "1000000000000"], "run_check",
+     "--grid 1000000000000"),
+    (["verify", "all"], "run_check", "the config's grid"),
+    (["demo-remark", "--grid", "1000000000000"], "remark_decay",
+     "--grid 1000000000000"),
+    (["dump-grid", "--grid", "1000000000000"], "dump_grid_csv",
+     "--grid 1000000000000"),
+], ids=["theorem", "verify-all", "demo-remark", "dump-grid"])
+def test_a_grid_numpy_cannot_allocate_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, argv, name, grid):
+    # np.linspace in Domain.axis_points raised numpy's _ArrayMemoryError
+    # for --grid 1000000000000, a traceback; the sampler is replaced by
+    # one that raises it, so nothing is allocated
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+    monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert (f"{grid} is too large to sample: Unable to allocate 7.28 TiB"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [["theorem"], ["demo-remark"],
+                                  ["dump-grid"]], ids=" ".join)
+def test_a_grid_past_numpys_size_limit_is_a_usage_error(tmp_path, monkeypatch,
+                                                        argv):
+    # numpy refuses 2**62 points per axis before allocating (a ValueError);
+    # dump-grid let it escape as a traceback
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--grid", str(2 ** 62)])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv,cfg,key", [
@@ -685,7 +722,7 @@ def test_a_bad_r0_anywhere_refuses_the_sweep_before_any_audit(
                          ids=["theorem", "verify-all"])
 def test_a_negative_seed_is_refused_by_name(tmp_path, monkeypatch, capsys,
                                             argv, flag, doc):
-    # numpy refuses it too, but with "expected non-negative integer"
+    # the seeded draws refuse it too, but only at the first instance
     calls = no_work(monkeypatch)
     doc = doc | {"theorem": {"r0_values": [5.0], "centers_per_zone": 1}
                  | doc.get("theorem", {})}

@@ -1,10 +1,15 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from warpforce import model
+from warpforce import cli, model
 from warpforce.model import (
     ChartModel,
     DomainError,
@@ -34,6 +39,7 @@ from warpforce.warpcore import BumpFunction, WarpFunction, apply_warp, \
 from warpforce.verify import (
     CSV_COLUMNS,
     TheoremConfig,
+    _Stream,
     _angular_center,
     check_lemma_1_1,
     check_lemma_2_1,
@@ -579,6 +585,72 @@ def test_suites_deterministic_under_seed():
     c = run_check("lemma1.1", {"seed": 4, "instances": 4})
     assert [r.lhs for r in a] == [r.lhs for r in b]
     assert [r.lhs for r in a] != [r.lhs for r in c]
+
+
+# every range a generator, a suite or the theorem's centers draw from
+_DRAW_RANGES = [(0.02, 0.3), (0.5, 2.0), (-np.pi, np.pi), (-1.5, 1.5),
+                (0.0, 0.5), (-0.6, 0.6), (0.4, 1.5), (0.0, 1.0),
+                (-0.8, 0.8), (-0.5, 0.5), (0.8, 1.3), (-2.0, 2.0),
+                (2.2, 8.0), (-1.0, 1.0), (3.55, 7.0)]
+
+
+@pytest.mark.parametrize("shape", ["seed", "suite", "theorem", "wide"])
+def test_seeded_stream_is_numpy_default_rng_bit_for_bit(shape):
+    # the instances of a seed no longer depend on numpy.random: _Stream
+    # replays default_rng(seed).uniform, scalar and sized draws in order
+    seeds = {
+        "seed": list(range(100)) + [2**32 - 1, 2**32, 2**40 + 9, 2**64,
+                                    2**64 + 77, 2**100 + 3],
+        "suite": [(s, zlib.crc32(name.encode()) & 0xFFFF, i)
+                  for s in (0, 1, 7, 2**33) for name in
+                  ("lemma1.1", "lemma2.2", "lemma2.3", "lemma3.1", "lemma3.2")
+                  for i in range(8)],
+        "theorem": [(s, int(r0 * 8)) for s in range(20)
+                    for r0 in (4.0, 5.0, 6.0, 7.0, 4.5)],
+        # more than the pool's 4 words: the words after the 4th are mixed
+        # into every pool word
+        "wide": [(s, 2**64 + s, 3, 2**96 - 1) for s in range(50)]
+        + [tuple(range(k)) for k in range(5, 12)],
+    }[shape]
+    for seed in seeds:
+        ours, oracle = _Stream(seed), np.random.default_rng(seed)
+        for low, high in _DRAW_RANGES:
+            assert ours.uniform(low, high).hex() == \
+                oracle.uniform(low, high).hex(), seed
+            assert [x.hex() for x in ours.uniform(low, high, size=3)] == \
+                [x.hex() for x in oracle.uniform(low, high, size=3)], seed
+        assert ours.uniform() == oracle.uniform()
+
+
+@pytest.mark.parametrize("seed,error", [(-1, ValueError),
+                                        ((3, -2), ValueError),
+                                        (1.5, TypeError), ("7", TypeError)])
+def test_seeded_stream_refuses_what_is_not_a_non_negative_int(seed, error):
+    with pytest.raises(error):
+        _Stream(seed)
+
+
+_NO_NUMPY_RANDOM = """
+import contextlib, io, sys
+from warpforce import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["verify", "all", "--grid", "8", "--instances", "2",
+              "--out", sys.argv[1]])
+print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+"""
+
+
+def test_a_run_never_imports_numpy_random(tmp_path):
+    # numpy.random's import pulls in secrets, hashlib and libcrypto: 6 MB of
+    # a bare `verify all` process's peak RSS
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_RANDOM, str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"
+    assert (tmp_path / "out" / "reports.csv").exists()
 
 
 def test_suite_splits_instances_across_excess_values():
