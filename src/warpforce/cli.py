@@ -19,7 +19,7 @@ import csv
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from warpforce.verify import (
     available_checks,
     read_document,
     remark_decay,
-    reports_to_csv_rows,
+    report_csv_row,
     run_check,
 )
 from warpforce.warpcore import BumpFunction, warp_force
@@ -56,23 +56,33 @@ def _document(parser: argparse.ArgumentParser, path: Optional[str],
     return doc
 
 
-def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]):
+def _write_csv(path: Path, columns: Sequence[str], rows: Iterable[dict]):
+    """The CSV of `rows`, written a row at a time as they are made."""
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=list(columns), lineterminator="\n")
         w.writeheader()
         w.writerows(rows)
 
 
-def _dump_json(doc, fh):
-    """doc as indented JSON and a newline, streamed to fh (the bytes of
-    json.dumps(doc, indent=2) without building that text first)."""
-    json.dump(doc, fh, indent=2)
-    fh.write("\n")
+_JSON = json.JSONEncoder(indent=2)     # json.dumps(item, indent=2)
 
 
-def _write_json(path: Path, doc):
+def _dump_json(items: Iterable, fh):
+    """The JSON list of `items` and a newline, the bytes of
+    json.dumps(list(items), indent=2) + "\n", written to fh an item at a
+    time as they are made, so that neither the list nor its text exists
+    whole.  JSON escapes every newline inside a string, so indenting each
+    line of an item's text indents only its structure."""
+    sep = "[\n  "
+    for item in items:
+        fh.write(sep + _JSON.encode(item).replace("\n", "\n  "))
+        sep = ",\n  "
+    fh.write("[]\n" if sep == "[\n  " else "\n]\n")
+
+
+def _write_json(path: Path, items: Iterable):
     with open(path, "w") as fh:
-        _dump_json(doc, fh)
+        _dump_json(items, fh)
 
 
 _SWEEP_COLUMNS = ["r0", "xi", "eps", "eta_max", "bound", "decay_constant",
@@ -81,18 +91,19 @@ _SWEEP_COLUMNS = ["r0", "xi", "eps", "eta_max", "bound", "decay_constant",
 
 def _write_reports(outdir: Optional[str], reports, sweep=()):
     """reports.csv and reports.json in outdir (nothing without one), and
-    theorem_sweep.csv and theorem.json when the run audited a sweep."""
+    theorem_sweep.csv and theorem.json when the run audited a sweep, each
+    file written a report or an r0 at a time."""
     if outdir is None:
         return
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "reports.csv", CSV_COLUMNS, reports_to_csv_rows(reports))
-    _write_json(out / "reports.json", [r.to_json() for r in reports])
+    _write_csv(out / "reports.csv", CSV_COLUMNS, map(report_csv_row, reports))
+    _write_json(out / "reports.json", (r.to_json() for r in reports))
     if sweep:
-        _write_csv(out / "theorem_sweep.csv", _SWEEP_COLUMNS, [
+        _write_csv(out / "theorem_sweep.csv", _SWEEP_COLUMNS, (
             {c: _cell(getattr(inst, c)) for c in _SWEEP_COLUMNS}
-            for inst in sweep])
-        _write_json(out / "theorem.json", [inst.to_json() for inst in sweep])
+            for inst in sweep))
+        _write_json(out / "theorem.json", (inst.to_json() for inst in sweep))
 
 
 def _exit_code(reports) -> int:
@@ -103,7 +114,7 @@ def _print_reports(reports, as_json: bool, sweep=()):
     """A line per report, then two per r0 of the sweep, then the counts;
     with `as_json`, the reports' JSON alone."""
     if as_json:
-        _dump_json([r.to_json() for r in reports], sys.stdout)
+        _dump_json((r.to_json() for r in reports), sys.stdout)
         return
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
@@ -176,7 +187,7 @@ def cmd_demo_remark(parser, args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / "remark.csv", _REMARK_COLUMNS,
-                   [{c: _cell(r[c]) for c in _REMARK_COLUMNS} for r in rows])
+                   ({c: _cell(r[c]) for c in _REMARK_COLUMNS} for r in rows))
         _write_json(out / "remark.json", rows)
     if args.json:
         _dump_json(rows, sys.stdout)

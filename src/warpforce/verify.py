@@ -94,6 +94,7 @@ __all__ = [
     "read_document",
     "seeded_reports",
     "CONFIG",
+    "report_csv_row",
     "reports_to_csv_rows",
     "CSV_COLUMNS",
 ]
@@ -169,8 +170,9 @@ def _cell(x) -> str:
     return x if isinstance(x, str) else f"{x:.12g}"
 
 
-def reports_to_csv_rows(reports: Sequence[BoundReport]) -> list:
-    return [{
+def report_csv_row(r: BoundReport) -> dict:
+    """r's row of reports.csv, keyed by CSV_COLUMNS."""
+    return {
         "name": r.name,
         "lhs": _cell(r.lhs),
         "rhs": _cell(r.rhs),
@@ -183,7 +185,11 @@ def reports_to_csv_rows(reports: Sequence[BoundReport]) -> list:
         "params": json.dumps(r.params, sort_keys=True,
                              separators=(",", ":"), default=float),
         "notes": r.notes,
-    } for r in reports]
+    }
+
+
+def reports_to_csv_rows(reports: Sequence[BoundReport]) -> list:
+    return list(map(report_csv_row, reports))
 
 
 def measured_with_error(fields: Sequence[Field], grid: GridSpec) -> list:
@@ -888,9 +894,11 @@ def run_check(name: str, doc: Optional[dict] = None,
     whether or not the check uses it.  `points` (--grid N) sets the points
     per axis of the grids the run samples on; under `all` the lemma suites
     then sample on the theorem's grid.  `all` runs its theorem sweep
-    before any lemma but lists it last.  Under `theorem` and `all` the
-    sweep's TheoremInstances, whose reports the run returns, are appended
-    to the list `sweep` when one is given."""
+    before any lemma but lists it last, and lemma2.1, which walks each of
+    its windows once, before the suites, which walk their charts again, so
+    that those charts stay in model._grid_rows' cache.  Under `theorem`
+    and `all` the sweep's TheoremInstances, whose reports the run returns,
+    are appended to the list `sweep` when one is given."""
     if name not in available_checks():
         raise ValueError(f"unknown check {name!r}; available: "
                          f"{', '.join(available_checks())}")
@@ -902,8 +910,9 @@ def run_check(name: str, doc: Optional[dict] = None,
     if sweep is not None:
         sweep.extend(instances)
     lemmas = [nm for nm in _LEMMA_NAMES if name in (nm, "all")]
+    decay = [check_lemma_2_1(t0) for t0 in cfg["lemma2.1"]["t0_values"]] \
+        if "lemma2.1" in lemmas else []
     return [r for nm in lemmas for r in (
-        [check_lemma_2_1(t0) for t0 in cfg[nm]["t0_values"]]
-        if nm == "lemma2.1" else _run_lemma_suite(
+        decay if nm == "lemma2.1" else _run_lemma_suite(
             nm, cfg["seed"], cfg["instances"], cfg["xi_values"], grid))] + [
         r for inst in instances for r in inst.reports]

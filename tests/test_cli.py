@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import io
 import json
+import math
 import shlex
 import shutil
 import subprocess
@@ -9,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from warpforce import cli
 from warpforce.cli import _write_reports, build_parser, main
 from warpforce.model import GridSpec
-from warpforce.verify import (CSV_COLUMNS, available_checks, make_report,
-                              remark_decay)
+from warpforce.verify import (CSV_COLUMNS, available_checks, error_report,
+                              make_report, remark_decay, reports_to_csv_rows)
 
 from memory import traced_peak_mb
 
@@ -232,6 +236,18 @@ def test_a_grid_past_numpys_size_limit_is_a_usage_error(tmp_path, monkeypatch,
     assert exc.value.code == 2
 
 
+def test_a_refused_grid_leaves_an_earlier_dump_as_it_was(tmp_path, capsys):
+    # the refused grid was sized after grid.csv was opened, which left the
+    # header line alone in place of the earlier dump
+    out = tmp_path / "D"
+    assert run_cli(["dump-grid", "--grid", "8", "--out", str(out)]) == 0
+    dumped = (out / "grid.csv").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["dump-grid", "--grid", str(2 ** 62), "--out", str(out)])
+    assert exc.value.code == 2
+    assert (out / "grid.csv").read_bytes() == dumped
+
+
 @pytest.mark.parametrize("argv,cfg,key", [
     (["theorem", "--grid", "8"],
      {"theorem": dict(SMALL_THEOREM["theorem"], guard_constant=float("nan"))},
@@ -289,17 +305,66 @@ def test_verify_csv_deterministic(tmp_path):
     assert (a / "reports.csv").read_bytes() == (b / "reports.csv").read_bytes()
 
 
+def list_csv(columns, rows) -> bytes:
+    """The CSV of the list `rows`, as one csv.DictWriter call writes it."""
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    w.writeheader()
+    w.writerows(list(rows))
+    return buf.getvalue().encode()
+
+
 def test_reports_json_streams_in_small_memory(tmp_path):
     # as many reports as `verify all` on the default config; building the
-    # JSON text first took 3.3 MB
+    # JSON text first took 3.3 MB, and every CSV row and to_json() dict
+    # before the first byte 0.85 MB
     reports = [make_report("lemma3.1", {"xi": 1.5, "s": 0.01 * i,
                                         "window": [0.0, 3.0]},
                            1e-3 * i, 1.0, 1e-6, GridSpec(), "analytic")
                for i in range(708)]
     _, mb = traced_peak_mb(_write_reports, str(tmp_path), reports)
-    assert mb < 1.5
+    assert mb < 0.5
     assert (tmp_path / "reports.json").read_text() == json.dumps(
         [dataclasses.asdict(r) for r in reports], indent=2) + "\n"
+    assert (tmp_path / "reports.csv").read_bytes() == list_csv(
+        CSV_COLUMNS, reports_to_csv_rows(reports))
+
+
+def test_reports_csv_rows_are_the_lists_rows(tmp_path):
+    # rows written as they are made are the bytes of the whole list's
+    # rows, error entries and quoted cells included
+    reports = [
+        make_report("lemma2.1", {"t0": 3.0, "note": 'a "b", c\nd \u00e9'},
+                    1e-3, 1.0, 1e-6, GridSpec(), "analytic",
+                    notes='quoted "x", y'),
+        error_report("theorem", {"r0": 4.0}, GridSpec(points_per_axis=8),
+                     "chart misfit, at\nr = 2"),
+    ]
+    _write_reports(str(tmp_path), reports)
+    assert (tmp_path / "reports.csv").read_bytes() == list_csv(
+        CSV_COLUMNS, reports_to_csv_rows(reports))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_JSON_VALUES, max_size=4))
+@example([])
+@example([{"name": "lemma1.1", "lhs": 0.5}])
+@example([{"params": {"window": [0.0, 3.0], "deep": [[], {}, [{"a": []}]]}},
+          [1, [2, [3]]]])
+@example([{"lhs": math.nan, "rhs": math.inf, "margin": -math.inf}])
+@example(['say "hi"\n\tthen \\ go', "\u00e9t\u00e9 \u2264 \u03be \U0001d4c8",
+          {"\n": "\""}])
+def test_dump_json_writes_the_bytes_of_json_dumps(items):
+    fh = io.StringIO()
+    cli._dump_json(iter(items), fh)
+    assert fh.getvalue() == json.dumps(items, indent=2) + "\n"
 
 
 def test_verify_json_stdout(capsys):

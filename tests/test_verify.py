@@ -769,6 +769,20 @@ def test_all_suites_pass_small():
     assert sum(r.name == "theorem" for r in reps) == 24
 
 
+def test_a_verify_all_pass_builds_each_grid_once(monkeypatch):
+    # the grid cache holds what a pass walks again: at maxsize 2, or with
+    # lemma2.1's windows walked between the suites, this pass built 14 or
+    # 13 grids for its 11
+    walked = set()
+    cached = model._grid_rows
+    monkeypatch.setattr(model, "_grid_rows", lambda domain, specs: (
+        walked.add((domain, specs)) or cached(domain, specs)))
+    cached.cache_clear()
+    run_check("all", {"instances": 2}, points=8)
+    assert len(walked) > cached.cache_info().maxsize
+    assert cached.cache_info().misses == len(walked)
+
+
 # ---------------------------------------------------------------------------
 # deformation audit
 
