@@ -138,10 +138,11 @@ def perturbed_hyperbolic(n: int = 2, amplitude: float = 1e-3,
         float(radial_center), float(radial_width)
 
     def fn(p):
-        u = (p[:, -1] - rc) / rw
-        wave = _per_run(lambda y: A * np.cos(mm * y[:, 0]),
-                        p[:, ang_axis:ang_axis + 1])
-        factor = 1.0 + wave * np.exp(-u ** 2)
+        # no full-width local outlives its use: the wave is gone before
+        # sinh^2 r is formed
+        factor = 1.0 + _per_run(lambda y: A * np.cos(mm * y[:, 0]),
+                                p[:, ang_axis:ang_axis + 1]) \
+            * np.exp(-((p[:, -1] - rc) / rw) ** 2)
         return _diag([factor * np.sinh(p[:, -1]) ** 2])
 
     metric = RadialMetric(dom, fn, analytic=True, name=f"perturbed{n}d", k=1)
@@ -344,6 +345,7 @@ def pullback(rc: RadialChart, g: RadialMetric) -> RadialMetric:
     def spatial(pts):
         q, M = rc.map_points(pts, g)
         f = g.spatial(q)
+        del q           # the polar points are not held through the product
         # affine: M is the Jacobian J, and J f J keeps n = 2's values (jets)
         return M * f * M if rc.affine else f * M
 

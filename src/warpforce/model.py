@@ -982,7 +982,13 @@ def _c2_norms(fields: Sequence[Field], specs: tuple) -> list:
     the step's rows.  A field's own result leaves the memo once folded,
     and a field asked for again at that step raises: list a field after
     the fields that contain it.  Each step is folded before the next one
-    is built."""
+    is built.
+
+    A RadialMetric is walked as its block: the rest of its value is exact
+    zeros and the unit last-axis entry, whose derivatives are zero, so its
+    sups are its block's, the value's raised to 1 (see _norm), and its
+    d x d value is never built.  Its own memo entry is marked folded; its
+    block's stays for the fields that contain it."""
     dom = fields[0].domain
     if any(f.domain != dom for f in fields):
         raise ValueError("the fields of one norm walk must share a domain")
@@ -995,11 +1001,13 @@ def _c2_norms(fields: Sequence[Field], specs: tuple) -> list:
             else dom.grid_chunks(specs, step):
         seed = _GridJet.seed(x)
         for f, maxima in zip(fields, found):
+            # a metric folds its block's jet; _norm adds its unit entry
+            g = f.block if isinstance(f, RadialMetric) else f
             if f.has_jet:
-                _fold(maxima, f.jet(seed), parts)
+                _fold(maxima, g.jet(seed), parts)
                 seed.memo[f._fn] = _LastJet.FOLDED
             else:
-                _fold(maxima, _fd_jet(f, x, _FD_STEP), parts)
+                _fold(maxima, _fd_jet(g, x, _FD_STEP), parts)
         del seed                # and with it the step's memo
     return [[_norm(f, m, spec) for m, spec in zip(maxima, specs)]
             for f, maxima in zip(fields, found)]
@@ -1010,11 +1018,17 @@ def _fold(found: list, jet, parts):
     |d1| per axis and of |d2| per axis pair of grid i, for each (i, rows)
     of parts.  A part constant along the batch is reduced on its one row."""
     for i, rows in parts:
-        got = [np.abs(_row(a[rows])).max(
-                   axis=(0, *range(1 + o, a.ndim)))
+        got = [_abs_max(_row(a[rows]), (0, *range(1 + o, a.ndim)))
                for o, a in enumerate(jet)]
         found[i] = got if found[i] is None \
             else list(map(np.maximum, found[i], got))   # keeps a NaN
+
+
+def _abs_max(a: np.ndarray, axis: tuple) -> np.ndarray:
+    """np.abs(a).max(axis), bit for bit, without an |a| copy of a: the
+    larger of max a and -min a, whose abs, on the maxima alone, clears the
+    sign of a zero or of a NaN.  A NaN propagates."""
+    return np.abs(np.maximum(a.max(axis), -a.min(axis)))
 
 
 def _row(a: np.ndarray) -> np.ndarray:
@@ -1024,10 +1038,14 @@ def _row(a: np.ndarray) -> np.ndarray:
 
 
 def _norm(f: Field, maxima: list, spec: GridSpec) -> C2Norm:
-    """f's C2Norm on grid `spec` from the maxima of _fold."""
+    """f's C2Norm on grid `spec` from the maxima of _fold; a metric's are
+    its block's, and its unit entry raises the value's to 1 (np.maximum
+    keeps a NaN)."""
     names = f.domain.axis_names
     pairs = [(i, j) for i in range(len(names)) for j in range(i, len(names))]
     v, d1, d2 = maxima[0], maxima[1].tolist(), maxima[2].tolist()
+    if isinstance(f, RadialMetric):
+        v = np.maximum(v, 1.0)
     vals = [float(v), *d1] + [(0.5 if i == j else 1.0) * d2[i][j]  # 1/a!
                               for i, j in pairs]
     sups = dict(zip(["1"] + [f"d{a}" for a in names] + [

@@ -234,7 +234,11 @@ def blend(g1: RadialMetric, g2: RadialMetric, lam: Field,
 
     The last-axis block stays exactly 1.  Where lambda is exactly 1.0 (resp.
     0.0) the blend reproduces g1 (resp. g2) bitwise; on a batch where it is
-    so on every row, the other metric is not evaluated.
+    so on every row, the other metric is not evaluated.  Otherwise
+    (1 - lambda) g2 is formed first, so that neither lambda g1 nor 1 -
+    lambda is held while g2 (warp_force's manifold metric, the heavier
+    operand) is evaluated; the sum is lambda g1 + (1 - lambda) g2 all the
+    same.
     """
     if (g1.domain.dim, g1.block.shape) != (g2.domain.dim, g2.block.shape):
         raise ValueError("metric dimensions differ")
@@ -246,8 +250,8 @@ def blend(g1: RadialMetric, g2: RadialMetric, lam: Field,
             return g2.spatial(pts)
         if (w == 1.0).all():
             return g1.spatial(pts)
-        return (l[:, None, None] * g1.spatial(pts)
-                + (1.0 - l)[:, None, None] * g2.spatial(pts))
+        rest = (1.0 - l)[:, None, None] * g2.spatial(pts)
+        return l[:, None, None] * g1.spatial(pts) + rest
 
     return RadialMetric(g1.domain, spatial,
                         analytic=g1.has_jet and g2.has_jet and lam.has_jet,

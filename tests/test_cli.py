@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -416,6 +417,7 @@ def assert_golden(outdir, *names):
 #   mv $D/reports.csv $D/reports.json $T
 #   wf verify all --config configs/default.json --out $D
 #   mv $D/reports.csv $T/default_reports.csv
+#   sha256sum $D/reports.json      # DEFAULT_REPORTS_JSON_SHA256 below
 #   echo '{"theorem": {"r0_values": [5.0], "centers_per_zone": 2}}' \
 #       > $D/t.json
 #   wf verify theorem --config $D/t.json --grid 8 --out $D
@@ -454,6 +456,12 @@ def test_verify_all_matches_golden_csv(tmp_path, capsys):
     assert_golden(tmp_path, "reports.csv", "reports.json")
 
 
+# The default campaign's reports.json: its repr floats pin every bit of the
+# 64-point lhs, rhs, margin and error estimates that the CSV golden rounds.
+DEFAULT_REPORTS_JSON_SHA256 = \
+    "308993300c6fa45ababb6fd1e4d71015bd6db353a5d7b25ea139ce45e961f1b1"
+
+
 def test_verify_all_default_config_matches_golden_csv(tmp_path, capsys):
     # every cell of the default campaign's 708 rows, at 64 points per axis
     assert run_cli(["verify", "all", "--config",
@@ -462,6 +470,8 @@ def test_verify_all_default_config_matches_golden_csv(tmp_path, capsys):
     capsys.readouterr()
     (tmp_path / "reports.csv").rename(tmp_path / "default_reports.csv")
     assert_golden(tmp_path, "default_reports.csv")
+    digest = hashlib.sha256((tmp_path / "reports.json").read_bytes())
+    assert digest.hexdigest() == DEFAULT_REPORTS_JSON_SHA256
 
 
 def test_theorem_matches_golden(tmp_path, capsys):

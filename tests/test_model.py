@@ -39,7 +39,8 @@ from warpforce.model import (
     WarpforceError,
     profile_scalar,
 )
-from warpforce.verify import fd_oracle_check, measured_with_error
+from warpforce.verify import (_Stream, fd_oracle_check, measured_with_error,
+                              random_close_metric)
 from warpforce.warpcore import WarpFunction, apply_warp, blend
 
 from memory import traced_peak_mb
@@ -623,6 +624,129 @@ class TestMemo:
         assert sizes == (64,) and parts == ((0, slice(0, 64)),)
 
 
+def abs_max_fold(found, jet, parts):
+    """_fold as it was, with an |a| copy of each part: found[i] takes
+    np.abs(a).max(...) of the rows of grid i."""
+    for i, rows in parts:
+        got = [np.abs(a[rows]).max(axis=(0, *range(1 + o, a.ndim)))
+               for o, a in enumerate(jet)]
+        found[i] = got if found[i] is None \
+            else list(map(np.maximum, found[i], got))
+
+
+# every float but NaN, signed zeros often, and NaN of either sign
+fold_entries = st.one_of(st.sampled_from([0.0, -0.0]),
+                         st.floats(allow_nan=False),
+                         st.sampled_from([np.nan, -np.nan]))
+
+
+@st.composite
+def fold_batches(draw):
+    """(jet, parts): a jet (v, d1, d2) of m rows in Field.jet's layout,
+    each part full, one row broadcast along the batch (stride 0) or a zero
+    part (_zeros), and the parts of one grid or of two grids that share
+    the batch."""
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    S = draw(st.sampled_from([(), (1, 1), (2, 2)]))
+    jet = []
+    for o in range(3):
+        shape = (m,) + (d,) * o + S
+        kind = draw(st.sampled_from(["full", "row", "zeros"]))
+        if kind == "zeros":
+            jet.append(model._zeros(shape))
+            continue
+        rows = m if kind == "full" else 1
+        size = rows * int(np.prod(shape[1:]))
+        a = np.array(draw(st.lists(fold_entries, min_size=size,
+                                   max_size=size))).reshape(
+            (rows,) + shape[1:])
+        jet.append(np.broadcast_to(a, shape))
+    cut = draw(st.integers(0, m - 1))
+    parts = [(0, slice(0, m))] if not cut else \
+        [(0, slice(0, cut)), (1, slice(cut, m))]
+    return jet, parts
+
+
+def spied(g, calls):
+    """Metric g, its value function (the d x d embedding of its block)
+    recording the batch size of each call."""
+    fn = g._fn.fn
+    g._fn.fn = lambda p: calls.append(len(p)) or fn(p)
+    return g
+
+
+def block_fold_metric(case):
+    """(metric, grid) for each kind of metric whose norm is its block's."""
+    from warpforce.manifold import perturbed_hyperbolic
+    kind, n = case.split("-")
+    ch = ChartModel(n=int(n), grid=GridSpec(points_per_axis=16))
+    if kind == "hyperbolic":
+        return hyperbolic_model(ch), ch.grid
+    if kind == "random":
+        return random_close_metric(ch, _Stream(7)), ch.grid
+    if kind == "below1":        # the unit entry sets key "1"
+        return RadialMetric.on_chart(ch, lambda p: (0.3 + 0.1 * np.sin(
+            p[:, 0]) * np.cos(p[:, -1]))[:, None, None], analytic=True), \
+            ch.grid
+    if kind == "nan":
+        return nan_metric(ch, analytic=True), ch.grid
+    if kind == "pullback":      # finite differences
+        return pullback_pair(int(n))[0], GridSpec(points_per_axis=8)
+    m = perturbed_hyperbolic(int(n), amplitude=0.05)
+    return m.metric, GridSpec(points_per_axis=16)
+
+
+class TestFold:
+    @settings(max_examples=300, deadline=None)
+    @given(fold_batches())
+    def test_fold_is_bitwise_the_max_of_abs(self, batch):
+        # sign of zero and of NaN included: the maxima's bytes
+        jet, parts = batch
+        found, want = [None, None], [None, None]
+        for _ in range(2):          # a second step folds into the first's
+            model._fold(found, jet, parts)
+            abs_max_fold(want, jet, parts)
+        assert [f and [np.asarray(a).tobytes() for a in f] for f in found] \
+            == [w and [np.asarray(a).tobytes() for a in w] for w in want]
+
+    @pytest.mark.parametrize("case", [
+        "hyperbolic-2", "hyperbolic-3", "random-2", "manifold-2",
+        "manifold-3", "below1-2", "nan-2", "pullback-3"])
+    def test_metric_norm_is_the_fold_of_its_full_value(self, case):
+        # each per-key sup, bit for bit, of g's d x d value on the grid;
+        # and the norm never builds that value
+        calls = []
+        g, spec = block_fold_metric(case)
+        got = c2_norm(spied(g, calls), spec)
+        assert calls == []
+        want = whole_grid_sups(g, spec)
+        assert calls
+        assert list(got.per_order_sups) == list(want)
+        assert [np.float64(x).tobytes() for x in got.per_order_sups.values()] \
+            == [np.float64(x).tobytes() for x in want.values()]
+        assert got.derivative_source == ("finite-difference"
+                                         if case == "pullback-3"
+                                         else "analytic")
+        if case == "below1-2":
+            assert got.per_order_sups["1"] == 1.0
+            assert max(v for k, v in got.per_order_sups.items()
+                       if k != "1") < 1.0
+        assert np.isnan(got.value) == (case == "nan-2")
+
+    def test_a_folded_metric_leaves_its_block_in_the_memo(self):
+        ch = chart2(pts=16)
+        calls = []
+        g = RadialMetric.on_chart(ch, counted(calls), analytic=True)
+        spec = ch.grid
+        block = Field(ch.domain, lambda p: g.spatial(p)[:, 0, 0],
+                      analytic=True)
+        model._c2_norms([g, block], (spec,))
+        assert calls == [len(ch.grid_points())]     # one evaluation
+        full = Field(ch.domain, lambda p: g(p)[:, 0, 0], analytic=True)
+        with pytest.raises(WarpforceError, match="'metric'.*folded"):
+            model._c2_norms([g, full], (spec,))
+
+
 _SECOND_PASS_FAULTS = """
 import resource
 from warpforce.verify import run_check
@@ -648,10 +772,12 @@ def test_a_second_pass_reuses_the_heap():
 
 
 def whole_grid_sups(f, spec):
-    """Per-key sups of one finite-difference jet of f's whole grid, key by
-    key: the reference for the norm walk's reduction by jet part."""
+    """Per-key sups of one jet of f's whole grid, analytic or by finite
+    differences, key by key: the reference for the norm walk's reduction
+    by jet part."""
     names = f.domain.axis_names
-    v, d1, d2 = _fd_jet(f, f.domain.grid(spec), _FD_STEP)
+    pts = f.domain.grid(spec)
+    v, d1, d2 = f.jet(pts) if f.has_jet else _fd_jet(f, pts, _FD_STEP)
     s = {"1": float(np.max(np.abs(v)))}
     for i, a in enumerate(names):
         s[f"d{a}"] = float(np.max(np.abs(d1[:, i])))

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from memory import traced_peak_mb
 from warpforce import cli, model
 from warpforce.model import (
     ChartModel,
@@ -651,6 +652,24 @@ def test_a_run_never_imports_numpy_random(tmp_path):
         capture_output=True, text=True, env=env, check=True)
     assert proc.stdout == "[]\n"
     assert (tmp_path / "out" / "reports.csv").exists()
+
+
+_WALK = {name: lambda name=name: seeded_reports(name, 0, 3, 1.5, GridSpec())
+         for name in ("lemma1.1", "lemma2.2", "lemma2.3", "lemma3.1",
+                      "lemma3.2")}
+_WALK["theorem"] = lambda: check_main_theorem(TheoremConfig(), 5.0)
+
+
+@pytest.mark.parametrize("check,mb", [
+    ("lemma1.1", 2.3), ("lemma2.2", 1.7), ("lemma2.3", 2.3),
+    ("lemma3.1", 2.3), ("lemma3.2", 2.3), ("theorem", 2.3)])
+def test_each_walk_step_holds_its_working_set_once(check, mb):
+    # traced peaks after a warm call, when each walk step held the d x d
+    # value of a normed metric, an |a| copy of each jet part and blend's
+    # first product: 2.35, 2.87, 1.65, 2.22, 1.93 and 2.54 MB
+    _WALK[check]()
+    _, peak = traced_peak_mb(_WALK[check])
+    assert peak < mb
 
 
 def test_suite_splits_instances_across_excess_values():
